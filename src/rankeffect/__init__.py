@@ -12,12 +12,10 @@ tested with a Wald-type and a small-sample ANOVA-type statistic.
 from ._version import __version__
 from .covariance import (
     CovarianceEstimate,
-    covariance_from_marginals,
     covariance_general,
     covariance_simple,
 )
 from .data import (
-    Hypothesis,
     MaskedSample,
     PatternIndex,
     build_masked_sample,
@@ -28,7 +26,6 @@ from .effects import (
     METHODS,
     EffectEstimate,
     estimate_effects,
-    estimate_effects_integral,
     restrict_method,
 )
 from .inference import (
@@ -40,7 +37,7 @@ from .inference import (
     run_all_methods,
     wald_test,
 )
-from .ranks import Placement, RankTable, build_rank_table, midranks, placements
+from .ranks import RankTable, build_rank_table, midranks, placements
 from .reports import (
     REPORT_SCHEMA,
     build_report,
@@ -61,24 +58,20 @@ __all__ = [
     "__version__",
     "MaskedSample",
     "PatternIndex",
-    "Hypothesis",
     "build_masked_sample",
     "derive_pattern_index",
     "check_assumptions",
     "RankTable",
-    "Placement",
     "midranks",
     "build_rank_table",
     "placements",
     "METHODS",
     "EffectEstimate",
     "estimate_effects",
-    "estimate_effects_integral",
     "restrict_method",
     "CovarianceEstimate",
     "covariance_simple",
     "covariance_general",
-    "covariance_from_marginals",
     "TestReport",
     "MethodAnalysis",
     "chisq_upper_tail",

@@ -9,6 +9,7 @@ import argparse
 import configparser
 import json
 import sys
+from dataclasses import replace
 
 from .data import derive_pattern_index
 from .effects import METHODS
@@ -109,19 +110,19 @@ def cmd_simulate(args) -> int:
     try:
         if args.builtin:
             dims = tuple(int(v) for v in args.dims.split(","))
-            scenarios = builtin_grid(args.builtin, reps=args.reps, dims=dims)
+            reps = 1000 if args.reps is None else args.reps
+            scenarios = builtin_grid(args.builtin, reps=reps, dims=dims)
         else:
+            reps = args.reps
             scenarios = _scenarios_from_config(args.config)
-            if args.reps != 1000:
-                from dataclasses import replace
-
-                scenarios = [replace(s, replications=args.reps) for s in scenarios]
+            if reps is not None:
+                scenarios = [replace(s, replications=reps) for s in scenarios]
         results = run_grid(scenarios, master_seed=args.seed)
         config = {
             "command": "simulate",
             "builtin": args.builtin,
             "config": args.config,
-            "reps": args.reps,
+            "reps": reps,
             "seed": args.seed,
             "dims": args.dims,
         }
@@ -164,10 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--na-token", default="NA", help="missing-value token")
     pa.add_argument("--dimension", type=int, default=None,
                     help="number of response variables (checked against the file)")
-    group = pa.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", default=True,
-                       help="emit the JSON report (default)")
-    group.add_argument("--table", action="store_true", help="emit a text table instead")
+    pa.add_argument("--table", action="store_true",
+                    help="emit a text table instead of the JSON report")
     pa.add_argument("--output", default=None, help="write to this file instead of stdout")
     pa.set_defaults(func=cmd_analyze)
 
@@ -176,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--builtin", default=None,
                      help="named grid: table3, table6, design1, design2, design3")
     src.add_argument("--config", default=None, help="INI scenario file")
-    ps.add_argument("--reps", type=int, default=1000, help="replications per scenario")
+    ps.add_argument("--reps", type=int, default=None,
+                    help="replications per scenario (default: 1000 for --builtin, "
+                    "the file's values for --config)")
     ps.add_argument("--seed", type=int, default=0, help="master seed for the grid")
     ps.add_argument("--dims", default="2,3,5",
                     help="dimensions for builtin grids that vary d")

@@ -1,35 +1,32 @@
 """Covariance estimation for the scaled effect vector.
 
-Two estimators of the asymptotic covariance of ``sqrt(n) * (p_hat - p)``:
+One kernel estimates the asymptotic covariance of ``sqrt(n) * (p_hat - p)``
+from the rank differences ``b = overall - internal``.  Per component it has
+three value rows: ``b2 - b1`` on the complete (paired) cases, ``b2`` on the
+group-2-only cases and ``-b1`` on the group-1-only cases.  Entry (l, r) sums
+the nine cross-covariances of component ``l``'s rows with component ``r``'s,
+each over the intersection of the two index sets with an ``e/(e-1)`` bias
+factor (``e`` the intersection size), divided by ``m1_l m2_l m1_r m2_r``.
+Single-subject intersections contribute zero and are flagged.  All terms
+come from a few masked matrix products.
 
-* :func:`covariance_simple` for treatment-level missingness, built from
-  rank differences as a sum of three scaled empirical covariance matrices
-  (paired cases, group-1-only cases, group-2-only cases);
-* :func:`covariance_general` for per-cell missingness, which assembles each
-  entry from nine cross-covariance terms over intersections of the
-  per-component index sets, using placement values.
-
-On treatment-level data the general estimator collapses to the simple one
-entry by entry; that reduction is the key regression check.
-
-:func:`covariance_from_marginals` evaluates the (in practice unobservable)
-variant that uses the true marginal distributions instead of their
-empirical counterparts; it exists to validate consistency empirically.
+:func:`covariance_general` is this estimator for per-cell missingness;
+:func:`covariance_simple` is the same kernel on treatment-level data, where
+only the paired, group-1-only and group-2-only parts survive.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MaskedSample, PatternIndex
-from .errors import InestimableComponent, NoEstimablePart, PatternMismatch
-from .ranks import RankTable, placements
+from .data import MaskedSample, PatternIndex, check_estimable
+from .errors import NoEstimablePart, PatternMismatch
+from .ranks import RankTable
 
 __all__ = [
     "CovarianceEstimate",
     "covariance_simple",
     "covariance_general",
-    "covariance_from_marginals",
 ]
 
 
@@ -41,28 +38,49 @@ class CovarianceEstimate:
     trace: float
     trace_sq: float        # trace of v_hat squared
     nu_hat: float          # trace^2 / trace_sq; NaN if v_hat == 0
-    estimator: str         # "simple" | "general" | "oracle"
-    parts: dict | None = None            # additive parts for the 3-term forms
-    term_values: np.ndarray | None = None  # (d, d, 9) per-entry terms, general form
+    estimator: str         # "simple" | "general"
     degenerate: tuple[str, ...] = ()
 
 
-def _diagnostics(v: np.ndarray) -> tuple[float, float, float]:
+def _kernel(idx: PatternIndex, ranks: RankTable) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate and the (3d, 3d) intersection sizes of the stacked rows.
+
+    Row ``a * d + l`` is component ``l``'s complete (a=0), group-2-only (a=1)
+    or group-1-only (a=2) row.  The estimate is exactly symmetric but not
+    forced to be positive semidefinite.
+    """
+    check_estimable(idx)
+    d, n = idx.d, idx.n
+    b = ranks.overall - ranks.internal
+    masks = np.concatenate([idx.complete_mask, idx.g2_only_mask, idx.g1_only_mask])
+    m = masks.astype(float)
+    e = m @ m.T
+    x = np.where(masks, np.concatenate([b[d:] - b[:d], b[d:], -b[:d]]), 0.0)
+    # centring each row on its own-set mean leaves every intersection
+    # covariance unchanged and keeps the subtraction below well conditioned
+    x -= (x.sum(axis=1) / np.maximum(e.diagonal(), 1.0))[:, None] * m
+    s = x @ m.T  # s[i, j]: sum of row i over the intersection with set j
+    # e/(e-1) * (x_i . x_j - s_ij * s_ji / e), zero where e <= 1
+    w = np.divide(1.0, e - 1.0, out=np.zeros_like(e), where=e > 1)
+    c = (e * (x @ x.T) - s * s.T) * w
+    dm = (idx.m1 * idx.m2).astype(float)
+    v = n * c.reshape(3, d, 3, d).sum(axis=(0, 2)) / np.outer(dm, dm)
+    return 0.5 * (v + v.T), e
+
+
+def _estimate(v: np.ndarray, estimator: str, flags: list[str]) -> CovarianceEstimate:
     trace = float(np.trace(v))
     trace_sq = float(np.sum(v * v))  # == tr(V^2) for symmetric V
     nu = trace * trace / trace_sq if trace_sq > 0 else float("nan")
-    return trace, trace_sq, nu
-
-
-def _mirror(upper: np.ndarray) -> np.ndarray:
-    """Fill the lower triangle from the upper one for exact symmetry."""
-    return np.triu(upper) + np.triu(upper, 1).T
-
-
-def _scatter(x: np.ndarray) -> np.ndarray:
-    """Sum of outer products of mean-centered columns, exactly symmetric."""
-    centered = x - x.mean(axis=1, keepdims=True)
-    return _mirror(centered @ centered.T)
+    v.setflags(write=False)
+    return CovarianceEstimate(
+        v_hat=v,
+        trace=trace,
+        trace_sq=trace_sq,
+        nu_hat=nu,
+        estimator=estimator,
+        degenerate=tuple(flags),
+    )
 
 
 def covariance_simple(
@@ -72,10 +90,10 @@ def covariance_simple(
 ) -> CovarianceEstimate:
     """Three-part rank-difference estimator for treatment-level missingness.
 
-    Each part is a scaled empirical covariance of the per-subject vectors of
-    (overall minus internal) rank differences; a part whose case count is 1
-    cannot contribute a variance and is replaced by zero with a flag, which
-    is how analyses with, say, a single one-sided subject still proceed.
+    The parts are scaled empirical covariances of the paired, group-1-only
+    and group-2-only cases; a part whose case count is 1 cannot contribute a
+    variance and is replaced by zero with a flag, which is how analyses
+    with, say, a single one-sided subject still proceed.
 
     Raises
     ------
@@ -86,76 +104,21 @@ def covariance_simple(
     """
     if not idx.is_simple_pattern:
         raise PatternMismatch("covariance_simple requires treatment-level missingness")
-    d, n = idx.d, idx.n
     n_c = int(idx.n_complete[0])
     n_1 = int(idx.n1_only[0])
     n_2 = int(idx.n2_only[0])
-    m1 = float(n_c + n_1)
-    m2 = float(n_c + n_2)
-    scale_denom = m1 * m1 * m2 * m2
-
-    b = ranks.overall - ranks.internal  # (2d, n)
-    parts: dict[str, np.ndarray] = {}
-    flags: list[str] = []
-    zero = np.zeros((d, d))
-
-    comp = idx.complete_set(0)
-    if n_c >= 2:
-        diff = b[d:, comp] - b[:d, comp]  # group-2 minus group-1 rank differences
-        parts["complete"] = n * n_c / (scale_denom * (n_c - 1)) * _scatter(diff)
-    else:
-        parts["complete"] = zero
-        if n_c == 1:
-            flags.append("complete part degenerate (single paired case); contributed zero")
-
-    for g, cnt, rows, cols in (
-        (1, n_1, slice(0, d), idx.g1_only_set(0)),
-        (2, n_2, slice(d, 2 * d), idx.g2_only_set(0)),
-    ):
-        key = f"group{g}"
-        if cnt >= 2:
-            parts[key] = n * cnt / (scale_denom * (cnt - 1)) * _scatter(b[rows, cols])
-        else:
-            parts[key] = zero
-            if cnt == 1:
-                flags.append(
-                    f"group-{g} incomplete part degenerate (single case); contributed zero"
-                )
-
     if n_c < 2 and n_1 < 2 and n_2 < 2:
         raise NoEstimablePart(
             f"no covariance part has two cases (complete={n_c}, g1={n_1}, g2={n_2})"
         )
-    v = parts["complete"] + parts["group1"] + parts["group2"]
-    trace, trace_sq, nu = _diagnostics(v)
-    v.setflags(write=False)
-    return CovarianceEstimate(
-        v_hat=v,
-        trace=trace,
-        trace_sq=trace_sq,
-        nu_hat=nu,
-        estimator="simple",
-        parts=parts,
-        degenerate=tuple(flags),
-    )
-
-
-# The nine cross-covariance terms of the general-pattern entry (l, r).
-# Columns: left variable, right variable, sign, left denominator, right
-# denominator; variables are "z" (complete-case weighted difference), "y2"
-# (group-2 one-sided placement) or "y1"; denominators are taken per
-# component ("nc", "m1", "m2").
-_TERMS = (
-    ("z", "z", +1, "nc", "nc"),
-    ("z", "y2", +1, "nc", "m2"),
-    ("z", "y1", -1, "nc", "m1"),
-    ("y2", "z", +1, "m2", "nc"),
-    ("y2", "y2", +1, "m2", "m2"),
-    ("y2", "y1", -1, "m2", "m1"),
-    ("y1", "z", -1, "m1", "nc"),
-    ("y1", "y2", -1, "m1", "m2"),
-    ("y1", "y1", +1, "m1", "m1"),
-)
+    flags = []
+    if n_c == 1:
+        flags.append("complete part degenerate (single paired case); contributed zero")
+    for g, cnt in ((1, n_1), (2, n_2)):
+        if cnt == 1:
+            flags.append(f"group-{g} incomplete part degenerate (single case); contributed zero")
+    v, _ = _kernel(idx, ranks)
+    return _estimate(v, "simple", flags)
 
 
 def covariance_general(
@@ -163,131 +126,25 @@ def covariance_general(
     idx: PatternIndex,
     ranks: RankTable,
 ) -> CovarianceEstimate:
-    """Nine-term placement-based estimator for per-cell missingness.
+    """Nine-term estimator for per-cell missingness.
 
-    Entry (l, r) sums signed cross-covariances of the complete-case weighted
-    difference and the one-sided placements, each computed over the
-    intersection of the two components' index sets with an ``e/(e-1)`` bias
-    factor (``e`` the intersection size) and divided by the per-component
-    case counts.  Intersections with a single subject contribute zero and
-    are flagged; empty ones are structurally absent.  The result is exactly
-    symmetric but not forced to be positive semidefinite.
+    Every single-subject intersection is flagged as term ``C1..C9`` (in the
+    order complete, group-2-only, group-1-only for the left then the right
+    component) of entry (l, r), r >= l.
+
+    Raises
+    ------
+    InestimableComponent
+        Some group has no observation at all on a component.
     """
-    d, n = idx.d, idx.n
-    for l in range(d):
-        if idx.m1[l] == 0 or idx.m2[l] == 0:
-            raise InestimableComponent(l, group=1 if idx.m1[l] == 0 else 2)
-    place = placements(ranks, idx)
-    y = place.y_hat
-    theta1 = idx.n_complete / idx.m1
-    theta2 = idx.n_complete / idx.m2
-
-    # Per-component value rows (NaN outside the owning index set) and masks.
-    values = {
-        "z": theta2[:, None] * y[d:] - theta1[:, None] * y[:d],
-        "y1": y[:d],
-        "y2": y[d:],
-    }
-    masks = {"z": idx.complete_mask, "y1": idx.g1_only_mask, "y2": idx.g2_only_mask}
-    denoms = {
-        "nc": idx.n_complete.astype(float),
-        "m1": idx.m1.astype(float),
-        "m2": idx.m2.astype(float),
-    }
-
-    v = np.zeros((d, d))
-    term_values = np.zeros((d, d, 9))
-    flags: list[str] = []
-    for l in range(d):
-        for r in range(l, d):
-            entry = 0.0
-            for j, (left, right, sign, dl, dr) in enumerate(_TERMS):
-                members = masks[left][l] & masks[right][r]
-                e = int(members.sum())
-                if e <= 1:
-                    if e == 1:
-                        flags.append(
-                            f"term C{j + 1} for components ({l},{r}) has a single "
-                            "subject; contributed zero"
-                        )
-                    continue
-                a = values[left][l, members]
-                b = values[right][r, members]
-                c_hat = e / (e - 1) * float(np.dot(a - a.mean(), b - b.mean()))
-                term_values[l, r, j] = c_hat
-                term_values[r, l, j] = c_hat
-                entry += sign * c_hat / (denoms[dl][l] * denoms[dr][r])
-            v[l, r] = v[r, l] = n * entry
-    trace, trace_sq, nu = _diagnostics(v)
-    v.setflags(write=False)
-    term_values.setflags(write=False)
-    return CovarianceEstimate(
-        v_hat=v,
-        trace=trace,
-        trace_sq=trace_sq,
-        nu_hat=nu,
-        estimator="general",
-        term_values=term_values,
-        degenerate=tuple(flags),
-    )
-
-
-def covariance_from_marginals(
-    sample: MaskedSample,
-    idx: PatternIndex,
-    marginal_cdfs,
-) -> CovarianceEstimate:
-    """Three-part estimator using true marginal CDFs instead of placements.
-
-    ``marginal_cdfs[l]`` is a pair ``(F1, F2)`` of vectorized CDF callables
-    for component ``l`` in groups 1 and 2.  For distributions with atoms,
-    pass the normalized CDF (the average of the left- and right-continuous
-    versions).  Not computable from data alone; used to validate that the
-    rank-based estimator converges to it.
-    """
-    if not idx.is_simple_pattern:
-        raise PatternMismatch("the oracle form is defined for treatment-level missingness")
-    d, n = idx.d, idx.n
-    n_c = int(idx.n_complete[0])
-    n_1 = int(idx.n1_only[0])
-    n_2 = int(idx.n2_only[0])
-    m1 = float(n_c + n_1)
-    m2 = float(n_c + n_2)
-    theta1 = n_c / m1
-    theta2 = n_c / m2
-
-    y = np.full_like(sample.values, np.nan)
-    for l in range(d):
-        f1, f2 = marginal_cdfs[l]
-        obs1 = sample.observed[l]
-        obs2 = sample.observed[d + l]
-        y[l, obs1] = np.asarray(f2(sample.values[l, obs1]), dtype=float)
-        y[d + l, obs2] = np.asarray(f1(sample.values[d + l, obs2]), dtype=float)
-
-    parts: dict[str, np.ndarray] = {}
-    zero = np.zeros((d, d))
-    comp = idx.complete_set(0)
-    if n_c >= 2:
-        z = theta2 * y[d:, comp] - theta1 * y[:d, comp]
-        parts["complete"] = n / (n_c * (n_c - 1)) * _scatter(z)
-    else:
-        parts["complete"] = zero
-    for key, cnt, m_own, rows, cols in (
-        ("group1", n_1, m1, slice(0, d), idx.g1_only_set(0)),
-        ("group2", n_2, m2, slice(d, 2 * d), idx.g2_only_set(0)),
-    ):
-        if cnt >= 2:
-            parts[key] = n * cnt / (m_own * m_own * (cnt - 1)) * _scatter(y[rows, cols])
-        else:
-            parts[key] = zero
-    v = parts["complete"] + parts["group1"] + parts["group2"]
-    trace, trace_sq, nu = _diagnostics(v)
-    v.setflags(write=False)
-    return CovarianceEstimate(
-        v_hat=v,
-        trace=trace,
-        trace_sq=trace_sq,
-        nu_hat=nu,
-        estimator="oracle",
-        parts=parts,
-    )
+    v, e = _kernel(idx, ranks)
+    d = idx.d
+    # axes (l, r, a, b), so argwhere lists the entries and terms in flag order
+    single = e.reshape(3, d, 3, d).transpose(1, 3, 0, 2) == 1
+    single &= np.triu(np.ones((d, d), bool))[:, :, None, None]
+    flags = [
+        f"term C{3 * a + b + 1} for components ({l},{r}) has a single subject; "
+        "contributed zero"
+        for l, r, a, b in np.argwhere(single)
+    ]
+    return _estimate(v, "general", flags)

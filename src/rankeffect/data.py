@@ -14,15 +14,16 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptySubject,
+    InestimableComponent,
     NonFiniteObservedValue,
 )
 
 __all__ = [
     "MaskedSample",
     "PatternIndex",
-    "Hypothesis",
     "build_masked_sample",
     "derive_pattern_index",
+    "check_estimable",
     "check_assumptions",
 ]
 
@@ -44,10 +45,6 @@ class MaskedSample:
     n: int
     values: np.ndarray   # (2d, n) float64, NaN where not observed
     observed: np.ndarray  # (2d, n) bool
-
-    def group_row(self, group: int, component: int) -> int:
-        """Row index of ``component`` (0-based) in ``group`` (1 or 2)."""
-        return component + (group - 1) * self.d
 
 
 def build_masked_sample(values, observed) -> MaskedSample:
@@ -124,22 +121,13 @@ class PatternIndex:
         """Total observation count per component over both groups."""
         return 2 * self.n_complete + self.n1_only + self.n2_only
 
-    def complete_set(self, component: int) -> np.ndarray:
-        return np.flatnonzero(self.complete_mask[component])
-
-    def g1_only_set(self, component: int) -> np.ndarray:
-        return np.flatnonzero(self.g1_only_mask[component])
-
-    def g2_only_set(self, component: int) -> np.ndarray:
-        return np.flatnonzero(self.g2_only_mask[component])
-
 
 def derive_pattern_index(sample: MaskedSample) -> PatternIndex:
     """Classify every (subject, component) pair as complete/one-sided/absent.
 
     The treatment-level layout (each subject either fully paired or observed
     in exactly one group on all components) is detected and reported via
-    ``is_simple_pattern``; it makes the cheaper covariance estimator valid.
+    ``is_simple_pattern``; it makes the treatment-level covariance estimator valid.
     """
     d = sample.d
     obs1 = sample.observed[:d]
@@ -165,18 +153,13 @@ def derive_pattern_index(sample: MaskedSample) -> PatternIndex:
     )
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """Null of no tendency: every component effect equals one half."""
-
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-
-    def null_vector(self, d: int) -> np.ndarray:
-        return np.full(d, 0.5)
+def check_estimable(idx: PatternIndex) -> None:
+    """Raise :class:`InestimableComponent` unless both groups have data on every component."""
+    m1, m2 = idx.m1, idx.m2
+    bad = np.flatnonzero((m1 == 0) | (m2 == 0))
+    if bad.size:
+        l = int(bad[0])
+        raise InestimableComponent(l, group=1 if m1[l] == 0 else 2)
 
 
 def check_assumptions(idx: PatternIndex, min_group_size: int = 5) -> list[str]:

@@ -2,17 +2,24 @@
 
 The effect for component ``l`` is the probability that a group-1 observation
 is smaller than an independent group-2 observation, counting ties with
-weight one half; one half means no tendency either way.  Complete and
-incomplete cases are combined through sample-size weights, which reduces to
-means of midranks; a direct pairwise-comparison form of the same estimator
-is kept as a cross-check oracle.
+weight one half; one half means no tendency either way.  It is estimated by
+the difference of the two groups' mean pooled midranks over every observed
+cell, ``(R2 - R1) / N + 1/2`` with ``N`` the pooled count: the sample-size
+weights that pool complete and incomplete cases cancel in this form
+(Brunner and Munzel, 2000).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MaskedSample, PatternIndex, build_masked_sample, derive_pattern_index
+from .data import (
+    MaskedSample,
+    PatternIndex,
+    build_masked_sample,
+    check_estimable,
+    derive_pattern_index,
+)
 from .errors import EverythingFiltered, InestimableComponent
 from .ranks import RankTable
 
@@ -20,7 +27,6 @@ __all__ = [
     "METHODS",
     "EffectEstimate",
     "estimate_effects",
-    "estimate_effects_integral",
     "restrict_method",
 ]
 
@@ -34,8 +40,6 @@ class EffectEstimate:
     """Estimated effect vector with the sample-size bookkeeping behind it."""
 
     p_hat: np.ndarray      # (d,) in [0, 1]
-    theta1: np.ndarray     # (d,) complete-case weight for group 1
-    theta2: np.ndarray     # (d,) complete-case weight for group 2
     n_complete: np.ndarray
     n1_only: np.ndarray
     n2_only: np.ndarray
@@ -47,98 +51,27 @@ class EffectEstimate:
         return self.p_hat - 0.5
 
 
-def _check_estimable(idx: PatternIndex) -> None:
-    for l in range(idx.d):
-        if idx.m1[l] == 0:
-            raise InestimableComponent(l, group=1)
-        if idx.m2[l] == 0:
-            raise InestimableComponent(l, group=2)
-
-
-def _weights(idx: PatternIndex) -> tuple[np.ndarray, np.ndarray]:
-    # n_g = 0 gives weight exactly 1 and n_c = 0 gives exactly 0, so empty
-    # rank-mean terms drop out without a separate code path.
-    theta1 = idx.n_complete / idx.m1
-    theta2 = idx.n_complete / idx.m2
-    return theta1, theta2
-
-
 def estimate_effects(
     sample: MaskedSample,
     idx: PatternIndex,
     ranks: RankTable,
     method: str = "all",
 ) -> EffectEstimate:
-    """Effect vector from weighted means of pooled midranks.
-
-    Per component, the four rank means (complete/incomplete within each
-    group) are combined with the complete-case weights and shifted by one
-    half; a rank-mean over an empty set contributes zero because its weight
-    vanishes.
+    """Effect vector from the difference of the groups' mean pooled midranks.
 
     Raises
     ------
     InestimableComponent
         Some group has no observation at all on a component.
     """
-    _check_estimable(idx)
+    check_estimable(idx)
     d = idx.d
-    theta1, theta2 = _weights(idx)
-    p_hat = np.empty(d)
-    for l in range(d):
-        comp = idx.complete_set(l)
-        s1 = idx.g1_only_set(l)
-        s2 = idx.g2_only_set(l)
-        r1c = ranks.overall[l, comp].mean() if comp.size else 0.0
-        r2c = ranks.overall[d + l, comp].mean() if comp.size else 0.0
-        r1i = ranks.overall[l, s1].mean() if s1.size else 0.0
-        r2i = ranks.overall[d + l, s2].mean() if s2.size else 0.0
-        total = idx.pooled_counts[l]
-        p_hat[l] = (
-            theta2[l] * r2c
-            - theta1[l] * r1c
-            + (1.0 - theta2[l]) * r2i
-            - (1.0 - theta1[l]) * r1i
-        ) / total + 0.5
-    p_hat = np.clip(p_hat, 0.0, 1.0)
+    observed = sample.observed
+    means = np.where(observed, ranks.overall, 0.0).sum(axis=1) / observed.sum(axis=1)
+    p_hat = np.clip((means[d:] - means[:d]) / idx.pooled_counts + 0.5, 0.0, 1.0)
     p_hat.setflags(write=False)
     return EffectEstimate(
         p_hat=p_hat,
-        theta1=theta1,
-        theta2=theta2,
-        n_complete=idx.n_complete,
-        n1_only=idx.n1_only,
-        n2_only=idx.n2_only,
-        method=method,
-    )
-
-
-def estimate_effects_integral(
-    sample: MaskedSample,
-    idx: PatternIndex,
-    method: str = "all",
-) -> EffectEstimate:
-    """Same estimator evaluated by direct pairwise comparison.
-
-    Averages ``c(x2 - x1)`` over every (group-1, group-2) pair of observed
-    values on each component, where ``c`` is 0/0.5/1 for negative/zero/
-    positive argument.  O(m1 * m2) per component; intended as an
-    independent cross-check of :func:`estimate_effects`.
-    """
-    _check_estimable(idx)
-    d = idx.d
-    theta1, theta2 = _weights(idx)
-    p_hat = np.empty(d)
-    for l in range(d):
-        x1 = sample.values[l, sample.observed[l]]
-        x2 = sample.values[d + l, sample.observed[d + l]]
-        signs = np.sign(x2[:, None] - x1[None, :])
-        p_hat[l] = ((signs + 1.0) / 2.0).mean()
-    p_hat.setflags(write=False)
-    return EffectEstimate(
-        p_hat=p_hat,
-        theta1=theta1,
-        theta2=theta2,
         n_complete=idx.n_complete,
         n1_only=idx.n1_only,
         n2_only=idx.n2_only,
@@ -182,10 +115,11 @@ def restrict_method(
         )
     restricted = build_masked_sample(sample.values[:, keep], new_obs[:, keep])
     new_idx = derive_pattern_index(restricted)
-    for l in range(d):
-        if new_idx.m1[l] == 0 or new_idx.m2[l] == 0:
-            group = 1 if new_idx.m1[l] == 0 else 2
-            raise EverythingFiltered(
-                f"restriction {method!r} leaves no group-{group} data on component {l}"
-            )
+    try:
+        check_estimable(new_idx)
+    except InestimableComponent as exc:
+        raise EverythingFiltered(
+            f"restriction {method!r} leaves no group-{exc.group} data "
+            f"on component {exc.component}"
+        ) from None
     return restricted, new_idx

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .covariance import CovarianceEstimate, covariance_general, covariance_simple
-from .data import MaskedSample, PatternIndex
+from .data import MaskedSample, PatternIndex, check_estimable
 from .effects import METHODS, EffectEstimate, estimate_effects, restrict_method
 from .errors import (
     DomainError,
@@ -187,12 +187,14 @@ def analyze(
     """Run the full pipeline for each requested case-restriction method.
 
     ``pattern`` selects the covariance estimator: ``"auto"`` picks the
-    cheaper treatment-level form whenever the (restricted) data allows it,
+    treatment-level form whenever the (restricted) data allows it,
     ``"simple"`` insists on it (raising :class:`PatternMismatch` otherwise)
     and ``"general"`` always uses the nine-term form.  Methods whose
     restriction is inestimable yield placeholder reports instead of
-    aborting the run.
+    aborting the run; ``alpha`` outside (0, 1) raises ``ValueError``.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if pattern not in ("auto", "simple", "general"):
         raise ValueError(f"unknown pattern {pattern!r}")
     if pattern == "simple" and not idx.is_simple_pattern:
@@ -201,9 +203,7 @@ def analyze(
         )
     # inestimability of the unrestricted data is a dataset problem and fails
     # hard; methods below only soft-skip when their *restriction* causes it
-    for l in range(idx.d):
-        if idx.m1[l] == 0 or idx.m2[l] == 0:
-            raise InestimableComponent(l, group=1 if idx.m1[l] == 0 else 2)
+    check_estimable(idx)
     out = []
     for method in methods:
         try:

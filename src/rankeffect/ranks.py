@@ -15,7 +15,7 @@ from scipy.stats import rankdata
 from .data import MaskedSample, PatternIndex
 from .errors import ComponentWithNoData, EmptyInput
 
-__all__ = ["RankTable", "Placement", "midranks", "build_rank_table", "placements"]
+__all__ = ["RankTable", "midranks", "build_rank_table", "placements"]
 
 
 def midranks(values) -> np.ndarray:
@@ -43,19 +43,6 @@ class RankTable:
     internal: np.ndarray  # (2d, n) float, NaN where unobserved
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Empirical distribution of the opposite group evaluated at each cell.
-
-    ``y_hat[row, k] = (overall - internal) / m_other`` lies in [0, 1]; it is
-    the weighted empirical CDF of the other group's sample at the observed
-    value, the building block of the covariance estimators.  Cells whose
-    opposite group has no data on the component hold NaN.
-    """
-
-    y_hat: np.ndarray  # (2d, n) float
-
-
 def build_rank_table(sample: MaskedSample, idx: PatternIndex) -> RankTable:
     """Rank every observed cell within its component's pooled and own-group samples."""
     d, n = sample.d, sample.n
@@ -79,8 +66,14 @@ def build_rank_table(sample: MaskedSample, idx: PatternIndex) -> RankTable:
     return RankTable(overall=overall, internal=internal)
 
 
-def placements(ranks: RankTable, idx: PatternIndex) -> Placement:
-    """Scale rank differences into opposite-group empirical CDF values."""
+def placements(ranks: RankTable, idx: PatternIndex) -> np.ndarray:
+    """Empirical distribution of the opposite group evaluated at each cell.
+
+    ``y[row, k] = (overall - internal) / m_other`` lies in [0, 1]; it is the
+    weighted empirical CDF of the other group's sample at the observed value.
+    Unobserved cells, and cells whose opposite group has no data on the
+    component, hold NaN.  Returns a read-only ``(2d, n)`` array.
+    """
     d = idx.d
     m1 = idx.m1.astype(float)
     m2 = idx.m2.astype(float)
@@ -89,4 +82,4 @@ def placements(ranks: RankTable, idx: PatternIndex) -> Placement:
         y[:d] = y[:d] / np.where(m2 > 0, m2, np.nan)[:, None]
         y[d:] = y[d:] / np.where(m1 > 0, m1, np.nan)[:, None]
     y.setflags(write=False)
-    return Placement(y_hat=y)
+    return y

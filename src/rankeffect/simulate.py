@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import MaskedSample, build_masked_sample, derive_pattern_index
-from .errors import NotPositiveDefinite, ScenarioError
+from .errors import NotPositiveDefinite, RankEffectError, ScenarioError
 from .inference import run_all_methods
 
 __all__ = [
@@ -234,8 +234,9 @@ class SimulationResult:
 def run_scenario(scenario: Scenario) -> SimulationResult:
     """Draw, estimate and test ``replications`` times; tally rejections.
 
-    Per-replicate exceptions are counted as failures and never abort the
-    run; methods skipped as inestimable are tallied separately from
+    A replicate that raises a :class:`RankEffectError` is counted as a
+    failure and never aborts the run; any other exception is a bug and
+    propagates.  Methods skipped as inestimable are tallied separately from
     evaluated replicates.
     """
     scenario.validate()
@@ -250,7 +251,7 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
             reports = run_all_methods(
                 sample, idx, alpha=scenario.alpha, methods=scenario.methods
             )
-        except Exception:
+        except RankEffectError:
             failures += 1
             continue
         for rep in reports:

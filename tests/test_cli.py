@@ -69,6 +69,13 @@ class TestAnalyzeCommand:
         assert error["type"] == "InestimableComponent"
         assert "component 1" in error["message"]
 
+    def test_alpha_outside_unit_interval_is_operational_error(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", FIXTURE, "--alpha", "1.5")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "alpha" in error["message"]
+
     def test_table_rendering(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", FIXTURE, "--table")
         assert code == 0
@@ -160,6 +167,29 @@ class TestSimulateCommand:
         assert doc["results"][0]["label"] == "tiny-null"
         table = out1.with_suffix(".txt").read_text()
         assert "tiny-null" in table and "anova:all" in table
+
+    def test_reps_flag_overrides_config_at_any_value(self, capsys, tmp_path):
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text(
+            "[tiny]\n"
+            "distribution = normal\n"
+            "d = 1\n"
+            "rho = 0, 0, 0\n"
+            "sigma_sq = 1, 1\n"
+            "delta = 0\n"
+            "sizes = 6, 0, 0\n"
+            "replications = 3\n"
+        )
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--reps", "1000",
+                     "--output", str(out)]) == 0
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert doc["results"][0]["replications"] == 1000
+        assert doc["provenance"]["config"]["reps"] == 1000
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
+        doc = json.loads(out.with_suffix(".json").read_text())
+        assert doc["results"][0]["replications"] == 3
+        assert doc["provenance"]["config"]["reps"] is None
 
     def test_bad_config_points_at_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.ini"

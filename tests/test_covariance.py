@@ -5,7 +5,6 @@ from scipy.stats import norm
 from rankeffect import (
     build_masked_sample,
     build_rank_table,
-    covariance_from_marginals,
     covariance_general,
     covariance_simple,
     derive_pattern_index,
@@ -13,8 +12,12 @@ from rankeffect import (
 )
 from rankeffect.errors import NoEstimablePart, PatternMismatch
 
-from conftest import random_general_sample, random_simple_sample, simple_mask
-from oracles import covariance_simple_placement_scale
+from conftest import draw_values, random_general_sample, random_simple_sample, simple_mask
+from oracles import (
+    covariance_from_marginals,
+    covariance_nine_term,
+    covariance_simple_placement_scale,
+)
 
 
 def pipeline(sample):
@@ -28,8 +31,13 @@ class TestCovarianceSimple:
         s = build_masked_sample(rng.integers(0, 5, obs.shape).astype(float), obs)
         idx, rt = pipeline(s)
         cov = covariance_simple(s, idx, rt)
-        assert np.array_equal(cov.parts["group1"], np.zeros((2, 2)))
-        assert any("group-1" in f for f in cov.degenerate)
+        # the single group-1-only case adds nothing: the placement-scale
+        # oracle, which skips parts with fewer than two cases, agrees
+        expected = covariance_simple_placement_scale(s, idx, placements(rt, idx))
+        assert np.abs(cov.v_hat - expected).max() < 1e-12
+        assert cov.degenerate == (
+            "group-1 incomplete part degenerate (single case); contributed zero",
+        )
 
     def test_perfect_rank_dependence_gives_nu_one(self, rng):
         # component 2 a strictly increasing function of component 1 in both
@@ -110,9 +118,42 @@ class TestCovarianceGeneral:
             sample, idx = random_general_sample(rng)
             rt = build_rank_table(sample, idx)
             cov = covariance_general(sample, idx, rt)
+            _, _, terms = covariance_nine_term(sample, idx, rt)
             for l in range(sample.d):
-                cross = cov.term_values[l, l, [1, 2, 3, 5, 6, 7]]
-                assert np.array_equal(cross, np.zeros(6))
+                assert np.array_equal(terms[l, l, [1, 2, 3, 5, 6, 7]], np.zeros(6))
+                own = terms[l, l, [0, 4, 8]].sum()
+                assert cov.v_hat[l, l] == pytest.approx(own, rel=1e-12, abs=1e-15)
+
+    def test_kernel_matches_nine_term_oracle(self, rng):
+        for d in (1, 2, 3, 5):
+            # subject 0 is group-2-only on every component, subject 1 on
+            # component 0 only, and subject 2 group-1-only on component 0:
+            # single-subject intersections within and across components
+            forced = np.ones((2 * d, 12), bool)
+            forced[:d, 0] = False
+            forced[0, 1] = False
+            forced[d, 2] = False
+            masks = [forced]
+            for _ in range(40):
+                n = int(rng.integers(4, 30))
+                # sparse masks make single-subject intersections common; one
+                # observed cell per subject and one complete subject keep the
+                # sample valid and every component estimable
+                obs = rng.random((2 * d, n)) < rng.uniform(0.3, 0.8)
+                obs[rng.integers(0, 2 * d, n), np.arange(n)] = True
+                obs[:, 0] = True
+                masks.append(obs)
+            for obs in masks:
+                sample = build_masked_sample(draw_values(rng, obs.shape), obs)
+                idx, rt = pipeline(sample)
+                cov = covariance_general(sample, idx, rt)
+                want, flags, _ = covariance_nine_term(sample, idx, rt)
+                # the floor absorbs rounding noise where the oracle's exact
+                # value is zero (e.g. constant data in every index set)
+                scale = max(np.abs(want).max(), 1e-12)
+                assert np.abs(cov.v_hat - want).max() <= 1e-12 * scale
+                assert list(cov.degenerate) == flags
+                assert flags or obs is not forced
 
     def test_symmetric_as_computed(self, rng):
         for _ in range(40):
@@ -159,7 +200,7 @@ class TestCovarianceOracle:
         s = build_masked_sample(np.full(obs.shape, 1.0), obs)
         idx = derive_pattern_index(s)
         cdf = lambda x: np.full_like(np.asarray(x, dtype=float), 0.5)
-        v = covariance_from_marginals(s, idx, [(cdf, cdf)]).v_hat
+        v = covariance_from_marginals(s, idx, [(cdf, cdf)])
         assert np.array_equal(v, np.zeros((1, 1)))
 
     def test_uniform_placement_moments(self):
@@ -175,7 +216,7 @@ class TestCovarianceOracle:
         for r in range(reps):
             s = build_masked_sample(rng.standard_normal(obs.shape), obs)
             idx = derive_pattern_index(s)
-            got[r] = covariance_from_marginals(s, idx, [(norm.cdf, norm.cdf)]).v_hat[0, 0]
+            got[r] = covariance_from_marginals(s, idx, [(norm.cdf, norm.cdf)])[0, 0]
         var_u = 1.0 / 12.0
         expected = n * (
             n_1 / m1**2 * var_u
@@ -197,7 +238,7 @@ class TestCovarianceOracle:
                 s = build_masked_sample(rng.standard_normal(obs.shape), obs)
                 idx, rt = pipeline(s)
                 v_hat = covariance_simple(s, idx, rt).v_hat
-                v_oracle = covariance_from_marginals(s, idx, [(norm.cdf, norm.cdf)] * 2).v_hat
+                v_oracle = covariance_from_marginals(s, idx, [(norm.cdf, norm.cdf)] * 2)
                 errs.append(np.linalg.norm(v_hat - v_oracle))
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankeffect import (
-    Hypothesis,
     build_masked_sample,
     check_assumptions,
     derive_pattern_index,
@@ -63,9 +62,9 @@ class TestDerivePatternIndex:
         s = build_masked_sample(np.arange(12.0).reshape(4, 3), obs)
         idx = derive_pattern_index(s)
         for l in range(2):
-            assert list(idx.complete_set(l)) == [0]
-            assert list(idx.g1_only_set(l)) == [1]
-            assert list(idx.g2_only_set(l)) == [2]
+            assert list(np.flatnonzero(idx.complete_mask[l])) == [0]
+            assert list(np.flatnonzero(idx.g1_only_mask[l])) == [1]
+            assert list(np.flatnonzero(idx.g2_only_mask[l])) == [2]
         assert idx.is_simple_pattern
 
     def test_cross_component_membership(self):
@@ -76,9 +75,9 @@ class TestDerivePatternIndex:
         obs[3, 1] = True  # g2 var2
         s = build_masked_sample(np.arange(8.0).reshape(4, 2), obs)
         idx = derive_pattern_index(s)
-        assert 1 in idx.g1_only_set(0) and 1 not in idx.g2_only_set(0)
-        assert 1 in idx.g2_only_set(1) and 1 not in idx.g1_only_set(1)
-        assert 1 not in idx.complete_set(0) and 1 not in idx.complete_set(1)
+        assert idx.g1_only_mask[0, 1] and not idx.g2_only_mask[0, 1]
+        assert idx.g2_only_mask[1, 1] and not idx.g1_only_mask[1, 1]
+        assert not idx.complete_mask[0, 1] and not idx.complete_mask[1, 1]
         assert not idx.is_simple_pattern
 
     def test_fully_observed_counts(self, rng):
@@ -96,9 +95,9 @@ class TestDerivePatternIndex:
         sample, idx = random_general_sample(rng)
         d = sample.d
         for l in range(d):
-            c = set(idx.complete_set(l))
-            g1 = set(idx.g1_only_set(l))
-            g2 = set(idx.g2_only_set(l))
+            c = set(np.flatnonzero(idx.complete_mask[l]))
+            g1 = set(np.flatnonzero(idx.g1_only_mask[l]))
+            g2 = set(np.flatnonzero(idx.g2_only_mask[l]))
             assert not (c & g1) and not (c & g2) and not (g1 & g2)
             seen = {
                 k for k in range(sample.n)
@@ -117,8 +116,11 @@ class TestDerivePatternIndex:
         idx2 = derive_pattern_index(s2)
         inverse = np.argsort(perm)
         for l in range(2):
-            assert set(idx2.complete_set(l)) == {inverse[k] for k in idx.complete_set(l)}
-            assert set(idx2.g1_only_set(l)) == {inverse[k] for k in idx.g1_only_set(l)}
+            for before, after in (
+                (idx.complete_mask[l], idx2.complete_mask[l]),
+                (idx.g1_only_mask[l], idx2.g1_only_mask[l]),
+            ):
+                assert set(np.flatnonzero(after)) == {inverse[k] for k in np.flatnonzero(before)}
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -161,11 +163,3 @@ class TestCheckAssumptions:
         warnings = check_assumptions(idx, min_group_size=2)
         assert not any("observations" in w and "fewer" in w for w in warnings)
 
-
-def test_hypothesis_alpha_domain():
-    assert Hypothesis(0.05).alpha == 0.05
-    assert np.array_equal(Hypothesis().null_vector(3), [0.5, 0.5, 0.5])
-    with pytest.raises(ValueError):
-        Hypothesis(alpha=0.0)
-    with pytest.raises(ValueError):
-        Hypothesis(alpha=1.0)

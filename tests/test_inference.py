@@ -24,8 +24,7 @@ def make_effects(p, method="all"):
     d = p.size
     ones = np.ones(d, dtype=int)
     return EffectEstimate(
-        p_hat=p, theta1=np.ones(d), theta2=np.ones(d),
-        n_complete=10 * ones, n1_only=0 * ones, n2_only=0 * ones, method=method,
+        p_hat=p, n_complete=10 * ones, n1_only=0 * ones, n2_only=0 * ones, method=method,
     )
 
 
@@ -197,6 +196,14 @@ class TestRunAllMethods:
         inc = reports[("anova", "incomplete")]
         assert any("degenerate" in f for f in inc.flags)
         assert 0.0 <= inc.p_value <= 1.0
+
+    def test_alpha_outside_unit_interval_rejected(self, rng):
+        obs = simple_mask(2, 8, 3, 3)
+        s = build_masked_sample(rng.standard_normal(obs.shape), obs)
+        idx = derive_pattern_index(s)
+        for alpha in (0.0, 1.0, 1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="alpha"):
+                run_all_methods(s, idx, alpha=alpha)
 
     def test_six_reports_in_method_order(self, rng):
         obs = simple_mask(2, 8, 3, 3)

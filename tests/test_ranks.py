@@ -127,7 +127,7 @@ class TestPlacements:
         obs = np.ones((2, 2), bool)
         s = build_masked_sample([[1.0, 3.0], [2.0, 4.0]], obs)
         idx = derive_pattern_index(s)
-        y = placements(build_rank_table(s, idx), idx).y_hat
+        y = placements(build_rank_table(s, idx), idx)
         assert y[1, 0] == pytest.approx(0.5)   # group-2 value 2
         assert y[1, 1] == pytest.approx(1.0)   # group-2 value 4
 
@@ -137,7 +137,7 @@ class TestPlacements:
         vals[1] += 100.0  # group 2 entirely above group 1
         s = build_masked_sample(vals, obs)
         idx = derive_pattern_index(s)
-        y = placements(build_rank_table(s, idx), idx).y_hat
+        y = placements(build_rank_table(s, idx), idx)
         assert np.allclose(y[1][~np.isnan(y[1])], 1.0)
         assert np.allclose(y[0][~np.isnan(y[0])], 0.0)
 
@@ -147,14 +147,14 @@ class TestPlacements:
         vals = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]])
         s = build_masked_sample(vals, obs)
         idx = derive_pattern_index(s)
-        y = placements(build_rank_table(s, idx), idx).y_hat
+        y = placements(build_rank_table(s, idx), idx)
         assert y[1].mean() == pytest.approx(0.5)
         assert y[0].mean() == pytest.approx(0.5)
 
     def test_range_on_random_masks(self, rng):
         for _ in range(30):
             sample, idx = random_general_sample(rng)
-            y = placements(build_rank_table(sample, idx), idx).y_hat
+            y = placements(build_rank_table(sample, idx), idx)
             finite = y[~np.isnan(y)]
             assert (finite >= 0.0).all() and (finite <= 1.0).all()
 
@@ -166,7 +166,7 @@ class TestPlacements:
         for _ in range(30):
             sample, idx = random_general_sample(rng)
             rt = build_rank_table(sample, idx)
-            y = placements(rt, idx).y_hat
+            y = placements(rt, idx)
             p = estimate_effects(sample, idx, rt).p_hat
             d = sample.d
             for l in range(d):

@@ -33,9 +33,9 @@ class TestParseDataset:
         idx = derive_pattern_index(s)
         assert s.d == 2 and s.n == 3
         for l in range(2):
-            assert list(idx.complete_set(l)) == [0]
-            assert list(idx.g1_only_set(l)) == [1]
-            assert list(idx.g2_only_set(l)) == [2]
+            assert list(np.flatnonzero(idx.complete_mask[l])) == [0]
+            assert list(np.flatnonzero(idx.g1_only_mask[l])) == [1]
+            assert list(np.flatnonzero(idx.g2_only_mask[l])) == [2]
         assert idx.is_simple_pattern
 
     def test_headerless_file(self, tmp_path):

@@ -11,7 +11,7 @@ from rankeffect import (
     run_grid,
     run_scenario,
 )
-from rankeffect.errors import NotPositiveDefinite, ScenarioError
+from rankeffect.errors import NotPositiveDefinite, ScenarioError, ZeroTrace
 
 
 def scenario(**kw):
@@ -187,6 +187,21 @@ class TestRunScenario:
             "wald:all", "anova:all", "wald:complete",
             "anova:complete", "wald:incomplete", "anova:incomplete",
         }
+
+    def test_only_package_errors_count_as_failures(self, monkeypatch):
+        import rankeffect.simulate as sim
+
+        def statistical_failure(*args, **kwargs):
+            raise ZeroTrace("covariance trace is zero")
+
+        def bug(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(sim, "run_all_methods", statistical_failure)
+        assert run_scenario(scenario(replications=3)).failures == 3
+        monkeypatch.setattr(sim, "run_all_methods", bug)
+        with pytest.raises(TypeError):
+            run_scenario(scenario(replications=3))
 
 
 class TestRunGrid:
