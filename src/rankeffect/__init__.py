@@ -34,7 +34,6 @@ from .inference import (
     analyze,
     anova_test,
     chisq_upper_tail,
-    run_all_methods,
     wald_test,
 )
 from .ranks import RankTable, build_rank_table, midranks, placements
@@ -78,7 +77,6 @@ __all__ = [
     "wald_test",
     "anova_test",
     "analyze",
-    "run_all_methods",
     "Scenario",
     "SimulationResult",
     "build_sigma",

@@ -9,7 +9,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .data import derive_pattern_index
 from .effects import METHODS
@@ -72,6 +72,10 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+# every Scenario field but the label (the section name) and the seed (from --seed)
+_CONFIG_KEYS = {f.name for f in fields(Scenario)} - {"label", "seed"}
+
+
 def _scenarios_from_config(path) -> list[Scenario]:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
@@ -80,6 +84,9 @@ def _scenarios_from_config(path) -> list[Scenario]:
     scenarios = []
     for section in parser.sections():
         sec = parser[section]
+        unknown = sorted(set(sec) - _CONFIG_KEYS)
+        if unknown:
+            raise ScenarioError(f"scenario [{section}]: unknown key(s) {', '.join(unknown)}")
         try:
             def floats(key):
                 return tuple(float(v) for v in sec[key].split(","))
@@ -94,7 +101,6 @@ def _scenarios_from_config(path) -> list[Scenario]:
                 pattern=pattern,
                 sizes=floats("sizes"),
                 replications=sec.getint("replications", 1000),
-                seed=sec.getint("seed", 0),
                 alpha=sec.getfloat("alpha", 0.05),
                 methods=_parse_methods(sec.get("methods", "all")),
                 label=section,

@@ -59,10 +59,6 @@ class ZeroCovariance(RankEffectError):
     """Covariance estimate is zero while the effect deviates from the null point."""
 
 
-class ZeroTrace(RankEffectError):
-    """Covariance trace is zero while the effect deviates from the null point."""
-
-
 class DomainError(RankEffectError):
     """Argument outside the mathematical domain of a special function."""
 

@@ -8,6 +8,11 @@ denominator degrees of freedom, which is evaluated through the chi-square
 identity ``P(F(nu, inf) >= f) = P(chi2_nu >= nu * f)``.  The Wald statistic
 is known to be liberal in small samples; the ANOVA-type statistic is the
 small-sample workhorse.
+
+Both tests share one zero-covariance rule: at a trace <= 0 (the only case of
+a rank-0 Wald pseudo-inverse, since the largest eigenvalue is >= trace/d) a
+statistic exists only at the null point, reported as a non-rejection flagged
+``"zero-covariance-null"``; elsewhere :class:`ZeroCovariance` is raised.
 """
 
 import math
@@ -26,7 +31,6 @@ from .errors import (
     NoEstimablePart,
     PatternMismatch,
     ZeroCovariance,
-    ZeroTrace,
 )
 from .ranks import build_rank_table
 from .tolerances import TOL
@@ -38,7 +42,6 @@ __all__ = [
     "wald_test",
     "anova_test",
     "analyze",
-    "run_all_methods",
 ]
 
 
@@ -83,6 +86,15 @@ def _skipped(family: str, method: str, alpha: float, reason: str) -> TestReport:
     )
 
 
+def _zero_covariance(dev, family: str, method: str, alpha: float, flags) -> TestReport:
+    if np.abs(dev).max() > TOL.null_deviation:
+        raise ZeroCovariance(
+            "covariance estimate is zero while the effect deviates from one half"
+        )
+    flags.append("zero-covariance-null")
+    return TestReport(0.0, 0.0, 1.0, alpha, False, family, method, tuple(flags))
+
+
 def wald_test(
     p_hat: EffectEstimate,
     cov: CovarianceEstimate,
@@ -107,19 +119,10 @@ def wald_test(
     v = cov.v_hat
     flags = list(cov.degenerate)
     if cov.trace <= 0.0:
-        rank = 0
-    else:
-        eigvals, eigvecs = np.linalg.eigh((v + v.T) / 2.0)
-        cutoff = TOL.pinv_rank_rel * cov.trace / d
-        kept = np.abs(eigvals) > cutoff
-        rank = int(kept.sum())
-    if rank == 0:
-        if np.abs(dev).max() <= TOL.null_deviation:
-            flags.append("zero-covariance-null")
-            return TestReport(0.0, 0.0, 1.0, alpha, False, "wald", p_hat.method, tuple(flags))
-        raise ZeroCovariance(
-            "covariance estimate is zero while the effect deviates from one half"
-        )
+        return _zero_covariance(dev, "wald", p_hat.method, alpha, flags)
+    eigvals, eigvecs = np.linalg.eigh((v + v.T) / 2.0)
+    kept = np.abs(eigvals) > TOL.pinv_rank_rel * cov.trace / d
+    rank = int(kept.sum())
     proj = eigvecs[:, kept].T @ dev
     stat = float(n * np.sum(proj * proj / eigvals[kept]))
     if rank < d:
@@ -141,17 +144,14 @@ def anova_test(
 
     Raises
     ------
-    ZeroTrace
+    ZeroCovariance
         The covariance trace vanishes but the effect deviates from the null
         point.
     """
     dev = p_hat.deviation
     flags = list(cov.degenerate)
     if cov.trace <= 0.0:
-        if np.abs(dev).max() <= TOL.null_deviation:
-            flags.append("zero-covariance-null")
-            return TestReport(0.0, 0.0, 1.0, alpha, False, "anova", p_hat.method, tuple(flags))
-        raise ZeroTrace("covariance trace is zero while the effect deviates from one half")
+        return _zero_covariance(dev, "anova", p_hat.method, alpha, flags)
     stat = float(n / cov.trace * np.sum(dev * dev))
     nu = cov.nu_hat
     p = chisq_upper_tail(nu * stat, nu)
@@ -219,7 +219,6 @@ def analyze(
             InestimableComponent,
             NoEstimablePart,
             ZeroCovariance,
-            ZeroTrace,
         ) as exc:
             reason = str(exc)
             out.append(
@@ -235,17 +234,3 @@ def analyze(
             )
     return out
 
-
-def run_all_methods(
-    sample: MaskedSample,
-    idx: PatternIndex,
-    alpha: float = 0.05,
-    methods: tuple[str, ...] = METHODS,
-    pattern: str = "auto",
-) -> list[TestReport]:
-    """Flat list of Wald and ANOVA reports for each case-restriction method."""
-    reports = []
-    for item in analyze(sample, idx, alpha=alpha, methods=methods, pattern=pattern):
-        reports.append(item.wald)
-        reports.append(item.anova)
-    return reports

@@ -50,7 +50,6 @@ def parse_dataset(
     path,
     dimension: int | None = None,
     na_token: str = "NA",
-    delimiter: str = ",",
 ) -> MaskedSample:
     """Read a wide CSV file into a :class:`MaskedSample`.
 
@@ -67,7 +66,7 @@ def parse_dataset(
         A row with a different number of cells than the first one.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=delimiter)]
+        rows = list(csv.reader(fh))
     rows = [row for row in rows if any(cell.strip() for cell in row)]
     if not rows:
         raise ParseError("no rows")

@@ -5,10 +5,12 @@ Samples are drawn from a 2d-variate normal with a block covariance
 transformed: rounded to the nearest integer (discrete data), exponentiated
 (skewed data) or divided by an independent half-normal per subject, the
 elliptical one-degree-of-freedom construction of a multivariate Cauchy
-(heavy tails).  Group 2 receives a location shift.  Missingness follows
-either the treatment-level layout (complete block, group-1-only block,
-group-2-only block) or, for two response variables, one of three allocation
-designs over all 15 nonempty per-cell observedness patterns.
+(heavy tails).  Group 2 receives a location shift.  Missingness assigns
+each subject an observedness pattern whose bit ``i`` observes row ``i``: the
+treatment-level layout has complete, group-1-only and group-2-only blocks
+(``2**(2d) - 1``, ``2**d - 1``, ``(2**d - 1) << d``); for two response
+variables, three allocation designs spread subjects over all 15 nonempty
+patterns, counted down from 15 so the complete case comes first.
 
 Replicates use counter-based seeding, so results are reproducible and
 independent of execution order.
@@ -22,7 +24,7 @@ import numpy as np
 
 from .data import MaskedSample, build_masked_sample, derive_pattern_index
 from .errors import NotPositiveDefinite, RankEffectError, ScenarioError
-from .inference import run_all_methods
+from .inference import analyze
 
 __all__ = [
     "DISTRIBUTIONS",
@@ -68,21 +70,6 @@ def build_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> np.ndarray:
             f"({sigma1_sq}, {sigma2_sq}) do not give a positive definite matrix"
         ) from None
     return sigma
-
-
-def _cell_patterns(d: int) -> list[np.ndarray]:
-    """All nonempty per-cell observedness patterns, complete case first.
-
-    Pattern ``p`` (counting down from ``2**(2d) - 1``) observes row ``i``
-    iff bit ``i`` of ``p`` is set; the descending order puts the fully
-    observed pattern at position 0 and fixes an arbitrary but stable order
-    for the rest.
-    """
-    rows = 2 * d
-    return [
-        np.array([(p >> i) & 1 == 1 for i in range(rows)])
-        for p in range(2**rows - 1, 0, -1)
-    ]
 
 
 def _int_exact(x: float, what: str) -> int:
@@ -187,17 +174,10 @@ def draw_sample(scenario: Scenario, replicate_index: int) -> MaskedSample:
         w = chol @ z + mu[:, None]
         x = np.rint(w) if scenario.distribution == "normal" else np.exp(w)
 
-    observed = np.zeros((2 * d, n), dtype=bool)
-    if scenario.pattern == "simple":
-        n_c, n_1, _ = counts
-        observed[:, :n_c] = True
-        observed[:d, n_c:n_c + n_1] = True
-        observed[d:, n_c + n_1:] = True
-    else:
-        start = 0
-        for pat, cnt in zip(_cell_patterns(d), counts):
-            observed[:, start:start + cnt] = pat[:, None]
-            start += cnt
+    full = 2**(2 * d) - 1
+    blocks = [full, 2**d - 1, (2**d - 1) << d]
+    bits = blocks if scenario.pattern == "simple" else range(full, 0, -1)
+    observed = (np.repeat(bits, counts)[None, :] >> np.arange(2 * d)[:, None]) & 1 == 1
     return build_masked_sample(x, observed)
 
 
@@ -236,8 +216,8 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
 
     A replicate that raises a :class:`RankEffectError` is counted as a
     failure and never aborts the run; any other exception is a bug and
-    propagates.  Methods skipped as inestimable are tallied separately from
-    evaluated replicates.
+    propagates.  A method that :func:`analyze` reports as skipped (its
+    ``skipped`` reason is set) is tallied as skipped, not as evaluated.
     """
     scenario.validate()
     start = time.perf_counter()
@@ -248,20 +228,19 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
         try:
             sample = draw_sample(scenario, r)
             idx = derive_pattern_index(sample)
-            reports = run_all_methods(
-                sample, idx, alpha=scenario.alpha, methods=scenario.methods
-            )
+            analyses = analyze(sample, idx, alpha=scenario.alpha, methods=scenario.methods)
         except RankEffectError:
             failures += 1
             continue
-        for rep in reports:
-            c = counters[f"{rep.family}:{rep.method}"]
-            if any(f.startswith("inestimable") for f in rep.flags):
-                c[2] += 1
-                continue
-            c[1] += 1
-            c[0] += int(rep.reject)
-            c[3] += int(bool(rep.flags))
+        for item in analyses:
+            for rep in (item.wald, item.anova):
+                c = counters[f"{rep.family}:{item.method}"]
+                if item.skipped is not None:
+                    c[2] += 1
+                else:
+                    c[0] += int(rep.reject)
+                    c[1] += 1
+                    c[3] += int(bool(rep.flags))
     tallies = {k: MethodTally(*v) for k, v in counters.items()}
     return SimulationResult(
         scenario=scenario,
@@ -281,7 +260,7 @@ def _worker_count(n_tasks: int) -> int:
         cap = max(1, int(raw))
     except ValueError:
         cap = 1
-    return min(cap, n_tasks)
+    return min(cap, n_tasks, len(os.sched_getaffinity(0)))
 
 
 def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult]:
@@ -290,7 +269,8 @@ def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult
     With ``master_seed`` given, scenario ``i`` runs under a seed derived
     from ``(master_seed, i)``, so a grid is reproducible regardless of how
     its scenarios were configured.  ``RANK_EFFECT_THREADS`` (default 1) caps
-    process-level parallelism; results are identical either way.
+    process-level parallelism, never above the CPUs this process may use;
+    results are identical either way.
     """
     scenarios = list(scenarios)
     for s in scenarios:

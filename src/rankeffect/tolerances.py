@@ -5,10 +5,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # symmetry defect accepted in assembled covariance matrices
-    symmetry: float = 1e-12
-    # most negative eigenvalue accepted as "positive semidefinite"
-    psd_eigen: float = -1e-10
     # relative eigenvalue cutoff for rank-aware inversion: |lam| > rel * trace / d
     pinv_rank_rel: float = 1e-10
     # max |p_hat - 1/2| still treated as the exact null point when the

@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from rankeffect import REPORT_SCHEMA
 from rankeffect.cli import main
@@ -190,6 +191,27 @@ class TestSimulateCommand:
         doc = json.loads(out.with_suffix(".json").read_text())
         assert doc["results"][0]["replications"] == 3
         assert doc["provenance"]["config"]["reps"] is None
+
+    @pytest.mark.parametrize("line", ["seed = 5", "replication = 10"])
+    def test_unread_config_key_is_rejected(self, capsys, tmp_path, line):
+        # scenario seeds derive from --seed, so a section's seed would be
+        # silently overwritten, and a misspelled key silently defaulted
+        cfg = tmp_path / "extra.ini"
+        cfg.write_text(
+            "[tiny]\n"
+            "distribution = normal\n"
+            "d = 1\n"
+            "rho = 0, 0, 0\n"
+            "sigma_sq = 1, 1\n"
+            "delta = 0\n"
+            "sizes = 6, 0, 0\n"
+            "replications = 3\n"
+            f"{line}\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        message = json.loads(err)["error"]["message"]
+        assert "[tiny]" in message and line.split()[0] in message
 
     def test_bad_config_points_at_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.ini"

@@ -4,16 +4,16 @@ import pytest
 from rankeffect import (
     CovarianceEstimate,
     EffectEstimate,
+    analyze,
     anova_test,
     build_masked_sample,
     build_rank_table,
     chisq_upper_tail,
     derive_pattern_index,
     estimate_effects,
-    run_all_methods,
     wald_test,
 )
-from rankeffect.errors import DomainError, ZeroCovariance, ZeroTrace
+from rankeffect.errors import DomainError, ZeroCovariance
 
 from conftest import simple_mask
 from oracles import chisq_upper_tail_highprec
@@ -133,7 +133,7 @@ class TestAnova:
         zero = make_cov(np.zeros((2, 2)))
         rep = anova_test(make_effects([0.5, 0.5]), zero, n=20)
         assert rep.p_value == 1.0 and "zero-covariance-null" in rep.flags
-        with pytest.raises(ZeroTrace):
+        with pytest.raises(ZeroCovariance):
             anova_test(make_effects([0.7, 0.5]), zero, n=20)
 
     def test_f_statistic_value(self):
@@ -172,12 +172,24 @@ class TestAnova:
                 assert rep.statistic >= 0.0
 
 
+def reports_by_key(analyses):
+    return {
+        (rep.family, item.method): rep
+        for item in analyses
+        for rep in (item.wald, item.anova)
+    }
+
+
 class TestRunAllMethods:
+    """Every case-restriction method through :func:`analyze`."""
+
     def test_fully_observed_all_equals_complete(self, rng):
         obs = np.ones((4, 12), bool)
         s = build_masked_sample(rng.integers(0, 5, obs.shape).astype(float), obs)
         idx = derive_pattern_index(s)
-        reports = {(r.family, r.method): r for r in run_all_methods(s, idx)}
+        analyses = analyze(s, idx)
+        assert [item.skipped is not None for item in analyses] == [False, False, True]
+        reports = reports_by_key(analyses)
         for fam in ("wald", "anova"):
             assert reports[(fam, "all")].statistic == pytest.approx(
                 reports[(fam, "complete")].statistic
@@ -192,7 +204,7 @@ class TestRunAllMethods:
         obs = simple_mask(3, 33, 8, 1)
         s = build_masked_sample(rng.integers(1, 8, obs.shape).astype(float), obs)
         idx = derive_pattern_index(s)
-        reports = {(r.family, r.method): r for r in run_all_methods(s, idx)}
+        reports = reports_by_key(analyze(s, idx))
         inc = reports[("anova", "incomplete")]
         assert any("degenerate" in f for f in inc.flags)
         assert 0.0 <= inc.p_value <= 1.0
@@ -203,13 +215,13 @@ class TestRunAllMethods:
         idx = derive_pattern_index(s)
         for alpha in (0.0, 1.0, 1.5, -0.1, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
-                run_all_methods(s, idx, alpha=alpha)
+                analyze(s, idx, alpha=alpha)
 
     def test_six_reports_in_method_order(self, rng):
         obs = simple_mask(2, 8, 3, 3)
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
         idx = derive_pattern_index(s)
-        reports = run_all_methods(s, idx)
+        reports = [rep for item in analyze(s, idx) for rep in (item.wald, item.anova)]
         assert [(r.family, r.method) for r in reports] == [
             ("wald", "all"), ("anova", "all"),
             ("wald", "complete"), ("anova", "complete"),

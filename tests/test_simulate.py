@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -11,7 +13,7 @@ from rankeffect import (
     run_grid,
     run_scenario,
 )
-from rankeffect.errors import NotPositiveDefinite, ScenarioError, ZeroTrace
+from rankeffect.errors import NotPositiveDefinite, ScenarioError, ZeroCovariance
 
 
 def scenario(**kw):
@@ -188,18 +190,32 @@ class TestRunScenario:
             "anova:complete", "wald:incomplete", "anova:incomplete",
         }
 
+    def test_inestimable_method_is_tallied_as_skipped(self):
+        # no complete cases: the "complete" restriction is inestimable
+        reps = 20
+        res = run_scenario(scenario(
+            sizes=(0, 10, 10), replications=reps,
+            methods=("all", "complete", "incomplete"),
+        ))
+        assert res.failures == 0
+        for key, tally in res.tallies.items():
+            if key.endswith(":complete"):
+                assert (tally.skipped, tally.evaluated) == (reps, 0)
+            else:
+                assert (tally.skipped, tally.evaluated) == (0, reps)
+
     def test_only_package_errors_count_as_failures(self, monkeypatch):
         import rankeffect.simulate as sim
 
         def statistical_failure(*args, **kwargs):
-            raise ZeroTrace("covariance trace is zero")
+            raise ZeroCovariance("covariance estimate is zero")
 
         def bug(*args, **kwargs):
             raise TypeError("unsupported operand")
 
-        monkeypatch.setattr(sim, "run_all_methods", statistical_failure)
+        monkeypatch.setattr(sim, "analyze", statistical_failure)
         assert run_scenario(scenario(replications=3)).failures == 3
-        monkeypatch.setattr(sim, "run_all_methods", bug)
+        monkeypatch.setattr(sim, "analyze", bug)
         with pytest.raises(TypeError):
             run_scenario(scenario(replications=3))
 
@@ -229,6 +245,14 @@ class TestRunGrid:
         with pytest.raises(ScenarioError) as exc:
             builtin_grid("table99")
         assert "table3" in str(exc.value)
+
+    def test_thread_env_capped_at_usable_cpus(self, monkeypatch):
+        # reads the computed count only; no worker process is started
+        import rankeffect.simulate as sim
+
+        monkeypatch.setenv("RANK_EFFECT_THREADS", "64")
+        assert sim._worker_count(100) == min(64, len(os.sched_getaffinity(0)))
+        assert sim._worker_count(1) == 1
 
     def test_thread_env_cap(self, monkeypatch):
         monkeypatch.setenv("RANK_EFFECT_THREADS", "2")
