@@ -9,83 +9,18 @@ treatment level or per cell, and the joint null of "one half everywhere" is
 tested with a Wald-type and a small-sample ANOVA-type statistic.
 """
 
+from . import covariance, data, effects, inference, ranks, reports, simulate
 from ._version import __version__
-from .covariance import (
-    CovarianceEstimate,
-    covariance_general,
-    covariance_simple,
-)
-from .data import (
-    MaskedSample,
-    PatternIndex,
-    build_masked_sample,
-    check_assumptions,
-    derive_pattern_index,
-)
-from .effects import (
-    METHODS,
-    EffectEstimate,
-    estimate_effects,
-    restrict_method,
-)
-from .inference import (
-    MethodAnalysis,
-    TestReport,
-    analyze,
-    anova_test,
-    chisq_upper_tail,
-    wald_test,
-)
-from .ranks import RankTable, build_rank_table, midranks, placements
-from .reports import (
-    REPORT_SCHEMA,
-    build_report,
-    parse_dataset,
-    write_dataset,
-)
-from .simulate import (
-    Scenario,
-    SimulationResult,
-    build_sigma,
-    builtin_grid,
-    draw_sample,
-    run_grid,
-    run_scenario,
-)
+from .covariance import *  # noqa: F403
+from .data import *  # noqa: F403
+from .effects import *  # noqa: F403
+from .inference import *  # noqa: F403
+from .ranks import *  # noqa: F403
+from .reports import *  # noqa: F403
+from .simulate import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "MaskedSample",
-    "PatternIndex",
-    "build_masked_sample",
-    "derive_pattern_index",
-    "check_assumptions",
-    "RankTable",
-    "midranks",
-    "build_rank_table",
-    "placements",
-    "METHODS",
-    "EffectEstimate",
-    "estimate_effects",
-    "restrict_method",
-    "CovarianceEstimate",
-    "covariance_simple",
-    "covariance_general",
-    "TestReport",
-    "MethodAnalysis",
-    "chisq_upper_tail",
-    "wald_test",
-    "anova_test",
-    "analyze",
-    "Scenario",
-    "SimulationResult",
-    "build_sigma",
-    "draw_sample",
-    "run_scenario",
-    "run_grid",
-    "builtin_grid",
-    "REPORT_SCHEMA",
-    "build_report",
-    "parse_dataset",
-    "write_dataset",
+__all__ = ["__version__"] + [
+    name
+    for module in (covariance, data, effects, inference, ranks, reports, simulate)
+    for name in module.__all__
 ]

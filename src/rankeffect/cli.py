@@ -9,7 +9,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from .data import derive_pattern_index
 from .effects import METHODS
@@ -34,11 +34,11 @@ def _fail(exc: Exception) -> int:
 
 
 def _parse_methods(raw: str) -> tuple[str, ...]:
-    methods = tuple(m.strip() for m in raw.split(",") if m.strip())
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-    return methods
+    return tuple(m.strip() for m in raw.split(",") if m.strip())
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(","))
 
 
 def cmd_analyze(args) -> int:
@@ -72,40 +72,41 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-# every Scenario field but the label (the section name) and the seed (from --seed)
-_CONFIG_KEYS = {f.name for f in fields(Scenario)} - {"label", "seed"}
+# each Scenario field a scenario file may set, with its reader; the label is
+# the section name and the seed derives from --seed.  Absent keys take the
+# Scenario defaults.
+_CONFIG_READERS = {
+    "distribution": str,
+    "d": int,
+    "rho": _floats,
+    "sigma_sq": _floats,
+    "delta": _floats,
+    "sizes": _floats,
+    "pattern": str,
+    "replications": int,
+    "alpha": float,
+    "methods": _parse_methods,
+}
 
 
 def _scenarios_from_config(path) -> list[Scenario]:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ScenarioError(f"malformed scenario config {path!r}: {exc}") from None
     if not read:
         raise ScenarioError(f"cannot read scenario config {path!r}")
     scenarios = []
     for section in parser.sections():
         sec = parser[section]
-        unknown = sorted(set(sec) - _CONFIG_KEYS)
+        unknown = sorted(set(sec) - set(_CONFIG_READERS))
         if unknown:
             raise ScenarioError(f"scenario [{section}]: unknown key(s) {', '.join(unknown)}")
         try:
-            def floats(key):
-                return tuple(float(v) for v in sec[key].split(","))
-
-            pattern = sec.get("pattern", "simple")
-            scenarios.append(Scenario(
-                distribution=sec["distribution"],
-                d=sec.getint("d"),
-                rho=floats("rho"),
-                sigma_sq=floats("sigma_sq"),
-                delta=floats("delta"),
-                pattern=pattern,
-                sizes=floats("sizes"),
-                replications=sec.getint("replications", 1000),
-                alpha=sec.getfloat("alpha", 0.05),
-                methods=_parse_methods(sec.get("methods", "all")),
-                label=section,
-            ))
-        except (KeyError, ValueError) as exc:
+            values = {key: _CONFIG_READERS[key](sec[key]) for key in sec}
+            scenarios.append(Scenario(label=section, **values))
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"scenario [{section}]: bad or missing key ({exc})") from None
     if not scenarios:
         raise ScenarioError(f"no scenario sections found in {path!r}")
@@ -161,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("dataset", help="path to the CSV file")
     pa.add_argument("--alpha", type=float, default=0.05, help="significance level")
     pa.add_argument(
-        "--methods", default="all,complete,incomplete",
-        help="comma-separated subset of: all, complete, incomplete",
+        "--methods", default=",".join(METHODS),
+        help=f"comma-separated subset of: {', '.join(METHODS)}",
     )
     pa.add_argument(
         "--pattern", choices=("auto", "simple", "general"), default="auto",

@@ -23,9 +23,10 @@ __all__ = [
     "PatternIndex",
     "build_masked_sample",
     "derive_pattern_index",
-    "check_estimable",
     "check_assumptions",
 ]
+
+_MIN_GROUP_SIZE = 5
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -162,21 +163,21 @@ def check_estimable(idx: PatternIndex) -> None:
         raise InestimableComponent(l, group=1 if m1[l] == 0 else 2)
 
 
-def check_assumptions(idx: PatternIndex, min_group_size: int = 5) -> list[str]:
+def check_assumptions(idx: PatternIndex) -> list[str]:
     """Advisory checks on the sample-size allocation; never raises.
 
-    Returns one warning per (group, component) whose observation count is
-    below ``min_group_size``, and one per covariance part that exists but
+    Returns one warning per (group, component) with fewer than five
+    observations, and one per covariance part that exists but
     cannot contribute a variance term (exactly one case, so the n-1
     denominator vanishes).
     """
     warnings = []
     for l in range(idx.d):
         for g, m in ((1, idx.m1[l]), (2, idx.m2[l])):
-            if m < min_group_size:
+            if m < _MIN_GROUP_SIZE:
                 warnings.append(
                     f"component {l}: group {g} has only {m} observations "
-                    f"(fewer than {min_group_size}); asymptotic approximations may be poor"
+                    f"(fewer than {_MIN_GROUP_SIZE}); asymptotic approximations may be poor"
                 )
         if idx.n_complete[l] == 1:
             warnings.append(

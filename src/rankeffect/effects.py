@@ -35,6 +35,20 @@ __all__ = [
 METHODS = ("all", "complete", "incomplete")
 
 
+def check_methods(methods) -> None:
+    """Raise ``ValueError`` unless ``methods`` is a nonempty list of distinct known methods.
+
+    A repeated method would be analyzed, reported and tallied twice.
+    """
+    if not methods:
+        raise ValueError("no method given; choose from " + ", ".join(METHODS))
+    for i, m in enumerate(methods):
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} is given more than once")
+
+
 @dataclass(frozen=True)
 class EffectEstimate:
     """Estimated effect vector with the sample-size bookkeeping behind it."""
@@ -96,8 +110,7 @@ def restrict_method(
     EverythingFiltered
         The restriction leaves some component with no data in one group.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    check_methods((method,))
     if method == "all":
         return sample, idx
     d = sample.d

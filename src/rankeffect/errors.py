@@ -36,11 +36,10 @@ class ComponentWithNoData(RankEffectError):
 class InestimableComponent(RankEffectError):
     """One group has no observations on a component, so its effect is undefined."""
 
-    def __init__(self, component: int, group: int | None = None):
+    def __init__(self, component: int, group: int):
         self.component = component
         self.group = group
-        where = f" (group {group})" if group is not None else ""
-        super().__init__(f"effect for component {component} is inestimable{where}")
+        super().__init__(f"effect for component {component} is inestimable (group {group})")
 
 
 class EverythingFiltered(RankEffectError):

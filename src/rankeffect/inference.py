@@ -23,7 +23,7 @@ from scipy import special
 
 from .covariance import CovarianceEstimate, covariance_general, covariance_simple
 from .data import MaskedSample, PatternIndex, check_estimable
-from .effects import METHODS, EffectEstimate, estimate_effects, restrict_method
+from .effects import METHODS, EffectEstimate, check_methods, estimate_effects, restrict_method
 from .errors import (
     DomainError,
     EverythingFiltered,
@@ -33,7 +33,6 @@ from .errors import (
     ZeroCovariance,
 )
 from .ranks import build_rank_table
-from .tolerances import TOL
 
 __all__ = [
     "TestReport",
@@ -43,6 +42,12 @@ __all__ = [
     "anova_test",
     "analyze",
 ]
+
+# relative eigenvalue cutoff for rank-aware inversion: |lam| > rel * trace / d
+_PINV_RANK_REL = 1e-10
+# max |p_hat - 1/2| still treated as the exact null point when the
+# covariance estimate is identically zero
+_NULL_DEVIATION = 1e-12
 
 
 def chisq_upper_tail(x: float, k: float) -> float:
@@ -87,7 +92,7 @@ def _skipped(family: str, method: str, alpha: float, reason: str) -> TestReport:
 
 
 def _zero_covariance(dev, family: str, method: str, alpha: float, flags) -> TestReport:
-    if np.abs(dev).max() > TOL.null_deviation:
+    if np.abs(dev).max() > _NULL_DEVIATION:
         raise ZeroCovariance(
             "covariance estimate is zero while the effect deviates from one half"
         )
@@ -104,7 +109,7 @@ def wald_test(
     """Quadratic form of the deviation against the inverse covariance.
 
     When the covariance estimate is singular, its Moore-Penrose
-    pseudo-inverse is used (eigenvalues below ``TOL.pinv_rank_rel * trace/d``
+    pseudo-inverse is used (eigenvalues below ``1e-10 * trace/d``
     in magnitude dropped) and the reported degrees of freedom shrink to the
     effective rank; the fallback is flagged.
 
@@ -121,7 +126,7 @@ def wald_test(
     if cov.trace <= 0.0:
         return _zero_covariance(dev, "wald", p_hat.method, alpha, flags)
     eigvals, eigvecs = np.linalg.eigh((v + v.T) / 2.0)
-    kept = np.abs(eigvals) > TOL.pinv_rank_rel * cov.trace / d
+    kept = np.abs(eigvals) > _PINV_RANK_REL * cov.trace / d
     rank = int(kept.sum())
     proj = eigvecs[:, kept].T @ dev
     stat = float(n * np.sum(proj * proj / eigvals[kept]))
@@ -191,10 +196,12 @@ def analyze(
     ``"simple"`` insists on it (raising :class:`PatternMismatch` otherwise)
     and ``"general"`` always uses the nine-term form.  Methods whose
     restriction is inestimable yield placeholder reports instead of
-    aborting the run; ``alpha`` outside (0, 1) raises ``ValueError``.
+    aborting the run.  ``alpha`` outside (0, 1) and a method list that is
+    empty, repeats a method or names an unknown one raise ``ValueError``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    check_methods(methods)
     if pattern not in ("auto", "simple", "general"):
         raise ValueError(f"unknown pattern {pattern!r}")
     if pattern == "simple" and not idx.is_simple_pattern:

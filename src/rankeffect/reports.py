@@ -21,6 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .data import MaskedSample, build_masked_sample, check_assumptions
+from .effects import METHODS
 from .errors import InconsistentWidth, ParseError
 from .inference import MethodAnalysis
 
@@ -28,11 +29,7 @@ __all__ = [
     "parse_dataset",
     "write_dataset",
     "build_report",
-    "render_analysis_table",
-    "render_simulation_table",
-    "simulation_results_document",
     "REPORT_SCHEMA",
-    "SCHEMA_VERSION",
 ]
 
 SCHEMA_VERSION = 1
@@ -105,8 +102,8 @@ def parse_dataset(
     return build_masked_sample(values, observed)
 
 
-def write_dataset(sample: MaskedSample, path, na_token: str = "NA") -> None:
-    """Write a sample back to wide CSV; inverse of :func:`parse_dataset`."""
+def write_dataset(sample: MaskedSample, path) -> None:
+    """Write a sample back to wide CSV with ``NA`` cells; inverse of :func:`parse_dataset`."""
     d = sample.d
     header = [f"g1_var{l + 1}" for l in range(d)] + [f"g2_var{l + 1}" for l in range(d)]
     with open(path, "w", newline="") as fh:
@@ -114,7 +111,7 @@ def write_dataset(sample: MaskedSample, path, na_token: str = "NA") -> None:
         writer.writerow(header)
         for k in range(sample.n):
             row = [
-                repr(float(sample.values[j, k])) if sample.observed[j, k] else na_token
+                repr(float(sample.values[j, k])) if sample.observed[j, k] else "NA"
                 for j in range(2 * d)
             ]
             writer.writerow(row)
@@ -178,7 +175,7 @@ REPORT_SCHEMA = {
                     "p_value_display", "reject", "flags",
                 ],
                 "properties": {
-                    "method": {"enum": ["all", "complete", "incomplete"]},
+                    "method": {"enum": list(METHODS)},
                     "family": {"enum": ["wald", "anova"]},
                     "statistic": {"type": ["number", "null"]},
                     "df": {"type": ["number", "null"]},
@@ -218,12 +215,9 @@ def build_report(
     idx,
     alpha: float,
     config: dict,
-    component_labels: list[str] | None = None,
-    seed: int | None = None,
 ) -> dict:
     """Assemble the machine-readable analysis report."""
     d = idx.d
-    labels = component_labels or [f"var{l + 1}" for l in range(d)]
     effects = {}
     covariance = {}
     tests = []
@@ -268,7 +262,7 @@ def build_report(
         "pattern": "simple" if idx.is_simple_pattern else "general",
         "n_subjects": idx.n,
         "n_components": d,
-        "component_labels": labels,
+        "component_labels": [f"var{l + 1}" for l in range(d)],
         "assumption_warnings": check_assumptions(idx),
         "effects": effects,
         "covariance": covariance,
@@ -278,7 +272,7 @@ def build_report(
             "version": __version__,
             "config": config,
             "config_hash": _config_hash(config),
-            "seed": seed,
+            "seed": None,
         },
     }
 
@@ -292,7 +286,7 @@ def _fmt(x, width=10, prec=3) -> str:
 def render_analysis_table(report: dict) -> str:
     """Human-readable rendering: effects per component, then joint tests."""
     lines = []
-    methods = [m for m in ("all", "complete", "incomplete") if m in report["effects"]]
+    methods = [m for m in METHODS if m in report["effects"]]
     lines.append(f"effects (n={report['n_subjects']}, pattern={report['pattern']})")
     head = "component".ljust(14) + "".join(m.rjust(12) for m in methods)
     lines.append(head)

@@ -17,30 +17,28 @@ independent of execution order.
 """
 
 import os
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import MaskedSample, build_masked_sample, derive_pattern_index
+from .effects import METHODS, check_methods
 from .errors import NotPositiveDefinite, RankEffectError, ScenarioError
 from .inference import analyze
 
 __all__ = [
-    "DISTRIBUTIONS",
     "Scenario",
-    "MethodTally",
     "SimulationResult",
     "build_sigma",
     "draw_sample",
     "run_scenario",
     "run_grid",
     "builtin_grid",
-    "BUILTIN_GRIDS",
 ]
 
 DISTRIBUTIONS = ("normal", "lognormal", "cauchy")
-PATTERNS = ("simple", "design1", "design2", "design3")
+# each pattern with the number of ``sizes`` values it takes
+PATTERNS = {"simple": 3, "design1": 1, "design2": 2, "design3": 1}
 
 
 def build_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> np.ndarray:
@@ -99,8 +97,8 @@ class Scenario:
     rho: tuple[float, float, float]
     sigma_sq: tuple[float, float]
     delta: tuple[float, ...]
-    pattern: str
     sizes: tuple[float, ...]
+    pattern: str = "simple"
     replications: int = 1000
     seed: int = 0
     alpha: float = 0.05
@@ -113,23 +111,27 @@ class Scenario:
                 f"distribution {self.distribution!r} not one of {DISTRIBUTIONS}"
             )
         if self.pattern not in PATTERNS:
-            raise ScenarioError(f"pattern {self.pattern!r} not one of {PATTERNS}")
+            raise ScenarioError(f"pattern {self.pattern!r} not one of {tuple(PATTERNS)}")
         if self.d < 1:
             raise ScenarioError(f"d must be >= 1, got {self.d}")
-        if len(self.delta) != self.d:
-            raise ScenarioError(f"delta must have length d={self.d}, got {len(self.delta)}")
+        lengths = {"delta": self.d, "rho": 3, "sigma_sq": 2, "sizes": PATTERNS[self.pattern]}
+        for name, length in lengths.items():
+            if len(getattr(self, name)) != length:
+                raise ScenarioError(f"{name} needs {length} value(s), got {getattr(self, name)}")
         if self.replications < 1:
             raise ScenarioError(f"replications must be >= 1, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:
             raise ScenarioError(f"alpha must lie in (0, 1), got {self.alpha}")
+        try:
+            check_methods(self.methods)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         build_sigma(self.d, *self.rho, *self.sigma_sq)
         self.pattern_counts()
 
     def pattern_counts(self) -> list[int]:
         """Subjects per observedness pattern, in the documented pattern order."""
         if self.pattern == "simple":
-            if len(self.sizes) != 3:
-                raise ScenarioError("simple pattern needs sizes (n_c, n_1, n_2)")
             counts = [_int_exact(s, "size") for s in self.sizes]
             if any(c < 0 for c in counts) or sum(counts) < 2:
                 raise ScenarioError(f"invalid simple-pattern sizes {self.sizes}")
@@ -208,7 +210,6 @@ class SimulationResult:
     scenario: Scenario
     tallies: dict[str, MethodTally]  # key "<family>:<method>"
     failures: int
-    elapsed_s: float = field(compare=False, default=0.0)
 
 
 def run_scenario(scenario: Scenario) -> SimulationResult:
@@ -220,7 +221,6 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
     ``skipped`` reason is set) is tallied as skipped, not as evaluated.
     """
     scenario.validate()
-    start = time.perf_counter()
     keys = [f"{fam}:{meth}" for meth in scenario.methods for fam in ("wald", "anova")]
     counters = {k: [0, 0, 0, 0] for k in keys}  # rej, eval, skip, flagged
     failures = 0
@@ -242,12 +242,7 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
                     c[1] += 1
                     c[3] += int(bool(rep.flags))
     tallies = {k: MethodTally(*v) for k, v in counters.items()}
-    return SimulationResult(
-        scenario=scenario,
-        tallies=tallies,
-        failures=failures,
-        elapsed_s=time.perf_counter() - start,
-    )
+    return SimulationResult(scenario=scenario, tallies=tallies, failures=failures)
 
 
 def _derived_seed(master_seed: int, index: int) -> int:
@@ -305,8 +300,8 @@ def _table3(reps: int, dims) -> list[Scenario]:
                 for d in dims:
                     out.append(Scenario(
                         distribution="normal", d=d, rho=rho, sigma_sq=sig,
-                        delta=(0.0,) * d, pattern="simple", sizes=sizes,
-                        replications=reps, methods=("all", "complete", "incomplete"),
+                        delta=(0.0,) * d, sizes=sizes,
+                        replications=reps, methods=METHODS,
                         label=f"setting{setting} rho={rho} sigma2={sig} d={d}",
                     ))
     return out
@@ -320,8 +315,8 @@ def _table6(reps: int, dims) -> list[Scenario]:
             for delta in _POWER_SHIFTS:
                 out.append(Scenario(
                     distribution="normal", d=2, rho=(0.1, 0.1, 0.1), sigma_sq=sig,
-                    delta=delta, pattern="simple", sizes=sizes,
-                    replications=reps, methods=("all", "complete", "incomplete"),
+                    delta=delta, sizes=sizes,
+                    replications=reps, methods=METHODS,
                     label=f"setting{setting} sigma2={sig} delta={delta}",
                 ))
     return out

@@ -1,10 +1,7 @@
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from rankeffect import build_masked_sample, derive_pattern_index
 

@@ -77,6 +77,14 @@ class TestAnalyzeCommand:
         assert error["type"] == "ValueError"
         assert "alpha" in error["message"]
 
+    @pytest.mark.parametrize("methods", ["all,all", ""])
+    def test_repeated_or_empty_methods_are_operational_errors(self, capsys, methods):
+        code, out, err = run_cli(capsys, "analyze", FIXTURE, "--methods", methods)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "method" in error["message"]
+
     def test_table_rendering(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", FIXTURE, "--table")
         assert code == 0
@@ -213,9 +221,40 @@ class TestSimulateCommand:
         message = json.loads(err)["error"]["message"]
         assert "[tiny]" in message and line.split()[0] in message
 
+    @pytest.mark.parametrize("text", ["[a]\nd = 1\nd = 2\n", "d = 1\n", "[a]\nno separator\n"])
+    def test_malformed_config_file_is_scenario_error(self, capsys, tmp_path, text):
+        # configparser's own errors escaped as a traceback
+        cfg = tmp_path / "malformed.ini"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "ScenarioError"
+
     def test_bad_config_points_at_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[broken]\ndistribution = normal\nd = 2\n")
         code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 1
         assert "broken" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("methods", "all, all", "method 'all'"),
+        ("rho", "0.1, 0.1", "rho"),
+        ("sigma_sq", "1", "sigma_sq"),
+    ])
+    def test_malformed_config_value_is_scenario_error(
+        self, capsys, tmp_path, key, value, named
+    ):
+        # a repeated method tallied each replicate twice; a short rho or
+        # sigma_sq crashed the run with a TypeError traceback
+        keys = {
+            "distribution": "normal", "d": "1", "rho": "0, 0, 0", "sigma_sq": "1, 1",
+            "delta": "0", "sizes": "6, 0, 0", "replications": "3", key: value,
+        }
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[tiny]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ScenarioError"
+        assert named in error["message"]

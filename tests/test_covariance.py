@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from rankeffect import (
@@ -154,6 +156,25 @@ class TestCovarianceGeneral:
                 assert np.abs(cov.v_hat - want).max() <= 1e-12 * scale
                 assert list(cov.degenerate) == flags
                 assert flags or obs is not forced
+
+    @given(seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_under_group_swap_and_monotone_transform(self, seed, ties):
+        rng = np.random.default_rng(seed)
+        sample, idx = random_general_sample(rng, ties=ties)
+        d = sample.d
+        v = covariance_general(sample, idx, build_rank_table(sample, idx)).v_hat
+        # swapping the groups negates every rank-difference row and exchanges
+        # the one-sided sets, so only the summation order changes
+        swap = np.r_[d:2 * d, 0:d]
+        swapped = build_masked_sample(sample.values[swap], sample.observed[swap])
+        v_swap = covariance_general(swapped, *pipeline(swapped)).v_hat
+        scale = max(np.abs(v).max(), 1e-12)
+        assert np.abs(v_swap - v).max() <= 1e-12 * scale
+        # a strictly increasing transform keeps every rank, hence every bit
+        moved = build_masked_sample(np.exp(sample.values), sample.observed)
+        v_moved = covariance_general(moved, *pipeline(moved)).v_hat
+        assert np.array_equal(v_moved, v)
 
     def test_symmetric_as_computed(self, rng):
         for _ in range(40):

@@ -151,15 +151,7 @@ class TestCheckAssumptions:
         assert check_assumptions(derive_pattern_index(s)) == []
 
     def test_small_group_floor_warning(self):
-        obs = simple_mask(1, 2, 9, 1)  # m2 = 3 below the default floor of 5
+        obs = simple_mask(1, 2, 9, 1)  # m2 = 3 below the floor of 5
         s = build_masked_sample(np.arange(obs.size, dtype=float).reshape(obs.shape), obs)
         warnings = check_assumptions(derive_pattern_index(s))
         assert any("group 2 has only 3 observations" in w for w in warnings)
-
-    def test_floor_is_configurable(self):
-        obs = simple_mask(1, 2, 9, 1)
-        s = build_masked_sample(np.arange(obs.size, dtype=float).reshape(obs.shape), obs)
-        idx = derive_pattern_index(s)
-        warnings = check_assumptions(idx, min_group_size=2)
-        assert not any("observations" in w and "fewer" in w for w in warnings)
-

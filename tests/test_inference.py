@@ -217,6 +217,15 @@ class TestRunAllMethods:
             with pytest.raises(ValueError, match="alpha"):
                 analyze(s, idx, alpha=alpha)
 
+    @pytest.mark.parametrize("methods", [(), ("all", "all"), ("bogus",)])
+    def test_empty_repeated_or_unknown_methods_rejected(self, rng, methods):
+        # a repeated method would be tallied twice per replicate
+        obs = simple_mask(2, 8, 3, 3)
+        s = build_masked_sample(rng.standard_normal(obs.shape), obs)
+        idx = derive_pattern_index(s)
+        with pytest.raises(ValueError, match="method"):
+            analyze(s, idx, methods=methods)
+
     def test_six_reports_in_method_order(self, rng):
         obs = simple_mask(2, 8, 3, 3)
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)

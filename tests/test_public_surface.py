@@ -43,3 +43,15 @@ def test_every_traced_function_resolves():
         if not callable(getattr(module, func_name, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_package_exports_each_name_once():
+    assert len(rankeffect.__all__) == len(set(rankeffect.__all__))
+
+
+def test_setup_probe_entry_points_resolve():
+    # perfbench/setup_probe.py builds and validates the built-in grids
+    assert callable(rankeffect.builtin_grid)
+    assert callable(rankeffect.Scenario.validate)
+    for scenario in rankeffect.builtin_grid("table3", reps=5):
+        scenario.validate()

@@ -89,6 +89,23 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             scenario(distribution="gamma").validate()
 
+    @pytest.mark.parametrize("methods", [(), ("bogus",), ("all", "all")])
+    def test_empty_unknown_or_repeated_methods_rejected(self, methods):
+        with pytest.raises(ScenarioError, match="method"):
+            scenario(methods=methods).validate()
+
+    @pytest.mark.parametrize("field, kw", [
+        ("rho", dict(rho=(0.1, 0.1))),
+        ("sigma_sq", dict(sigma_sq=(1.0, 1.0, 1.0))),
+        ("sizes", dict(sizes=(30, 10))),
+        ("sizes", dict(pattern="design1", sizes=(75, 75))),
+        ("sizes", dict(pattern="design2", sizes=(210,))),
+        ("sizes", dict(pattern="design3", sizes=())),
+    ])
+    def test_wrong_field_length_names_the_field(self, field, kw):
+        with pytest.raises(ScenarioError, match=field):
+            scenario(**kw).validate()
+
 
 class TestDrawSample:
     def test_deterministic_given_seed_and_index(self):
