@@ -9,12 +9,11 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import replace
 
 from .data import derive_pattern_index
 from .effects import METHODS
 from .errors import RankEffectError, ScenarioError
-from .inference import analyze
+from .inference import PATTERN_CHOICES, analyze
 from .reports import (
     build_report,
     parse_dataset,
@@ -74,7 +73,7 @@ def cmd_analyze(args) -> int:
 
 # each Scenario field a scenario file may set, with its reader; the label is
 # the section name and the seed derives from --seed.  Absent keys take the
-# Scenario defaults.
+# Scenario defaults; --reps, when given, replaces every section's value.
 _CONFIG_READERS = {
     "distribution": str,
     "d": int,
@@ -89,7 +88,7 @@ _CONFIG_READERS = {
 }
 
 
-def _scenarios_from_config(path) -> list[Scenario]:
+def _scenarios_from_config(path, reps: int | None) -> list[Scenario]:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         read = parser.read(path)
@@ -105,9 +104,13 @@ def _scenarios_from_config(path) -> list[Scenario]:
             raise ScenarioError(f"scenario [{section}]: unknown key(s) {', '.join(unknown)}")
         try:
             values = {key: _CONFIG_READERS[key](sec[key]) for key in sec}
+            if reps is not None:
+                values["replications"] = reps
             scenarios.append(Scenario(label=section, **values))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"scenario [{section}]: bad or missing key ({exc})") from None
+        except RankEffectError as exc:
+            raise ScenarioError(f"scenario [{section}]: {exc}") from None
     if not scenarios:
         raise ScenarioError(f"no scenario sections found in {path!r}")
     return scenarios
@@ -117,13 +120,11 @@ def cmd_simulate(args) -> int:
     try:
         if args.builtin:
             dims = tuple(int(v) for v in args.dims.split(","))
-            reps = 1000 if args.reps is None else args.reps
+            reps = Scenario.replications if args.reps is None else args.reps
             scenarios = builtin_grid(args.builtin, reps=reps, dims=dims)
         else:
             reps = args.reps
-            scenarios = _scenarios_from_config(args.config)
-            if reps is not None:
-                scenarios = [replace(s, replications=reps) for s in scenarios]
+            scenarios = _scenarios_from_config(args.config, reps)
         results = run_grid(scenarios, master_seed=args.seed)
         config = {
             "command": "simulate",
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of: {', '.join(METHODS)}",
     )
     pa.add_argument(
-        "--pattern", choices=("auto", "simple", "general"), default="auto",
+        "--pattern", choices=PATTERN_CHOICES, default="auto",
         help="covariance estimator selection",
     )
     pa.add_argument("--na-token", default="NA", help="missing-value token")
@@ -183,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="named grid: table3, table6, design1, design2, design3")
     src.add_argument("--config", default=None, help="INI scenario file")
     ps.add_argument("--reps", type=int, default=None,
-                    help="replications per scenario (default: 1000 for --builtin, "
-                    "the file's values for --config)")
+                    help=f"replications per scenario (default: {Scenario.replications} "
+                    "for --builtin, the file's values for --config)")
     ps.add_argument("--seed", type=int, default=0, help="master seed for the grid")
     ps.add_argument("--dims", default="2,3,5",
                     help="dimensions for builtin grids that vary d")

@@ -57,7 +57,6 @@ class EffectEstimate:
     n_complete: np.ndarray
     n1_only: np.ndarray
     n2_only: np.ndarray
-    method: str = "all"
 
     @property
     def deviation(self) -> np.ndarray:
@@ -69,7 +68,6 @@ def estimate_effects(
     sample: MaskedSample,
     idx: PatternIndex,
     ranks: RankTable,
-    method: str = "all",
 ) -> EffectEstimate:
     """Effect vector from the difference of the groups' mean pooled midranks.
 
@@ -89,7 +87,6 @@ def estimate_effects(
         n_complete=idx.n_complete,
         n1_only=idx.n1_only,
         n2_only=idx.n2_only,
-        method=method,
     )
 
 

@@ -43,6 +43,11 @@ __all__ = [
     "analyze",
 ]
 
+#: Test families, in the order each method reports them.
+FAMILIES = ("wald", "anova")
+#: Covariance-estimator selections of :func:`analyze`.
+PATTERN_CHOICES = ("auto", "simple", "general")
+
 # relative eigenvalue cutoff for rank-aware inversion: |lam| > rel * trace / d
 _PINV_RANK_REL = 1e-10
 # max |p_hat - 1/2| still treated as the exact null point when the
@@ -73,31 +78,22 @@ class TestReport:
     p_value: float
     alpha: float
     reject: bool
-    family: str   # "wald" | "anova"
-    method: str   # "all" | "complete" | "incomplete"
+    family: str   # one of FAMILIES
     flags: tuple[str, ...] = ()
 
 
-def _skipped(family: str, method: str, alpha: float, reason: str) -> TestReport:
-    return TestReport(
-        statistic=float("nan"),
-        df=float("nan"),
-        p_value=float("nan"),
-        alpha=alpha,
-        reject=False,
-        family=family,
-        method=method,
-        flags=(f"inestimable: {reason}",),
-    )
+def _skipped(family: str, alpha: float, reason: str) -> TestReport:
+    nan = float("nan")
+    return TestReport(nan, nan, nan, alpha, False, family, (f"inestimable: {reason}",))
 
 
-def _zero_covariance(dev, family: str, method: str, alpha: float, flags) -> TestReport:
+def _zero_covariance(dev, family: str, alpha: float, flags) -> TestReport:
     if np.abs(dev).max() > _NULL_DEVIATION:
         raise ZeroCovariance(
             "covariance estimate is zero while the effect deviates from one half"
         )
     flags.append("zero-covariance-null")
-    return TestReport(0.0, 0.0, 1.0, alpha, False, family, method, tuple(flags))
+    return TestReport(0.0, 0.0, 1.0, alpha, False, family, tuple(flags))
 
 
 def wald_test(
@@ -124,7 +120,7 @@ def wald_test(
     v = cov.v_hat
     flags = list(cov.degenerate)
     if cov.trace <= 0.0:
-        return _zero_covariance(dev, "wald", p_hat.method, alpha, flags)
+        return _zero_covariance(dev, "wald", alpha, flags)
     eigvals, eigvecs = np.linalg.eigh((v + v.T) / 2.0)
     kept = np.abs(eigvals) > _PINV_RANK_REL * cov.trace / d
     rank = int(kept.sum())
@@ -136,7 +132,7 @@ def wald_test(
         # possible when the general-pattern estimate is indefinite
         flags.append("negative quadratic form clamped to zero for the p-value")
     p = chisq_upper_tail(max(stat, 0.0), float(rank))
-    return TestReport(stat, float(rank), p, alpha, p <= alpha, "wald", p_hat.method, tuple(flags))
+    return TestReport(stat, float(rank), p, alpha, p <= alpha, "wald", tuple(flags))
 
 
 def anova_test(
@@ -156,11 +152,11 @@ def anova_test(
     dev = p_hat.deviation
     flags = list(cov.degenerate)
     if cov.trace <= 0.0:
-        return _zero_covariance(dev, "anova", p_hat.method, alpha, flags)
+        return _zero_covariance(dev, "anova", alpha, flags)
     stat = float(n / cov.trace * np.sum(dev * dev))
     nu = cov.nu_hat
     p = chisq_upper_tail(nu * stat, nu)
-    return TestReport(stat, nu, p, alpha, p <= alpha, "anova", p_hat.method, tuple(flags))
+    return TestReport(stat, nu, p, alpha, p <= alpha, "anova", tuple(flags))
 
 
 @dataclass(frozen=True)
@@ -202,7 +198,7 @@ def analyze(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     check_methods(methods)
-    if pattern not in ("auto", "simple", "general"):
+    if pattern not in PATTERN_CHOICES:
         raise ValueError(f"unknown pattern {pattern!r}")
     if pattern == "simple" and not idx.is_simple_pattern:
         raise PatternMismatch(
@@ -216,7 +212,7 @@ def analyze(
         try:
             sub, sub_idx = restrict_method(sample, idx, method)
             ranks = build_rank_table(sub, sub_idx)
-            eff = estimate_effects(sub, sub_idx, ranks, method=method)
+            eff = estimate_effects(sub, sub_idx, ranks)
             cov = _select_covariance(sub, sub_idx, ranks, pattern)
             wald = wald_test(eff, cov, sub.n, alpha)
             anova = anova_test(eff, cov, sub.n, alpha)
@@ -234,8 +230,8 @@ def analyze(
                     None,
                     None,
                     0,
-                    _skipped("wald", method, alpha, reason),
-                    _skipped("anova", method, alpha, reason),
+                    _skipped("wald", alpha, reason),
+                    _skipped("anova", alpha, reason),
                     skipped=reason,
                 )
             )

@@ -23,7 +23,7 @@ from ._version import __version__
 from .data import MaskedSample, build_masked_sample, check_assumptions
 from .effects import METHODS
 from .errors import InconsistentWidth, ParseError
-from .inference import MethodAnalysis
+from .inference import FAMILIES, MethodAnalysis
 
 __all__ = [
     "parse_dataset",
@@ -176,7 +176,7 @@ REPORT_SCHEMA = {
                 ],
                 "properties": {
                     "method": {"enum": list(METHODS)},
-                    "family": {"enum": ["wald", "anova"]},
+                    "family": {"enum": list(FAMILIES)},
                     "statistic": {"type": ["number", "null"]},
                     "df": {"type": ["number", "null"]},
                     "p_value": {"type": ["number", "null"]},
@@ -247,7 +247,7 @@ def build_report(
             }
         for rep in (item.wald, item.anova):
             tests.append({
-                "method": rep.method,
+                "method": item.method,
                 "family": rep.family,
                 "statistic": _num(rep.statistic),
                 "df": _num(rep.df),

@@ -24,7 +24,7 @@ import numpy as np
 from .data import MaskedSample, build_masked_sample, derive_pattern_index
 from .effects import METHODS, check_methods
 from .errors import NotPositiveDefinite, RankEffectError, ScenarioError
-from .inference import analyze
+from .inference import FAMILIES, analyze
 
 __all__ = [
     "Scenario",
@@ -89,7 +89,7 @@ class Scenario:
     * ``"design3"``: ``(n_complete,)`` complete cases, with 100 subjects in
       each of the other 14 patterns.
 
-    Designs require ``d == 2``.
+    Designs require ``d == 2``.  Building a scenario (``replace`` too) validates it.
     """
 
     distribution: str
@@ -105,6 +105,9 @@ class Scenario:
     methods: tuple[str, ...] = ("all",)
     label: str = ""
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.distribution not in DISTRIBUTIONS:
             raise ScenarioError(
@@ -116,8 +119,11 @@ class Scenario:
             raise ScenarioError(f"d must be >= 1, got {self.d}")
         lengths = {"delta": self.d, "rho": 3, "sigma_sq": 2, "sizes": PATTERNS[self.pattern]}
         for name, length in lengths.items():
-            if len(getattr(self, name)) != length:
-                raise ScenarioError(f"{name} needs {length} value(s), got {getattr(self, name)}")
+            value = getattr(self, name)
+            if len(value) != length:
+                raise ScenarioError(f"{name} needs {length} value(s), got {value}")
+            if not np.isfinite(value).all():
+                raise ScenarioError(f"{name} values must be finite, got {value}")
         if self.replications < 1:
             raise ScenarioError(f"replications must be >= 1, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:
@@ -135,6 +141,9 @@ class Scenario:
             counts = [_int_exact(s, "size") for s in self.sizes]
             if any(c < 0 for c in counts) or sum(counts) < 2:
                 raise ScenarioError(f"invalid simple-pattern sizes {self.sizes}")
+            for group in (1, 2):  # counts[group] is that group's one-sided cases
+                if counts[0] + counts[group] == 0:
+                    raise ScenarioError(f"sizes {self.sizes} give group {group} no observation")
             return counts
         if self.d != 2:
             raise ScenarioError("pattern designs are defined for d = 2")
@@ -220,8 +229,7 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
     propagates.  A method that :func:`analyze` reports as skipped (its
     ``skipped`` reason is set) is tallied as skipped, not as evaluated.
     """
-    scenario.validate()
-    keys = [f"{fam}:{meth}" for meth in scenario.methods for fam in ("wald", "anova")]
+    keys = [f"{fam}:{meth}" for meth in scenario.methods for fam in FAMILIES]
     counters = {k: [0, 0, 0, 0] for k in keys}  # rej, eval, skip, flagged
     failures = 0
     for r in range(scenario.replications):
@@ -268,8 +276,6 @@ def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult
     results are identical either way.
     """
     scenarios = list(scenarios)
-    for s in scenarios:
-        s.validate()
     if master_seed is not None:
         scenarios = [
             replace(s, seed=_derived_seed(master_seed, i)) for i, s in enumerate(scenarios)
@@ -350,7 +356,7 @@ BUILTIN_GRIDS = {
 }
 
 
-def builtin_grid(name: str, reps: int = 1000, dims=(2, 3, 5)) -> list[Scenario]:
+def builtin_grid(name: str, reps: int = Scenario.replications, dims=(2, 3, 5)) -> list[Scenario]:
     """Scenario list for one of the named built-in study grids."""
     if name not in BUILTIN_GRIDS:
         raise ScenarioError(

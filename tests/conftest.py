@@ -1,3 +1,5 @@
+import warnings
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,15 @@ import pytest
 from rankeffect import build_masked_sample, derive_pattern_index
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# Hypothesis imports this module, and libcst with it, to report a failing
+# example.  libcst's import warns about one of its own dependencies, which
+# filterwarnings = "error" would turn into a pytest internal error that
+# aborts the run and hides the example.  Loading it here silences only that
+# third-party import; warnings raised by the package or the tests still fail.
+with suppress(ImportError), warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def draw_values(rng, shape, ties=True):

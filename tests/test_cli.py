@@ -237,6 +237,47 @@ class TestSimulateCommand:
         assert code == 1
         assert "broken" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("rho, kind", [
+        ("0.1, 0.1", "needs 3 value"),
+        ("-0.9, -0.9, 0.9", "positive definite"),
+    ])
+    def test_scenario_error_names_the_section(self, capsys, tmp_path, rho, kind):
+        # errors raised while checking a section's values did not say which
+        # section, and a non-positive-definite rho escaped as its own type
+        keys = "distribution = normal\nd = 2\nsigma_sq = 1, 1\ndelta = 0, 0\nsizes = 6, 2, 2\n"
+        cfg = tmp_path / "two.ini"
+        cfg.write_text(
+            f"[good]\n{keys}rho = 0.1, 0.1, 0.1\n\n[second]\n{keys}rho = {rho}\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--reps", "2")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ScenarioError"
+        assert error["message"].startswith("scenario [second]: ") and kind in error["message"]
+
+    @pytest.mark.parametrize("sizes", ["0, 10, 0", "0, 0, 2"])
+    def test_empty_group_sizes_are_rejected(self, capsys, tmp_path, sizes):
+        # every replicate used to fail and the run still exited 0
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(
+            "[lonely]\ndistribution = normal\nd = 1\nrho = 0, 0, 0\nsigma_sq = 1, 1\n"
+            f"delta = 0\nsizes = {sizes}\nreplications = 5\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert "[lonely]" in message and "sizes" in message and "group" in message
+
+    def test_reps_flag_rescues_zero_replications(self, capsys, tmp_path):
+        cfg = tmp_path / "zero.ini"
+        cfg.write_text(
+            "[zero]\ndistribution = normal\nd = 1\nrho = 0, 0, 0\nsigma_sq = 1, 1\n"
+            "delta = 0\nsizes = 6, 0, 0\nreplications = 0\n"
+        )
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg), "--reps", "3", "--output", str(out)]) == 0
+        assert json.loads(out.with_suffix(".json").read_text())["results"][0]["replications"] == 3
+
     @pytest.mark.parametrize("key, value, named", [
         ("methods", "all, all", "method 'all'"),
         ("rho", "0.1, 0.1", "rho"),

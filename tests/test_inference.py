@@ -19,13 +19,11 @@ from conftest import simple_mask
 from oracles import chisq_upper_tail_highprec
 
 
-def make_effects(p, method="all"):
+def make_effects(p):
     p = np.asarray(p, dtype=float)
     d = p.size
     ones = np.ones(d, dtype=int)
-    return EffectEstimate(
-        p_hat=p, n_complete=10 * ones, n1_only=0 * ones, n2_only=0 * ones, method=method,
-    )
+    return EffectEstimate(p_hat=p, n_complete=10 * ones, n1_only=0 * ones, n2_only=0 * ones)
 
 
 def make_cov(v, estimator="simple"):
@@ -230,8 +228,9 @@ class TestRunAllMethods:
         obs = simple_mask(2, 8, 3, 3)
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
         idx = derive_pattern_index(s)
-        reports = [rep for item in analyze(s, idx) for rep in (item.wald, item.anova)]
-        assert [(r.family, r.method) for r in reports] == [
+        labels = [(rep.family, item.method)
+                  for item in analyze(s, idx) for rep in (item.wald, item.anova)]
+        assert labels == [
             ("wald", "all"), ("anova", "all"),
             ("wald", "complete"), ("anova", "complete"),
             ("wald", "incomplete"), ("anova", "incomplete"),

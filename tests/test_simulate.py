@@ -1,7 +1,10 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from rankeffect import (
@@ -13,7 +16,9 @@ from rankeffect import (
     run_grid,
     run_scenario,
 )
+from rankeffect.effects import METHODS
 from rankeffect.errors import NotPositiveDefinite, ScenarioError, ZeroCovariance
+from rankeffect.simulate import DISTRIBUTIONS
 
 
 def scenario(**kw):
@@ -105,6 +110,51 @@ class TestScenarioValidation:
     def test_wrong_field_length_names_the_field(self, field, kw):
         with pytest.raises(ScenarioError, match=field):
             scenario(**kw).validate()
+
+    @pytest.mark.parametrize("sizes, group", [((0, 10, 0), 2), ((0, 0, 2), 1)])
+    def test_simple_sizes_must_leave_each_group_an_observation(self, sizes, group):
+        # every replicate of such a scenario raised InestimableComponent and
+        # was tallied as a failure
+        with pytest.raises(ScenarioError, match=f"sizes .* group {group}"):
+            scenario(sizes=sizes).validate()
+
+    @pytest.mark.parametrize("field, kw", [
+        ("sizes", dict(sizes=(float("nan"), 10, 10))),
+        ("sizes", dict(sizes=(float("inf"), 10, 10))),
+        ("delta", dict(delta=(float("nan"), 0.0))),
+        ("rho", dict(rho=(float("nan"), 0.1, 0.1))),
+        ("sigma_sq", dict(sigma_sq=(float("inf"), 1.0))),
+    ])
+    def test_non_finite_value_names_the_field(self, field, kw):
+        # a non-finite size escaped as a bare ValueError or OverflowError; a
+        # non-finite delta, rho or sigma_sq failed every replicate
+        with pytest.raises(ScenarioError, match=f"{field} values must be finite"):
+            scenario(**kw).validate()
+
+    def test_replace_checks_the_copy(self):
+        with pytest.raises(ScenarioError, match="rho"):
+            replace(scenario(), rho=(0.1, 0.1))
+
+    @given(
+        sizes=st.tuples(*[st.integers(0, 6)] * 3),
+        d=st.integers(1, 3),
+        distribution=st.sampled_from(DISTRIBUTIONS),
+        sigma_sq=st.sampled_from(((1.0, 1.0), (1.0, 5.0))),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_buildable_simple_scenario_runs_without_failures(
+        self, sizes, d, distribution, sigma_sq, seed
+    ):
+        # the one gate: a scenario that builds never fails a replicate
+        try:
+            s = scenario(
+                distribution=distribution, d=d, sigma_sq=sigma_sq, delta=(0.0,) * d,
+                sizes=sizes, replications=2, seed=seed, methods=METHODS,
+            )
+        except ScenarioError:
+            return
+        assert run_scenario(s).failures == 0
 
 
 class TestDrawSample:
