@@ -13,7 +13,7 @@ import sys
 from .data import derive_pattern_index
 from .effects import METHODS
 from .errors import RankEffectError, ScenarioError
-from .inference import PATTERN_CHOICES, analyze
+from .inference import ALPHA, PATTERN_CHOICES, analyze
 from .reports import (
     build_report,
     parse_dataset,
@@ -21,7 +21,7 @@ from .reports import (
     render_simulation_table,
     simulation_results_document,
 )
-from .simulate import Scenario, builtin_grid, run_grid
+from .simulate import DIMS, Scenario, builtin_grid, run_grid
 
 __all__ = ["main", "cmd_analyze", "cmd_simulate"]
 
@@ -30,6 +30,15 @@ def _fail(exc: Exception) -> int:
     obj = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     print(json.dumps(obj), file=sys.stderr)
     return 1
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_methods(raw: str) -> tuple[str, ...]:
@@ -41,33 +50,24 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        sample = parse_dataset(args.dataset, dimension=args.dimension, na_token=args.na_token)
-        idx = derive_pattern_index(sample)
-        methods = _parse_methods(args.methods)
-        analyses = analyze(
-            sample, idx, alpha=args.alpha, methods=methods, pattern=args.pattern
-        )
-        config = {
-            "command": "analyze",
-            "alpha": args.alpha,
-            "methods": list(methods),
-            "pattern": args.pattern,
-            "na_token": args.na_token,
-        }
-        report = build_report(analyses, idx, args.alpha, config)
-    except (RankEffectError, ValueError, OSError) as exc:
-        return _fail(exc)
+    sample = parse_dataset(args.dataset, dimension=args.dimension, na_token=args.na_token)
+    idx = derive_pattern_index(sample)
+    methods = _parse_methods(args.methods)
+    analyses = analyze(sample, idx, alpha=args.alpha, methods=methods, pattern=args.pattern)
+    config = {
+        "command": "analyze",
+        "alpha": args.alpha,
+        "methods": list(methods),
+        "pattern": args.pattern,
+        "na_token": args.na_token,
+    }
+    report = build_report(analyses, idx, args.alpha, config)
     text = (
         render_analysis_table(report)
         if args.table
         else json.dumps(report, indent=2, allow_nan=False) + "\n"
     )
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.output, text)
     return 0
 
 
@@ -102,13 +102,18 @@ def _scenarios_from_config(path, reps: int | None) -> list[Scenario]:
         unknown = sorted(set(sec) - set(_CONFIG_READERS))
         if unknown:
             raise ScenarioError(f"scenario [{section}]: unknown key(s) {', '.join(unknown)}")
+        values = {}
+        for key in sec:
+            try:
+                values[key] = _CONFIG_READERS[key](sec[key])
+            except (ValueError, configparser.Error) as exc:
+                raise ScenarioError(f"scenario [{section}]: bad {key} ({exc})") from None
+        if reps is not None:
+            values["replications"] = reps
         try:
-            values = {key: _CONFIG_READERS[key](sec[key]) for key in sec}
-            if reps is not None:
-                values["replications"] = reps
             scenarios.append(Scenario(label=section, **values))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"scenario [{section}]: bad or missing key ({exc})") from None
+        except TypeError as exc:
+            raise ScenarioError(f"scenario [{section}]: missing key ({exc})") from None
         except RankEffectError as exc:
             raise ScenarioError(f"scenario [{section}]: {exc}") from None
     if not scenarios:
@@ -117,37 +122,29 @@ def _scenarios_from_config(path, reps: int | None) -> list[Scenario]:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        if args.builtin:
-            dims = tuple(int(v) for v in args.dims.split(","))
-            reps = Scenario.replications if args.reps is None else args.reps
-            scenarios = builtin_grid(args.builtin, reps=reps, dims=dims)
-        else:
-            reps = args.reps
-            scenarios = _scenarios_from_config(args.config, reps)
-        results = run_grid(scenarios, master_seed=args.seed)
-        config = {
-            "command": "simulate",
-            "builtin": args.builtin,
-            "config": args.config,
-            "reps": reps,
-            "seed": args.seed,
-            "dims": args.dims,
-        }
-        doc = simulation_results_document(results, config)
-        table = render_simulation_table(results)
-    except (RankEffectError, ValueError, OSError) as exc:
-        return _fail(exc)
-    if args.output:
-        with open(args.output + ".json", "w") as fh:
-            json.dump(doc, fh, indent=2, allow_nan=False)
-            fh.write("\n")
-        with open(args.output + ".txt", "w") as fh:
-            fh.write(table)
+    if args.builtin:
+        dims = tuple(int(v) for v in args.dims.split(","))
+        reps = Scenario.replications if args.reps is None else args.reps
+        scenarios = builtin_grid(args.builtin, reps=reps, dims=dims)
     else:
-        sys.stdout.write(table)
-        if args.json:
-            sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        reps = args.reps
+        scenarios = _scenarios_from_config(args.config, reps)
+    results = run_grid(scenarios, master_seed=args.seed)
+    config = {
+        "command": "simulate",
+        "builtin": args.builtin,
+        "config": args.config,
+        "reps": reps,
+        "seed": args.seed,
+        "dims": args.dims,
+    }
+    doc = json.dumps(simulation_results_document(results, config), indent=2, allow_nan=False)
+    table = render_simulation_table(results)
+    if args.output:
+        _write(args.output + ".json", doc + "\n")
+        _write(args.output + ".txt", table)
+    else:
+        _write(None, table + doc + "\n" if args.json else table)
     return 0
 
 
@@ -161,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="analyze a wide CSV dataset")
     pa.add_argument("dataset", help="path to the CSV file")
-    pa.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    pa.add_argument("--alpha", type=float, default=ALPHA, help="significance level")
     pa.add_argument(
         "--methods", default=",".join(METHODS),
         help=f"comma-separated subset of: {', '.join(METHODS)}",
@@ -187,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"replications per scenario (default: {Scenario.replications} "
                     "for --builtin, the file's values for --config)")
     ps.add_argument("--seed", type=int, default=0, help="master seed for the grid")
-    ps.add_argument("--dims", default="2,3,5",
+    ps.add_argument("--dims", default=",".join(map(str, DIMS)),
                     help="dimensions for builtin grids that vary d")
     ps.add_argument("--json", action="store_true", help="also print the JSON document")
     ps.add_argument("--output", default=None,
@@ -197,8 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; an operational failure exits 1 with a JSON error on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (RankEffectError, ValueError, OSError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

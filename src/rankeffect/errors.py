@@ -21,18 +21,6 @@ class NonFiniteObservedValue(RankEffectError):
     """An observed cell holds NaN or infinity."""
 
 
-class EmptyInput(RankEffectError):
-    """An operation that needs at least one value received none."""
-
-
-class ComponentWithNoData(RankEffectError):
-    """No observation exists for a component in either group."""
-
-    def __init__(self, component: int):
-        self.component = component
-        super().__init__(f"component {component} has no observed values")
-
-
 class InestimableComponent(RankEffectError):
     """One group has no observations on a component, so its effect is undefined."""
 

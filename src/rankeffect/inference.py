@@ -27,7 +27,6 @@ from .effects import METHODS, EffectEstimate, check_methods, estimate_effects, r
 from .errors import (
     DomainError,
     EverythingFiltered,
-    InestimableComponent,
     NoEstimablePart,
     PatternMismatch,
     ZeroCovariance,
@@ -43,6 +42,8 @@ __all__ = [
     "analyze",
 ]
 
+#: Default significance level of every test and of :func:`analyze`.
+ALPHA = 0.05
 #: Test families, in the order each method reports them.
 FAMILIES = ("wald", "anova")
 #: Covariance-estimator selections of :func:`analyze`.
@@ -76,31 +77,30 @@ class TestReport:
     statistic: float
     df: float
     p_value: float
-    alpha: float
     reject: bool
     family: str   # one of FAMILIES
     flags: tuple[str, ...] = ()
 
 
-def _skipped(family: str, alpha: float, reason: str) -> TestReport:
+def _skipped(family: str, reason: str) -> TestReport:
     nan = float("nan")
-    return TestReport(nan, nan, nan, alpha, False, family, (f"inestimable: {reason}",))
+    return TestReport(nan, nan, nan, False, family, (f"inestimable: {reason}",))
 
 
-def _zero_covariance(dev, family: str, alpha: float, flags) -> TestReport:
+def _zero_covariance(dev, family: str, flags) -> TestReport:
     if np.abs(dev).max() > _NULL_DEVIATION:
         raise ZeroCovariance(
             "covariance estimate is zero while the effect deviates from one half"
         )
     flags.append("zero-covariance-null")
-    return TestReport(0.0, 0.0, 1.0, alpha, False, family, tuple(flags))
+    return TestReport(0.0, 0.0, 1.0, False, family, tuple(flags))
 
 
 def wald_test(
     p_hat: EffectEstimate,
     cov: CovarianceEstimate,
     n: int,
-    alpha: float = 0.05,
+    alpha: float = ALPHA,
 ) -> TestReport:
     """Quadratic form of the deviation against the inverse covariance.
 
@@ -120,7 +120,7 @@ def wald_test(
     v = cov.v_hat
     flags = list(cov.degenerate)
     if cov.trace <= 0.0:
-        return _zero_covariance(dev, "wald", alpha, flags)
+        return _zero_covariance(dev, "wald", flags)
     eigvals, eigvecs = np.linalg.eigh((v + v.T) / 2.0)
     kept = np.abs(eigvals) > _PINV_RANK_REL * cov.trace / d
     rank = int(kept.sum())
@@ -132,14 +132,14 @@ def wald_test(
         # possible when the general-pattern estimate is indefinite
         flags.append("negative quadratic form clamped to zero for the p-value")
     p = chisq_upper_tail(max(stat, 0.0), float(rank))
-    return TestReport(stat, float(rank), p, alpha, p <= alpha, "wald", tuple(flags))
+    return TestReport(stat, float(rank), p, p <= alpha, "wald", tuple(flags))
 
 
 def anova_test(
     p_hat: EffectEstimate,
     cov: CovarianceEstimate,
     n: int,
-    alpha: float = 0.05,
+    alpha: float = ALPHA,
 ) -> TestReport:
     """Trace-normalized quadratic form with estimated degrees of freedom.
 
@@ -152,11 +152,11 @@ def anova_test(
     dev = p_hat.deviation
     flags = list(cov.degenerate)
     if cov.trace <= 0.0:
-        return _zero_covariance(dev, "anova", alpha, flags)
+        return _zero_covariance(dev, "anova", flags)
     stat = float(n / cov.trace * np.sum(dev * dev))
     nu = cov.nu_hat
     p = chisq_upper_tail(nu * stat, nu)
-    return TestReport(stat, nu, p, alpha, p <= alpha, "anova", tuple(flags))
+    return TestReport(stat, nu, p, p <= alpha, "anova", tuple(flags))
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def _select_covariance(sample, idx, ranks, pattern: str):
 def analyze(
     sample: MaskedSample,
     idx: PatternIndex,
-    alpha: float = 0.05,
+    alpha: float = ALPHA,
     methods: tuple[str, ...] = METHODS,
     pattern: str = "auto",
 ) -> list[MethodAnalysis]:
@@ -217,12 +217,7 @@ def analyze(
             wald = wald_test(eff, cov, sub.n, alpha)
             anova = anova_test(eff, cov, sub.n, alpha)
             out.append(MethodAnalysis(method, eff, cov, sub.n, wald, anova))
-        except (
-            EverythingFiltered,
-            InestimableComponent,
-            NoEstimablePart,
-            ZeroCovariance,
-        ) as exc:
+        except (EverythingFiltered, NoEstimablePart, ZeroCovariance) as exc:
             reason = str(exc)
             out.append(
                 MethodAnalysis(
@@ -230,8 +225,8 @@ def analyze(
                     None,
                     None,
                     0,
-                    _skipped("wald", alpha, reason),
-                    _skipped("anova", alpha, reason),
+                    _skipped("wald", reason),
+                    _skipped("anova", reason),
                     skipped=reason,
                 )
             )

@@ -13,7 +13,6 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .data import MaskedSample, PatternIndex
-from .errors import ComponentWithNoData, EmptyInput
 
 __all__ = ["RankTable", "midranks", "build_rank_table", "placements"]
 
@@ -23,12 +22,9 @@ def midranks(values) -> np.ndarray:
 
     Equivalent to the pairwise definition ``r_i = 1/2 + sum_j c(x_i - x_j)``
     with ``c = 0, 1/2, 1`` for negative/zero/positive argument, but computed
-    by sorting in O(N log N).
+    by sorting in O(N log N).  An empty sample gives an empty array.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise EmptyInput("midranks of an empty sample are undefined")
-    return rankdata(values, method="average")
+    return rankdata(np.asarray(values, dtype=float), method="average")
 
 
 @dataclass(frozen=True)
@@ -44,23 +40,23 @@ class RankTable:
 
 
 def build_rank_table(sample: MaskedSample, idx: PatternIndex) -> RankTable:
-    """Rank every observed cell within its component's pooled and own-group samples."""
+    """Rank every observed cell within its component's pooled and own-group samples.
+
+    A group with no observation on a component leaves its rows NaN;
+    :func:`~rankeffect.data.check_estimable` is the rule that rejects it.
+    """
     d, n = sample.d, sample.n
     overall = np.full((2 * d, n), np.nan)
     internal = np.full((2 * d, n), np.nan)
     for l in range(d):
         c1 = np.flatnonzero(sample.observed[l])
         c2 = np.flatnonzero(sample.observed[d + l])
-        if c1.size + c2.size == 0:
-            raise ComponentWithNoData(l)
         pooled = np.concatenate([sample.values[l, c1], sample.values[d + l, c2]])
         pooled_ranks = midranks(pooled)
         overall[l, c1] = pooled_ranks[: c1.size]
         overall[d + l, c2] = pooled_ranks[c1.size:]
-        if c1.size:
-            internal[l, c1] = midranks(sample.values[l, c1])
-        if c2.size:
-            internal[d + l, c2] = midranks(sample.values[d + l, c2])
+        internal[l, c1] = midranks(sample.values[l, c1])
+        internal[d + l, c2] = midranks(sample.values[d + l, c2])
     overall.setflags(write=False)
     internal.setflags(write=False)
     return RankTable(overall=overall, internal=internal)

@@ -24,7 +24,7 @@ import numpy as np
 from .data import MaskedSample, build_masked_sample, derive_pattern_index
 from .effects import METHODS, check_methods
 from .errors import NotPositiveDefinite, RankEffectError, ScenarioError
-from .inference import FAMILIES, analyze
+from .inference import ALPHA, FAMILIES, analyze
 
 __all__ = [
     "Scenario",
@@ -39,6 +39,8 @@ __all__ = [
 DISTRIBUTIONS = ("normal", "lognormal", "cauchy")
 # each pattern with the number of ``sizes`` values it takes
 PATTERNS = {"simple": 3, "design1": 1, "design2": 2, "design3": 1}
+#: Dimensions of the built-in grids that vary ``d``.
+DIMS = (2, 3, 5)
 
 
 def build_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> np.ndarray:
@@ -101,7 +103,7 @@ class Scenario:
     pattern: str = "simple"
     replications: int = 1000
     seed: int = 0
-    alpha: float = 0.05
+    alpha: float = ALPHA
     methods: tuple[str, ...] = ("all",)
     label: str = ""
 
@@ -356,7 +358,7 @@ BUILTIN_GRIDS = {
 }
 
 
-def builtin_grid(name: str, reps: int = Scenario.replications, dims=(2, 3, 5)) -> list[Scenario]:
+def builtin_grid(name: str, reps: int = Scenario.replications, dims=DIMS) -> list[Scenario]:
     """Scenario list for one of the named built-in study grids."""
     if name not in BUILTIN_GRIDS:
         raise ScenarioError(

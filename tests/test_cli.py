@@ -105,6 +105,13 @@ class TestAnalyzeCommand:
         assert out_a.read_bytes() == out_b.read_bytes()
         assert json.loads(out_a.read_text()) == json.loads(GOLDEN.read_text())
 
+    def test_unwritable_output_is_operational_error(self, capsys, tmp_path):
+        # the report write ran outside the error contract and crashed
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, "analyze", FIXTURE, "--output", str(target))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
     def test_exit_zero_even_when_rejecting(self, capsys, tmp_path):
         path = tmp_path / "shifted.csv"
         rows = ["g1_var1,g2_var1"] + [f"{k},{k + 5}" for k in range(12)]
@@ -140,6 +147,16 @@ class TestSimulateCommand:
         for row in doc["results"]:
             for stats in row["methods"].values():
                 assert stats["evaluated"] + stats["skipped"] <= 5
+
+    def test_unwritable_output_is_operational_error(self, capsys, tmp_path):
+        # the result writes ran outside the error contract and crashed
+        target = tmp_path / "missing" / "run"
+        code, out, err = run_cli(
+            capsys, "simulate", "--builtin", "table3", "--dims", "2", "--reps", "1",
+            "--output", str(target),
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
 
     def test_unknown_builtin_lists_valid_names(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--builtin", "nope")
@@ -235,7 +252,28 @@ class TestSimulateCommand:
         cfg.write_text("[broken]\ndistribution = normal\nd = 2\n")
         code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 1
-        assert "broken" in json.loads(err)["error"]["message"]
+        message = json.loads(err)["error"]["message"]
+        assert message.startswith("scenario [broken]: missing key (")
+
+    @pytest.mark.parametrize("key, value", [
+        ("d", "2.5"),
+        ("rho", "0.1, x, 0.1"),
+        ("distribution", "normal%"),
+    ])
+    def test_unreadable_config_value_names_its_key(self, capsys, tmp_path, key, value):
+        # the message named the section but not which of its keys was bad,
+        # and a stray % escaped as a configparser traceback
+        keys = {
+            "distribution": "normal", "d": "2", "rho": "0.1, 0.1, 0.1",
+            "sigma_sq": "1, 1", "delta": "0, 0", "sizes": "6, 2, 2", key: value,
+        }
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[k]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ScenarioError"
+        assert error["message"].startswith(f"scenario [k]: bad {key} (")
 
     @pytest.mark.parametrize("rho, kind", [
         ("0.1, 0.1", "needs 3 value"),

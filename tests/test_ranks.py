@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from rankeffect import (
     build_masked_sample,
     build_rank_table,
     derive_pattern_index,
+    estimate_effects,
     midranks,
     placements,
 )
-from rankeffect.errors import ComponentWithNoData, EmptyInput
+from rankeffect.errors import InestimableComponent
 
 from conftest import random_general_sample, simple_mask
 from oracles import midranks_bruteforce
@@ -26,14 +28,24 @@ class TestMidranks:
     def test_sorted_distinct(self):
         assert list(midranks([1, 2, 3])) == [1.0, 2.0, 3.0]
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            midranks([])
+    def test_empty_sample_gives_empty_array(self):
+        ranks = midranks([])
+        assert ranks.shape == (0,) and ranks.dtype == float
+
+    @given(st.one_of(
+        st.lists(st.integers(-3, 3), max_size=30),
+        st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.25]), max_size=30),
+        st.lists(st.floats(allow_nan=False), max_size=30),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scipy_rankdata(self, values):
+        # exact: midranks are half-integers, and -0.0 ties with 0.0
+        assert np.array_equal(midranks(values), rankdata(np.asarray(values, dtype=float)))
 
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_matches_pairwise_definition(self, values):
-        assert np.allclose(midranks(values), midranks_bruteforce(values))
+        assert np.array_equal(midranks(values), midranks_bruteforce(values))
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
@@ -48,7 +60,7 @@ class TestMidranks:
         rand.shuffle(order)
         base = midranks(values)
         shuffled = midranks([values[i] for i in order])
-        assert np.allclose(shuffled, base[order])
+        assert np.array_equal(shuffled, base[order])
 
 
 class TestRankTable:
@@ -69,16 +81,21 @@ class TestRankTable:
         idx = derive_pattern_index(s)
         rt = build_rank_table(s, idx)
         n_pooled = 6
-        assert np.allclose(rt.overall[~np.isnan(rt.overall)], (n_pooled + 1) / 2)
+        observed = rt.overall[~np.isnan(rt.overall)]
+        assert np.array_equal(observed, np.full(n_pooled, (n_pooled + 1) / 2))
 
     def test_component_with_no_data(self):
+        # ranking leaves the component's rows NaN; the effect rejects it
         obs = np.zeros((4, 3), bool)
         obs[0] = True
         obs[2] = True  # var 1 observed in both groups, var 2 nowhere
         s = build_masked_sample(np.zeros((4, 3)), obs)
         idx = derive_pattern_index(s)
-        with pytest.raises(ComponentWithNoData) as exc:
-            build_rank_table(s, idx)
+        rt = build_rank_table(s, idx)
+        for table in (rt.overall, rt.internal):
+            assert np.isnan(table[[1, 3]]).all() and not np.isnan(table[[0, 2]]).any()
+        with pytest.raises(InestimableComponent) as exc:
+            estimate_effects(s, idx, rt)
         assert exc.value.component == 1
 
     def test_matches_bruteforce_on_random_masks(self, rng):
@@ -92,7 +109,7 @@ class TestRankTable:
                 pooled = np.concatenate([sample.values[l, c1], sample.values[d + l, c2]])
                 expect = midranks_bruteforce(pooled)
                 got = np.concatenate([rt.overall[l, c1], rt.overall[d + l, c2]])
-                assert np.allclose(got, expect)
+                assert np.array_equal(got, expect)
 
     def test_rank_sum_identities_on_random_masks(self, rng):
         for _ in range(30):
@@ -161,8 +178,6 @@ class TestPlacements:
     def test_mean_placements_reproduce_effect(self, rng):
         """Per component, the effect is the mean group-2 placement and one
         minus the mean group-1 placement."""
-        from rankeffect import estimate_effects
-
         for _ in range(30):
             sample, idx = random_general_sample(rng)
             rt = build_rank_table(sample, idx)
