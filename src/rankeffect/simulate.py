@@ -18,6 +18,7 @@ independent of execution order.
 
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,30 +168,39 @@ class Scenario:
         return [_int_exact(n_complete, "n_complete")] + [100] * 14
 
 
+@lru_cache(maxsize=8)
+def _draw_plan(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The parts of a draw that depend only on the scenario, built once per scenario.
+
+    Returns the Cholesky factor of the covariance, the mean and the
+    observedness mask, all read-only because every replicate shares them.
+    """
+    d = scenario.d
+    chol = np.linalg.cholesky(build_sigma(d, *scenario.rho, *scenario.sigma_sq))
+    mu = np.concatenate([np.zeros(d), np.asarray(scenario.delta, dtype=float)])
+    full = 2**(2 * d) - 1
+    blocks = [full, 2**d - 1, (2**d - 1) << d]
+    bits = blocks if scenario.pattern == "simple" else range(full, 0, -1)
+    counts = scenario.pattern_counts()
+    observed = (np.repeat(bits, counts)[None, :] >> np.arange(2 * d)[:, None]) & 1 == 1
+    for a in (chol, mu, observed):
+        a.setflags(write=False)
+    return chol, mu, observed
+
+
 def draw_sample(scenario: Scenario, replicate_index: int) -> MaskedSample:
     """One replicate's masked sample; deterministic given (seed, index)."""
-    d = scenario.d
-    sigma = build_sigma(d, *scenario.rho, *scenario.sigma_sq)
-    chol = np.linalg.cholesky(sigma)
-    counts = scenario.pattern_counts()
-    n = sum(counts)
-    mu = np.concatenate([np.zeros(d), np.asarray(scenario.delta, dtype=float)])
-
+    chol, mu, observed = _draw_plan(scenario)
     rng = np.random.default_rng(
         np.random.SeedSequence(scenario.seed, spawn_key=(replicate_index,))
     )
-    z = rng.standard_normal((2 * d, n))
+    z = rng.standard_normal(observed.shape)
     if scenario.distribution == "cauchy":
-        halfnorm = np.abs(rng.standard_normal(n))
+        halfnorm = np.abs(rng.standard_normal(observed.shape[1]))
         x = (chol @ z) / halfnorm[None, :] + mu[:, None]
     else:
         w = chol @ z + mu[:, None]
         x = np.rint(w) if scenario.distribution == "normal" else np.exp(w)
-
-    full = 2**(2 * d) - 1
-    blocks = [full, 2**d - 1, (2**d - 1) << d]
-    bits = blocks if scenario.pattern == "simple" else range(full, 0, -1)
-    observed = (np.repeat(bits, counts)[None, :] >> np.arange(2 * d)[:, None]) & 1 == 1
     return build_masked_sample(x, observed)
 
 

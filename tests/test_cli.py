@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import rankeffect
 from rankeffect import REPORT_SCHEMA
 from rankeffect.cli import main
 
@@ -337,3 +342,14 @@ class TestSimulateCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "ScenarioError"
         assert named in error["message"]
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats took about two thirds of the console script's start-up
+    src = str(Path(rankeffect.__file__).resolve().parents[1])
+    probe = "import sys, rankeffect.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -63,6 +63,43 @@ class TestMidranks:
         assert np.array_equal(shuffled, base[order])
 
 
+_MAX = np.finfo(float).max
+# integer ties, signed zeros, and finite values next to the float64 limits
+_CELL_VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, _MAX, -_MAX, np.nextafter(_MAX, 0.0), 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def masked_samples(draw):
+    """Per-cell masks, small enough that single-observation and empty groups are common."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 8))
+    values = np.array(draw(st.lists(_CELL_VALUES, min_size=2 * d * n, max_size=2 * d * n)))
+    observed = np.array(draw(st.lists(st.booleans(), min_size=2 * d * n, max_size=2 * d * n)))
+    observed = observed.reshape(2 * d, n)
+    empty = ~observed.any(axis=0)
+    observed[np.flatnonzero(empty) % (2 * d), empty] = True  # every subject has a cell
+    return build_masked_sample(values.reshape(2 * d, n), observed)
+
+
+def rankdata_tables(sample):
+    """Rank table from per-component ``scipy.stats.rankdata`` calls."""
+    d = sample.d
+    overall = np.full((2 * d, sample.n), np.nan)
+    internal = np.full((2 * d, sample.n), np.nan)
+    for l in range(d):
+        c1 = np.flatnonzero(sample.observed[l])
+        c2 = np.flatnonzero(sample.observed[d + l])
+        pooled = rankdata(np.concatenate([sample.values[l, c1], sample.values[d + l, c2]]))
+        overall[l, c1], overall[d + l, c2] = pooled[: c1.size], pooled[c1.size:]
+        internal[l, c1] = rankdata(sample.values[l, c1])
+        internal[d + l, c2] = rankdata(sample.values[d + l, c2])
+    return overall, internal
+
+
 class TestRankTable:
     def test_distinct_complete_case(self):
         obs = np.ones((2, 2), bool)
@@ -110,6 +147,22 @@ class TestRankTable:
                 expect = midranks_bruteforce(pooled)
                 got = np.concatenate([rt.overall[l, c1], rt.overall[d + l, c2]])
                 assert np.array_equal(got, expect)
+
+    @given(masked_samples())
+    # component 1: a single group-1 observation against a group with none
+    @example(build_masked_sample(
+        [[1.0, 2.0, 2.0], [5.0, 0.0, 0.0], [2.0, -0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[True, True, True], [True, False, False], [True, True, True], [False, False, False]],
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scipy_rankdata_per_component(self, sample):
+        # exact: both tables are half-integers; rows without an observation stay NaN
+        rt = build_rank_table(sample, derive_pattern_index(sample))
+        overall, internal = rankdata_tables(sample)
+        assert np.array_equal(rt.overall, overall, equal_nan=True)
+        assert np.array_equal(rt.internal, internal, equal_nan=True)
+        assert np.isnan(rt.overall[~sample.observed]).all()
+        assert np.isnan(rt.internal[~sample.observed]).all()
 
     def test_rank_sum_identities_on_random_masks(self, rng):
         for _ in range(30):
