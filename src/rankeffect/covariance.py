@@ -8,7 +8,9 @@ the nine cross-covariances of component ``l``'s rows with component ``r``'s,
 each over the intersection of the two index sets with an ``e/(e-1)`` bias
 factor (``e`` the intersection size), divided by ``m1_l m2_l m1_r m2_r``.
 Single-subject intersections contribute zero and are flagged.  All terms
-come from a few masked matrix products.
+come from a few masked matrix products, one set per replicate of a block;
+the index sets, their sizes and the flags depend on the mask alone and are
+shared by the block.
 
 :func:`covariance_general` is this estimator for per-cell missingness;
 :func:`covariance_simple` is the same kernel on treatment-level data, where
@@ -32,7 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Symmetric d x d estimate with trace diagnostics and provenance."""
+    """Symmetric d x d estimate with trace diagnostics and provenance.
+
+    For a block, ``v_hat`` is ``(R, d, d)`` and the three diagnostics are
+    ``(R,)`` arrays; ``degenerate`` is shared, as it depends on the mask alone.
+    """
 
     v_hat: np.ndarray
     trace: float
@@ -52,26 +58,35 @@ def _kernel(idx: PatternIndex, ranks: RankTable) -> tuple[np.ndarray, np.ndarray
     check_estimable(idx)
     d, n = idx.d, idx.n
     b = ranks.overall - ranks.internal
+    lo, hi = b[..., :d, :], b[..., d:, :]
     masks = np.concatenate([idx.complete_mask, idx.g2_only_mask, idx.g1_only_mask])
     m = masks.astype(float)
     e = m @ m.T
-    x = np.where(masks, np.concatenate([b[d:] - b[:d], b[d:], -b[:d]]), 0.0)
+    x = np.zeros((*b.shape[:-2], 3 * d, n))
+    np.subtract(hi, lo, out=x[..., :d, :], where=idx.complete_mask)
+    np.copyto(x[..., d:2 * d, :], hi, where=idx.g2_only_mask)
+    np.negative(lo, out=x[..., 2 * d:, :], where=idx.g1_only_mask)
+    del b, lo, hi  # a block's peak memory is set by its per-cell arrays
     # centring each row on its own-set mean leaves every intersection
     # covariance unchanged and keeps the subtraction below well conditioned
-    x -= (x.sum(axis=1) / np.maximum(e.diagonal(), 1.0))[:, None] * m
+    mean = x.sum(axis=-1) / np.maximum(e.diagonal(), 1.0)
+    np.subtract(x, mean[..., None], out=x, where=masks)
     s = x @ m.T  # s[i, j]: sum of row i over the intersection with set j
     # e/(e-1) * (x_i . x_j - s_ij * s_ji / e), zero where e <= 1
     w = np.divide(1.0, e - 1.0, out=np.zeros_like(e), where=e > 1)
-    c = (e * (x @ x.T) - s * s.T) * w
+    c = (e * (x @ x.swapaxes(-1, -2)) - s * s.swapaxes(-1, -2)) * w
     dm = (idx.m1 * idx.m2).astype(float)
-    v = n * c.reshape(3, d, 3, d).sum(axis=(0, 2)) / np.outer(dm, dm)
-    return 0.5 * (v + v.T), e
+    v = n * c.reshape(*c.shape[:-2], 3, d, 3, d).sum(axis=(-4, -2)) / np.outer(dm, dm)
+    return 0.5 * (v + v.swapaxes(-1, -2)), e
 
 
 def _estimate(v: np.ndarray, estimator: str, flags: list[str]) -> CovarianceEstimate:
-    trace = float(np.trace(v))
-    trace_sq = float(np.sum(v * v))  # == tr(V^2) for symmetric V
-    nu = trace * trace / trace_sq if trace_sq > 0 else float("nan")
+    trace = np.trace(v, axis1=-2, axis2=-1)
+    trace_sq = np.sum(v * v, axis=(-2, -1))  # == tr(V^2) for symmetric V
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu = np.where(trace_sq > 0, trace * trace / trace_sq, np.nan)
+    if v.ndim == 2:
+        trace, trace_sq, nu = float(trace), float(trace_sq), float(nu)
     v.setflags(write=False)
     return CovarianceEstimate(
         v_hat=v,

@@ -39,13 +39,16 @@ class MaskedSample:
     """Validated ``2d x n`` observation matrix with per-cell observedness.
 
     ``values`` holds NaN at every masked cell so that accidental reads of
-    unobserved data poison any arithmetic instead of silently passing.
+    unobserved data poison any arithmetic instead of silently passing.  A
+    *block* of ``R`` replicates that share one mask stacks their values
+    along a leading axis; ranks, effects, covariances and tests of a block
+    carry the same leading axis.
     """
 
     d: int
     n: int
-    values: np.ndarray   # (2d, n) float64, NaN where not observed
-    observed: np.ndarray  # (2d, n) bool
+    values: np.ndarray   # (2d, n), or (R, 2d, n) for a block; float64, NaN where not observed
+    observed: np.ndarray  # (2d, n) bool, shared by every replicate of a block
 
 
 def build_masked_sample(values, observed) -> MaskedSample:
@@ -53,10 +56,11 @@ def build_masked_sample(values, observed) -> MaskedSample:
 
     Parameters
     ----------
-    values : array_like, shape (2d, n)
-        Measurements; entries at masked cells are ignored.
+    values : array_like, shape (2d, n) or (R, 2d, n)
+        Measurements, of one dataset or of a block of ``R`` replicates;
+        entries at masked cells are ignored.
     observed : array_like, shape (2d, n)
-        Boolean mask, ``True`` where a value is present.
+        Boolean mask, ``True`` where a value is present; a block shares it.
 
     Raises
     ------
@@ -66,15 +70,16 @@ def build_masked_sample(values, observed) -> MaskedSample:
     EmptySubject
         Some column has no observed cell.
     NonFiniteObservedValue
-        An observed cell holds NaN or infinity.
+        An observed cell (of any replicate of a block) holds NaN or infinity.
     """
     values = np.asarray(values, dtype=float)
     observed = np.asarray(observed, dtype=bool)
-    if values.ndim != 2 or observed.shape != values.shape:
+    if values.ndim not in (2, 3) or observed.shape != values.shape[-2:]:
         raise DimensionMismatch(
-            f"values {values.shape} and observed {observed.shape} must be equal 2-d shapes"
+            f"values {values.shape} must be (2d, n) or (R, 2d, n) "
+            f"and observed {observed.shape} their (2d, n)"
         )
-    rows, n = values.shape
+    rows, n = observed.shape
     if rows % 2 != 0 or rows < 2:
         raise DimensionMismatch(f"row count {rows} is not twice a positive dimension")
     d = rows // 2
@@ -83,9 +88,13 @@ def build_masked_sample(values, observed) -> MaskedSample:
     empty = ~observed.any(axis=0)
     if empty.any():
         raise EmptySubject(int(np.flatnonzero(empty)[0]))
-    if not np.isfinite(values[observed]).all():
-        raise NonFiniteObservedValue("observed cells must be finite")
     cleaned = np.where(observed, values, np.nan)
+    # masked cells now hold NaN, so all observed cells are finite exactly
+    # when the finite cells are as many as the observed ones
+    if np.count_nonzero(np.isfinite(cleaned)) != np.count_nonzero(observed) * (
+        cleaned.size // observed.size
+    ):
+        raise NonFiniteObservedValue("observed cells must be finite")
     return MaskedSample(d=d, n=n, values=_freeze(cleaned), observed=_freeze(observed.copy()))
 
 

@@ -53,7 +53,7 @@ def check_methods(methods) -> None:
 class EffectEstimate:
     """Estimated effect vector with the sample-size bookkeeping behind it."""
 
-    p_hat: np.ndarray      # (d,) in [0, 1]
+    p_hat: np.ndarray      # (d,), or (R, d) for a block; in [0, 1]
     n_complete: np.ndarray
     n1_only: np.ndarray
     n2_only: np.ndarray
@@ -71,6 +71,8 @@ def estimate_effects(
 ) -> EffectEstimate:
     """Effect vector from the difference of the groups' mean pooled midranks.
 
+    A block's ranks give one effect vector per replicate.
+
     Raises
     ------
     InestimableComponent
@@ -79,8 +81,8 @@ def estimate_effects(
     check_estimable(idx)
     d = idx.d
     observed = sample.observed
-    means = np.where(observed, ranks.overall, 0.0).sum(axis=1) / observed.sum(axis=1)
-    p_hat = np.clip((means[d:] - means[:d]) / idx.pooled_counts + 0.5, 0.0, 1.0)
+    means = np.where(observed, ranks.overall, 0.0).sum(axis=-1) / observed.sum(axis=-1)
+    p_hat = np.clip((means[..., d:] - means[..., :d]) / idx.pooled_counts + 0.5, 0.0, 1.0)
     p_hat.setflags(write=False)
     return EffectEstimate(
         p_hat=p_hat,
@@ -123,7 +125,7 @@ def restrict_method(
         raise EverythingFiltered(
             f"restriction {method!r} leaves {int(keep.sum())} subject(s)"
         )
-    restricted = build_masked_sample(sample.values[:, keep], new_obs[:, keep])
+    restricted = build_masked_sample(sample.values[..., keep], new_obs[:, keep])
     new_idx = derive_pattern_index(restricted)
     try:
         check_estimable(new_idx)

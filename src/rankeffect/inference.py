@@ -15,7 +15,6 @@ statistic exists only at the null point, reported as a non-rejection flagged
 ``"zero-covariance-null"``; elsewhere :class:`ZeroCovariance` is raised.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,23 +55,33 @@ _PINV_RANK_REL = 1e-10
 _NULL_DEVIATION = 1e-12
 
 
-def chisq_upper_tail(x: float, k: float) -> float:
+def chisq_upper_tail(x: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
     """Upper tail probability of a chi-square variable with ``k`` df at ``x``.
 
     Equals the regularized upper incomplete gamma function Q(k/2, x/2);
     ``k`` may be any positive real, as required by the estimated degrees of
-    freedom of the ANOVA-type statistic.
+    freedom of the ANOVA-type statistic.  Floats give a float; arrays give
+    an array, element by element.
     """
-    if not (x >= 0.0) or not math.isfinite(x):
-        raise DomainError(f"x must be finite and >= 0, got {x}")
-    if not (k > 0.0) or not math.isfinite(k):
-        raise DomainError(f"k must be finite and > 0, got {k}")
-    return float(special.gammaincc(k / 2.0, x / 2.0))
+    x = np.asarray(x, dtype=float)
+    k = np.asarray(k, dtype=float)
+    bad = ~(x >= 0.0) | ~np.isfinite(x)
+    if bad.any():
+        raise DomainError(f"x must be finite and >= 0, got {x[bad][0]}")
+    bad = ~(k > 0.0) | ~np.isfinite(k)
+    if bad.any():
+        raise DomainError(f"k must be finite and > 0, got {k[bad][0]}")
+    p = special.gammaincc(k / 2.0, x / 2.0)
+    return float(p) if p.ndim == 0 else p
 
 
 @dataclass(frozen=True)
 class TestReport:
-    """Outcome of one test: statistic, reference distribution, decision."""
+    """Outcome of one test: statistic, reference distribution, decision.
+
+    For a block of replicates, ``statistic``, ``df``, ``p_value`` and
+    ``reject`` are ``(R,)`` arrays and ``flags`` holds one tuple per replicate.
+    """
 
     statistic: float
     df: float
@@ -82,18 +91,42 @@ class TestReport:
     flags: tuple[str, ...] = ()
 
 
-def _skipped(family: str, reason: str) -> TestReport:
-    nan = float("nan")
-    return TestReport(nan, nan, nan, False, family, (f"inestimable: {reason}",))
+def _report(stat, df, p, reject, family: str, flags: list, single: bool) -> TestReport:
+    """A report from per-replicate arrays; a single dataset's holds plain values."""
+    if single:
+        stat, df, p, reject = float(stat[0]), float(df[0]), float(p[0]), bool(reject[0])
+        return TestReport(stat, df, p, reject, family, flags[0])
+    return TestReport(stat, df, p, reject, family, tuple(flags))
 
 
-def _zero_covariance(dev, family: str, flags) -> TestReport:
-    if np.abs(dev).max() > _NULL_DEVIATION:
+def _skipped(family: str, reason: str, batch: tuple[int, ...]) -> TestReport:
+    nan = np.full(batch or (1,), np.nan)
+    flags = [(f"inestimable: {reason}",)] * nan.size
+    return _report(nan, nan, nan, np.zeros(nan.shape, bool), family, flags, not batch)
+
+
+def _zero_covariance(dev: np.ndarray, trace: np.ndarray) -> np.ndarray:
+    """Replicates whose covariance trace is <= 0; each must sit at the null point.
+
+    Raises
+    ------
+    ZeroCovariance
+        Some such replicate's effect deviates from one half.
+    """
+    zero = trace <= 0.0
+    if (np.abs(dev[zero]) > _NULL_DEVIATION).any():
         raise ZeroCovariance(
             "covariance estimate is zero while the effect deviates from one half"
         )
-    flags.append("zero-covariance-null")
-    return TestReport(0.0, 0.0, 1.0, False, family, tuple(flags))
+    return zero
+
+
+def _flags(base: tuple[str, ...], zero: np.ndarray) -> list:
+    """Each replicate's flags: the covariance's, then ``"zero-covariance-null"`` if it applies."""
+    flags = [base] * zero.size
+    for i in np.flatnonzero(zero):
+        flags[i] = base + ("zero-covariance-null",)
+    return flags
 
 
 def wald_test(
@@ -107,7 +140,8 @@ def wald_test(
     When the covariance estimate is singular, its Moore-Penrose
     pseudo-inverse is used (eigenvalues below ``1e-10 * trace/d``
     in magnitude dropped) and the reported degrees of freedom shrink to the
-    effective rank; the fallback is flagged.
+    effective rank; the fallback is flagged.  A block gives one test per
+    replicate.
 
     Raises
     ------
@@ -115,24 +149,34 @@ def wald_test(
         The covariance estimate vanishes but the effect deviates from the
         null point, leaving the statistic undefined.
     """
-    dev = p_hat.deviation
-    d = dev.size
-    v = cov.v_hat
-    flags = list(cov.degenerate)
-    if cov.trace <= 0.0:
-        return _zero_covariance(dev, "wald", flags)
-    eigvals, eigvecs = np.linalg.eigh((v + v.T) / 2.0)
-    kept = np.abs(eigvals) > _PINV_RANK_REL * cov.trace / d
-    rank = int(kept.sum())
-    proj = eigvecs[:, kept].T @ dev
-    stat = float(n * np.sum(proj * proj / eigvals[kept]))
-    if rank < d:
-        flags.append(f"singular covariance: pseudo-inverse with rank {rank}")
-    if stat < 0.0:
-        # possible when the general-pattern estimate is indefinite
-        flags.append("negative quadratic form clamped to zero for the p-value")
-    p = chisq_upper_tail(max(stat, 0.0), float(rank))
-    return TestReport(stat, float(rank), p, p <= alpha, "wald", tuple(flags))
+    single = p_hat.p_hat.ndim == 1
+    d = p_hat.p_hat.shape[-1]
+    dev = p_hat.deviation.reshape(-1, d)
+    v = cov.v_hat.reshape(-1, d, d)
+    trace = np.reshape(cov.trace, -1)
+    zero = _zero_covariance(dev, trace)
+    eigvals, eigvecs = np.linalg.eigh((v + v.swapaxes(1, 2)) / 2.0)
+    kept = np.abs(eigvals) > _PINV_RANK_REL * trace[:, None] / d
+    rank = kept.sum(axis=1)
+    # eigenvectors as contiguous rows: the layout one replicate's kept
+    # columns hand to BLAS, so a block projects exactly as its replicates do
+    proj = (np.ascontiguousarray(eigvecs.swapaxes(1, 2)) @ dev[:, :, None])[:, :, 0]
+    terms = np.divide(proj * proj, eigvals, out=np.zeros_like(proj), where=kept)
+    stat = n * terms.sum(axis=1)
+    flags = _flags(cov.degenerate, zero)
+    for i in np.flatnonzero((rank < d) & ~zero):
+        # a pseudo-inverse projects onto the kept eigenvectors alone
+        proj = eigvecs[i][:, kept[i]].T @ dev[i]
+        stat[i] = n * np.sum(proj * proj / eigvals[i][kept[i]])
+        flags[i] += (f"singular covariance: pseudo-inverse with rank {rank[i]}",)
+    stat[zero] = 0.0
+    df = np.where(zero, 0.0, rank)
+    # possible when the general-pattern estimate is indefinite
+    for i in np.flatnonzero(stat < 0.0):
+        flags[i] += ("negative quadratic form clamped to zero for the p-value",)
+    p = np.ones(stat.shape)
+    p[~zero] = chisq_upper_tail(np.maximum(stat[~zero], 0.0), df[~zero])
+    return _report(stat, df, p, p <= alpha, "wald", flags, single)
 
 
 def anova_test(
@@ -143,20 +187,24 @@ def anova_test(
 ) -> TestReport:
     """Trace-normalized quadratic form with estimated degrees of freedom.
 
+    A block gives one test per replicate.
+
     Raises
     ------
     ZeroCovariance
         The covariance trace vanishes but the effect deviates from the null
         point.
     """
-    dev = p_hat.deviation
-    flags = list(cov.degenerate)
-    if cov.trace <= 0.0:
-        return _zero_covariance(dev, "anova", flags)
-    stat = float(n / cov.trace * np.sum(dev * dev))
-    nu = cov.nu_hat
-    p = chisq_upper_tail(nu * stat, nu)
-    return TestReport(stat, nu, p, p <= alpha, "anova", tuple(flags))
+    single = p_hat.p_hat.ndim == 1
+    dev = p_hat.deviation.reshape(-1, p_hat.p_hat.shape[-1])
+    trace = np.reshape(cov.trace, -1)
+    zero = _zero_covariance(dev, trace)
+    scale = np.divide(n, trace, out=np.zeros(trace.shape), where=~zero)
+    stat = scale * np.sum(dev * dev, axis=1)
+    df = np.where(zero, 0.0, np.reshape(cov.nu_hat, -1))
+    p = np.ones(stat.shape)
+    p[~zero] = chisq_upper_tail(df[~zero] * stat[~zero], df[~zero])
+    return _report(stat, df, p, p <= alpha, "anova", _flags(cov.degenerate, zero), single)
 
 
 @dataclass(frozen=True)
@@ -194,6 +242,12 @@ def analyze(
     restriction is inestimable yield placeholder reports instead of
     aborting the run.  ``alpha`` outside (0, 1) and a method list that is
     empty, repeats a method or names an unknown one raise ``ValueError``.
+
+    ``sample`` may be a block of replicates; every effect, covariance and
+    report then has its leading replicate axis, and a skip applies to the
+    whole block, since its reasons depend on the shared mask alone.  The
+    exception is a zero covariance off the null point, which belongs to a
+    replicate: a block of several raises :class:`ZeroCovariance` instead.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -207,17 +261,23 @@ def analyze(
     # inestimability of the unrestricted data is a dataset problem and fails
     # hard; methods below only soft-skip when their *restriction* causes it
     check_estimable(idx)
+    batch = sample.values.shape[:-2]
     out = []
     for method in methods:
         try:
             sub, sub_idx = restrict_method(sample, idx, method)
-            ranks = build_rank_table(sub, sub_idx)
+            ranks = build_rank_table(sub)
             eff = estimate_effects(sub, sub_idx, ranks)
             cov = _select_covariance(sub, sub_idx, ranks, pattern)
             wald = wald_test(eff, cov, sub.n, alpha)
             anova = anova_test(eff, cov, sub.n, alpha)
             out.append(MethodAnalysis(method, eff, cov, sub.n, wald, anova))
         except (EverythingFiltered, NoEstimablePart, ZeroCovariance) as exc:
+            # the first two depend on the mask and so hold for every replicate
+            # of a block; a zero covariance is one replicate's, and a block of
+            # several raises it for its caller to re-run them one at a time
+            if isinstance(exc, ZeroCovariance) and batch and batch[0] > 1:
+                raise
             reason = str(exc)
             out.append(
                 MethodAnalysis(
@@ -225,8 +285,8 @@ def analyze(
                     None,
                     None,
                     0,
-                    _skipped("wald", reason),
-                    _skipped("anova", reason),
+                    _skipped("wald", reason, batch),
+                    _skipped("anova", reason, batch),
                     skipped=reason,
                 )
             )

@@ -13,7 +13,13 @@ variables, three allocation designs spread subjects over all 15 nonempty
 patterns, counted down from 15 so the complete case comes first.
 
 Replicates use counter-based seeding, so results are reproducible and
-independent of execution order.
+independent of execution order.  :func:`run_scenario` draws each replicate
+from its own generator, as :func:`draw_sample` does for one, and stacks the
+draws of consecutive replicates into blocks that share the scenario's mask;
+each block goes through :func:`~rankeffect.inference.analyze` once.  A
+block holds ``max(1, CELLS // (2d * n))`` replicates, so its arrays stay
+small whatever the sample size.  Tallies, failures and every output are
+the same as one replicate at a time would give.
 """
 
 import os
@@ -42,6 +48,12 @@ DISTRIBUTIONS = ("normal", "lognormal", "cauchy")
 PATTERNS = {"simple": 3, "design1": 1, "design2": 2, "design3": 1}
 #: Dimensions of the built-in grids that vary ``d``.
 DIMS = (2, 3, 5)
+#: Cells (replicates x 2d x n) of a block of replicates analyzed at once:
+#: enough that many small replicates share each call's overhead, few enough
+#: that a block's arrays stay within about 2 MB at any sample size (the
+#: pipeline peaks near 60 bytes per cell).  Twice as many cells run no
+#: faster and hold twice the memory.
+CELLS = 32_768
 
 
 def build_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> np.ndarray:
@@ -188,20 +200,31 @@ def _draw_plan(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return chol, mu, observed
 
 
-def draw_sample(scenario: Scenario, replicate_index: int) -> MaskedSample:
-    """One replicate's masked sample; deterministic given (seed, index)."""
+def draw_sample(scenario: Scenario, replicates: int | range) -> MaskedSample:
+    """One replicate's masked sample, or the block of a range of replicates.
+
+    Deterministic given (seed, index): each replicate draws from its own
+    generator, so a block holds exactly the replicates' own draws.
+
+    Raises
+    ------
+    NonFiniteObservedValue
+        A draw (of any replicate of a block) overflowed.
+    """
     chol, mu, observed = _draw_plan(scenario)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(scenario.seed, spawn_key=(replicate_index,))
-    )
-    z = rng.standard_normal(observed.shape)
-    if scenario.distribution == "cauchy":
-        halfnorm = np.abs(rng.standard_normal(observed.shape[1]))
-        x = (chol @ z) / halfnorm[None, :] + mu[:, None]
-    else:
-        w = chol @ z + mu[:, None]
-        x = np.rint(w) if scenario.distribution == "normal" else np.exp(w)
-    return build_masked_sample(x, observed)
+    block = isinstance(replicates, range)
+    indices = replicates if block else [replicates]
+    values = np.empty((len(indices), *observed.shape))
+    for out, index in zip(values, indices):
+        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(index,)))
+        z = rng.standard_normal(observed.shape)
+        if scenario.distribution == "cauchy":
+            halfnorm = np.abs(rng.standard_normal(observed.shape[1]))
+            out[...] = (chol @ z) / halfnorm[None, :] + mu[:, None]
+        else:
+            w = chol @ z + mu[:, None]
+            out[...] = np.rint(w) if scenario.distribution == "normal" else np.exp(w)
+    return build_masked_sample(values if block else values[0], observed)
 
 
 @dataclass(frozen=True)
@@ -236,31 +259,42 @@ class SimulationResult:
 def run_scenario(scenario: Scenario) -> SimulationResult:
     """Draw, estimate and test ``replications`` times; tally rejections.
 
-    A replicate that raises a :class:`RankEffectError` is counted as a
-    failure and never aborts the run; any other exception is a bug and
-    propagates.  A method that :func:`analyze` reports as skipped (its
-    ``skipped`` reason is set) is tallied as skipped, not as evaluated.
+    Replicates run in blocks of ``max(1, CELLS // (2d * n))``.  A replicate
+    that raises a :class:`RankEffectError` is counted as a failure and never
+    aborts the run: a block that raises one is run again one replicate at a
+    time, so that the error fails (or, for :class:`ZeroCovariance`, skips)
+    its own replicate alone.  Any other exception is a bug and propagates.
+    A method that :func:`analyze` reports as skipped (its ``skipped`` reason
+    is set) is tallied as skipped, not as evaluated.
     """
     keys = [f"{fam}:{meth}" for meth in scenario.methods for fam in FAMILIES]
     counters = {k: [0, 0, 0, 0] for k in keys}  # rej, eval, skip, flagged
     failures = 0
-    for r in range(scenario.replications):
+    reps = scenario.replications
+    size = max(1, CELLS // _draw_plan(scenario)[2].size)
+    # a stack: the first block is popped first, then a failed block's replicates
+    blocks = [range(r, min(r + size, reps)) for r in range(0, reps, size)][::-1]
+    while blocks:
+        block = blocks.pop()
         try:
-            sample = draw_sample(scenario, r)
+            sample = draw_sample(scenario, block)
             idx = derive_pattern_index(sample)
             analyses = analyze(sample, idx, alpha=scenario.alpha, methods=scenario.methods)
         except RankEffectError:
-            failures += 1
+            if len(block) == 1:
+                failures += 1
+            else:
+                blocks.extend(range(r, r + 1) for r in reversed(block))
             continue
         for item in analyses:
             for rep in (item.wald, item.anova):
                 c = counters[f"{rep.family}:{item.method}"]
                 if item.skipped is not None:
-                    c[2] += 1
+                    c[2] += len(block)
                 else:
-                    c[0] += int(rep.reject)
-                    c[1] += 1
-                    c[3] += int(bool(rep.flags))
+                    c[0] += int(np.count_nonzero(rep.reject))
+                    c[1] += len(block)
+                    c[3] += sum(map(bool, rep.flags))
     tallies = {k: MethodTally(*v) for k, v in counters.items()}
     return SimulationResult(scenario=scenario, tallies=tallies, failures=failures)
 

@@ -188,6 +188,21 @@ def covariance_from_marginals(sample, idx, marginal_cdfs) -> np.ndarray:
     return v
 
 
+def wald_statistic_pinv(dev, v_hat, n: int) -> float:
+    """One replicate's Wald statistic through the eigenpairs its pseudo-inverse keeps.
+
+    The statistic ``n * sum_k (u_k . dev)^2 / lambda_k`` over the kept
+    eigenpairs, evaluated as one matrix-vector product of the kept
+    eigenvectors; the package must give the same float for every replicate
+    of a block.
+    """
+    d = dev.size
+    eigvals, eigvecs = np.linalg.eigh((v_hat + v_hat.T) / 2.0)
+    kept = np.abs(eigvals) > 1e-10 * np.trace(v_hat) / d
+    proj = eigvecs[:, kept].T @ dev
+    return float(n * np.sum(proj * proj / eigvals[kept]))
+
+
 def chisq_upper_tail_highprec(x: float, k: float, dps: int = 50) -> float:
     """Upper chi-square tail via an arbitrary-precision series/continued fraction.
 

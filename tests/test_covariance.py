@@ -24,7 +24,7 @@ from oracles import (
 
 def pipeline(sample):
     idx = derive_pattern_index(sample)
-    return idx, build_rank_table(sample, idx)
+    return idx, build_rank_table(sample)
 
 
 class TestCovarianceSimple:
@@ -75,14 +75,14 @@ class TestCovarianceSimple:
             sample, idx = random_general_sample(rng, d=2, n=15)
             if not idx.is_simple_pattern:
                 break
-        rt = build_rank_table(sample, idx)
+        rt = build_rank_table(sample)
         with pytest.raises(PatternMismatch):
             covariance_simple(sample, idx, rt)
 
     def test_psd_and_symmetric_on_random_instances(self, rng):
         for _ in range(100):
             sample, idx = random_simple_sample(rng, min_part=2)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             cov = covariance_simple(sample, idx, rt)
             assert np.array_equal(cov.v_hat, cov.v_hat.T)
             assert np.linalg.eigvalsh(cov.v_hat).min() >= -1e-10
@@ -91,7 +91,7 @@ class TestCovarianceSimple:
     def test_nu_hat_within_dimension_bounds(self, rng):
         for _ in range(60):
             sample, idx = random_simple_sample(rng, min_part=3)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             cov = covariance_simple(sample, idx, rt)
             if cov.trace_sq > 0:
                 assert 1.0 - 1e-12 <= cov.nu_hat <= sample.d + 1e-12
@@ -99,7 +99,7 @@ class TestCovarianceSimple:
     def test_rank_scale_equals_placement_scale(self, rng):
         for _ in range(60):
             sample, idx = random_simple_sample(rng, min_part=2)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             cov = covariance_simple(sample, idx, rt)
             place = placements(rt, idx)
             via_placements = covariance_simple_placement_scale(sample, idx, place)
@@ -110,7 +110,7 @@ class TestCovarianceGeneral:
     def test_reduces_to_simple_on_treatment_level_data(self, rng):
         for _ in range(200):
             sample, idx = random_simple_sample(rng, min_part=2)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             vs = covariance_simple(sample, idx, rt).v_hat
             vg = covariance_general(sample, idx, rt).v_hat
             assert np.abs(vs - vg).max() < 1e-10
@@ -118,7 +118,7 @@ class TestCovarianceGeneral:
     def test_diagonal_uses_only_own_component_terms(self, rng):
         for _ in range(20):
             sample, idx = random_general_sample(rng)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             cov = covariance_general(sample, idx, rt)
             _, _, terms = covariance_nine_term(sample, idx, rt)
             for l in range(sample.d):
@@ -163,7 +163,7 @@ class TestCovarianceGeneral:
         rng = np.random.default_rng(seed)
         sample, idx = random_general_sample(rng, ties=ties)
         d = sample.d
-        v = covariance_general(sample, idx, build_rank_table(sample, idx)).v_hat
+        v = covariance_general(sample, idx, build_rank_table(sample)).v_hat
         # swapping the groups negates every rank-difference row and exchanges
         # the one-sided sets, so only the summation order changes
         swap = np.r_[d:2 * d, 0:d]
@@ -179,7 +179,7 @@ class TestCovarianceGeneral:
     def test_symmetric_as_computed(self, rng):
         for _ in range(40):
             sample, idx = random_general_sample(rng, d=3)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             cov = covariance_general(sample, idx, rt)
             assert np.array_equal(cov.v_hat, cov.v_hat.T)
             assert (np.diag(cov.v_hat) >= 0.0).all()

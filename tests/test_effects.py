@@ -17,7 +17,7 @@ from oracles import effect_bruteforce
 
 def pipeline(sample):
     idx = derive_pattern_index(sample)
-    return idx, build_rank_table(sample, idx)
+    return idx, build_rank_table(sample)
 
 
 class TestEstimateEffects:
@@ -56,7 +56,7 @@ class TestEstimateEffects:
     def test_rank_equals_integral_on_random_general_masks(self, rng):
         for _ in range(200):
             sample, idx = random_general_sample(rng)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             a = estimate_effects(sample, idx, rt).p_hat
             b = effect_bruteforce(sample, idx)
             assert np.abs(a - b).max() < 1e-12
@@ -64,14 +64,14 @@ class TestEstimateEffects:
     def test_range_and_weights(self, rng):
         for _ in range(50):
             sample, idx = random_simple_sample(rng)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             eff = estimate_effects(sample, idx, rt)
             assert (eff.p_hat >= 0.0).all() and (eff.p_hat <= 1.0).all()
 
     def test_antisymmetry_under_group_swap(self, rng):
         for _ in range(30):
             sample, idx = random_general_sample(rng)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             p = estimate_effects(sample, idx, rt).p_hat
             d = sample.d
             swapped_vals = np.vstack([sample.values[d:], sample.values[:d]])
@@ -84,7 +84,7 @@ class TestEstimateEffects:
     def test_monotone_invariance(self, rng):
         for _ in range(20):
             sample, idx = random_general_sample(rng)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             p = estimate_effects(sample, idx, rt).p_hat
             transformed = 3.0 * sample.values + np.exp(sample.values / 4.0)
             s2 = build_masked_sample(

@@ -148,7 +148,7 @@ class TestAnova:
         for _ in range(reps):
             s = build_masked_sample(rng.standard_normal(obs.shape), obs)
             idx = derive_pattern_index(s)
-            rt = build_rank_table(s, idx)
+            rt = build_rank_table(s)
             eff = estimate_effects(s, idx, rt)
             from rankeffect import covariance_simple
 

@@ -105,7 +105,7 @@ class TestRankTable:
         obs = np.ones((2, 2), bool)
         s = build_masked_sample([[1.0, 3.0], [2.0, 4.0]], obs)
         idx = derive_pattern_index(s)
-        rt = build_rank_table(s, idx)
+        rt = build_rank_table(s)
         assert list(rt.overall[0]) == [1.0, 3.0]
         assert list(rt.overall[1]) == [2.0, 4.0]
         assert list(rt.internal[0]) == [1.0, 2.0]
@@ -116,7 +116,7 @@ class TestRankTable:
         vals = np.full(obs.shape, 3.0)
         s = build_masked_sample(vals, obs)
         idx = derive_pattern_index(s)
-        rt = build_rank_table(s, idx)
+        rt = build_rank_table(s)
         n_pooled = 6
         observed = rt.overall[~np.isnan(rt.overall)]
         assert np.array_equal(observed, np.full(n_pooled, (n_pooled + 1) / 2))
@@ -128,7 +128,7 @@ class TestRankTable:
         obs[2] = True  # var 1 observed in both groups, var 2 nowhere
         s = build_masked_sample(np.zeros((4, 3)), obs)
         idx = derive_pattern_index(s)
-        rt = build_rank_table(s, idx)
+        rt = build_rank_table(s)
         for table in (rt.overall, rt.internal):
             assert np.isnan(table[[1, 3]]).all() and not np.isnan(table[[0, 2]]).any()
         with pytest.raises(InestimableComponent) as exc:
@@ -138,7 +138,7 @@ class TestRankTable:
     def test_matches_bruteforce_on_random_masks(self, rng):
         for _ in range(30):
             sample, idx = random_general_sample(rng)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             d = sample.d
             for l in range(d):
                 c1 = np.flatnonzero(sample.observed[l])
@@ -157,7 +157,7 @@ class TestRankTable:
     @settings(max_examples=300, deadline=None)
     def test_equals_scipy_rankdata_per_component(self, sample):
         # exact: both tables are half-integers; rows without an observation stay NaN
-        rt = build_rank_table(sample, derive_pattern_index(sample))
+        rt = build_rank_table(sample)
         overall, internal = rankdata_tables(sample)
         assert np.array_equal(rt.overall, overall, equal_nan=True)
         assert np.array_equal(rt.internal, internal, equal_nan=True)
@@ -167,7 +167,7 @@ class TestRankTable:
     def test_rank_sum_identities_on_random_masks(self, rng):
         for _ in range(30):
             sample, idx = random_general_sample(rng)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             d = sample.d
             for l in range(d):
                 pooled = np.concatenate([rt.overall[l], rt.overall[d + l]])
@@ -182,12 +182,12 @@ class TestRankTable:
     def test_monotone_invariance(self, rng):
         for _ in range(10):
             sample, idx = random_general_sample(rng, ties=True)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             transformed = np.exp(0.3 * sample.values) + sample.values**3
             s2 = build_masked_sample(
                 np.where(sample.observed, transformed, 0.0), sample.observed
             )
-            rt2 = build_rank_table(s2, derive_pattern_index(s2))
+            rt2 = build_rank_table(s2)
             assert np.array_equal(rt.overall, rt2.overall, equal_nan=True)
             assert np.array_equal(rt.internal, rt2.internal, equal_nan=True)
 
@@ -197,7 +197,7 @@ class TestPlacements:
         obs = np.ones((2, 2), bool)
         s = build_masked_sample([[1.0, 3.0], [2.0, 4.0]], obs)
         idx = derive_pattern_index(s)
-        y = placements(build_rank_table(s, idx), idx)
+        y = placements(build_rank_table(s), idx)
         assert y[1, 0] == pytest.approx(0.5)   # group-2 value 2
         assert y[1, 1] == pytest.approx(1.0)   # group-2 value 4
 
@@ -207,7 +207,7 @@ class TestPlacements:
         vals[1] += 100.0  # group 2 entirely above group 1
         s = build_masked_sample(vals, obs)
         idx = derive_pattern_index(s)
-        y = placements(build_rank_table(s, idx), idx)
+        y = placements(build_rank_table(s), idx)
         assert np.allclose(y[1][~np.isnan(y[1])], 1.0)
         assert np.allclose(y[0][~np.isnan(y[0])], 0.0)
 
@@ -217,14 +217,14 @@ class TestPlacements:
         vals = np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]])
         s = build_masked_sample(vals, obs)
         idx = derive_pattern_index(s)
-        y = placements(build_rank_table(s, idx), idx)
+        y = placements(build_rank_table(s), idx)
         assert y[1].mean() == pytest.approx(0.5)
         assert y[0].mean() == pytest.approx(0.5)
 
     def test_range_on_random_masks(self, rng):
         for _ in range(30):
             sample, idx = random_general_sample(rng)
-            y = placements(build_rank_table(sample, idx), idx)
+            y = placements(build_rank_table(sample), idx)
             finite = y[~np.isnan(y)]
             assert (finite >= 0.0).all() and (finite <= 1.0).all()
 
@@ -233,7 +233,7 @@ class TestPlacements:
         minus the mean group-1 placement."""
         for _ in range(30):
             sample, idx = random_general_sample(rng)
-            rt = build_rank_table(sample, idx)
+            rt = build_rank_table(sample)
             y = placements(rt, idx)
             p = estimate_effects(sample, idx, rt).p_hat
             d = sample.d

@@ -287,6 +287,38 @@ class TestRunScenario:
             run_scenario(scenario(replications=3))
 
 
+class TestBlocks:
+    @pytest.mark.parametrize("kw, failures, skipped", [
+        (dict(sizes=(10, 3, 1), replications=40, methods=METHODS), 0, 0),
+        (dict(pattern="design1", sizes=(75,), distribution="cauchy", replications=30), 0, 0),
+        # exp overflows in one replicate of the run, which alone fails;
+        # another has a zero covariance off the null point, which skips it
+        (dict(distribution="lognormal", d=1, delta=(0.0,), sigma_sq=(1.0, 1e5),
+              sizes=(2, 0, 2), replications=20, seed=2), 1, 1),
+        (dict(d=1, delta=(0.5,), sigma_sq=(0.01, 0.01), sizes=(2, 0, 0),
+              replications=20, methods=("all", "complete")), 0, 4),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_block_size_changes_no_tally(self, monkeypatch, kw, failures, skipped):
+        import rankeffect.simulate as sim
+
+        s = scenario(**kw)
+        results = []
+        for cells in (1, 10**9):  # one replicate per block, then the whole run in one
+            monkeypatch.setattr(sim, "CELLS", cells)
+            results.append(run_scenario(s))
+        assert results[0] == results[1]
+        assert results[0].failures == failures
+        assert results[0].tallies["wald:all"].skipped == skipped
+
+    def test_block_draws_are_the_replicates_draws(self):
+        s = scenario(distribution="cauchy", pattern="design1", sizes=(75,), seed=3)
+        block = draw_sample(s, range(4, 7))
+        for i, r in enumerate(range(4, 7)):
+            assert np.array_equal(block.values[i], draw_sample(s, r).values, equal_nan=True)
+        assert np.array_equal(block.observed, draw_sample(s, 4).observed)
+
+
 class TestRunGrid:
     def test_empty_grid(self):
         assert run_grid([]) == []
