@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MaskedSample, PatternIndex, check_estimable
+from .data import MaskedSample, PatternIndex
 from .errors import NoEstimablePart, PatternMismatch
 from .ranks import RankTable
 
@@ -55,7 +55,6 @@ def _kernel(idx: PatternIndex, ranks: RankTable) -> tuple[np.ndarray, np.ndarray
     or group-1-only (a=2) row.  The estimate is exactly symmetric but not
     forced to be positive semidefinite.
     """
-    check_estimable(idx)
     d, n = idx.d, idx.n
     b = ranks.overall - ranks.internal
     lo, hi = b[..., :d, :], b[..., d:, :]
@@ -146,11 +145,6 @@ def covariance_general(
     Every single-subject intersection is flagged as term ``C1..C9`` (in the
     order complete, group-2-only, group-1-only for the left then the right
     component) of entry (l, r), r >= l.
-
-    Raises
-    ------
-    InestimableComponent
-        Some group has no observation at all on a component.
     """
     v, e = _kernel(idx, ranks)
     d = idx.d

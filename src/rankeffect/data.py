@@ -104,7 +104,9 @@ class PatternIndex:
 
     For component ``l`` the three boolean rows partition the subjects that
     are observed on ``l`` in at least one group: observed in both groups
-    (complete), in group 1 only, or in group 2 only.
+    (complete), in group 1 only, or in group 2 only.  Only
+    :func:`derive_pattern_index` builds one, so both groups have data on
+    every component of every index.
     """
 
     d: int
@@ -138,10 +140,21 @@ def derive_pattern_index(sample: MaskedSample) -> PatternIndex:
     The treatment-level layout (each subject either fully paired or observed
     in exactly one group on all components) is detected and reported via
     ``is_simple_pattern``; it makes the treatment-level covariance estimator valid.
+
+    Raises
+    ------
+    InestimableComponent
+        Some group has no observation at all on a component; the first
+        such component, and its first such group, is named.
     """
     d = sample.d
     obs1 = sample.observed[:d]
     obs2 = sample.observed[d:]
+    has1, has2 = obs1.any(axis=1), obs2.any(axis=1)
+    bad = np.flatnonzero(~(has1 & has2))
+    if bad.size:
+        l = int(bad[0])
+        raise InestimableComponent(l, group=2 if has1[l] else 1)
     complete = obs1 & obs2
     g1_only = obs1 & ~obs2
     g2_only = ~obs1 & obs2
@@ -161,15 +174,6 @@ def derive_pattern_index(sample: MaskedSample) -> PatternIndex:
         n2_only=_freeze(g2_only.sum(axis=1)),
         is_simple_pattern=simple,
     )
-
-
-def check_estimable(idx: PatternIndex) -> None:
-    """Raise :class:`InestimableComponent` unless both groups have data on every component."""
-    m1, m2 = idx.m1, idx.m2
-    bad = np.flatnonzero((m1 == 0) | (m2 == 0))
-    if bad.size:
-        l = int(bad[0])
-        raise InestimableComponent(l, group=1 if m1[l] == 0 else 2)
 
 
 def check_assumptions(idx: PatternIndex) -> list[str]:

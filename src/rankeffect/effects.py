@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    MaskedSample,
-    PatternIndex,
-    build_masked_sample,
-    check_estimable,
-    derive_pattern_index,
-)
+from .data import MaskedSample, PatternIndex, build_masked_sample, derive_pattern_index
 from .errors import EverythingFiltered, InestimableComponent
 from .ranks import RankTable
 
@@ -72,13 +66,7 @@ def estimate_effects(
     """Effect vector from the difference of the groups' mean pooled midranks.
 
     A block's ranks give one effect vector per replicate.
-
-    Raises
-    ------
-    InestimableComponent
-        Some group has no observation at all on a component.
     """
-    check_estimable(idx)
     d = idx.d
     observed = sample.observed
     means = np.where(observed, ranks.overall, 0.0).sum(axis=-1) / observed.sum(axis=-1)
@@ -126,9 +114,8 @@ def restrict_method(
             f"restriction {method!r} leaves {int(keep.sum())} subject(s)"
         )
     restricted = build_masked_sample(sample.values[..., keep], new_obs[:, keep])
-    new_idx = derive_pattern_index(restricted)
     try:
-        check_estimable(new_idx)
+        new_idx = derive_pattern_index(restricted)
     except InestimableComponent as exc:
         raise EverythingFiltered(
             f"restriction {method!r} leaves no group-{exc.group} data "

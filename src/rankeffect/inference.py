@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from .covariance import CovarianceEstimate, covariance_general, covariance_simple
-from .data import MaskedSample, PatternIndex, check_estimable
+from .data import MaskedSample, PatternIndex
 from .effects import METHODS, EffectEstimate, check_methods, estimate_effects, restrict_method
 from .errors import (
     DomainError,
@@ -258,9 +258,6 @@ def analyze(
         raise PatternMismatch(
             "pattern mismatch: data does not have treatment-level missingness"
         )
-    # inestimability of the unrestricted data is a dataset problem and fails
-    # hard; methods below only soft-skip when their *restriction* causes it
-    check_estimable(idx)
     batch = sample.values.shape[:-2]
     out = []
     for method in methods:

@@ -13,6 +13,10 @@ runs of equal values, and give a run that starts at position ``s`` and holds
 rows of both groups once; a cell's within-group midrank counts, from the
 same sort, the cells of its own group before its run and inside it.  Every
 rank is a half-integer computed exactly.
+
+Ranking needs the sample alone and raises nothing.  Placements also take a
+:class:`~rankeffect.data.PatternIndex`, which exists only when both groups
+have data on every component, so the group counts they divide by are positive.
 """
 
 from dataclasses import dataclass
@@ -81,8 +85,8 @@ def build_rank_table(sample: MaskedSample) -> RankTable:
     then group 2, with unobserved cells set to ``+inf`` so that they sort
     last; one ``argsort`` of all pooled rows, of every replicate of a block,
     gives both tables.  A group with no observation on a component leaves
-    its rows NaN; :func:`~rankeffect.data.check_estimable` is the rule that
-    rejects it.
+    its rows NaN; such a sample has no pattern index, since
+    :func:`~rankeffect.data.derive_pattern_index` rejects it.
     """
     d, n = sample.d, sample.n
     keys = np.where(sample.observed, sample.values, np.inf)
@@ -122,15 +126,11 @@ def placements(ranks: RankTable, idx: PatternIndex) -> np.ndarray:
 
     ``y[row, k] = (overall - internal) / m_other`` lies in [0, 1]; it is the
     weighted empirical CDF of the other group's sample at the observed value.
-    Unobserved cells, and cells whose opposite group has no data on the
-    component, hold NaN.  Returns a read-only array shaped like the table.
+    Unobserved cells hold NaN.  Returns a read-only array shaped like the table.
     """
     d = idx.d
-    m1 = idx.m1.astype(float)
-    m2 = idx.m2.astype(float)
     y = ranks.overall - ranks.internal
-    with np.errstate(invalid="ignore", divide="ignore"):
-        y[..., :d, :] /= np.where(m2 > 0, m2, np.nan)[:, None]
-        y[..., d:, :] /= np.where(m1 > 0, m1, np.nan)[:, None]
+    y[..., :d, :] /= idx.m2[:, None]
+    y[..., d:, :] /= idx.m1[:, None]
     y.setflags(write=False)
     return y

@@ -63,16 +63,17 @@ def parse_dataset(
         A row with a different number of cells than the first one.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
+        reader = csv.reader(fh)
+        # each nonblank row with the file line it ends on, for error messages
+        rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
     if not rows:
         raise ParseError("no rows")
-    first = [cell.strip() for cell in rows[0]]
+    first = [cell.strip() for cell in rows[0][1]]
     has_header = any(not _is_number(c) and c != na_token for c in first)
     data_rows = rows[1:] if has_header else rows
     if not data_rows:
         raise ParseError("no data rows (header only)")
-    width = len(rows[0])
+    width = len(first)
     if width % 2 != 0:
         raise ParseError(f"column count {width} is odd; expected 2 * d")
     d = width // 2
@@ -82,10 +83,9 @@ def parse_dataset(
     n = len(data_rows)
     values = np.zeros((2 * d, n))
     observed = np.zeros((2 * d, n), dtype=bool)
-    header_offset = 2 if has_header else 1
-    for k, row in enumerate(data_rows):
+    for k, (line, row) in enumerate(data_rows):
         if len(row) != width:
-            raise InconsistentWidth(line=k + header_offset, expected=width, got=len(row))
+            raise InconsistentWidth(line=line, expected=width, got=len(row))
         for j, cell in enumerate(row):
             token = cell.strip()
             if token == na_token or token == "":
@@ -95,7 +95,7 @@ def parse_dataset(
             except ValueError:
                 raise ParseError(
                     f"cell {token!r} is neither a number nor {na_token!r}",
-                    line=k + header_offset,
+                    line=line,
                     column=j + 1,
                 ) from None
             observed[j, k] = True

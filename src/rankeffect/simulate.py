@@ -24,7 +24,6 @@ the same as one replicate at a time would give.
 
 import os
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -180,12 +179,12 @@ class Scenario:
         return [_int_exact(n_complete, "n_complete")] + [100] * 14
 
 
-@lru_cache(maxsize=8)
 def _draw_plan(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The parts of a draw that depend only on the scenario, built once per scenario.
+    """The parts of a draw that depend only on the scenario.
 
     Returns the Cholesky factor of the covariance, the mean and the
-    observedness mask, all read-only because every replicate shares them.
+    observedness mask; :func:`draw_sample` builds them once per call, and
+    every replicate of a block shares them.
     """
     d = scenario.d
     chol = np.linalg.cholesky(build_sigma(d, *scenario.rho, *scenario.sigma_sq))
@@ -195,8 +194,6 @@ def _draw_plan(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bits = blocks if scenario.pattern == "simple" else range(full, 0, -1)
     counts = scenario.pattern_counts()
     observed = (np.repeat(bits, counts)[None, :] >> np.arange(2 * d)[:, None]) & 1 == 1
-    for a in (chol, mu, observed):
-        a.setflags(write=False)
     return chol, mu, observed
 
 
@@ -215,15 +212,17 @@ def draw_sample(scenario: Scenario, replicates: int | range) -> MaskedSample:
     block = isinstance(replicates, range)
     indices = replicates if block else [replicates]
     values = np.empty((len(indices), *observed.shape))
-    for out, index in zip(values, indices):
-        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(index,)))
-        z = rng.standard_normal(observed.shape)
-        if scenario.distribution == "cauchy":
-            halfnorm = np.abs(rng.standard_normal(observed.shape[1]))
-            out[...] = (chol @ z) / halfnorm[None, :] + mu[:, None]
-        else:
-            w = chol @ z + mu[:, None]
-            out[...] = np.rint(w) if scenario.distribution == "normal" else np.exp(w)
+    # an overflowing draw becomes inf, which build_masked_sample rejects
+    with np.errstate(over="ignore"):
+        for out, index in zip(values, indices):
+            rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(index,)))
+            z = rng.standard_normal(observed.shape)
+            if scenario.distribution == "cauchy":
+                halfnorm = np.abs(rng.standard_normal(observed.shape[1]))
+                out[...] = (chol @ z) / halfnorm[None, :] + mu[:, None]
+            else:
+                w = chol @ z + mu[:, None]
+                out[...] = np.rint(w) if scenario.distribution == "normal" else np.exp(w)
     return build_masked_sample(values if block else values[0], observed)
 
 
@@ -271,7 +270,7 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
     counters = {k: [0, 0, 0, 0] for k in keys}  # rej, eval, skip, flagged
     failures = 0
     reps = scenario.replications
-    size = max(1, CELLS // _draw_plan(scenario)[2].size)
+    size = max(1, CELLS // (2 * scenario.d * sum(scenario.pattern_counts())))
     # a stack: the first block is popped first, then a failed block's replicates
     blocks = [range(r, min(r + size, reps)) for r in range(0, reps, size)][::-1]
     while blocks:

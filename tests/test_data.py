@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rankeffect import (
     build_masked_sample,
     check_assumptions,
     derive_pattern_index,
 )
-from rankeffect.errors import DimensionMismatch, EmptySubject, NonFiniteObservedValue
+from rankeffect.errors import (
+    DimensionMismatch,
+    EmptySubject,
+    InestimableComponent,
+    NonFiniteObservedValue,
+)
 
 from conftest import random_general_sample, simple_mask
 
@@ -136,6 +142,31 @@ class TestDerivePatternIndex:
             for l in range(d)
         )
         assert idx.is_simple_pattern == brute
+
+    @given(
+        hnp.arrays(
+            bool,
+            st.tuples(st.integers(1, 4), st.integers(2, 6)).map(lambda s: (2 * s[0], s[1])),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_raises_exactly_when_a_group_has_no_data(self, observed):
+        empty = ~observed.any(axis=0)
+        observed[np.flatnonzero(empty) % len(observed), empty] = True  # every subject has a cell
+        s = build_masked_sample(np.zeros(observed.shape), observed)
+        d = s.d
+        m1, m2 = observed[:d].sum(axis=1), observed[d:].sum(axis=1)
+        bad = np.flatnonzero((m1 == 0) | (m2 == 0))
+        if bad.size:
+            with pytest.raises(InestimableComponent) as exc:
+                derive_pattern_index(s)
+            l = bad[0]
+            group = 1 if m1[l] == 0 else 2
+            assert (exc.value.component, exc.value.group) == (l, group)
+            assert str(exc.value) == f"effect for component {l} is inestimable (group {group})"
+        else:
+            idx = derive_pattern_index(s)
+            assert np.array_equal(idx.m1, m1) and np.array_equal(idx.m2, m2)
 
 
 class TestCheckAssumptions:

@@ -49,9 +49,9 @@ class TestEstimateEffects:
         obs = np.zeros((2, 3), bool)
         obs[0] = True  # group 2 never observed
         s = build_masked_sample(np.zeros((2, 3)), obs)
-        idx, rt = pipeline(s)
-        with pytest.raises(InestimableComponent):
-            estimate_effects(s, idx, rt)
+        with pytest.raises(InestimableComponent) as exc:
+            derive_pattern_index(s)
+        assert (exc.value.component, exc.value.group) == (0, 2)
 
     def test_rank_equals_integral_on_random_general_masks(self, rng):
         for _ in range(200):
@@ -139,8 +139,14 @@ class TestRestrictMethod:
         obs = simple_mask(2, 4, 3, 0)  # no group-2-only subjects
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
         idx = derive_pattern_index(s)
-        with pytest.raises(EverythingFiltered):
+        with pytest.raises(EverythingFiltered) as exc:
             restrict_method(s, idx, "incomplete")
+        assert str(exc.value) == "restriction 'incomplete' leaves no group-2 data on component 0"
+        obs = simple_mask(2, 1, 3, 3)  # a single paired subject
+        s = build_masked_sample(rng.standard_normal(obs.shape), obs)
+        with pytest.raises(EverythingFiltered) as exc:
+            restrict_method(s, derive_pattern_index(s), "complete")
+        assert str(exc.value) == "restriction 'complete' leaves 1 subject(s)"
 
     def test_unknown_method(self, rng):
         sample, idx = random_simple_sample(rng)

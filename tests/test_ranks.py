@@ -122,17 +122,16 @@ class TestRankTable:
         assert np.array_equal(observed, np.full(n_pooled, (n_pooled + 1) / 2))
 
     def test_component_with_no_data(self):
-        # ranking leaves the component's rows NaN; the effect rejects it
+        # ranking leaves the component's rows NaN; the pattern index rejects it
         obs = np.zeros((4, 3), bool)
         obs[0] = True
         obs[2] = True  # var 1 observed in both groups, var 2 nowhere
         s = build_masked_sample(np.zeros((4, 3)), obs)
-        idx = derive_pattern_index(s)
         rt = build_rank_table(s)
         for table in (rt.overall, rt.internal):
             assert np.isnan(table[[1, 3]]).all() and not np.isnan(table[[0, 2]]).any()
         with pytest.raises(InestimableComponent) as exc:
-            estimate_effects(s, idx, rt)
+            derive_pattern_index(s)
         assert exc.value.component == 1
 
     def test_matches_bruteforce_on_random_masks(self, rng):

@@ -65,6 +65,18 @@ class TestParseDataset:
         with pytest.raises(InconsistentWidth):
             parse_dataset(path)
 
+    @pytest.mark.parametrize("text, error, line, column", [
+        ("1,2\n\n3,4\n3,oops\n", ParseError, 4, 2),
+        ("a,b\n\n\n1,2\n3\n", InconsistentWidth, 5, None),
+    ])
+    def test_error_line_counts_blank_lines(self, tmp_path, text, error, line, column):
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(path)
+        assert type(exc.value) is error
+        assert (exc.value.line, exc.value.column) == (line, column)
+
     def test_odd_column_count(self, tmp_path):
         path = tmp_path / "odd.csv"
         path.write_text("1,2,3\n4,5,6\n")

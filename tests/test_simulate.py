@@ -298,7 +298,6 @@ class TestBlocks:
         (dict(d=1, delta=(0.5,), sigma_sq=(0.01, 0.01), sizes=(2, 0, 0),
               replications=20, methods=("all", "complete")), 0, 4),
     ])
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_block_size_changes_no_tally(self, monkeypatch, kw, failures, skipped):
         import rankeffect.simulate as sim
 
