@@ -91,7 +91,7 @@ _CONFIG_READERS = {
 def _scenarios_from_config(path, reps: int | None) -> list[Scenario]:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8-sig")  # a byte-order mark is not a section
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario config {path!r}: {exc}") from None
     if not read:

@@ -34,26 +34,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Symmetric d x d estimate with trace diagnostics and provenance.
+    """Symmetric d x d estimate with its provenance; trace diagnostics derive from it.
 
-    For a block, ``v_hat`` is ``(R, d, d)`` and the three diagnostics are
-    ``(R,)`` arrays; ``degenerate`` is shared, as it depends on the mask alone.
+    For a block, ``v_hat`` is ``(R, d, d)`` and the diagnostics are ``(R,)``
+    arrays; ``degenerate`` is shared, as it depends on the mask alone.
     """
 
     v_hat: np.ndarray
-    trace: float
-    trace_sq: float        # trace of v_hat squared
-    nu_hat: float          # trace^2 / trace_sq; NaN if v_hat == 0
     estimator: str         # "simple" | "general"
     degenerate: tuple[str, ...] = ()
+
+    @property
+    def trace(self):
+        return np.trace(self.v_hat, axis1=-2, axis2=-1)[()]
+
+    @property
+    def trace_sq(self):
+        """Trace of ``v_hat`` squared."""
+        return np.sum(self.v_hat * self.v_hat, axis=(-2, -1))[()]  # symmetric v_hat
+
+    @property
+    def nu_hat(self):
+        """ANOVA-type degrees of freedom ``trace**2 / trace_sq``; NaN where ``v_hat`` is zero."""
+        trace, trace_sq = self.trace, self.trace_sq
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(trace_sq > 0, trace * trace / trace_sq, np.nan)[()]
 
 
 def _kernel(idx: PatternIndex, ranks: RankTable) -> tuple[np.ndarray, np.ndarray]:
     """Estimate and the (3d, 3d) intersection sizes of the stacked rows.
 
     Row ``a * d + l`` is component ``l``'s complete (a=0), group-2-only (a=1)
-    or group-1-only (a=2) row.  The estimate is exactly symmetric but not
-    forced to be positive semidefinite.
+    or group-1-only (a=2) row.  The estimate is read-only and exactly
+    symmetric, but not forced to be positive semidefinite.
     """
     d, n = idx.d, idx.n
     b = ranks.overall - ranks.internal
@@ -76,25 +89,9 @@ def _kernel(idx: PatternIndex, ranks: RankTable) -> tuple[np.ndarray, np.ndarray
     c = (e * (x @ x.swapaxes(-1, -2)) - s * s.swapaxes(-1, -2)) * w
     dm = (idx.m1 * idx.m2).astype(float)
     v = n * c.reshape(*c.shape[:-2], 3, d, 3, d).sum(axis=(-4, -2)) / np.outer(dm, dm)
-    return 0.5 * (v + v.swapaxes(-1, -2)), e
-
-
-def _estimate(v: np.ndarray, estimator: str, flags: list[str]) -> CovarianceEstimate:
-    trace = np.trace(v, axis1=-2, axis2=-1)
-    trace_sq = np.sum(v * v, axis=(-2, -1))  # == tr(V^2) for symmetric V
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nu = np.where(trace_sq > 0, trace * trace / trace_sq, np.nan)
-    if v.ndim == 2:
-        trace, trace_sq, nu = float(trace), float(trace_sq), float(nu)
+    v = 0.5 * (v + v.swapaxes(-1, -2))
     v.setflags(write=False)
-    return CovarianceEstimate(
-        v_hat=v,
-        trace=trace,
-        trace_sq=trace_sq,
-        nu_hat=nu,
-        estimator=estimator,
-        degenerate=tuple(flags),
-    )
+    return v, e
 
 
 def covariance_simple(
@@ -132,7 +129,7 @@ def covariance_simple(
         if cnt == 1:
             flags.append(f"group-{g} incomplete part degenerate (single case); contributed zero")
     v, _ = _kernel(idx, ranks)
-    return _estimate(v, "simple", flags)
+    return CovarianceEstimate(v, "simple", tuple(flags))
 
 
 def covariance_general(
@@ -156,4 +153,4 @@ def covariance_general(
         "contributed zero"
         for l, r, a, b in np.argwhere(single)
     ]
-    return _estimate(v, "general", flags)
+    return CovarianceEstimate(v, "general", tuple(flags))

@@ -9,8 +9,6 @@ weights that pool complete and incomplete cases cancel in this form
 (Brunner and Munzel, 2000).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import MaskedSample, PatternIndex, build_masked_sample, derive_pattern_index
@@ -19,7 +17,6 @@ from .ranks import RankTable
 
 __all__ = [
     "METHODS",
-    "EffectEstimate",
     "estimate_effects",
     "restrict_method",
 ]
@@ -43,41 +40,22 @@ def check_methods(methods) -> None:
             raise ValueError(f"method {m!r} is given more than once")
 
 
-@dataclass(frozen=True)
-class EffectEstimate:
-    """Estimated effect vector with the sample-size bookkeeping behind it."""
-
-    p_hat: np.ndarray      # (d,), or (R, d) for a block; in [0, 1]
-    n_complete: np.ndarray
-    n1_only: np.ndarray
-    n2_only: np.ndarray
-
-    @property
-    def deviation(self) -> np.ndarray:
-        """Departure from the no-tendency point one half."""
-        return self.p_hat - 0.5
-
-
 def estimate_effects(
     sample: MaskedSample,
     idx: PatternIndex,
     ranks: RankTable,
-) -> EffectEstimate:
+) -> np.ndarray:
     """Effect vector from the difference of the groups' mean pooled midranks.
 
-    A block's ranks give one effect vector per replicate.
+    Returns the read-only ``p_hat`` in [0, 1], ``(d,)`` for one dataset and
+    ``(R, d)`` for a block; the case counts behind it are those of ``idx``.
     """
     d = idx.d
     observed = sample.observed
     means = np.where(observed, ranks.overall, 0.0).sum(axis=-1) / observed.sum(axis=-1)
     p_hat = np.clip((means[..., d:] - means[..., :d]) / idx.pooled_counts + 0.5, 0.0, 1.0)
     p_hat.setflags(write=False)
-    return EffectEstimate(
-        p_hat=p_hat,
-        n_complete=idx.n_complete,
-        n1_only=idx.n1_only,
-        n2_only=idx.n2_only,
-    )
+    return p_hat
 
 
 def restrict_method(

@@ -22,7 +22,7 @@ from scipy import special
 
 from .covariance import CovarianceEstimate, covariance_general, covariance_simple
 from .data import MaskedSample, PatternIndex
-from .effects import METHODS, EffectEstimate, check_methods, estimate_effects, restrict_method
+from .effects import METHODS, check_methods, estimate_effects, restrict_method
 from .errors import (
     DomainError,
     EverythingFiltered,
@@ -130,12 +130,12 @@ def _flags(base: tuple[str, ...], zero: np.ndarray) -> list:
 
 
 def wald_test(
-    p_hat: EffectEstimate,
+    p_hat: np.ndarray,
     cov: CovarianceEstimate,
     n: int,
     alpha: float = ALPHA,
 ) -> TestReport:
-    """Quadratic form of the deviation against the inverse covariance.
+    """Quadratic form of ``p_hat - 1/2`` against the inverse covariance.
 
     When the covariance estimate is singular, its Moore-Penrose
     pseudo-inverse is used (eigenvalues below ``1e-10 * trace/d``
@@ -149,9 +149,9 @@ def wald_test(
         The covariance estimate vanishes but the effect deviates from the
         null point, leaving the statistic undefined.
     """
-    single = p_hat.p_hat.ndim == 1
-    d = p_hat.p_hat.shape[-1]
-    dev = p_hat.deviation.reshape(-1, d)
+    single = p_hat.ndim == 1
+    d = p_hat.shape[-1]
+    dev = (p_hat - 0.5).reshape(-1, d)
     v = cov.v_hat.reshape(-1, d, d)
     trace = np.reshape(cov.trace, -1)
     zero = _zero_covariance(dev, trace)
@@ -180,14 +180,15 @@ def wald_test(
 
 
 def anova_test(
-    p_hat: EffectEstimate,
+    p_hat: np.ndarray,
     cov: CovarianceEstimate,
     n: int,
     alpha: float = ALPHA,
 ) -> TestReport:
-    """Trace-normalized quadratic form with estimated degrees of freedom.
+    """Trace-normalized quadratic form of ``p_hat - 1/2`` with estimated degrees of freedom.
 
-    A block gives one test per replicate.
+    The degrees of freedom are ``cov.nu_hat``.  A block gives one test per
+    replicate.
 
     Raises
     ------
@@ -195,8 +196,8 @@ def anova_test(
         The covariance trace vanishes but the effect deviates from the null
         point.
     """
-    single = p_hat.p_hat.ndim == 1
-    dev = p_hat.deviation.reshape(-1, p_hat.p_hat.shape[-1])
+    single = p_hat.ndim == 1
+    dev = (p_hat - 0.5).reshape(-1, p_hat.shape[-1])
     trace = np.reshape(cov.trace, -1)
     zero = _zero_covariance(dev, trace)
     scale = np.divide(n, trace, out=np.zeros(trace.shape), where=~zero)
@@ -209,12 +210,17 @@ def anova_test(
 
 @dataclass(frozen=True)
 class MethodAnalysis:
-    """Everything one case-restriction method produced, or why it was skipped."""
+    """Everything one case-restriction method produced, or why it was skipped.
+
+    ``index`` is the restricted sample's pattern index, with the subject and
+    case counts behind ``effects`` (the ``p_hat`` array); all three are
+    ``None`` for a skipped method.
+    """
 
     method: str
-    effects: EffectEstimate | None
+    effects: np.ndarray | None
     covariance: CovarianceEstimate | None
-    n: int
+    index: PatternIndex | None
     wald: TestReport
     anova: TestReport
     skipped: str | None = None
@@ -268,7 +274,7 @@ def analyze(
             cov = _select_covariance(sub, sub_idx, ranks, pattern)
             wald = wald_test(eff, cov, sub.n, alpha)
             anova = anova_test(eff, cov, sub.n, alpha)
-            out.append(MethodAnalysis(method, eff, cov, sub.n, wald, anova))
+            out.append(MethodAnalysis(method, eff, cov, sub_idx, wald, anova))
         except (EverythingFiltered, NoEstimablePart, ZeroCovariance) as exc:
             # the first two depend on the mask and so hold for every replicate
             # of a block; a zero covariance is one replicate's, and a block of
@@ -281,7 +287,7 @@ def analyze(
                     method,
                     None,
                     None,
-                    0,
+                    None,
                     _skipped("wald", reason, batch),
                     _skipped("anova", reason, batch),
                     skipped=reason,

@@ -62,7 +62,7 @@ def parse_dataset(
     InconsistentWidth
         A row with a different number of cells than the first one.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         reader = csv.reader(fh)
         # each nonblank row with the file line it ends on, for error messages
         rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
@@ -226,15 +226,15 @@ def build_report(
             effects[item.method] = None
             covariance[item.method] = None
         else:
-            eff, cov = item.effects, item.covariance
+            p_hat, cov, sub_idx = item.effects, item.covariance, item.index
             effects[item.method] = {
-                "p_hat": [float(v) for v in eff.p_hat],
-                "p_hat_display": [_round3(v) for v in eff.p_hat],
-                "n_subjects": item.n,
+                "p_hat": [float(v) for v in p_hat],
+                "p_hat_display": [_round3(v) for v in p_hat],
+                "n_subjects": sub_idx.n,
                 "counts": {
-                    "complete": [int(v) for v in eff.n_complete],
-                    "group1_only": [int(v) for v in eff.n1_only],
-                    "group2_only": [int(v) for v in eff.n2_only],
+                    "complete": [int(v) for v in sub_idx.n_complete],
+                    "group1_only": [int(v) for v in sub_idx.n1_only],
+                    "group2_only": [int(v) for v in sub_idx.n2_only],
                 },
             }
             covariance[item.method] = {

@@ -308,7 +308,11 @@ def _worker_count(n_tasks: int) -> int:
         cap = max(1, int(raw))
     except ValueError:
         cap = 1
-    return min(cap, n_tasks, len(os.sched_getaffinity(0)))
+    if hasattr(os, "sched_getaffinity"):  # Linux only
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return min(cap, n_tasks, usable)
 
 
 def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult]:

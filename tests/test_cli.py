@@ -199,6 +199,17 @@ class TestSimulateCommand:
         table = out1.with_suffix(".txt").read_text()
         assert "tiny-null" in table and "anova:all" in table
 
+    def test_config_file_with_byte_order_mark_runs(self, capsys, tmp_path):
+        # the mark used to hide the first section header
+        cfg = tmp_path / "bom.ini"
+        cfg.write_bytes(
+            b"\xef\xbb\xbf[tiny]\ndistribution = normal\nd = 1\nrho = 0, 0, 0\n"
+            b"sigma_sq = 1, 1\ndelta = 0\nsizes = 6, 0, 0\nreplications = 3\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--json")
+        assert code == 0 and err == ""
+        assert '"label": "tiny"' in out
+
     def test_reps_flag_overrides_config_at_any_value(self, capsys, tmp_path):
         cfg = tmp_path / "tiny.ini"
         cfg.write_text(
@@ -243,11 +254,14 @@ class TestSimulateCommand:
         message = json.loads(err)["error"]["message"]
         assert "[tiny]" in message and line.split()[0] in message
 
-    @pytest.mark.parametrize("text", ["[a]\nd = 1\nd = 2\n", "d = 1\n", "[a]\nno separator\n"])
+    @pytest.mark.parametrize("text", [
+        "[a]\nd = 1\nd = 2\n", "d = 1\n", "[a]\nno separator\n", "; no section\n", None,
+    ])
     def test_malformed_config_file_is_scenario_error(self, capsys, tmp_path, text):
-        # configparser's own errors escaped as a traceback
+        # configparser's own errors escaped as a traceback; None: no file at all
         cfg = tmp_path / "malformed.ini"
-        cfg.write_text(text)
+        if text is not None:
+            cfg.write_text(text)
         code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 1
         assert json.loads(err)["error"]["type"] == "ScenarioError"

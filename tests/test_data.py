@@ -176,6 +176,12 @@ class TestCheckAssumptions:
         warnings = check_assumptions(derive_pattern_index(s))
         assert any("group-2-only" in w and "inestimable" in w for w in warnings)
 
+    def test_single_complete_case_warns(self):
+        obs = simple_mask(2, 1, 5, 5)
+        s = build_masked_sample(np.arange(obs.size, dtype=float).reshape(obs.shape), obs)
+        warnings = check_assumptions(derive_pattern_index(s))
+        assert sum("a single complete case" in w for w in warnings) == 2
+
     def test_large_groups_no_warnings(self):
         obs = simple_mask(2, 5, 5, 5)
         s = build_masked_sample(np.arange(obs.size, dtype=float).reshape(obs.shape), obs)

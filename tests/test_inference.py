@@ -3,7 +3,6 @@ import pytest
 
 from rankeffect import (
     CovarianceEstimate,
-    EffectEstimate,
     analyze,
     anova_test,
     build_masked_sample,
@@ -20,20 +19,11 @@ from oracles import chisq_upper_tail_highprec
 
 
 def make_effects(p):
-    p = np.asarray(p, dtype=float)
-    d = p.size
-    ones = np.ones(d, dtype=int)
-    return EffectEstimate(p_hat=p, n_complete=10 * ones, n1_only=0 * ones, n2_only=0 * ones)
+    return np.asarray(p, dtype=float)
 
 
 def make_cov(v, estimator="simple"):
-    v = np.asarray(v, dtype=float)
-    trace = float(np.trace(v))
-    trace_sq = float(np.sum(v * v))
-    nu = trace**2 / trace_sq if trace_sq > 0 else float("nan")
-    return CovarianceEstimate(
-        v_hat=v, trace=trace, trace_sq=trace_sq, nu_hat=nu, estimator=estimator
-    )
+    return CovarianceEstimate(v_hat=np.asarray(v, dtype=float), estimator=estimator)
 
 
 class TestChisqUpperTail:
@@ -94,6 +84,14 @@ class TestWald:
         assert rep.p_value == 1.0 and "zero-covariance-null" in rep.flags
         with pytest.raises(ZeroCovariance):
             wald_test(make_effects([0.7, 0.5]), zero, n=20)
+
+    def test_negative_quadratic_form_is_clamped(self):
+        # an indefinite general-pattern estimate can make the form negative
+        cov = CovarianceEstimate(v_hat=np.diag([1.0, -0.5]), estimator="general")
+        rep = wald_test(make_effects([0.5, 0.6]), cov, n=10)
+        assert rep.statistic < 0.0
+        assert "negative quadratic form clamped to zero for the p-value" in rep.flags
+        assert rep.df == 2 and rep.p_value == 1.0 and not rep.reject
 
     def test_invariance_under_congruence(self, rng):
         d = 3
@@ -223,6 +221,12 @@ class TestRunAllMethods:
         idx = derive_pattern_index(s)
         with pytest.raises(ValueError, match="method"):
             analyze(s, idx, methods=methods)
+
+    def test_unknown_pattern_rejected(self, rng):
+        obs = simple_mask(2, 8, 3, 3)
+        s = build_masked_sample(rng.standard_normal(obs.shape), obs)
+        with pytest.raises(ValueError, match="pattern"):
+            analyze(s, derive_pattern_index(s), pattern="bogus")
 
     def test_six_reports_in_method_order(self, rng):
         obs = simple_mask(2, 8, 3, 3)

@@ -45,6 +45,20 @@ class TestParseDataset:
         assert s.d == 1 and s.n == 2
         assert not s.observed[1, 1]
 
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        # U+FEFF made the first cell non-numeric, so row 1 was taken as a header
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+        s = parse_dataset(path)
+        assert s.d == 1 and s.n == 3
+        assert list(s.values[:, 0]) == [1.0, 2.0]
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("g1_var1,g2_var1\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            parse_dataset(path)
+
     def test_non_numeric_cell_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,oops\n")

@@ -131,6 +131,17 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=f"{field} values must be finite"):
             scenario(**kw).validate()
 
+    @pytest.mark.parametrize("named, kw", [
+        ("pattern 'bogus'", dict(pattern="bogus")),
+        ("d must be >= 1", dict(d=0)),
+        ("alpha", dict(alpha=1.0)),
+        ("proportion a = 1.5", dict(pattern="design2", sizes=(210, 1.5))),
+        ("size = 30.5 is not an integer", dict(sizes=(30.5, 10, 10))),
+    ])
+    def test_out_of_range_value_is_named(self, named, kw):
+        with pytest.raises(ScenarioError, match=named):
+            scenario(**kw)
+
     def test_replace_checks_the_copy(self):
         with pytest.raises(ScenarioError, match="rho"):
             replace(scenario(), rho=(0.1, 0.1))
@@ -351,6 +362,19 @@ class TestRunGrid:
         monkeypatch.setenv("RANK_EFFECT_THREADS", "64")
         assert sim._worker_count(100) == min(64, len(os.sched_getaffinity(0)))
         assert sim._worker_count(1) == 1
+
+    def test_worker_count_without_sched_getaffinity(self, monkeypatch):
+        # os.sched_getaffinity exists on Linux only; elsewhere every run_grid
+        # ended in an AttributeError.  No worker process is started.
+        import rankeffect.simulate as sim
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setenv("RANK_EFFECT_THREADS", "64")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert sim._worker_count(100) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sim._worker_count(100) == 1
+        assert len(run_grid([scenario(replications=5)])) == 1
 
     def test_thread_env_cap(self, monkeypatch):
         monkeypatch.setenv("RANK_EFFECT_THREADS", "2")
