@@ -94,6 +94,11 @@ def _scenarios_from_config(path, reps: int | None) -> list[Scenario]:
         read = parser.read(path, encoding="utf-8-sig")  # a byte-order mark is not a section
     except configparser.Error as exc:
         raise ScenarioError(f"malformed scenario config {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"scenario config {path!r} is not UTF-8 text: "
+            f"byte 0x{exc.object[exc.start]:02x}, {exc.reason}"
+        ) from None
     if not read:
         raise ScenarioError(f"cannot read scenario config {path!r}")
     scenarios = []

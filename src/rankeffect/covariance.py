@@ -1,7 +1,7 @@
 """Covariance estimation for the scaled effect vector.
 
 One kernel estimates the asymptotic covariance of ``sqrt(n) * (p_hat - p)``
-from the rank differences ``b = overall - internal``.  Per component it has
+from the placement counts ``b``.  Per component it has
 three value rows: ``b2 - b1`` on the complete (paired) cases, ``b2`` on the
 group-2-only cases and ``-b1`` on the group-1-only cases.  Entry (l, r) sums
 the nine cross-covariances of component ``l``'s rows with component ``r``'s,
@@ -23,7 +23,6 @@ import numpy as np
 
 from .data import MaskedSample, PatternIndex
 from .errors import NoEstimablePart, PatternMismatch
-from .ranks import RankTable
 
 __all__ = [
     "CovarianceEstimate",
@@ -61,7 +60,7 @@ class CovarianceEstimate:
             return np.where(trace_sq > 0, trace * trace / trace_sq, np.nan)[()]
 
 
-def _kernel(idx: PatternIndex, ranks: RankTable) -> tuple[np.ndarray, np.ndarray]:
+def _kernel(idx: PatternIndex, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Estimate and the (3d, 3d) intersection sizes of the stacked rows.
 
     Row ``a * d + l`` is component ``l``'s complete (a=0), group-2-only (a=1)
@@ -69,7 +68,6 @@ def _kernel(idx: PatternIndex, ranks: RankTable) -> tuple[np.ndarray, np.ndarray
     symmetric, but not forced to be positive semidefinite.
     """
     d, n = idx.d, idx.n
-    b = ranks.overall - ranks.internal
     lo, hi = b[..., :d, :], b[..., d:, :]
     masks = np.concatenate([idx.complete_mask, idx.g2_only_mask, idx.g1_only_mask])
     m = masks.astype(float)
@@ -78,7 +76,6 @@ def _kernel(idx: PatternIndex, ranks: RankTable) -> tuple[np.ndarray, np.ndarray
     np.subtract(hi, lo, out=x[..., :d, :], where=idx.complete_mask)
     np.copyto(x[..., d:2 * d, :], hi, where=idx.g2_only_mask)
     np.negative(lo, out=x[..., 2 * d:, :], where=idx.g1_only_mask)
-    del b, lo, hi  # a block's peak memory is set by its per-cell arrays
     # centring each row on its own-set mean leaves every intersection
     # covariance unchanged and keeps the subtraction below well conditioned
     mean = x.sum(axis=-1) / np.maximum(e.diagonal(), 1.0)
@@ -97,9 +94,9 @@ def _kernel(idx: PatternIndex, ranks: RankTable) -> tuple[np.ndarray, np.ndarray
 def covariance_simple(
     sample: MaskedSample,
     idx: PatternIndex,
-    ranks: RankTable,
+    b: np.ndarray,
 ) -> CovarianceEstimate:
-    """Three-part rank-difference estimator for treatment-level missingness.
+    """Three-part placement-count estimator for treatment-level missingness.
 
     The parts are scaled empirical covariances of the paired, group-1-only
     and group-2-only cases; a part whose case count is 1 cannot contribute a
@@ -128,14 +125,14 @@ def covariance_simple(
     for g, cnt in ((1, n_1), (2, n_2)):
         if cnt == 1:
             flags.append(f"group-{g} incomplete part degenerate (single case); contributed zero")
-    v, _ = _kernel(idx, ranks)
+    v, _ = _kernel(idx, b)
     return CovarianceEstimate(v, "simple", tuple(flags))
 
 
 def covariance_general(
     sample: MaskedSample,
     idx: PatternIndex,
-    ranks: RankTable,
+    b: np.ndarray,
 ) -> CovarianceEstimate:
     """Nine-term estimator for per-cell missingness.
 
@@ -143,14 +140,14 @@ def covariance_general(
     order complete, group-2-only, group-1-only for the left then the right
     component) of entry (l, r), r >= l.
     """
-    v, e = _kernel(idx, ranks)
+    v, e = _kernel(idx, b)
     d = idx.d
-    # axes (l, r, a, b), so argwhere lists the entries and terms in flag order
+    # axes (l, r, i, j), so argwhere lists the entries and terms in flag order
     single = e.reshape(3, d, 3, d).transpose(1, 3, 0, 2) == 1
     single &= np.triu(np.ones((d, d), bool))[:, :, None, None]
     flags = [
-        f"term C{3 * a + b + 1} for components ({l},{r}) has a single subject; "
+        f"term C{3 * i + j + 1} for components ({l},{r}) has a single subject; "
         "contributed zero"
-        for l, r, a, b in np.argwhere(single)
+        for l, r, i, j in np.argwhere(single)
     ]
     return CovarianceEstimate(v, "general", tuple(flags))

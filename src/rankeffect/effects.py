@@ -6,14 +6,15 @@ weight one half; one half means no tendency either way.  It is estimated by
 the difference of the two groups' mean pooled midranks over every observed
 cell, ``(R2 - R1) / N + 1/2`` with ``N`` the pooled count: the sample-size
 weights that pool complete and incomplete cases cancel in this form
-(Brunner and Munzel, 2000).
+(Brunner and Munzel, 2000).  A group's pooled rank sum is the sum of its
+placement counts ``b`` plus ``m(m + 1) / 2``, its within-group rank sum;
+every term is a half-integer, so the sums are exact.
 """
 
 import numpy as np
 
 from .data import MaskedSample, PatternIndex, build_masked_sample, derive_pattern_index
 from .errors import EverythingFiltered, InestimableComponent
-from .ranks import RankTable
 
 __all__ = [
     "METHODS",
@@ -43,16 +44,17 @@ def check_methods(methods) -> None:
 def estimate_effects(
     sample: MaskedSample,
     idx: PatternIndex,
-    ranks: RankTable,
+    b: np.ndarray,
 ) -> np.ndarray:
     """Effect vector from the difference of the groups' mean pooled midranks.
 
+    ``b`` holds the placement counts of :func:`~rankeffect.ranks.build_rank_table`.
     Returns the read-only ``p_hat`` in [0, 1], ``(d,)`` for one dataset and
     ``(R, d)`` for a block; the case counts behind it are those of ``idx``.
     """
     d = idx.d
-    observed = sample.observed
-    means = np.where(observed, ranks.overall, 0.0).sum(axis=-1) / observed.sum(axis=-1)
+    m = np.concatenate([idx.m1, idx.m2])
+    means = (np.where(sample.observed, b, 0.0).sum(axis=-1) + m * (m + 1) / 2) / m
     p_hat = np.clip((means[..., d:] - means[..., :d]) / idx.pooled_counts + 0.5, 0.0, 1.0)
     p_hat.setflags(write=False)
     return p_hat

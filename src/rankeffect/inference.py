@@ -226,10 +226,10 @@ class MethodAnalysis:
     skipped: str | None = None
 
 
-def _select_covariance(sample, idx, ranks, pattern: str):
+def _select_covariance(sample, idx, b, pattern: str):
     if pattern == "simple" or (pattern == "auto" and idx.is_simple_pattern):
-        return covariance_simple(sample, idx, ranks)
-    return covariance_general(sample, idx, ranks)
+        return covariance_simple(sample, idx, b)
+    return covariance_general(sample, idx, b)
 
 
 def analyze(
@@ -269,9 +269,9 @@ def analyze(
     for method in methods:
         try:
             sub, sub_idx = restrict_method(sample, idx, method)
-            ranks = build_rank_table(sub)
-            eff = estimate_effects(sub, sub_idx, ranks)
-            cov = _select_covariance(sub, sub_idx, ranks, pattern)
+            b = build_rank_table(sub)
+            eff = estimate_effects(sub, sub_idx, b)
+            cov = _select_covariance(sub, sub_idx, b, pattern)
             wald = wald_test(eff, cov, sub.n, alpha)
             anova = anova_test(eff, cov, sub.n, alpha)
             out.append(MethodAnalysis(method, eff, cov, sub_idx, wald, anova))

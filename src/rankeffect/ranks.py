@@ -1,91 +1,40 @@
-"""Midranks over pooled and within-group samples, and placement values.
+"""Placement counts: for every observed cell, the opposite-group values below it.
 
-Ranks follow the tie-aware convention in which each observation receives
-one half plus the count of strictly smaller values plus half the count of
-equal values (itself included), i.e. tied observations share the average of
-the positions they span.  Tie detection uses exact floating-point equality
-(``-0.0`` ties with ``0.0``); noisy continuous data will in general contain
-no ties.
+A cell's placement count ``b`` is the number of the other group's
+observations on its component that are smaller than it, plus half the number
+that equal it.  It is the pooled midrank minus the within-group midrank:
+``b / m_other`` is the placement, and a group's pooled rank sum is
+``sum(b) + m(m + 1) / 2``.  Tie
+detection uses exact floating-point equality (``-0.0`` ties with ``0.0``);
+noisy continuous data will in general contain no ties.
 
-All ranks come from one rule: sort each row once, split the sorted row into
-runs of equal values, and give a run that starts at position ``s`` and holds
-``k`` values the midrank ``s + (k + 1) / 2``.  The rank table sorts the pooled
-rows of both groups once; a cell's within-group midrank counts, from the
-same sort, the cells of its own group before its run and inside it.  Every
-rank is a half-integer computed exactly.
+All counts come from one sort: split each sorted pooled row into runs of
+equal values, count the group-1 cells inside every run and before it, and
+give each cell of a run the opposite group's cells before the run plus half
+of those inside it.  Every count is a half-integer computed exactly.
 
-Ranking needs the sample alone and raises nothing.  Placements also take a
+Counting needs the sample alone and raises nothing.  Placements also take a
 :class:`~rankeffect.data.PatternIndex`, which exists only when both groups
 have data on every component, so the group counts they divide by are positive.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MaskedSample, PatternIndex
 
-__all__ = ["RankTable", "midranks", "build_rank_table", "placements"]
+__all__ = ["build_rank_table", "placements"]
 
 
-def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Runs of equal values in rows that are already sorted.
-
-    Returns the run number of every cell (runs counted in flat order, as an
-    ``ordered``-shaped array), and per run its flat start position and its
-    midrank within the row.  A run never crosses a row boundary.
-    """
-    rows, m = ordered.shape
-    new_run = np.empty(ordered.shape, dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_run[:, 1:])
-    new_run[:, :1] = True
-    starts = np.flatnonzero(new_run)
-    # int32 halves the per-cell index arrays wherever the positions fit
-    run = np.cumsum(new_run, dtype=np.int32 if ordered.size < 2**31 else np.intp)
-    run -= 1
-    ends = np.append(starts[1:], ordered.size)
-    midrank = (ends - starts + 1) / 2
-    midrank += starts % m
-    return run.reshape(rows, m), starts, midrank
-
-
-def midranks(values) -> np.ndarray:
-    """Midranks of a 1-d sample, ties averaged.
-
-    Equivalent to the pairwise definition ``r_i = 1/2 + sum_j c(x_i - x_j)``
-    with ``c = 0, 1/2, 1`` for negative/zero/positive argument, but computed
-    by one sort in O(N log N): a run of ``k`` equal sorted values starting at
-    position ``s`` gets ``s + (k + 1) / 2``.  The values must not be NaN.  An
-    empty sample gives an empty array.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    order = np.argsort(values)
-    run, _, midrank = _runs(values[order][None])
-    ranks = np.empty(values.size)
-    ranks[order] = midrank[run[0]]
-    return ranks
-
-
-@dataclass(frozen=True)
-class RankTable:
-    """Overall (pooled over both groups) and within-group midranks per cell.
-
-    Arrays are aligned with the sample layout, a block's leading replicate
-    axis included; cells without an observation hold NaN.
-    """
-
-    overall: np.ndarray   # (2d, n) or (R, 2d, n) float, NaN where unobserved
-    internal: np.ndarray  # same shape, NaN where unobserved
-
-
-def build_rank_table(sample: MaskedSample) -> RankTable:
-    """Rank every observed cell within its component's pooled and own-group samples.
+def build_rank_table(sample: MaskedSample) -> np.ndarray:
+    """Placement count ``b`` of every observed cell within its component.
 
     Component ``l`` of a replicate is one pooled row of ``2n`` cells, group 1
     then group 2, with unobserved cells set to ``+inf`` so that they sort
     last; one ``argsort`` of all pooled rows, of every replicate of a block,
-    gives both tables.  A group with no observation on a component leaves
-    its rows NaN; such a sample has no pattern index, since
+    gives every count.  Returns a read-only array shaped like the sample, a
+    block's leading replicate axis included, NaN where a cell is unobserved.
+    A group with no observation on a component leaves its row NaN and the
+    other group's row zero; such a sample has no pattern index, since
     :func:`~rankeffect.data.derive_pattern_index` rejects it.
     """
     d, n = sample.d, sample.n
@@ -95,42 +44,59 @@ def build_rank_table(sample: MaskedSample) -> RankTable:
     cell = np.argsort(keys, axis=1)
     ordered = np.take_along_axis(keys, cell, axis=1)
     del keys  # per-cell temporaries go as soon as they are used
-    run, starts, overall = _runs(ordered)
+    new_run = np.empty(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_run[:, 1:])
+    new_run[:, :1] = True
     del ordered
+    # runs of equal values, numbered in flat order; a run never crosses a row
+    starts = np.flatnonzero(new_run)
+    # int32 halves the per-cell index arrays wherever the positions fit
+    run = np.cumsum(new_run, dtype=np.int32 if new_run.size < 2**31 else np.intp)
+    run -= 1
+    run = run.reshape(new_run.shape)
+    del new_run
     in_group1 = cell < n
     # ... as a flat index into the (..., 2d, n) table; row q = r * d + l
     np.add(cell, (d - 1) * n, out=cell, where=~in_group1)
     q = np.arange(len(cell))
     cell += (n * (q + d * (q // d)))[:, None]
-    # group-1 midrank of each run: its group-1 cells, then those before it in the row
+    # group-1 cells inside each run, and before it in its row
     group1 = np.add.reduceat(in_group1.ravel(), starts, dtype=run.dtype)
-    before = np.cumsum(group1) - group1
+    before = np.cumsum(group1, dtype=run.dtype)
+    before -= group1
     first = run[:, 0]
-    before -= np.repeat(before[first], np.diff(first, append=starts.size))
-    internal = (group1 + 1) / 2 + before
+    before -= np.repeat(before[first], np.diff(first, append=len(starts)))
+    # a group-2 cell counts the group-1 cells before its run and half of those
+    # inside it, and a group-1 cell the same of group 2, so a run's two counts
+    # sum to its offset in the row plus half its length
+    counts = np.empty((2, len(starts)))
+    np.multiply(group1, 0.5, out=counts[0])
+    counts[0] += before
     del group1, before
-    # a run's group-1 and group-2 midranks sum to its pooled midrank plus 1/2;
-    # runs index the group-2 midranks, runs + starts.size the group-1 ones
-    internal = np.concatenate([overall + 0.5 - internal, internal])
-    ranks = np.empty((2, *sample.values.shape))
-    np.put(ranks[0], cell, overall[run])
-    np.add(run, starts.size, out=run, where=in_group1)
-    np.put(ranks[1], cell, internal[run])
-    np.copyto(ranks, np.nan, where=~sample.observed)
-    ranks.setflags(write=False)
-    return RankTable(overall=ranks[0], internal=ranks[1])
+    np.subtract(starts[1:], starts[:-1], out=counts[1, :-1])
+    counts[1, -1] = cell.size - starts[-1]
+    counts[1] *= 0.5
+    starts %= 2 * n
+    counts[1] += starts
+    counts[1] -= counts[0]
+    del starts
+    # runs index the group-2 cells' counts, runs + len(counts[0]) the group-1 ones
+    np.add(run, counts.shape[1], out=run, where=in_group1)
+    del in_group1
+    b = np.empty(sample.values.shape)
+    np.put(b, cell, counts.ravel()[run])
+    np.copyto(b, np.nan, where=~sample.observed)
+    b.setflags(write=False)
+    return b
 
 
-def placements(ranks: RankTable, idx: PatternIndex) -> np.ndarray:
+def placements(b: np.ndarray, idx: PatternIndex) -> np.ndarray:
     """Empirical distribution of the opposite group evaluated at each cell.
 
-    ``y[row, k] = (overall - internal) / m_other`` lies in [0, 1]; it is the
-    weighted empirical CDF of the other group's sample at the observed value.
-    Unobserved cells hold NaN.  Returns a read-only array shaped like the table.
+    ``y[row, k] = b / m_other`` lies in [0, 1]; it is the weighted empirical
+    CDF of the other group's sample at the observed value.  Unobserved cells
+    hold NaN.  Returns a read-only array shaped like ``b``.
     """
-    d = idx.d
-    y = ranks.overall - ranks.internal
-    y[..., :d, :] /= idx.m2[:, None]
-    y[..., d:, :] /= idx.m1[:, None]
+    y = b / np.concatenate([idx.m2, idx.m1])[:, None]
     y.setflags(write=False)
     return y

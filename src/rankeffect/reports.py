@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +44,23 @@ def _is_number(token: str) -> bool:
         return False
 
 
+def _not_utf8(path) -> ParseError:
+    """The error for a file that is not UTF-8 text, at the line of its first bad byte.
+
+    A text stream decodes in chunks, so its error does not locate the byte in
+    the file; decoding the whole file again does.
+    """
+    reason = f"{str(path)!r} is not UTF-8 text"
+    try:
+        Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        return ParseError(
+            f"{reason}: byte 0x{exc.object[exc.start]:02x}, {exc.reason}",
+            line=exc.object.count(b"\n", 0, exc.start) + 1,
+        )
+    return ParseError(reason)  # the file changed since the first read
+
+
 def parse_dataset(
     path,
     dimension: int | None = None,
@@ -57,15 +75,19 @@ def parse_dataset(
     Raises
     ------
     ParseError
-        Empty file, odd column count, a non-numeric non-NA cell, or a
-        dimension that contradicts the column count.
+        A file that is not UTF-8 text, an empty file, odd column count, a
+        non-numeric non-NA cell, or a dimension that contradicts the column
+        count.
     InconsistentWidth
         A row with a different number of cells than the first one.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
-        reader = csv.reader(fh)
-        # each nonblank row with the file line it ends on, for error messages
-        rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
+            reader = csv.reader(fh)
+            # each nonblank row with the file line it ends on, for error messages
+            rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not rows:
         raise ParseError("no rows")
     first = [cell.strip() for cell in rows[0][1]]

@@ -8,6 +8,7 @@ validates.
 
 import mpmath as mp
 import numpy as np
+from scipy.stats import rankdata
 
 from rankeffect import placements
 from rankeffect.errors import PatternMismatch
@@ -22,13 +23,34 @@ def count_fn(x: float) -> float:
     return 1.0
 
 
-def midranks_bruteforce(values) -> np.ndarray:
-    """Midranks by the O(N^2) pairwise definition r_i = 1/2 + sum_j c(x_i - x_j)."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty(values.size)
-    for i, xi in enumerate(values):
-        out[i] = 0.5 + sum(count_fn(xi - xj) for xj in values)
-    return out
+def placement_counts_bruteforce(sample) -> np.ndarray:
+    """Placement counts by pairwise comparison: b = sum over the other group of c(x - y).
+
+    Per component, each observed cell is compared with every observed cell of
+    the other group; unobserved cells hold NaN.
+    """
+    d = sample.d
+    b = np.full(sample.values.shape, np.nan)
+    for row in range(2 * d):
+        other = (row + d) % (2 * d)
+        ys = sample.values[other, sample.observed[other]]
+        for k in np.flatnonzero(sample.observed[row]):
+            b[row, k] = sum(count_fn(sample.values[row, k] - y) for y in ys)
+    return b
+
+
+def placement_counts_rankdata(sample) -> np.ndarray:
+    """Placement counts as pooled minus own-group midranks from ``scipy.stats.rankdata``."""
+    d = sample.d
+    b = np.full(sample.values.shape, np.nan)
+    for l in range(d):
+        c1 = np.flatnonzero(sample.observed[l])
+        c2 = np.flatnonzero(sample.observed[d + l])
+        x1, x2 = sample.values[l, c1], sample.values[d + l, c2]
+        pooled = rankdata(np.concatenate([x1, x2]))
+        b[l, c1] = pooled[: c1.size] - rankdata(x1)
+        b[d + l, c2] = pooled[c1.size:] - rankdata(x2)
+    return b
 
 
 def effect_bruteforce(sample, idx) -> np.ndarray:

@@ -112,8 +112,7 @@ def test_block_equals_its_replicates(block):
     singles = [build_masked_sample(v, block.observed) for v in block.values]
     rt = build_rank_table(block)
     rts = [build_rank_table(s) for s in singles]
-    assert_stacked(rt.overall, [t.overall for t in rts])
-    assert_stacked(rt.internal, [t.internal for t in rts])
+    assert_stacked(rt, rts)
     try:
         idx = derive_pattern_index(block)
     except InestimableComponent:

@@ -60,6 +60,18 @@ class TestAnalyzeCommand:
         assert code == 1
         assert json.loads(err)["error"]["type"] in ("FileNotFoundError", "OSError")
 
+    def test_non_utf8_file_is_parse_error(self, capsys, tmp_path):
+        # was a bare UnicodeDecodeError naming neither the file nor the line;
+        # the byte lies past the first chunk a text stream decodes
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1,2\n" * 3000 + b"5,\xff6\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ParseError"
+        assert error["message"].startswith("parse error at line 3001: ")
+        assert f"{str(path)!r} is not UTF-8 text" in error["message"]
+
     def test_component_without_group_data_fails_hard(self, capsys, tmp_path):
         # var2 never observed in group 2: the dataset itself is inestimable
         path = tmp_path / "one_sided_var.csv"
@@ -209,6 +221,15 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--json")
         assert code == 0 and err == ""
         assert '"label": "tiny"' in out
+
+    def test_non_utf8_config_file_is_scenario_error(self, capsys, tmp_path):
+        cfg = tmp_path / "latin1.ini"
+        cfg.write_bytes(b"[tiny]\ndistribution = normal\nd = \xff\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ScenarioError"
+        assert f"scenario config {str(cfg)!r} is not UTF-8 text" in error["message"]
 
     def test_reps_flag_overrides_config_at_any_value(self, capsys, tmp_path):
         cfg = tmp_path / "tiny.ini"

@@ -2,65 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import rankdata
 
 from rankeffect import (
     build_masked_sample,
     build_rank_table,
     derive_pattern_index,
     estimate_effects,
-    midranks,
     placements,
 )
 from rankeffect.errors import InestimableComponent
 
 from conftest import random_general_sample, simple_mask
-from oracles import midranks_bruteforce
-
-
-class TestMidranks:
-    def test_tied_pair(self):
-        assert list(midranks([2, 2, 5])) == [1.5, 1.5, 3.0]
-
-    def test_single_element(self):
-        assert list(midranks([7])) == [1.0]
-
-    def test_sorted_distinct(self):
-        assert list(midranks([1, 2, 3])) == [1.0, 2.0, 3.0]
-
-    def test_empty_sample_gives_empty_array(self):
-        ranks = midranks([])
-        assert ranks.shape == (0,) and ranks.dtype == float
-
-    @given(st.one_of(
-        st.lists(st.integers(-3, 3), max_size=30),
-        st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.25]), max_size=30),
-        st.lists(st.floats(allow_nan=False), max_size=30),
-    ))
-    @settings(max_examples=200, deadline=None)
-    def test_equals_scipy_rankdata(self, values):
-        # exact: midranks are half-integers, and -0.0 ties with 0.0
-        assert np.array_equal(midranks(values), rankdata(np.asarray(values, dtype=float)))
-
-    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=30))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_pairwise_definition(self, values):
-        assert np.array_equal(midranks(values), midranks_bruteforce(values))
-
-    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=40))
-    @settings(max_examples=100, deadline=None)
-    def test_rank_sum_identity(self, values):
-        n = len(values)
-        assert midranks(values).sum() == pytest.approx(n * (n + 1) / 2)
-
-    @given(st.lists(st.integers(-5, 5), min_size=2, max_size=20), st.randoms())
-    @settings(max_examples=50, deadline=None)
-    def test_permutation_equivariance(self, values, rand):
-        order = list(range(len(values)))
-        rand.shuffle(order)
-        base = midranks(values)
-        shuffled = midranks([values[i] for i in order])
-        assert np.array_equal(shuffled, base[order])
+from oracles import placement_counts_bruteforce, placement_counts_rankdata
 
 
 _MAX = np.finfo(float).max
@@ -85,51 +38,30 @@ def masked_samples(draw):
     return build_masked_sample(values.reshape(2 * d, n), observed)
 
 
-def rankdata_tables(sample):
-    """Rank table from per-component ``scipy.stats.rankdata`` calls."""
-    d = sample.d
-    overall = np.full((2 * d, sample.n), np.nan)
-    internal = np.full((2 * d, sample.n), np.nan)
-    for l in range(d):
-        c1 = np.flatnonzero(sample.observed[l])
-        c2 = np.flatnonzero(sample.observed[d + l])
-        pooled = rankdata(np.concatenate([sample.values[l, c1], sample.values[d + l, c2]]))
-        overall[l, c1], overall[d + l, c2] = pooled[: c1.size], pooled[c1.size:]
-        internal[l, c1] = rankdata(sample.values[l, c1])
-        internal[d + l, c2] = rankdata(sample.values[d + l, c2])
-    return overall, internal
-
-
 class TestRankTable:
     def test_distinct_complete_case(self):
         obs = np.ones((2, 2), bool)
         s = build_masked_sample([[1.0, 3.0], [2.0, 4.0]], obs)
-        idx = derive_pattern_index(s)
-        rt = build_rank_table(s)
-        assert list(rt.overall[0]) == [1.0, 3.0]
-        assert list(rt.overall[1]) == [2.0, 4.0]
-        assert list(rt.internal[0]) == [1.0, 2.0]
-        assert list(rt.internal[1]) == [1.0, 2.0]
+        b = build_rank_table(s)
+        assert list(b[0]) == [0.0, 1.0]
+        assert list(b[1]) == [1.0, 2.0]
 
     def test_total_tie_gives_midpoint(self):
+        # every cell ties with all three cells of the other group
         obs = simple_mask(1, 2, 1, 1)
         vals = np.full(obs.shape, 3.0)
         s = build_masked_sample(vals, obs)
-        idx = derive_pattern_index(s)
-        rt = build_rank_table(s)
-        n_pooled = 6
-        observed = rt.overall[~np.isnan(rt.overall)]
-        assert np.array_equal(observed, np.full(n_pooled, (n_pooled + 1) / 2))
+        b = build_rank_table(s)
+        assert np.array_equal(b[obs], np.full(6, 1.5))
 
     def test_component_with_no_data(self):
-        # ranking leaves the component's rows NaN; the pattern index rejects it
+        # counting leaves the component's rows NaN; the pattern index rejects it
         obs = np.zeros((4, 3), bool)
         obs[0] = True
         obs[2] = True  # var 1 observed in both groups, var 2 nowhere
         s = build_masked_sample(np.zeros((4, 3)), obs)
-        rt = build_rank_table(s)
-        for table in (rt.overall, rt.internal):
-            assert np.isnan(table[[1, 3]]).all() and not np.isnan(table[[0, 2]]).any()
+        b = build_rank_table(s)
+        assert np.isnan(b[[1, 3]]).all() and not np.isnan(b[[0, 2]]).any()
         with pytest.raises(InestimableComponent) as exc:
             derive_pattern_index(s)
         assert exc.value.component == 1
@@ -137,15 +69,8 @@ class TestRankTable:
     def test_matches_bruteforce_on_random_masks(self, rng):
         for _ in range(30):
             sample, idx = random_general_sample(rng)
-            rt = build_rank_table(sample)
-            d = sample.d
-            for l in range(d):
-                c1 = np.flatnonzero(sample.observed[l])
-                c2 = np.flatnonzero(sample.observed[d + l])
-                pooled = np.concatenate([sample.values[l, c1], sample.values[d + l, c2]])
-                expect = midranks_bruteforce(pooled)
-                got = np.concatenate([rt.overall[l, c1], rt.overall[d + l, c2]])
-                assert np.array_equal(got, expect)
+            b = build_rank_table(sample)
+            assert np.array_equal(b, placement_counts_bruteforce(sample), equal_nan=True)
 
     @given(masked_samples())
     # component 1: a single group-1 observation against a group with none
@@ -153,42 +78,47 @@ class TestRankTable:
         [[1.0, 2.0, 2.0], [5.0, 0.0, 0.0], [2.0, -0.0, 0.0], [0.0, 0.0, 0.0]],
         [[True, True, True], [True, False, False], [True, True, True], [False, False, False]],
     ))
+    # -0.0 in group 1 ties with 0.0 in group 2
+    @example(build_masked_sample([[-0.0, 1.0], [0.0, 0.0]], np.ones((2, 2), bool)))
     @settings(max_examples=300, deadline=None)
     def test_equals_scipy_rankdata_per_component(self, sample):
-        # exact: both tables are half-integers; rows without an observation stay NaN
-        rt = build_rank_table(sample)
-        overall, internal = rankdata_tables(sample)
-        assert np.array_equal(rt.overall, overall, equal_nan=True)
-        assert np.array_equal(rt.internal, internal, equal_nan=True)
-        assert np.isnan(rt.overall[~sample.observed]).all()
-        assert np.isnan(rt.internal[~sample.observed]).all()
+        # exact: counts are half-integers; rows without an observation stay NaN
+        b = build_rank_table(sample)
+        assert np.array_equal(b, placement_counts_rankdata(sample), equal_nan=True)
+        assert np.isnan(b[~sample.observed]).all()
 
     def test_rank_sum_identities_on_random_masks(self, rng):
+        # every cross-group pair adds 1 to one side or 1/2 to both
         for _ in range(30):
             sample, idx = random_general_sample(rng)
-            rt = build_rank_table(sample)
+            b = build_rank_table(sample)
             d = sample.d
             for l in range(d):
-                pooled = np.concatenate([rt.overall[l], rt.overall[d + l]])
-                pooled = pooled[~np.isnan(pooled)]
-                total = idx.pooled_counts[l]
-                assert pooled.sum() == pytest.approx(total * (total + 1) / 2)
-                assert pooled.min() > 0.5 and pooled.max() <= total
-                for row, m in ((l, idx.m1[l]), (d + l, idx.m2[l])):
-                    internal = rt.internal[row][~np.isnan(rt.internal[row])]
-                    assert internal.sum() == pytest.approx(m * (m + 1) / 2)
+                b1 = b[l][sample.observed[l]]
+                b2 = b[d + l][sample.observed[d + l]]
+                assert b1.sum() + b2.sum() == idx.m1[l] * idx.m2[l]
+                assert b1.min() >= 0.0 and b1.max() <= idx.m2[l]
+                assert b2.min() >= 0.0 and b2.max() <= idx.m1[l]
 
     def test_monotone_invariance(self, rng):
         for _ in range(10):
             sample, idx = random_general_sample(rng, ties=True)
-            rt = build_rank_table(sample)
+            b = build_rank_table(sample)
             transformed = np.exp(0.3 * sample.values) + sample.values**3
             s2 = build_masked_sample(
                 np.where(sample.observed, transformed, 0.0), sample.observed
             )
-            rt2 = build_rank_table(s2)
-            assert np.array_equal(rt.overall, rt2.overall, equal_nan=True)
-            assert np.array_equal(rt.internal, rt2.internal, equal_nan=True)
+            assert np.array_equal(b, build_rank_table(s2), equal_nan=True)
+
+    def test_permutation_equivariance(self, rng):
+        for _ in range(10):
+            sample, idx = random_general_sample(rng, ties=True)
+            order = rng.permutation(sample.n)
+            shuffled = build_masked_sample(
+                np.nan_to_num(sample.values[:, order]), sample.observed[:, order]
+            )
+            b = build_rank_table(sample)
+            assert np.array_equal(build_rank_table(shuffled), b[:, order], equal_nan=True)
 
 
 class TestPlacements:

@@ -360,7 +360,11 @@ class TestRunGrid:
         import rankeffect.simulate as sim
 
         monkeypatch.setenv("RANK_EFFECT_THREADS", "64")
-        assert sim._worker_count(100) == min(64, len(os.sched_getaffinity(0)))
+        if hasattr(os, "sched_getaffinity"):  # Linux only
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count() or 1
+        assert sim._worker_count(100) == min(64, usable)
         assert sim._worker_count(1) == 1
 
     def test_worker_count_without_sched_getaffinity(self, monkeypatch):
