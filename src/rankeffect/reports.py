@@ -61,6 +61,29 @@ def _not_utf8(path) -> ParseError:
     return ParseError(reason)  # the file changed since the first read
 
 
+def _malformed(path, exc: csv.Error, start: int, end: int) -> ParseError:
+    """The error for a CSV record that ``csv`` rejected, begun at line ``start``.
+
+    A reader that ran into the end of the file or the field size limit
+    (131,072 characters by default) is still inside a quoted field; that
+    field is named at the line of its opening quote, counting from the
+    record's start, where ``""`` opens and closes nothing.  Any other error
+    is named at line ``end``, where the reader stopped.
+    """
+    opened = None
+    if str(exc).startswith(("unexpected end of data", "field larger than field limit")):
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            for line, text in enumerate(fh, 1):
+                if line > end:
+                    break
+                if line >= start:
+                    for _ in range(text.replace('""', "").count('"')):
+                        opened = None if opened else line
+    if opened is not None:
+        return ParseError("unterminated quoted field", line=opened)
+    return ParseError(f"malformed CSV: {exc}", line=end)
+
+
 def parse_dataset(
     path,
     dimension: int | None = None,
@@ -75,19 +98,27 @@ def parse_dataset(
     Raises
     ------
     ParseError
-        A file that is not UTF-8 text, an empty file, odd column count, a
-        non-numeric non-NA cell, or a dimension that contradicts the column
-        count.
+        A file that is not UTF-8 text or not well-formed CSV (such as an
+        unterminated quoted field), an empty file, odd column count, a cell
+        that is neither a finite number nor NA, or a dimension that
+        contradicts the column count.
     InconsistentWidth
         A row with a different number of cells than the first one.
     """
+    # each nonblank row with the file line it ends on, for error messages
+    rows = []
+    done = 0  # the line the last row read ends on
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
-            reader = csv.reader(fh)
-            # each nonblank row with the file line it ends on, for error messages
-            rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+            reader = csv.reader(fh, strict=True)
+            for row in reader:
+                if any(c.strip() for c in row):
+                    rows.append((reader.line_num, row))
+                done = reader.line_num
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+    except csv.Error as exc:
+        raise _malformed(path, exc, done + 1, reader.line_num) from None
     if not rows:
         raise ParseError("no rows")
     first = [cell.strip() for cell in rows[0][1]]
@@ -121,6 +152,12 @@ def parse_dataset(
                     column=j + 1,
                 ) from None
             observed[j, k] = True
+    # float() reads "inf", "nan" and overflowing numbers such as 1e999
+    finite = np.isfinite(values)
+    if not finite.all():
+        k, j = np.argwhere(~finite.T)[0]  # the first in file order
+        line, row = data_rows[k]
+        raise ParseError(f"cell {row[j].strip()!r} is not a finite number", line=line, column=j + 1)
     return build_masked_sample(values, observed)
 
 

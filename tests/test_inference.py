@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankeffect import (
     CovarianceEstimate,
@@ -57,6 +59,57 @@ class TestChisqUpperTail:
         for k in (1.0, 2.5, 6.0):
             p = [chisq_upper_tail(x, k) for x in xs]
             assert all(a >= b for a, b in zip(p, p[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(0.02, 2000.0).flatmap(
+                lambda k: st.tuples(
+                    st.one_of(st.floats(0.0, 3.0 * k + 60.0), st.just(k + 2.0)), st.just(k)
+                )
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_array_equals_its_scalar_calls(self, pairs):
+        # each element depends on its own (x, k) alone: no stopping rule or
+        # summation order is shared across an array
+        x, k = (np.array(column) for column in zip(*pairs))
+        singles = [chisq_upper_tail(a, b) for a, b in pairs]
+        assert np.array_equal(chisq_upper_tail(x, k), singles)
+
+    @pytest.mark.parametrize("k", [0.02, 0.1, 0.5, 1.0, 2.0, 3.7, 10.0, 57.5, 300.0, 2000.0])
+    def test_against_highprec_oracle_in_both_regimes(self, k):
+        # x / 2 = k / 2 + 1 is where the series hands over to the quadrature
+        switch = k / 2.0 + 1.0
+        near = [2.0 * np.nextafter(switch, 0.0), 2.0 * switch, 2.0 * np.nextafter(switch, 9e9)]
+        for x in [0.0, 1e-6, k / 2.0, *near, 2.0 * k + 10.0, 10.0 * k + 100.0, 1e3, 1e4, 1e6]:
+            assert chisq_upper_tail(x, k) == pytest.approx(
+                chisq_upper_tail_highprec(x, k), rel=1e-11, abs=1e-300
+            )
+
+    @pytest.mark.parametrize("k", [0.02, 0.5, 1.0, 3.7, 10.0, 300.0, 2000.0])
+    def test_monotone_across_the_regime_switch(self, k):
+        # the regimes meet within their accuracy (about 1e-14 for small k),
+        # far below the tail's fall over a relative step of 1e-9 in x
+        x = (k + 2.0) * (1.0 + 1e-9 * np.arange(-20, 21))
+        assert np.all(np.diff(chisq_upper_tail(x, k)) < 0.0)
+
+    def test_df_beyond_the_supported_range_is_domain_error(self):
+        # the quadrature loses digits past k = 2000; a larger k is refused
+        assert 0.0 < chisq_upper_tail(2002.0, 2000.0) < 1.0
+        with pytest.raises(DomainError):
+            chisq_upper_tail(2002.0, np.nextafter(2000.0, 3000.0))
+        with pytest.raises(DomainError):
+            chisq_upper_tail(1.0, float("inf"))
+
+    def test_tiny_df_stays_in_the_unit_interval(self):
+        # 1 - P rounded to -2.2e-16 for k below about 1e-15, where P is within an ulp of one
+        k = np.geomspace(1e-300, 1e-3, 200)
+        for x in (0.1, 1.0, 2.0):
+            p = chisq_upper_tail(np.full(k.shape, x), k)
+            assert np.all((p >= 0.0) & (p <= 1.0))
 
 
 class TestWald:
