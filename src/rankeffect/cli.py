@@ -35,7 +35,7 @@ def _fail(exc: Exception) -> int:
 def _write(path, text: str) -> None:
     """Write ``text`` to the file ``path``, or to stdout when no path is given."""
     if path:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

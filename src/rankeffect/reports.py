@@ -14,6 +14,8 @@ bytes.
 
 import csv
 import hashlib
+import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -44,27 +46,10 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def _not_utf8(path) -> ParseError:
-    """The error for a file that is not UTF-8 text, at the line of its first bad byte.
+def _malformed(text: str, exc: csv.Error, start: int, end: int) -> ParseError:
+    """The error for a CSV record of ``text`` that ``csv`` rejected, begun at line ``start``.
 
-    A text stream decodes in chunks, so its error does not locate the byte in
-    the file; decoding the whole file again does.
-    """
-    reason = f"{str(path)!r} is not UTF-8 text"
-    try:
-        Path(path).read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        return ParseError(
-            f"{reason}: byte 0x{exc.object[exc.start]:02x}, {exc.reason}",
-            line=exc.object.count(b"\n", 0, exc.start) + 1,
-        )
-    return ParseError(reason)  # the file changed since the first read
-
-
-def _malformed(path, exc: csv.Error, start: int, end: int) -> ParseError:
-    """The error for a CSV record that ``csv`` rejected, begun at line ``start``.
-
-    A reader that ran into the end of the file or the field size limit
+    A reader that ran into the end of the text or the field size limit
     (131,072 characters by default) is still inside a quoted field; that
     field is named at the line of its opening quote, counting from the
     record's start, where ``""`` opens and closes nothing.  Any other error
@@ -72,16 +57,33 @@ def _malformed(path, exc: csv.Error, start: int, end: int) -> ParseError:
     """
     opened = None
     if str(exc).startswith(("unexpected end of data", "field larger than field limit")):
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            for line, text in enumerate(fh, 1):
-                if line > end:
-                    break
-                if line >= start:
-                    for _ in range(text.replace('""', "").count('"')):
-                        opened = None if opened else line
+        lines = itertools.islice(io.StringIO(text, newline=""), start - 1, end)
+        for line, chunk in enumerate(lines, start):
+            for _ in range(chunk.replace('""', "").count('"')):
+                opened = None if opened else line
     if opened is not None:
         return ParseError("unterminated quoted field", line=opened)
     return ParseError(f"malformed CSV: {exc}", line=end)
+
+
+def _numbers(cells: list[str], na_token: str, line: int) -> list[float]:
+    """The cells of a data row as finite numbers, NaN where missing."""
+    row = []
+    for column, token in enumerate(cells, 1):
+        if token == na_token or token == "":
+            row.append(math.nan)
+            continue
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(
+                f"cell {token!r} is neither a number nor {na_token!r}", line=line, column=column
+            ) from None
+        # float() reads "inf", "nan" and overflowing numbers such as 1e999
+        if not math.isfinite(value):
+            raise ParseError(f"cell {token!r} is not a finite number", line=line, column=column)
+        row.append(value)
+    return row
 
 
 def parse_dataset(
@@ -95,6 +97,10 @@ def parse_dataset(
     neither numeric nor the NA token.  The number of response variables is
     inferred as half the column count unless ``dimension`` is given.
 
+    The file is read once and each row converted as it is read.  A byte
+    that is not UTF-8 is reported before anything else; otherwise the first
+    error in file order is reported.
+
     Raises
     ------
     ParseError
@@ -105,67 +111,52 @@ def parse_dataset(
     InconsistentWidth
         A row with a different number of cells than the first one.
     """
-    # each nonblank row with the file line it ends on, for error messages
-    rows = []
-    done = 0  # the line the last row read ends on
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
-            reader = csv.reader(fh, strict=True)
-            for row in reader:
-                if any(c.strip() for c in row):
-                    rows.append((reader.line_num, row))
-                done = reader.line_num
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    except csv.Error as exc:
-        raise _malformed(path, exc, done + 1, reader.line_num) from None
-    if not rows:
-        raise ParseError("no rows")
-    first = [cell.strip() for cell in rows[0][1]]
-    has_header = any(not _is_number(c) and c != na_token for c in first)
-    data_rows = rows[1:] if has_header else rows
-    if not data_rows:
-        raise ParseError("no data rows (header only)")
-    width = len(first)
-    if width % 2 != 0:
-        raise ParseError(f"column count {width} is odd; expected 2 * d")
-    d = width // 2
-    if dimension is not None and dimension != d:
-        raise ParseError(f"file has {width} columns but dimension {dimension} was requested")
-
-    n = len(data_rows)
-    values = np.zeros((2 * d, n))
-    observed = np.zeros((2 * d, n), dtype=bool)
-    for k, (line, row) in enumerate(data_rows):
-        if len(row) != width:
-            raise InconsistentWidth(line=line, expected=width, got=len(row))
-        for j, cell in enumerate(row):
-            token = cell.strip()
-            if token == na_token or token == "":
+        text = Path(path).read_bytes().decode("utf-8-sig")  # drops a byte-order mark
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{str(path)!r} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x}, {exc.reason}",
+            line=exc.object.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)  # lines end as in a file
+    width = None
+    rows = []
+    line = 0  # the line the last record read ends on; blank lines count
+    try:  # csv.Error comes only from the reader
+        for row in reader:
+            line = reader.line_num
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
                 continue
-            try:
-                values[j, k] = float(token)
-            except ValueError:
-                raise ParseError(
-                    f"cell {token!r} is neither a number nor {na_token!r}",
-                    line=line,
-                    column=j + 1,
-                ) from None
-            observed[j, k] = True
-    # float() reads "inf", "nan" and overflowing numbers such as 1e999
-    finite = np.isfinite(values)
-    if not finite.all():
-        k, j = np.argwhere(~finite.T)[0]  # the first in file order
-        line, row = data_rows[k]
-        raise ParseError(f"cell {row[j].strip()!r} is not a finite number", line=line, column=j + 1)
-    return build_masked_sample(values, observed)
+            if width is None:
+                width = len(cells)
+                if any(not _is_number(c) and c != na_token for c in cells):
+                    continue  # a header
+            if not rows:
+                if width % 2 != 0:
+                    raise ParseError(f"column count {width} is odd; expected 2 * d")
+                if dimension is not None and dimension != width // 2:
+                    raise ParseError(
+                        f"file has {width} columns but dimension {dimension} was requested"
+                    )
+            if len(cells) != width:
+                raise InconsistentWidth(line=line, expected=width, got=len(cells))
+            rows.append(_numbers(cells, na_token, line))
+    except csv.Error as exc:
+        raise _malformed(text, exc, line + 1, reader.line_num) from None
+    if width is None:
+        raise ParseError("no rows")
+    if not rows:
+        raise ParseError("no data rows (header only)")
+    values = np.ascontiguousarray(np.array(rows).T)  # subjects as columns, in C order
+    return build_masked_sample(values, ~np.isnan(values))
 
 
 def write_dataset(sample: MaskedSample, path) -> None:
     """Write a sample back to wide CSV with ``NA`` cells; inverse of :func:`parse_dataset`."""
     d = sample.d
     header = [f"g1_var{l + 1}" for l in range(d)] + [f"g2_var{l + 1}" for l in range(d)]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for k in range(sample.n):

@@ -84,6 +84,14 @@ def build_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> np.ndarray:
     return sigma
 
 
+def _check_count(value, name: str, least: int) -> None:
+    """Reject ``value`` unless it is an integer (``bool`` is not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ScenarioError(f"{name} must be >= {least}, got {value}")
+
+
 def _int_exact(x: float, what: str) -> int:
     if abs(x - round(x)) > 1e-9:
         raise ScenarioError(f"{what} = {x} is not an integer")
@@ -129,8 +137,9 @@ class Scenario:
             )
         if self.pattern not in PATTERNS:
             raise ScenarioError(f"pattern {self.pattern!r} not one of {tuple(PATTERNS)}")
-        if self.d < 1:
-            raise ScenarioError(f"d must be >= 1, got {self.d}")
+        _check_count(self.d, "d", 1)
+        _check_count(self.replications, "replications", 1)
+        _check_count(self.seed, "seed", 0)
         lengths = {"delta": self.d, "rho": 3, "sigma_sq": 2, "sizes": PATTERNS[self.pattern]}
         for name, length in lengths.items():
             value = getattr(self, name)
@@ -138,8 +147,6 @@ class Scenario:
                 raise ScenarioError(f"{name} needs {length} value(s), got {value}")
             if not np.isfinite(value).all():
                 raise ScenarioError(f"{name} values must be finite, got {value}")
-        if self.replications < 1:
-            raise ScenarioError(f"replications must be >= 1, got {self.replications}")
         if not 0.0 < self.alpha < 1.0:
             raise ScenarioError(f"alpha must lie in (0, 1), got {self.alpha}")
         try:
@@ -326,6 +333,7 @@ def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult
     """
     scenarios = list(scenarios)
     if master_seed is not None:
+        _check_count(master_seed, "master_seed", 0)
         scenarios = [
             replace(s, seed=_derived_seed(master_seed, i)) for i, s in enumerate(scenarios)
         ]

@@ -133,6 +133,14 @@ class TestAnalyzeCommand:
         assert "component" in out and "p_value" in out
         assert "var1" in out
 
+    def test_table_marks_a_skipped_method(self, capsys, tmp_path):
+        # fully observed data leave the incomplete-case restriction nobody
+        path = tmp_path / "complete.csv"
+        path.write_text("g1_var1,g2_var1\n1,2\n3,5\n4,1\n6,7\n2,8\n")
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--table")
+        assert code == 0
+        assert out.splitlines()[2].split() == ["var1", "0.640", "0.640", "-"]
+
     def test_methods_subset(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", FIXTURE, "--methods", "all")
         assert code == 0
@@ -199,6 +207,15 @@ class TestSimulateCommand:
         )
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+    def test_negative_seed_is_named(self, capsys):
+        # was a ValueError from numpy naming neither the seed nor its value
+        code, out, err = run_cli(capsys, "simulate", "--builtin", "table3", "--seed", "-3")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ScenarioError",
+            "message": "master_seed must be >= 0, got -3",
+        }
 
     def test_unknown_builtin_lists_valid_names(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--builtin", "nope")
@@ -429,3 +446,24 @@ def test_analyze_runs_without_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert json.loads(out.read_text()) == json.loads(GOLDEN.read_text())
+
+
+def test_output_files_are_utf8_in_any_locale(tmp_path):
+    # under the C locale the "±" of the text table raised UnicodeEncodeError
+    # after the .json file was written, leaving the .txt file empty
+    src = str(Path(rankeffect.__file__).resolve().parents[1])
+    args = ["simulate", "--builtin", "table3", "--reps", "2", "--dims", "2"]
+    tables = []
+    for name, env in [
+        ("utf8", {"PYTHONUTF8": "1"}),
+        ("c", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}),
+    ]:
+        stem = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-m", "rankeffect.cli", *args, "--output", str(stem)],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src, **env},
+        )
+        assert result.returncode == 0, result.stderr
+        tables.append(stem.with_suffix(".txt").read_bytes())
+    assert "±".encode() in tables[0]
+    assert tables[1] == tables[0]

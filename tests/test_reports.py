@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import jsonschema
 import numpy as np
@@ -82,6 +84,13 @@ class TestParseDataset:
     @pytest.mark.parametrize("text, error, line, column", [
         ("1,2\n\n3,4\n3,oops\n", ParseError, 4, 2),
         ("a,b\n\n\n1,2\n3\n", InconsistentWidth, 5, None),
+        # lines end at \n, \r\n or \r only, as csv counts them; not at the
+        # other breaks str.splitlines knows, such as \x0c or \u2028
+        ("1,2\r3,4\r5,x\r", ParseError, 3, 2),
+        ("1,2\r\n\r\n3,4\r\n\r\n5,x\r\n", ParseError, 5, 2),
+        ('1,2\n"3\n",5\n6,x\n', ParseError, 4, 2),
+        ("1,2\n3\x0c,4\n5,x\n", ParseError, 3, 2),
+        ("1,2\n3\u2028,4\n5,x\n", ParseError, 3, 2),
     ])
     def test_error_line_counts_blank_lines(self, tmp_path, text, error, line, column):
         path = tmp_path / "blank.csv"
@@ -90,6 +99,52 @@ class TestParseDataset:
             parse_dataset(path)
         assert type(exc.value) is error
         assert (exc.value.line, exc.value.column) == (line, column)
+
+    @pytest.mark.parametrize("data, error, line, column", [
+        # a bad cell before an unterminated quote
+        (b'1,2\n3,x\n5,6\n7,"8\n9,9\n', ParseError, 2, 2),
+        # a non-finite cell before a cell that is not a number
+        (b"1,2\n3,inf\n5,6\n7,x\n", ParseError, 2, 2),
+        # a short row before an unterminated quote
+        (b'1,2\n3,4,5\n7,"8\n', InconsistentWidth, 2, None),
+        # a byte that is not UTF-8 comes first wherever it is
+        (b'1,2\n3,"4"x\n' + b"5,6\n" * 4000 + b"7,\xff\n", ParseError, 4003, None),
+    ], ids=["cell-before-quote", "inf-before-cell", "width-before-quote", "utf8-before-csv"])
+    def test_first_error_in_file_order_is_reported(self, tmp_path, data, error, line, column):
+        path = tmp_path / "errors.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(path)
+        assert type(exc.value) is error
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    def test_malformed_csv_names_the_line(self, tmp_path):
+        path = tmp_path / "malformed.csv"
+        path.write_text('1,2\n3,"4"x\n')
+        with pytest.raises(ParseError) as exc:
+            parse_dataset(path)
+        assert str(exc.value) == "parse error at line 2: malformed CSV: ',' expected after '\"'"
+
+    @pytest.mark.parametrize("data", [
+        b"1,2\n3,NA\n",
+        b"1,2\n" * 3000 + b"5,\xff6\n",
+        b'1,2\n3,"4\n' + b"".join(b"%d,%d\n" % (i, i) for i in range(20_000)),
+        b'1,2\n3,"4"x\n',
+    ], ids=["good", "not-utf8", "unterminated-quote", "malformed"])
+    def test_file_is_opened_once(self, tmp_path, data):
+        # errors used to re-read the file to find the line they name
+        path = tmp_path / "once.csv"
+        path.write_bytes(data)
+        opened = []
+        sys.addaudithook(  # a hook cannot be removed; this one sees only its own file
+            lambda event, args: event == "open" and not isinstance(args[0], int)
+            and os.fspath(args[0]) == str(path) and opened.append(args)
+        )
+        try:
+            parse_dataset(path)
+        except ParseError:
+            pass
+        assert len(opened) == 1
 
     def test_odd_column_count(self, tmp_path):
         path = tmp_path / "odd.csv"

@@ -18,6 +18,7 @@ from rankeffect import (
 )
 from rankeffect.effects import METHODS
 from rankeffect.errors import NotPositiveDefinite, ScenarioError, ZeroCovariance
+from rankeffect.reports import render_simulation_table, simulation_results_document
 from rankeffect.simulate import DISTRIBUTIONS
 
 
@@ -141,6 +142,22 @@ class TestScenarioValidation:
     def test_out_of_range_value_is_named(self, named, kw):
         with pytest.raises(ScenarioError, match=named):
             scenario(**kw)
+
+    @pytest.mark.parametrize("named, kw", [
+        ("seed must be >= 0, got -1", dict(seed=-1)),
+        ("seed must be an integer, got 1.5", dict(seed=1.5)),
+        ("seed must be an integer, got True", dict(seed=True)),
+        ("d must be an integer, got 2.0", dict(d=2.0)),
+        ("replications must be an integer, got 2.5", dict(replications=2.5)),
+    ])
+    def test_count_that_is_not_a_non_negative_integer_is_named(self, named, kw):
+        # each built, then failed inside run_scenario with a ValueError or TypeError
+        with pytest.raises(ScenarioError, match=named):
+            scenario(**kw)
+
+    def test_numpy_integers_are_counts(self):
+        s = scenario(d=np.int64(2), replications=np.int32(3), seed=np.uint64(5))
+        assert run_scenario(s).tallies["anova:all"].evaluated == 3
 
     def test_replace_checks_the_copy(self):
         with pytest.raises(ScenarioError, match="rho"):
@@ -297,6 +314,16 @@ class TestRunScenario:
         with pytest.raises(TypeError):
             run_scenario(scenario(replications=3))
 
+    def test_never_evaluated_method_has_no_rate(self):
+        res = run_scenario(scenario(sizes=(0, 10, 10), replications=3, methods=("complete",)))
+        tally = res.tallies["anova:complete"]
+        assert (tally.evaluated, tally.skipped) == (0, 3)
+        assert np.isnan(tally.rate) and np.isnan(tally.mc_se)
+        row = simulation_results_document([res], {})["results"][0]
+        assert row["methods"]["anova:complete"]["rate"] is None
+        assert row["methods"]["anova:complete"]["mc_se"] is None
+        assert render_simulation_table([res]).splitlines()[1].split()[-2:] == ["-", "-"]
+
 
 class TestBlocks:
     @pytest.mark.parametrize("kw, failures, skipped", [
@@ -342,6 +369,14 @@ class TestRunGrid:
         ]
         assert a[0].scenario.seed != a[1].scenario.seed
 
+    @pytest.mark.parametrize("named, master_seed", [
+        ("master_seed must be >= 0, got -3", -3),
+        ("master_seed must be an integer, got 1.5", 1.5),
+    ])
+    def test_bad_master_seed_is_named(self, named, master_seed):
+        with pytest.raises(ScenarioError, match=named):
+            run_grid([scenario(replications=2)], master_seed=master_seed)
+
     def test_builtin_table3_row_count(self):
         grid = builtin_grid("table3", reps=10, dims=(2,))
         assert len(grid) == 16
@@ -379,6 +414,12 @@ class TestRunGrid:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert sim._worker_count(100) == 1
         assert len(run_grid([scenario(replications=5)])) == 1
+
+    def test_unreadable_thread_env_means_one_worker(self, monkeypatch):
+        import rankeffect.simulate as sim
+
+        monkeypatch.setenv("RANK_EFFECT_THREADS", "abc")
+        assert sim._worker_count(100) == 1
 
     def test_thread_env_cap(self, monkeypatch):
         monkeypatch.setenv("RANK_EFFECT_THREADS", "2")
