@@ -33,12 +33,13 @@ def _fail(exc: Exception) -> int:
 
 
 def _write(path, text: str) -> None:
-    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
+    """Write ``text`` as UTF-8, whatever the locale, to ``path`` or else to stdout."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
 
 
 def _parse_methods(raw: str) -> tuple[str, ...]:
@@ -128,7 +129,10 @@ def _scenarios_from_config(path, reps: int | None) -> list[Scenario]:
 
 def cmd_simulate(args) -> int:
     if args.builtin:
-        dims = tuple(int(v) for v in args.dims.split(","))
+        try:
+            dims = tuple(int(v) for v in args.dims.split(","))
+        except ValueError:
+            raise ScenarioError(f"--dims must be integers, got {args.dims!r}") from None
         reps = Scenario.replications if args.reps is None else args.reps
         scenarios = builtin_grid(args.builtin, reps=reps, dims=dims)
     else:

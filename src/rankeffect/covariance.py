@@ -1,9 +1,10 @@
 """Covariance estimation for the scaled effect vector.
 
 One kernel estimates the asymptotic covariance of ``sqrt(n) * (p_hat - p)``
-from the placement counts ``b``.  Per component it has
-three value rows: ``b2 - b1`` on the complete (paired) cases, ``b2`` on the
-group-2-only cases and ``-b1`` on the group-1-only cases.  Entry (l, r) sums
+from the placement counts ``b`` and the pattern index alone, so both entry
+points take ``(b, idx)``.  Per component it has three value rows:
+``b2 - b1`` on the complete (paired) cases, ``b2`` on the group-2-only
+cases and ``-b1`` on the group-1-only cases.  Entry (l, r) sums
 the nine cross-covariances of component ``l``'s rows with component ``r``'s,
 each over the intersection of the two index sets with an ``e/(e-1)`` bias
 factor (``e`` the intersection size), divided by ``m1_l m2_l m1_r m2_r``.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MaskedSample, PatternIndex
+from .data import PatternIndex
 from .errors import NoEstimablePart, PatternMismatch
 
 __all__ = [
@@ -60,7 +61,7 @@ class CovarianceEstimate:
             return np.where(trace_sq > 0, trace * trace / trace_sq, np.nan)[()]
 
 
-def _kernel(idx: PatternIndex, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kernel(b: np.ndarray, idx: PatternIndex) -> tuple[np.ndarray, np.ndarray]:
     """Estimate and the (3d, 3d) intersection sizes of the stacked rows.
 
     Row ``a * d + l`` is component ``l``'s complete (a=0), group-2-only (a=1)
@@ -91,11 +92,7 @@ def _kernel(idx: PatternIndex, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, e
 
 
-def covariance_simple(
-    sample: MaskedSample,
-    idx: PatternIndex,
-    b: np.ndarray,
-) -> CovarianceEstimate:
+def covariance_simple(b: np.ndarray, idx: PatternIndex) -> CovarianceEstimate:
     """Three-part placement-count estimator for treatment-level missingness.
 
     The parts are scaled empirical covariances of the paired, group-1-only
@@ -125,22 +122,18 @@ def covariance_simple(
     for g, cnt in ((1, n_1), (2, n_2)):
         if cnt == 1:
             flags.append(f"group-{g} incomplete part degenerate (single case); contributed zero")
-    v, _ = _kernel(idx, b)
+    v, _ = _kernel(b, idx)
     return CovarianceEstimate(v, "simple", tuple(flags))
 
 
-def covariance_general(
-    sample: MaskedSample,
-    idx: PatternIndex,
-    b: np.ndarray,
-) -> CovarianceEstimate:
+def covariance_general(b: np.ndarray, idx: PatternIndex) -> CovarianceEstimate:
     """Nine-term estimator for per-cell missingness.
 
     Every single-subject intersection is flagged as term ``C1..C9`` (in the
     order complete, group-2-only, group-1-only for the left then the right
     component) of entry (l, r), r >= l.
     """
-    v, e = _kernel(idx, b)
+    v, e = _kernel(b, idx)
     d = idx.d
     # axes (l, r, i, j), so argwhere lists the entries and terms in flag order
     single = e.reshape(3, d, 3, d).transpose(1, 3, 0, 2) == 1

@@ -8,7 +8,9 @@ cell, ``(R2 - R1) / N + 1/2`` with ``N`` the pooled count: the sample-size
 weights that pool complete and incomplete cases cancel in this form
 (Brunner and Munzel, 2000).  A group's pooled rank sum is the sum of its
 placement counts ``b`` plus ``m(m + 1) / 2``, its within-group rank sum;
-every term is a half-integer, so the sums are exact.
+every term is a half-integer, so the sums are exact.  The estimate is a
+function of ``b`` (NaN exactly where a cell is unobserved) and the pattern
+index's case counts alone, so :func:`estimate_effects` takes ``(b, idx)``.
 """
 
 import numpy as np
@@ -41,20 +43,17 @@ def check_methods(methods) -> None:
             raise ValueError(f"method {m!r} is given more than once")
 
 
-def estimate_effects(
-    sample: MaskedSample,
-    idx: PatternIndex,
-    b: np.ndarray,
-) -> np.ndarray:
+def estimate_effects(b: np.ndarray, idx: PatternIndex) -> np.ndarray:
     """Effect vector from the difference of the groups' mean pooled midranks.
 
-    ``b`` holds the placement counts of :func:`~rankeffect.ranks.build_rank_table`.
+    ``b`` holds the placement counts of :func:`~rankeffect.ranks.build_rank_table`,
+    NaN exactly where a cell is unobserved, and ``idx`` the case counts.
     Returns the read-only ``p_hat`` in [0, 1], ``(d,)`` for one dataset and
-    ``(R, d)`` for a block; the case counts behind it are those of ``idx``.
+    ``(R, d)`` for a block.
     """
     d = idx.d
     m = np.concatenate([idx.m1, idx.m2])
-    means = (np.where(sample.observed, b, 0.0).sum(axis=-1) + m * (m + 1) / 2) / m
+    means = (np.where(np.isnan(b), 0.0, b).sum(axis=-1) + m * (m + 1) / 2) / m
     p_hat = np.clip((means[..., d:] - means[..., :d]) / idx.pooled_counts + 0.5, 0.0, 1.0)
     p_hat.setflags(write=False)
     return p_hat
@@ -80,14 +79,10 @@ def restrict_method(
     check_methods((method,))
     if method == "all":
         return sample, idx
-    d = sample.d
-    new_obs = np.zeros_like(sample.observed)
     if method == "complete":
-        new_obs[:d] = idx.complete_mask
-        new_obs[d:] = idx.complete_mask
+        new_obs = np.concatenate([idx.complete_mask, idx.complete_mask])
     else:
-        new_obs[:d] = idx.g1_only_mask
-        new_obs[d:] = idx.g2_only_mask
+        new_obs = np.concatenate([idx.g1_only_mask, idx.g2_only_mask])
     keep = new_obs.any(axis=0)
     if keep.sum() < 2:
         raise EverythingFiltered(

@@ -317,10 +317,10 @@ class MethodAnalysis:
     skipped: str | None = None
 
 
-def _select_covariance(sample, idx, b, pattern: str):
+def _select_covariance(b, idx, pattern: str):
     if pattern == "simple" or (pattern == "auto" and idx.is_simple_pattern):
-        return covariance_simple(sample, idx, b)
-    return covariance_general(sample, idx, b)
+        return covariance_simple(b, idx)
+    return covariance_general(b, idx)
 
 
 def analyze(
@@ -361,10 +361,10 @@ def analyze(
         try:
             sub, sub_idx = restrict_method(sample, idx, method)
             b = build_rank_table(sub)
-            eff = estimate_effects(sub, sub_idx, b)
-            cov = _select_covariance(sub, sub_idx, b, pattern)
-            wald = wald_test(eff, cov, sub.n, alpha)
-            anova = anova_test(eff, cov, sub.n, alpha)
+            eff = estimate_effects(b, sub_idx)
+            cov = _select_covariance(b, sub_idx, pattern)
+            wald = wald_test(eff, cov, sub_idx.n, alpha)
+            anova = anova_test(eff, cov, sub_idx.n, alpha)
             out.append(MethodAnalysis(method, eff, cov, sub_idx, wald, anova))
         except (EverythingFiltered, NoEstimablePart, ZeroCovariance) as exc:
             # the first two depend on the mask and so hold for every replicate

@@ -66,6 +66,11 @@ def build_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> np.ndarray:
     NotPositiveDefinite
         The parameter combination does not yield a valid covariance.
     """
+    return _factor_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq)[0]
+
+
+def _factor_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`build_sigma`'s matrix and its Cholesky factor, which validates it."""
     eye = np.eye(d)
     ones = np.ones((d, d))
     s1 = float(sigma1_sq)
@@ -75,13 +80,12 @@ def build_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> np.ndarray:
         [rho12 * np.sqrt(s1 * s2) * ones, s2 * eye + rho2 * s2 * (ones - eye)],
     ])
     try:
-        np.linalg.cholesky(sigma)
+        return sigma, np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(
             f"correlations ({rho1}, {rho2}, {rho12}) with variances "
             f"({sigma1_sq}, {sigma2_sq}) do not give a positive definite matrix"
         ) from None
-    return sigma
 
 
 def _check_count(value, name: str, least: int) -> None:
@@ -194,7 +198,7 @@ def _draw_plan(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     every replicate of a block shares them.
     """
     d = scenario.d
-    chol = np.linalg.cholesky(build_sigma(d, *scenario.rho, *scenario.sigma_sq))
+    _, chol = _factor_sigma(d, *scenario.rho, *scenario.sigma_sq)
     mu = np.concatenate([np.zeros(d), np.asarray(scenario.delta, dtype=float)])
     full = 2**(2 * d) - 1
     blocks = [full, 2**d - 1, (2**d - 1) << d]
@@ -419,4 +423,6 @@ def builtin_grid(name: str, reps: int = Scenario.replications, dims=DIMS) -> lis
         raise ScenarioError(
             f"unknown builtin grid {name!r}; valid names: {', '.join(sorted(BUILTIN_GRIDS))}"
         )
+    if len(set(dims)) < len(dims):
+        raise ScenarioError(f"dims {tuple(dims)} repeat a dimension")
     return BUILTIN_GRIDS[name](reps, dims)

@@ -68,7 +68,7 @@ def effect_bruteforce(sample, idx) -> np.ndarray:
     return p
 
 
-def covariance_simple_placement_scale(sample, idx, place) -> np.ndarray:
+def covariance_simple_placement_scale(place, idx) -> np.ndarray:
     """Three-part covariance assembled from placement values instead of ranks.
 
     Uses the weighted-difference vectors over paired cases and the raw

@@ -53,7 +53,7 @@ def test_criterion_01_rank_integral_equivalence():
         n = int(rng.integers(4, 41))
         sample, idx = random_general_sample(rng, d=d, n=n, ties=True)
         ranks = rf.build_rank_table(sample)
-        a = rf.estimate_effects(sample, idx, ranks)
+        a = rf.estimate_effects(ranks, idx)
         b = effect_bruteforce(sample, idx)
         worst = max(worst, float(np.abs(a - b).max()))
     elapsed = time.perf_counter() - start
@@ -72,8 +72,8 @@ def test_criterion_02_general_reduces_to_simple():
     for _ in range(200):
         sample, idx = random_simple_sample(rng, min_part=2)
         ranks = rf.build_rank_table(sample)
-        vs = rf.covariance_simple(sample, idx, ranks).v_hat
-        vg = rf.covariance_general(sample, idx, ranks).v_hat
+        vs = rf.covariance_simple(ranks, idx).v_hat
+        vg = rf.covariance_general(ranks, idx).v_hat
         worst = max(worst, float(np.abs(vs - vg).max()))
     elapsed = time.perf_counter() - start
     report(
@@ -159,7 +159,7 @@ def test_criterion_07_covariance_consistency_trend():
             s = rf.build_masked_sample(rng.standard_normal(obs.shape), obs)
             idx = rf.derive_pattern_index(s)
             ranks = rf.build_rank_table(s)
-            v_hat = rf.covariance_simple(s, idx, ranks).v_hat
+            v_hat = rf.covariance_simple(ranks, idx).v_hat
             v_oracle = covariance_from_marginals(s, idx, cdfs)
             errs.append(float(np.linalg.norm(v_hat - v_oracle)))
         medians.append(float(np.median(errs)))
@@ -234,29 +234,29 @@ def test_criterion_10_invariant_sweep(tmp_path):
     for _ in range(20):
         sample, idx = random_general_sample(rng)
         rt = rf.build_rank_table(sample)
-        p = rf.estimate_effects(sample, idx, rt)
+        p = rf.estimate_effects(rt, idx)
         mono = np.where(sample.observed, np.exp(sample.values / 3.0), 0.0)
         s2 = rf.build_masked_sample(mono, sample.observed)
         idx2 = rf.derive_pattern_index(s2)
-        p2 = rf.estimate_effects(s2, idx2, rf.build_rank_table(s2))
+        p2 = rf.estimate_effects(rf.build_rank_table(s2), idx2)
         checks.append(np.allclose(p, p2, atol=1e-13))
         d = sample.d
         sw_vals = np.nan_to_num(np.vstack([sample.values[d:], sample.values[:d]]))
         sw_obs = np.vstack([sample.observed[d:], sample.observed[:d]])
         s3 = rf.build_masked_sample(sw_vals, sw_obs)
         idx3 = rf.derive_pattern_index(s3)
-        p3 = rf.estimate_effects(s3, idx3, rf.build_rank_table(s3))
+        p3 = rf.estimate_effects(rf.build_rank_table(s3), idx3)
         checks.append(np.abs(p3 - (1.0 - p)).max() < 1e-12)
     # covariance symmetry, PSD (treatment-level), nu range, p-value range
     for _ in range(40):
         sample, idx = random_simple_sample(rng, min_part=2)
         rt = rf.build_rank_table(sample)
-        cov = rf.covariance_simple(sample, idx, rt)
+        cov = rf.covariance_simple(rt, idx)
         checks.append(bool(np.array_equal(cov.v_hat, cov.v_hat.T)))
         checks.append(float(np.linalg.eigvalsh(cov.v_hat).min()) >= -1e-10)
         if cov.trace_sq > 0:
             checks.append(1.0 - 1e-12 <= cov.nu_hat <= sample.d + 1e-12)
-            eff = rf.estimate_effects(sample, idx, rt)
+            eff = rf.estimate_effects(rt, idx)
             for r in (
                 rf.wald_test(eff, cov, sample.n),
                 rf.anova_test(eff, cov, sample.n),

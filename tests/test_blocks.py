@@ -117,19 +117,19 @@ def test_block_equals_its_replicates(block):
         idx = derive_pattern_index(block)
     except InestimableComponent:
         return
-    eff = estimate_effects(block, idx, rt)
-    effs = [estimate_effects(s, idx, t) for s, t in zip(singles, rts)]
+    eff = estimate_effects(rt, idx)
+    effs = [estimate_effects(t, idx) for t in rts]
     assert_stacked(eff, effs)
     estimators = [covariance_general] + [covariance_simple] * idx.is_simple_pattern
     for estimator in estimators:
         try:
-            cov = estimator(block, idx, rt)
+            cov = estimator(rt, idx)
         except NoEstimablePart:  # a rule on the mask: each replicate breaks it too
-            for s, t in zip(singles, rts):
+            for t in rts:
                 with pytest.raises(NoEstimablePart):
-                    estimator(s, idx, t)
+                    estimator(t, idx)
             continue
-        covs = [estimator(s, idx, t) for s, t in zip(singles, rts)]
+        covs = [estimator(t, idx) for t in rts]
         for field in ("v_hat", "trace", "trace_sq", "nu_hat"):
             assert_stacked(getattr(cov, field), [getattr(c, field) for c in covs])
         assert all(c.degenerate == cov.degenerate for c in covs)

@@ -217,6 +217,27 @@ class TestSimulateCommand:
             "message": "master_seed must be >= 0, got -3",
         }
 
+    @pytest.mark.parametrize("dims", ["a", "2,", "", "2.5"])
+    def test_unreadable_dims_are_named(self, capsys, dims):
+        # was a bare ValueError from int() naming neither the flag nor its value
+        code, out, err = run_cli(capsys, "simulate", "--builtin", "table3", "--dims", dims)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ScenarioError",
+            "message": f"--dims must be integers, got {dims!r}",
+        }
+
+    def test_repeated_dims_are_rejected(self, capsys):
+        # ran every table3 scenario twice, under identical labels
+        code, out, err = run_cli(
+            capsys, "simulate", "--builtin", "table3", "--dims", "2,2", "--reps", "1",
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ScenarioError",
+            "message": "dims (2, 2) repeat a dimension",
+        }
+
     def test_unknown_builtin_lists_valid_names(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--builtin", "nope")
         assert code == 1
@@ -453,17 +474,22 @@ def test_output_files_are_utf8_in_any_locale(tmp_path):
     # after the .json file was written, leaving the .txt file empty
     src = str(Path(rankeffect.__file__).resolve().parents[1])
     args = ["simulate", "--builtin", "table3", "--reps", "2", "--dims", "2"]
+    c_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
     tables = []
-    for name, env in [
-        ("utf8", {"PYTHONUTF8": "1"}),
-        ("c", {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}),
+    # without --output the table goes to stdout, which must carry the same bytes
+    for name, env, to_file in [
+        ("utf8", {"PYTHONUTF8": "1"}, True),
+        ("c", c_locale, True),
+        ("c_stdout", c_locale, False),
     ]:
         stem = tmp_path / name
+        output = ["--output", str(stem)] if to_file else []
         result = subprocess.run(
-            [sys.executable, "-m", "rankeffect.cli", *args, "--output", str(stem)],
+            [sys.executable, "-m", "rankeffect.cli", *args, *output],
             capture_output=True, env={**os.environ, "PYTHONPATH": src, **env},
         )
         assert result.returncode == 0, result.stderr
-        tables.append(stem.with_suffix(".txt").read_bytes())
+        tables.append(stem.with_suffix(".txt").read_bytes() if to_file else result.stdout)
     assert "±".encode() in tables[0]
     assert tables[1] == tables[0]
+    assert tables[2] == tables[0]

@@ -32,10 +32,10 @@ class TestCovarianceSimple:
         obs = simple_mask(2, 6, 1, 4)
         s = build_masked_sample(rng.integers(0, 5, obs.shape).astype(float), obs)
         idx, rt = pipeline(s)
-        cov = covariance_simple(s, idx, rt)
+        cov = covariance_simple(rt, idx)
         # the single group-1-only case adds nothing: the placement-scale
         # oracle, which skips parts with fewer than two cases, agrees
-        expected = covariance_simple_placement_scale(s, idx, placements(rt, idx))
+        expected = covariance_simple_placement_scale(placements(rt, idx), idx)
         assert np.abs(cov.v_hat - expected).max() < 1e-12
         assert cov.degenerate == (
             "group-1 incomplete part degenerate (single case); contributed zero",
@@ -50,7 +50,7 @@ class TestCovarianceSimple:
         vals = np.vstack([g1, np.exp(g1), g2, np.exp(g2)])
         s = build_masked_sample(vals, obs)
         idx, rt = pipeline(s)
-        cov = covariance_simple(s, idx, rt)
+        cov = covariance_simple(rt, idx)
         assert cov.nu_hat == pytest.approx(1.0, abs=1e-9)
         eigvals = np.linalg.eigvalsh(cov.v_hat)
         assert eigvals[0] == pytest.approx(0.0, abs=1e-12 * max(eigvals[-1], 1.0))
@@ -59,7 +59,7 @@ class TestCovarianceSimple:
         obs = simple_mask(2, 5, 3, 3)
         s = build_masked_sample(np.full(obs.shape, 2.0), obs)
         idx, rt = pipeline(s)
-        cov = covariance_simple(s, idx, rt)
+        cov = covariance_simple(rt, idx)
         assert np.array_equal(cov.v_hat, np.zeros((2, 2)))
         assert np.isnan(cov.nu_hat)
 
@@ -68,7 +68,7 @@ class TestCovarianceSimple:
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
         idx, rt = pipeline(s)
         with pytest.raises(NoEstimablePart):
-            covariance_simple(s, idx, rt)
+            covariance_simple(rt, idx)
 
     def test_requires_simple_pattern(self, rng):
         while True:
@@ -77,13 +77,13 @@ class TestCovarianceSimple:
                 break
         rt = build_rank_table(sample)
         with pytest.raises(PatternMismatch):
-            covariance_simple(sample, idx, rt)
+            covariance_simple(rt, idx)
 
     def test_psd_and_symmetric_on_random_instances(self, rng):
         for _ in range(100):
             sample, idx = random_simple_sample(rng, min_part=2)
             rt = build_rank_table(sample)
-            cov = covariance_simple(sample, idx, rt)
+            cov = covariance_simple(rt, idx)
             assert np.array_equal(cov.v_hat, cov.v_hat.T)
             assert np.linalg.eigvalsh(cov.v_hat).min() >= -1e-10
             assert (np.diag(cov.v_hat) >= 0.0).all()
@@ -92,7 +92,7 @@ class TestCovarianceSimple:
         for _ in range(60):
             sample, idx = random_simple_sample(rng, min_part=3)
             rt = build_rank_table(sample)
-            cov = covariance_simple(sample, idx, rt)
+            cov = covariance_simple(rt, idx)
             if cov.trace_sq > 0:
                 assert 1.0 - 1e-12 <= cov.nu_hat <= sample.d + 1e-12
 
@@ -100,9 +100,9 @@ class TestCovarianceSimple:
         for _ in range(60):
             sample, idx = random_simple_sample(rng, min_part=2)
             rt = build_rank_table(sample)
-            cov = covariance_simple(sample, idx, rt)
+            cov = covariance_simple(rt, idx)
             place = placements(rt, idx)
-            via_placements = covariance_simple_placement_scale(sample, idx, place)
+            via_placements = covariance_simple_placement_scale(place, idx)
             assert np.abs(cov.v_hat - via_placements).max() < 1e-10
 
 
@@ -111,15 +111,15 @@ class TestCovarianceGeneral:
         for _ in range(200):
             sample, idx = random_simple_sample(rng, min_part=2)
             rt = build_rank_table(sample)
-            vs = covariance_simple(sample, idx, rt).v_hat
-            vg = covariance_general(sample, idx, rt).v_hat
+            vs = covariance_simple(rt, idx).v_hat
+            vg = covariance_general(rt, idx).v_hat
             assert np.abs(vs - vg).max() < 1e-10
 
     def test_diagonal_uses_only_own_component_terms(self, rng):
         for _ in range(20):
             sample, idx = random_general_sample(rng)
             rt = build_rank_table(sample)
-            cov = covariance_general(sample, idx, rt)
+            cov = covariance_general(rt, idx)
             _, _, terms = covariance_nine_term(sample, idx, rt)
             for l in range(sample.d):
                 assert np.array_equal(terms[l, l, [1, 2, 3, 5, 6, 7]], np.zeros(6))
@@ -148,7 +148,7 @@ class TestCovarianceGeneral:
             for obs in masks:
                 sample = build_masked_sample(draw_values(rng, obs.shape), obs)
                 idx, rt = pipeline(sample)
-                cov = covariance_general(sample, idx, rt)
+                cov = covariance_general(rt, idx)
                 want, flags, _ = covariance_nine_term(sample, idx, rt)
                 # the floor absorbs rounding noise where the oracle's exact
                 # value is zero (e.g. constant data in every index set)
@@ -163,24 +163,24 @@ class TestCovarianceGeneral:
         rng = np.random.default_rng(seed)
         sample, idx = random_general_sample(rng, ties=ties)
         d = sample.d
-        v = covariance_general(sample, idx, build_rank_table(sample)).v_hat
+        v = covariance_general(build_rank_table(sample), idx).v_hat
         # swapping the groups negates every rank-difference row and exchanges
         # the one-sided sets, so only the summation order changes
         swap = np.r_[d:2 * d, 0:d]
         swapped = build_masked_sample(sample.values[swap], sample.observed[swap])
-        v_swap = covariance_general(swapped, *pipeline(swapped)).v_hat
+        v_swap = covariance_general(*pipeline(swapped)[::-1]).v_hat
         scale = max(np.abs(v).max(), 1e-12)
         assert np.abs(v_swap - v).max() <= 1e-12 * scale
         # a strictly increasing transform keeps every rank, hence every bit
         moved = build_masked_sample(np.exp(sample.values), sample.observed)
-        v_moved = covariance_general(moved, *pipeline(moved)).v_hat
+        v_moved = covariance_general(*pipeline(moved)[::-1]).v_hat
         assert np.array_equal(v_moved, v)
 
     def test_symmetric_as_computed(self, rng):
         for _ in range(40):
             sample, idx = random_general_sample(rng, d=3)
             rt = build_rank_table(sample)
-            cov = covariance_general(sample, idx, rt)
+            cov = covariance_general(rt, idx)
             assert np.array_equal(cov.v_hat, cov.v_hat.T)
             assert (np.diag(cov.v_hat) >= 0.0).all()
 
@@ -189,7 +189,7 @@ class TestCovarianceGeneral:
         obs[0, 0] = False  # subject 0: g1 missing on var1 -> g2-only there
         s = build_masked_sample(rng.integers(0, 5, obs.shape).astype(float), obs)
         idx, rt = pipeline(s)
-        cov = covariance_general(s, idx, rt)
+        cov = covariance_general(rt, idx)
         assert any("single" in f for f in cov.degenerate)
 
     def test_independent_components_have_vanishing_cross_term(self):
@@ -202,7 +202,7 @@ class TestCovarianceGeneral:
             vals = rng.standard_normal((4, n))
             s = build_masked_sample(vals, obs)
             idx, rt = pipeline(s)
-            ent[r] = covariance_general(s, idx, rt).v_hat[0, 1]
+            ent[r] = covariance_general(rt, idx).v_hat[0, 1]
         mc_se = ent.std(ddof=1) / np.sqrt(reps)
         assert abs(ent.mean()) < 3 * mc_se
 
@@ -258,7 +258,7 @@ class TestCovarianceOracle:
             for _ in range(50):
                 s = build_masked_sample(rng.standard_normal(obs.shape), obs)
                 idx, rt = pipeline(s)
-                v_hat = covariance_simple(s, idx, rt).v_hat
+                v_hat = covariance_simple(rt, idx).v_hat
                 v_oracle = covariance_from_marginals(s, idx, [(norm.cdf, norm.cdf)] * 2)
                 errs.append(np.linalg.norm(v_hat - v_oracle))
             medians.append(np.median(errs))

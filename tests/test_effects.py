@@ -25,13 +25,13 @@ class TestEstimateEffects:
         s = build_masked_sample([[1.0, 3.0], [2.0, 4.0]], np.ones((2, 2), bool))
         idx, rt = pipeline(s)
         # pairwise counting: c(2-1)+c(2-3)+c(4-1)+c(4-3) = 3 of 4
-        assert estimate_effects(s, idx, rt)[0] == pytest.approx(0.75)
+        assert estimate_effects(rt, idx)[0] == pytest.approx(0.75)
 
     def test_identical_groups_give_half(self, rng):
         vals = rng.integers(0, 4, size=(1, 6)).astype(float)
         s = build_masked_sample(np.vstack([vals, vals]), np.ones((2, 6), bool))
         idx, rt = pipeline(s)
-        assert estimate_effects(s, idx, rt)[0] == pytest.approx(0.5)
+        assert estimate_effects(rt, idx)[0] == pytest.approx(0.5)
 
     def test_separation_hits_the_bounds(self, rng):
         obs = simple_mask(2, 4, 3, 2)
@@ -39,11 +39,11 @@ class TestEstimateEffects:
         vals[2:] += 50.0
         s = build_masked_sample(vals, obs)
         idx, rt = pipeline(s)
-        assert np.allclose(estimate_effects(s, idx, rt), 1.0)
+        assert np.allclose(estimate_effects(rt, idx), 1.0)
         assert np.allclose(effect_bruteforce(s, idx), 1.0)
         s_rev = build_masked_sample(-vals, obs)
         idx_r, rt_r = pipeline(s_rev)
-        assert np.allclose(estimate_effects(s_rev, idx_r, rt_r), 0.0)
+        assert np.allclose(estimate_effects(rt_r, idx_r), 0.0)
 
     def test_inestimable_component(self):
         obs = np.zeros((2, 3), bool)
@@ -57,7 +57,7 @@ class TestEstimateEffects:
         for _ in range(200):
             sample, idx = random_general_sample(rng)
             rt = build_rank_table(sample)
-            a = estimate_effects(sample, idx, rt)
+            a = estimate_effects(rt, idx)
             b = effect_bruteforce(sample, idx)
             assert np.abs(a - b).max() < 1e-12
 
@@ -65,33 +65,33 @@ class TestEstimateEffects:
         for _ in range(50):
             sample, idx = random_simple_sample(rng)
             rt = build_rank_table(sample)
-            p = estimate_effects(sample, idx, rt)
+            p = estimate_effects(rt, idx)
             assert (p >= 0.0).all() and (p <= 1.0).all()
 
     def test_antisymmetry_under_group_swap(self, rng):
         for _ in range(30):
             sample, idx = random_general_sample(rng)
             rt = build_rank_table(sample)
-            p = estimate_effects(sample, idx, rt)
+            p = estimate_effects(rt, idx)
             d = sample.d
             swapped_vals = np.vstack([sample.values[d:], sample.values[:d]])
             swapped_obs = np.vstack([sample.observed[d:], sample.observed[:d]])
             s2 = build_masked_sample(np.nan_to_num(swapped_vals), swapped_obs)
             idx2, rt2 = pipeline(s2)
-            p2 = estimate_effects(s2, idx2, rt2)
+            p2 = estimate_effects(rt2, idx2)
             assert np.abs(p2 - (1.0 - p)).max() < 1e-12
 
     def test_monotone_invariance(self, rng):
         for _ in range(20):
             sample, idx = random_general_sample(rng)
             rt = build_rank_table(sample)
-            p = estimate_effects(sample, idx, rt)
+            p = estimate_effects(rt, idx)
             transformed = 3.0 * sample.values + np.exp(sample.values / 4.0)
             s2 = build_masked_sample(
                 np.where(sample.observed, transformed, 0.0), sample.observed
             )
             idx2, rt2 = pipeline(s2)
-            assert np.allclose(estimate_effects(s2, idx2, rt2), p, atol=1e-14)
+            assert np.allclose(estimate_effects(rt2, idx2), p, atol=1e-14)
 
     def test_mc_mean_approaches_true_effect(self):
         """Shifted normals: the true effect has the closed form Phi(delta/sqrt(2))."""
@@ -106,7 +106,7 @@ class TestEstimateEffects:
             vals[1] += delta
             s = build_masked_sample(vals, obs)
             idx, rt = pipeline(s)
-            estimates[r] = estimate_effects(s, idx, rt)[0]
+            estimates[r] = estimate_effects(rt, idx)[0]
         se = estimates.std(ddof=1) / np.sqrt(reps)
         assert abs(estimates.mean() - true_p) < 3 * se
 

@@ -200,10 +200,10 @@ class TestAnova:
             s = build_masked_sample(rng.standard_normal(obs.shape), obs)
             idx = derive_pattern_index(s)
             rt = build_rank_table(s)
-            eff = estimate_effects(s, idx, rt)
+            eff = estimate_effects(rt, idx)
             from rankeffect import covariance_simple
 
-            cov = covariance_simple(s, idx, rt)
+            cov = covariance_simple(rt, idx)
             hits += int(anova_test(eff, cov, s.n).reject)
         assert 0.03 <= hits / reps <= 0.08
 

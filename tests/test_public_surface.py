@@ -91,3 +91,21 @@ def test_traced_layers_stay_on_the_monte_carlo_path():
     assert tracer.counts["simulate.failures"] == 0
     assert tracer.counts["ranks.cells_ranked"] > 0
     assert tracer.counts["covariance.general_terms"] > 0
+
+
+def test_traced_layers_stay_on_the_analyze_path(tmp_path):
+    # the count hooks read parse_dataset's path at args[0] and the pattern
+    # index's d at args[1] of the covariance estimators, whose (b, idx) order
+    # keeps the index there
+    import rankeffect.cli
+
+    fixture = Path(__file__).resolve().parent / "data" / "paired_qol_42subjects.csv"
+    tracer = load_tracing().Tracer()
+    with tracer:
+        code = rankeffect.cli.main([
+            "analyze", str(fixture), "--pattern", "general",
+            "--output", str(tmp_path / "report.json"),
+        ])
+    assert code == 0
+    assert tracer.counts["reports.parse_bytes"] == fixture.stat().st_size
+    assert tracer.counts["covariance.general_terms"] == 3 * 9 * 3 * 4 // 2  # 3 methods, d = 3

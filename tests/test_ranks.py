@@ -164,7 +164,7 @@ class TestPlacements:
             sample, idx = random_general_sample(rng)
             rt = build_rank_table(sample)
             y = placements(rt, idx)
-            p = estimate_effects(sample, idx, rt)
+            p = estimate_effects(rt, idx)
             d = sample.d
             for l in range(d):
                 y2 = y[d + l, sample.observed[d + l]]

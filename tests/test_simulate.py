@@ -61,6 +61,20 @@ class TestBuildSigma:
         with pytest.raises(NotPositiveDefinite):
             build_sigma(2, -0.9, -0.9, 0.9, 1.0, 1.0)
 
+    def test_a_draw_factors_sigma_once(self, monkeypatch):
+        # the factorisation that validates sigma also supplies the draw's factor
+        s = scenario(d=3, delta=(0.0,) * 3)
+        chol = np.linalg.cholesky(build_sigma(3, *s.rho, *s.sigma_sq))
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        block = draw_sample(s, range(3))
+        assert len(calls) == 1
+        # and that factor is the one the draw uses
+        rng = np.random.default_rng(np.random.SeedSequence(s.seed, spawn_key=(1,)))
+        z = np.rint(chol @ rng.standard_normal(block.observed.shape))
+        assert np.array_equal(block.values[1][block.observed], z[block.observed])
+
 
 class TestScenarioValidation:
     def test_zero_replications_rejected(self):
@@ -381,6 +395,11 @@ class TestRunGrid:
         grid = builtin_grid("table3", reps=10, dims=(2,))
         assert len(grid) == 16
         assert len(builtin_grid("table3", reps=10, dims=(2, 3, 5))) == 48
+
+    @pytest.mark.parametrize("name", ["table3", "table6"])
+    def test_builtin_repeated_dimension_rejected(self, name):
+        with pytest.raises(ScenarioError, match=r"dims \(3, 2, 3\) repeat a dimension"):
+            builtin_grid(name, reps=10, dims=(3, 2, 3))
 
     def test_builtin_table6_row_count(self):
         assert len(builtin_grid("table6", reps=10)) == 48
