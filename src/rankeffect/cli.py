@@ -128,13 +128,18 @@ def _scenarios_from_config(path, reps: int | None) -> list[Scenario]:
 
 
 def cmd_simulate(args) -> int:
+    dims = args.dims
     if args.builtin:
+        if dims is None and args.builtin == "table3":
+            dims = ",".join(map(str, DIMS))  # recorded as the dimensions run
         try:
-            dims = tuple(int(v) for v in args.dims.split(","))
+            values = None if dims is None else tuple(int(v) for v in dims.split(","))
         except ValueError:
-            raise ScenarioError(f"--dims must be integers, got {args.dims!r}") from None
+            raise ScenarioError(f"--dims must be integers, got {dims!r}") from None
         reps = Scenario.replications if args.reps is None else args.reps
-        scenarios = builtin_grid(args.builtin, reps=reps, dims=dims)
+        scenarios = builtin_grid(args.builtin, reps=reps, dims=values)
+    elif dims is not None:
+        raise ScenarioError("--dims applies to --builtin table3, not to --config")
     else:
         reps = args.reps
         scenarios = _scenarios_from_config(args.config, reps)
@@ -145,7 +150,7 @@ def cmd_simulate(args) -> int:
         "config": args.config,
         "reps": reps,
         "seed": args.seed,
-        "dims": args.dims,
+        "dims": dims,
     }
     doc = json.dumps(simulation_results_document(results, config), indent=2, allow_nan=False)
     table = render_simulation_table(results)
@@ -193,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"replications per scenario (default: {Scenario.replications} "
                     "for --builtin, the file's values for --config)")
     ps.add_argument("--seed", type=int, default=0, help="master seed for the grid")
-    ps.add_argument("--dims", default=",".join(map(str, DIMS)),
-                    help="dimensions for builtin grids that vary d")
+    ps.add_argument("--dims", help="dimensions of the table3 grid (default: "
+                    f"{','.join(map(str, DIMS))}); the other grids run at d = 2")
     ps.add_argument("--json", action="store_true", help="also print the JSON document")
     ps.add_argument("--output", default=None,
                     help="write <output>.json and <output>.txt instead of stdout")

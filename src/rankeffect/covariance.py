@@ -57,8 +57,8 @@ class CovarianceEstimate:
     def nu_hat(self):
         """ANOVA-type degrees of freedom ``trace**2 / trace_sq``; NaN where ``v_hat`` is zero."""
         trace, trace_sq = self.trace, self.trace_sq
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(trace_sq > 0, trace * trace / trace_sq, np.nan)[()]
+        nan = np.full(np.shape(trace_sq), np.nan)
+        return np.divide(trace * trace, trace_sq, out=nan, where=trace_sq > 0)[()]
 
 
 def _kernel(b: np.ndarray, idx: PatternIndex) -> tuple[np.ndarray, np.ndarray]:

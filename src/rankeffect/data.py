@@ -128,11 +128,6 @@ class PatternIndex:
     def m2(self) -> np.ndarray:
         return self.n_complete + self.n2_only
 
-    @property
-    def pooled_counts(self) -> np.ndarray:
-        """Total observation count per component over both groups."""
-        return 2 * self.n_complete + self.n1_only + self.n2_only
-
 
 def derive_pattern_index(sample: MaskedSample) -> PatternIndex:
     """Classify every (subject, component) pair as complete/one-sided/absent.

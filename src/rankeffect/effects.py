@@ -2,15 +2,15 @@
 
 The effect for component ``l`` is the probability that a group-1 observation
 is smaller than an independent group-2 observation, counting ties with
-weight one half; one half means no tendency either way.  It is estimated by
-the difference of the two groups' mean pooled midranks over every observed
-cell, ``(R2 - R1) / N + 1/2`` with ``N`` the pooled count: the sample-size
-weights that pool complete and incomplete cases cancel in this form
-(Brunner and Munzel, 2000).  A group's pooled rank sum is the sum of its
-placement counts ``b`` plus ``m(m + 1) / 2``, its within-group rank sum;
-every term is a half-integer, so the sums are exact.  The estimate is a
-function of ``b`` (NaN exactly where a cell is unobserved) and the pattern
-index's case counts alone, so :func:`estimate_effects` takes ``(b, idx)``.
+weight one half; one half means no tendency either way.  Its estimate is the
+mean of that count over all ``m1 * m2`` cross-group pairs of observed cells.
+A group-2 cell's placement count ``b`` already counts the group-1 values
+below it, ties one half, so the estimate is the sum of the group-2 counts
+divided by ``m1 * m2``.  Every count is a half-integer, so the sum is exact
+and the estimate is the correctly rounded pairwise mean.  It equals the
+difference of the groups' mean pooled midranks, ``(R2 - R1) / N + 1/2``
+with ``N`` the pooled count (Brunner and Munzel, 2000), in which the
+sample-size weights that pool complete and incomplete cases cancel.
 """
 
 import numpy as np
@@ -44,17 +44,15 @@ def check_methods(methods) -> None:
 
 
 def estimate_effects(b: np.ndarray, idx: PatternIndex) -> np.ndarray:
-    """Effect vector from the difference of the groups' mean pooled midranks.
+    """Effect vector: the mean pairwise count, ``sum(b2) / (m1 * m2)``.
 
     ``b`` holds the placement counts of :func:`~rankeffect.ranks.build_rank_table`,
-    NaN exactly where a cell is unobserved, and ``idx`` the case counts.
-    Returns the read-only ``p_hat`` in [0, 1], ``(d,)`` for one dataset and
-    ``(R, d)`` for a block.
+    NaN exactly where a cell is unobserved, and ``idx`` the case counts; only
+    the group-2 rows are read.  Returns the read-only ``p_hat`` in [0, 1],
+    ``(d,)`` for one dataset and ``(R, d)`` for a block.
     """
-    d = idx.d
-    m = np.concatenate([idx.m1, idx.m2])
-    means = (np.where(np.isnan(b), 0.0, b).sum(axis=-1) + m * (m + 1) / 2) / m
-    p_hat = np.clip((means[..., d:] - means[..., :d]) / idx.pooled_counts + 0.5, 0.0, 1.0)
+    b2 = b[..., idx.d:, :]
+    p_hat = np.where(np.isnan(b2), 0.0, b2).sum(axis=-1) / (idx.m1 * idx.m2)
     p_hat.setflags(write=False)
     return p_hat
 

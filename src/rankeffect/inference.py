@@ -85,17 +85,19 @@ def _lower_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     P = x^a e^-x / Gamma(a+1) * (1 + sum_j x^j / ((a+1)...(a+j))).
     """
-    terms = np.cumprod(x[:, None] / (a[:, None] + _SERIES_TERMS), axis=1)
-    total = terms.sum(axis=1) + 1.0
-    last = terms[:, -1]
-    more = np.flatnonzero(last > _EPS * total)
-    offset = 32.0
-    while more.size:
+    total = np.ones(x.shape)
+    last = np.ones(x.shape)
+    more = slice(None)  # every element takes terms 1..32
+    offset = 0.0
+    while True:
         ratios = x[more, None] / (a[more, None] + (_SERIES_TERMS + offset))
         terms = np.cumprod(ratios, axis=1) * last[more, None]
         total[more] += terms.sum(axis=1)
         last[more] = terms[:, -1]
-        more = more[last[more] > _EPS * total[more]]
+        # a finished element's last term and sum no longer change
+        more = np.flatnonzero(last > _EPS * total)
+        if not more.size:
+            break
         offset += 32.0
     log_x = np.log(x, out=np.full(x.shape, -np.inf), where=x > 0.0)
     # P rounds above 1 by an ulp when a is tiny (k below about 1e-15)
@@ -116,20 +118,6 @@ def _laguerre_quadrature(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     np.exp(f, out=f)
     f *= _LAGUERRE_WEIGHTS
     return np.exp((a - 1.0) * np.log(x) - x - _lgamma(a)) * f.sum(axis=1)
-
-
-def _upper_gamma(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Regularized upper incomplete gamma Q(a, x) of 1-d arrays, a > 0 and x >= 0."""
-    lower = x < a + 1.0
-    if lower.all():
-        return _lower_series(a, x)
-    if not lower.any():
-        return _laguerre_quadrature(a, x)
-    q = np.empty(a.shape)
-    upper = ~lower
-    q[lower] = _lower_series(a[lower], x[lower])
-    q[upper] = _laguerre_quadrature(a[upper], x[upper])
-    return q
 
 
 def chisq_upper_tail(x: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
@@ -162,8 +150,13 @@ def chisq_upper_tail(x: float | np.ndarray, k: float | np.ndarray) -> float | np
         raise DomainError(f"k must be > 0 and at most {_MAX_DF:g}, got {k[~ok][0]}")
     if x.shape != k.shape:
         x, k = np.broadcast_arrays(x, k)
-    p = _upper_gamma(k.ravel() / 2.0, x.ravel() / 2.0).reshape(x.shape)
-    return float(p) if p.ndim == 0 else p
+    a, half_x = k.ravel() / 2.0, x.ravel() / 2.0
+    lower = half_x < a + 1.0
+    q = np.empty(a.shape)
+    for regime, part in ((_lower_series, lower), (_laguerre_quadrature, ~lower)):
+        if part.any():  # a regime with no elements would still make a dozen numpy calls
+            q[part] = regime(a[part], half_x[part])
+    return float(q[0]) if x.ndim == 0 else q.reshape(x.shape)
 
 
 @dataclass(frozen=True)

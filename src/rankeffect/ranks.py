@@ -2,9 +2,9 @@
 
 A cell's placement count ``b`` is the number of the other group's
 observations on its component that are smaller than it, plus half the number
-that equal it.  It is the pooled midrank minus the within-group midrank:
-``b / m_other`` is the placement, and a group's pooled rank sum is
-``sum(b) + m(m + 1) / 2``.  Tie
+that equal it: the cross-group pairs it wins, ties one half.  ``b / m_other``
+is the placement; a component's group-2 counts sum over every pair the
+effect averages.  ``b`` is also the pooled minus the within-group midrank.  Tie
 detection uses exact floating-point equality (``-0.0`` ties with ``0.0``);
 noisy continuous data will in general contain no ties.
 

@@ -106,8 +106,8 @@ def parse_dataset(
     ParseError
         A file that is not UTF-8 text or not well-formed CSV (such as an
         unterminated quoted field), an empty file, odd column count, a cell
-        that is neither a finite number nor NA, or a dimension that
-        contradicts the column count.
+        that is neither a finite number nor NA, a row of NA cells only, or a
+        dimension that contradicts the column count.
     InconsistentWidth
         A row with a different number of cells than the first one.
     """
@@ -142,6 +142,8 @@ def parse_dataset(
             if len(cells) != width:
                 raise InconsistentWidth(line=line, expected=width, got=len(cells))
             rows.append(_numbers(cells, na_token, line))
+            if all(map(math.isnan, rows[-1])):
+                raise ParseError("the row has no observed cell", line=line)
     except csv.Error as exc:
         raise _malformed(text, exc, line + 1, reader.line_num) from None
     if width is None:

@@ -359,7 +359,7 @@ _SIMPLE_SETTINGS = {
 _POWER_SHIFTS = ((0.0, 0.3), (0.3, 0.3), (0.6, 0.6), (0.9, 0.9), (0.3, 0.6), (0.3, 0.9))
 
 
-def _table3(reps: int, dims) -> list[Scenario]:
+def _table3(reps: int, dims=DIMS) -> list[Scenario]:
     out = []
     for setting, sizes in _SIMPLE_SETTINGS.items():
         for rho in ((0.1, 0.1, 0.1), (0.1, 0.9, 0.5)):
@@ -374,8 +374,7 @@ def _table3(reps: int, dims) -> list[Scenario]:
     return out
 
 
-def _table6(reps: int, dims) -> list[Scenario]:
-    del dims  # power study is bivariate
+def _table6(reps: int) -> list[Scenario]:
     out = []
     for setting, sizes in _SIMPLE_SETTINGS.items():
         for sig in ((1.0, 1.0), (1.0, 5.0)):
@@ -390,8 +389,7 @@ def _table6(reps: int, dims) -> list[Scenario]:
 
 
 def _design_grid(pattern: str, size_values, size_name: str):
-    def build(reps: int, dims) -> list[Scenario]:
-        del dims
+    def build(reps: int) -> list[Scenario]:
         out = []
         for sv in size_values:
             for rho in ((-0.1, -0.1, -0.1), (0.1, 0.1, 0.1)):
@@ -417,12 +415,16 @@ BUILTIN_GRIDS = {
 }
 
 
-def builtin_grid(name: str, reps: int = Scenario.replications, dims=DIMS) -> list[Scenario]:
-    """Scenario list for one of the named built-in study grids."""
+def builtin_grid(name: str, reps: int = Scenario.replications, dims=None) -> list[Scenario]:
+    """Scenario list for a named built-in grid; only ``table3`` takes ``dims`` (default DIMS)."""
     if name not in BUILTIN_GRIDS:
         raise ScenarioError(
             f"unknown builtin grid {name!r}; valid names: {', '.join(sorted(BUILTIN_GRIDS))}"
         )
+    if dims is None:
+        return BUILTIN_GRIDS[name](reps)
     if len(set(dims)) < len(dims):
         raise ScenarioError(f"dims {tuple(dims)} repeat a dimension")
-    return BUILTIN_GRIDS[name](reps, dims)
+    if name != "table3":
+        raise ScenarioError(f"builtin grid {name!r} runs at d = 2 and takes no dims")
+    return _table3(reps, dims)

@@ -238,6 +238,34 @@ class TestSimulateCommand:
             "message": "dims (2, 2) repeat a dimension",
         }
 
+    @pytest.mark.parametrize("grid", ["table6", "design1", "design2", "design3"])
+    def test_dims_rejected_by_bivariate_grids(self, capsys, grid):
+        # ran at d = 2 and recorded the ignored dims in the results document
+        code, out, err = run_cli(capsys, "simulate", "--builtin", grid, "--reps", "1",
+                                 "--dims", "7,9")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ScenarioError",
+            "message": f"builtin grid {grid!r} runs at d = 2 and takes no dims",
+        }
+
+    def test_dims_rejected_with_config(self, capsys, tmp_path):
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text("[s]\ndistribution = normal\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--dims", "2")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ScenarioError",
+            "message": "--dims applies to --builtin table3, not to --config",
+        }
+
+    @pytest.mark.parametrize("grid, dims", [("table3", "2,3,5"), ("table6", None)])
+    def test_recorded_dims_are_the_dims_run(self, capsys, grid, dims):
+        code, out, _ = run_cli(capsys, "simulate", "--builtin", grid, "--reps", "1", "--json")
+        assert code == 0
+        doc = json.loads(out[out.index("{"):])
+        assert doc["provenance"]["config"]["dims"] == dims
+
     def test_unknown_builtin_lists_valid_names(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--builtin", "nope")
         assert code == 1

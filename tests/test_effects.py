@@ -61,6 +61,13 @@ class TestEstimateEffects:
             b = effect_bruteforce(sample, idx)
             assert np.abs(a - b).max() < 1e-12
 
+    def test_equals_pairwise_count_bit_for_bit(self, rng):
+        # the rank-mean form (R2 - R1) / N + 1/2 rounds four times and can miss by an ulp
+        for _ in range(200):
+            sample, idx = random_general_sample(rng)
+            p = estimate_effects(build_rank_table(sample), idx)
+            assert np.array_equal(p, effect_bruteforce(sample, idx))
+
     def test_range_and_weights(self, rng):
         for _ in range(50):
             sample, idx = random_simple_sample(rng)

@@ -91,6 +91,8 @@ class TestParseDataset:
         ('1,2\n"3\n",5\n6,x\n', ParseError, 4, 2),
         ("1,2\n3\x0c,4\n5,x\n", ParseError, 3, 2),
         ("1,2\n3\u2028,4\n5,x\n", ParseError, 3, 2),
+        # a row of NA cells names its line, not a column of the matrix
+        ("a,b\n1,2\n\nNA,NA\n5,6\n", ParseError, 4, None),
     ])
     def test_error_line_counts_blank_lines(self, tmp_path, text, error, line, column):
         path = tmp_path / "blank.csv"
@@ -107,9 +109,14 @@ class TestParseDataset:
         (b"1,2\n3,inf\n5,6\n7,x\n", ParseError, 2, 2),
         # a short row before an unterminated quote
         (b'1,2\n3,4,5\n7,"8\n', InconsistentWidth, 2, None),
+        # a row of NA cells before a cell that is not a number
+        (b"1,2\nNA,NA\n5,x\n", ParseError, 2, None),
         # a byte that is not UTF-8 comes first wherever it is
         (b'1,2\n3,"4"x\n' + b"5,6\n" * 4000 + b"7,\xff\n", ParseError, 4003, None),
-    ], ids=["cell-before-quote", "inf-before-cell", "width-before-quote", "utf8-before-csv"])
+    ], ids=[
+        "cell-before-quote", "inf-before-cell", "width-before-quote", "na-row-before-cell",
+        "utf8-before-csv",
+    ])
     def test_first_error_in_file_order_is_reported(self, tmp_path, data, error, line, column):
         path = tmp_path / "errors.csv"
         path.write_bytes(data)

@@ -401,6 +401,11 @@ class TestRunGrid:
         with pytest.raises(ScenarioError, match=r"dims \(3, 2, 3\) repeat a dimension"):
             builtin_grid(name, reps=10, dims=(3, 2, 3))
 
+    @pytest.mark.parametrize("name", ["table6", "design1", "design2", "design3"])
+    def test_bivariate_grid_rejects_dims(self, name):
+        with pytest.raises(ScenarioError, match=rf"builtin grid '{name}' runs at d = 2"):
+            builtin_grid(name, reps=10, dims=(2,))
+
     def test_builtin_table6_row_count(self):
         assert len(builtin_grid("table6", reps=10)) == 48
 
