@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from .inference import FAMILIES, MethodAnalysis
 
 __all__ = [
     "parse_dataset",
-    "write_dataset",
     "build_report",
     "REPORT_SCHEMA",
 ]
@@ -86,38 +86,12 @@ def _numbers(cells: list[str], na_token: str, line: int) -> list[float]:
     return row
 
 
-def parse_dataset(
-    path,
-    dimension: int | None = None,
-    na_token: str = "NA",
-) -> MaskedSample:
-    """Read a wide CSV file into a :class:`MaskedSample`.
+def _read_rows(text: str, dimension: int | None, na_token: str) -> np.ndarray:
+    """The data rows of ``text``, one per row, NaN where missing; read row by row.
 
-    A header row is detected when the first row contains a token that is
-    neither numeric nor the NA token.  The number of response variables is
-    inferred as half the column count unless ``dimension`` is given.
-
-    The file is read once and each row converted as it is read.  A byte
-    that is not UTF-8 is reported before anything else; otherwise the first
-    error in file order is reported.
-
-    Raises
-    ------
-    ParseError
-        A file that is not UTF-8 text or not well-formed CSV (such as an
-        unterminated quoted field), an empty file, odd column count, a cell
-        that is neither a finite number nor NA, a row of NA cells only, or a
-        dimension that contradicts the column count.
-    InconsistentWidth
-        A row with a different number of cells than the first one.
+    This loop defines the format: it decides every value and raises every
+    error, the first in file order.
     """
-    try:
-        text = Path(path).read_bytes().decode("utf-8-sig")  # drops a byte-order mark
-    except UnicodeDecodeError as exc:
-        raise ParseError(
-            f"{str(path)!r} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x}, {exc.reason}",
-            line=exc.object.count(b"\n", 0, exc.start) + 1,
-        ) from None
     reader = csv.reader(io.StringIO(text, newline=""), strict=True)  # lines end as in a file
     width = None
     rows = []
@@ -150,23 +124,110 @@ def parse_dataset(
         raise ParseError("no rows")
     if not rows:
         raise ParseError("no data rows (header only)")
-    values = np.ascontiguousarray(np.array(rows).T)  # subjects as columns, in C order
+    return np.array(rows)
+
+
+def _read_fast(text: str, dimension: int | None, na_token: str) -> np.ndarray | None:
+    """What :func:`_read_rows` returns for ``text``, read by numpy's C reader; None if unproven.
+
+    Only text without quotes, NUL or a carriage return outside a CRLF line
+    end is tried, so that a line is a record and a comma ends a field, as
+    for the loop.  The header is found by the loop's rule.  Whole NA and
+    empty fields become ``nan`` and are counted.  The result stands only if
+    it has one row per line after the header and the loop's even width, its
+    NaN cells are exactly the fields replaced (a literal ``nan`` is an error
+    to the loop), and it has no infinity and no row without an observed
+    cell.  Any other text, including every text the loop rejects, gives None.
+    """
+    if '"' in text or "\x00" in text or "," in na_token or na_token != na_token.strip():
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None  # the loop's reader rejects a longer field
+    start = next(
+        (i for i, line in enumerate(lines) if any(c.strip() for c in line.split(","))), None
+    )
+    if start is None:
+        return None
+    first = [c.strip() for c in lines[start].split(",")]
+    width = len(first)
+    if width % 2 != 0 or (dimension is not None and dimension != width // 2):
+        return None
+    if any(not _is_number(c) and c != na_token for c in first):
+        start += 1  # a header
+    end = len(lines)
+    while end > start and not lines[end - 1]:
+        end -= 1  # blank lines at the end of the file
+    if end == start:
+        return None
+    # every field between two commas, so that a whole field is ",NA" before a ","
+    body = "," + ",\n,".join(lines[start:end]) + ","
+    del lines
+    body, replaced = re.subn(f",(?:{re.escape(na_token)}(?=,)|(?=,))", ",nan", body)
+    body = body[1:-1].replace(",\n,", "\n")
+    try:
+        rows = np.loadtxt(
+            io.StringIO(body), dtype=float, delimiter=",", comments=None, quotechar=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    missing = np.isnan(rows)
+    if (
+        rows.shape != (end - start, width)
+        or np.count_nonzero(missing) != replaced
+        or np.isinf(rows).any()
+        or missing.all(axis=1).any()
+    ):
+        return None
+    return rows
+
+
+def parse_dataset(
+    path,
+    dimension: int | None = None,
+    na_token: str = "NA",
+) -> MaskedSample:
+    """Read a wide CSV file into a :class:`MaskedSample`.
+
+    A header row is detected when the first row contains a token that is
+    neither numeric nor the NA token.  The number of response variables is
+    inferred as half the column count unless ``dimension`` is given.
+
+    The file is read and decoded once.  Plain text (no quotes, lines ending
+    in LF or CRLF) is first read by numpy's C reader, and that result is
+    kept only when checks prove it equal to a row-by-row reading: the shape,
+    the count of missing cells, no infinity and no empty row.  Otherwise the
+    file is read row by row, converting each row as it is read; only that
+    loop raises errors, so they do not depend on the route.  A byte that is
+    not UTF-8 is reported before anything else; otherwise the first error
+    in file order is reported, with its line.
+
+    Raises
+    ------
+    ParseError
+        A file that is not UTF-8 text or not well-formed CSV (such as an
+        unterminated quoted field), an empty file, odd column count, a cell
+        that is neither a finite number nor NA, a row of NA cells only, or a
+        dimension that contradicts the column count.
+    InconsistentWidth
+        A row with a different number of cells than the first one.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8-sig")  # drops a byte-order mark
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{str(path)!r} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x}, {exc.reason}",
+            line=exc.object.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    rows = _read_fast(text, dimension, na_token)
+    if rows is None:
+        rows = _read_rows(text, dimension, na_token)
+    values = np.ascontiguousarray(rows.T)  # subjects as columns, in C order
     return build_masked_sample(values, ~np.isnan(values))
-
-
-def write_dataset(sample: MaskedSample, path) -> None:
-    """Write a sample back to wide CSV with ``NA`` cells; inverse of :func:`parse_dataset`."""
-    d = sample.d
-    header = [f"g1_var{l + 1}" for l in range(d)] + [f"g2_var{l + 1}" for l in range(d)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(sample.n):
-            row = [
-                repr(float(sample.values[j, k])) if sample.observed[j, k] else "NA"
-                for j in range(2 * d)
-            ]
-            writer.writerow(row)
 
 
 REPORT_SCHEMA = {

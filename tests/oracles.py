@@ -6,6 +6,8 @@ arbitrary-precision series) and must stay independent of the code paths it
 validates.
 """
 
+import csv
+
 import mpmath as mp
 import numpy as np
 from scipy.stats import rankdata
@@ -273,3 +275,18 @@ def chisq_upper_tail_highprec(x: float, k: float, dps: int = 50) -> float:
                 break
         q = mp.power(t, s) * mp.e**-t * h / mp.gamma(s)
         return float(q)
+
+
+def write_dataset(sample, path) -> None:
+    """Write a sample back to wide CSV with ``NA`` cells; inverse of ``parse_dataset``."""
+    d = sample.d
+    header = [f"g1_var{l + 1}" for l in range(d)] + [f"g2_var{l + 1}" for l in range(d)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(sample.n):
+            row = [
+                repr(float(sample.values[j, k])) if sample.observed[j, k] else "NA"
+                for j in range(2 * d)
+            ]
+            writer.writerow(row)

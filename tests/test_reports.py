@@ -5,6 +5,8 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankeffect import (
     REPORT_SCHEMA,
@@ -13,11 +15,12 @@ from rankeffect import (
     build_report,
     derive_pattern_index,
     parse_dataset,
-    write_dataset,
+    reports,
 )
-from rankeffect.errors import InconsistentWidth, ParseError
+from rankeffect.errors import InconsistentWidth, ParseError, RankEffectError
 
 from conftest import DATA_DIR, random_general_sample, simple_mask
+from oracles import write_dataset
 
 FIXTURE = DATA_DIR / "paired_qol_42subjects.csv"
 
@@ -180,6 +183,173 @@ class TestParseDataset:
             back = parse_dataset(path)
             assert np.array_equal(back.observed, sample.observed)
             assert np.array_equal(back.values, sample.values, equal_nan=True)
+
+
+def read_by_loop(text, dimension=None, na_token="NA"):
+    """What ``parse_dataset`` returns for ``text`` when it reads row by row."""
+    values = np.ascontiguousarray(reports._read_rows(text, dimension, na_token).T)
+    return build_masked_sample(values, ~np.isnan(values))
+
+
+def outcome(read):
+    """A sample as its exact bits, or an error as its type, message, line and column."""
+    try:
+        sample = read()
+    except RankEffectError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return sample.values.shape, sample.values.tobytes(), sample.observed.tobytes()
+
+
+def read_fast_checked(text, dimension=None, na_token="NA"):
+    """The C reader's rows for ``text``, asserted bit-equal to the loop's; None where not taken."""
+    fast = reports._read_fast(text, dimension, na_token)
+    if fast is not None:
+        rows = reports._read_rows(text, dimension, na_token)
+        assert fast.shape == rows.shape and fast.tobytes() == rows.tobytes()
+    return fast
+
+
+def wide_csv_text(rng, d, n, missing, na_rep="NA"):
+    """Wide CSV as the benchmark writes it: a header, two decimals, ``na_rep`` where missing."""
+    values = np.round(rng.standard_normal((n, 2 * d)), 2)
+    observed = rng.random((n, 2 * d)) >= missing
+    observed[np.arange(n), rng.integers(0, 2 * d, n)] = True  # no subject without a cell
+    header = [f"g1_var{l + 1}" for l in range(d)] + [f"g2_var{l + 1}" for l in range(d)]
+    lines = [",".join(header)] + [
+        ",".join(f"{v:.2f}" if o else na_rep for v, o in zip(row, obs))
+        for row, obs in zip(values, observed)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+NUMBERS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds("{}.{}e{}".format, st.integers(-99, 99), st.integers(0, 999), st.integers(-340, 300)),
+)
+ODD_TOKENS = st.sampled_from([
+    "NA", " NA", "-NA", "NAN", "", "nan", "-nan", "NaN", "inf", "-Infinity", "1e999",
+    "1e-400", "1_000", "\u0661", "#", "1#", "x", "+.5", "5.", "-0", "0x10",
+])
+SPACES = st.sampled_from(["", " ", "\t", "\x0c", "\x1c", "\u3000", "\xa0", "\ufeff"])
+NOISY_CELLS = st.one_of(
+    NUMBERS,
+    ODD_TOKENS,
+    st.builds("{}{}{}".format, SPACES, st.one_of(NUMBERS, ODD_TOKENS), SPACES),
+    st.builds('"{}{}"'.format, st.one_of(NUMBERS, ODD_TOKENS), st.sampled_from(["", "\n", "\r\n"])),
+)
+HEADERS = {
+    "plain": "v{}",
+    "quoted": '"v{}"',
+    "comma": '"v,{}"',
+    "newline": '"v\n{}"',
+}
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV file as bytes, with the NA token and dimension to read it with.
+
+    Half the files are plain (numbers and missing cells, one line ending)
+    so that the C reader is often tried; the other half mix in tokens that
+    the two readers treat differently, quotes, whitespace, odd widths and
+    every line ending.  NA tokens that are not a whole stripped field
+    (`` NA``, ``N,A``) appear in the cells as written.
+    """
+    noisy = draw(st.booleans())
+    na_token = draw(st.sampled_from(["NA"] * 4 + [".", "", "nan", "-1", " NA", "N,A"]))
+    missing = st.sampled_from(["", na_token])
+    cells = st.one_of(NUMBERS, missing, *([NOISY_CELLS] if noisy else [NUMBERS, NUMBERS]))
+    width = draw(st.sampled_from([1, 2, 3, 4, 6] if noisy else [2, 4, 6]))
+    rows = []
+    if draw(st.booleans()):
+        style = HEADERS[draw(st.sampled_from(["plain"] * 5 + list(HEADERS)))]
+        columns = draw(st.sampled_from([width] * 6 + [width + 1, width + 2]))
+        rows.append(",".join(style.format(j) for j in range(columns)))
+    kinds = ["data", "data", "blank", "commas", "ragged", "spaces", "comment"] if noisy else ["data"]
+    for _ in range(draw(st.integers(0 if noisy else 1, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("data", "ragged"):
+            k = width if kind == "data" else draw(st.integers(1, width + 2))
+            rows.append(",".join(draw(cells) for _ in range(k)))
+        else:
+            rows.append({"blank": "", "commas": "," * (width - 1), "spaces": " \t",
+                         "comment": "# note"}[kind])
+    if noisy:
+        text = "".join(row + draw(st.sampled_from(["\n", "\r\n", "\r"])) for row in rows)
+    else:
+        end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+        text = end.join(rows) + draw(st.sampled_from(["", end, end * 2]))
+    data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+    dimension = draw(st.sampled_from([None, 1, 2, 3] if noisy else [None, None, None, width // 2]))
+    return data, na_token, dimension
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "data.csv"
+
+
+class TestCReaderRoute:
+    @given(file=csv_files())
+    @example(file=(b"a,b\n1,2\n NA,3\n", " NA", None))  # the loop strips a cell first
+    @example(file=(b"a,b\n1,2\nN,A,3\n", "N,A", None))  # no cell holds a comma
+    @example(file=(b'"a,b",c,d\n1,2,3,4\n5,6,7,8\n', "NA", None))  # 3 columns to the loop
+    @example(file=(b"1,2\n,\n3,4\n", "NA", None))  # a row of empty cells is skipped
+    @example(file=(b"1,2\nNA,\n3,4\n", "NA", None))  # a row without an observed cell is an error
+    @example(file=(b"x" * 131_073 + b",y\n1,2\n3,4\n", "NA", None))  # over csv's field limit
+    @example(file=(b"a\x00,b\n1,2\n3,4\n", "NA", None))  # NUL is malformed CSV to Python 3.10
+    @settings(max_examples=400, deadline=None)
+    def test_same_result_as_the_loop(self, csv_path, file):
+        data, na_token, dimension = file
+        csv_path.write_bytes(data)
+        text = data.decode("utf-8-sig")
+        expected = outcome(lambda: read_by_loop(text, dimension, na_token))
+        assert outcome(lambda: parse_dataset(csv_path, dimension, na_token)) == expected
+        read_fast_checked(text, dimension, na_token)
+
+    def test_taken_for_the_fixture(self):
+        assert read_fast_checked(FIXTURE.read_text(encoding="utf-8")) is not None
+
+    @pytest.mark.parametrize("na_rep", ["NA", ""], ids=["na", "empty"])
+    def test_taken_for_a_wide_file(self, na_rep):
+        # "" is how pandas' to_csv writes a missing value by default
+        text = wide_csv_text(np.random.default_rng(5), 10, 2000, 0.3, na_rep)
+        assert read_fast_checked(text) is not None
+
+    def test_taken_for_written_samples(self, rng, tmp_path):
+        # the files of test_roundtrip_preserves_mask_and_values, with \r\n line ends
+        for i in range(10):
+            sample, _ = random_general_sample(rng, ties=False)
+            path = tmp_path / f"rt{i}.csv"
+            write_dataset(sample, path)
+            assert read_fast_checked(path.read_bytes().decode("utf-8")) is not None
+
+    @pytest.mark.parametrize("token, expected", [
+        ("-NA", "parse error at line 3, column 2: cell '-NA' is neither a number nor 'NA'"),
+        ("nan", "parse error at line 3, column 2: cell 'nan' is not a finite number"),
+        ("-nan", "parse error at line 3, column 2: cell '-nan' is not a finite number"),
+        ("inf", "parse error at line 3, column 2: cell 'inf' is not a finite number"),
+        ("1e999", "parse error at line 3, column 2: cell '1e999' is not a finite number"),
+        ("1_000", 1000.0),
+        ("١", 1.0),
+        ("1\x1c", 1.0),
+        ("#", "parse error at line 3, column 2: cell '#' is neither a number nor 'NA'"),
+        ('" 1"', 1.0),
+    ], ids=["minus-na", "nan", "minus-nan", "inf", "overflow", "underscore", "arabic-indic",
+            "file-separator", "hash", "quoted"])
+    def test_tokens_the_readers_disagree_on(self, tmp_path, token, expected):
+        text = f"a,b\n1,2\n3,{token}\n"
+        path = tmp_path / "token.csv"
+        path.write_text(text, encoding="utf-8")
+        result = outcome(lambda: parse_dataset(path))
+        assert result == outcome(lambda: read_by_loop(text))
+        fast = read_fast_checked(text)
+        if isinstance(expected, str):
+            assert fast is None
+            assert result[1] == expected
+        else:
+            assert parse_dataset(path).values[1, 1] == expected
 
 
 class TestReportDocument:
