@@ -87,7 +87,7 @@ def _numbers(cells: list[str], na_token: str, line: int) -> list[float]:
 
 
 def _read_rows(text: str, dimension: int | None, na_token: str) -> np.ndarray:
-    """The data rows of ``text``, one per row, NaN where missing; read row by row.
+    """The data rows of ``text`` as an array, NaN where missing, read row by row.
 
     This loop defines the format: it decides every value and raises every
     error, the first in file order.

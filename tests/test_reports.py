@@ -266,7 +266,9 @@ def csv_files(draw):
         style = HEADERS[draw(st.sampled_from(["plain"] * 5 + list(HEADERS)))]
         columns = draw(st.sampled_from([width] * 6 + [width + 1, width + 2]))
         rows.append(",".join(style.format(j) for j in range(columns)))
-    kinds = ["data", "data", "blank", "commas", "ragged", "spaces", "comment"] if noisy else ["data"]
+    kinds = ["data"]
+    if noisy:
+        kinds += ["data", "blank", "commas", "ragged", "spaces", "comment"]
     for _ in range(draw(st.integers(0 if noisy else 1, 6))):
         kind = draw(st.sampled_from(kinds))
         if kind in ("data", "ragged"):
@@ -281,7 +283,7 @@ def csv_files(draw):
         end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
         text = end.join(rows) + draw(st.sampled_from(["", end, end * 2]))
     data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
-    dimension = draw(st.sampled_from([None, 1, 2, 3] if noisy else [None, None, None, width // 2]))
+    dimension = draw(st.sampled_from([None, 1, 2, 3] if noisy else [None] * 3 + [width // 2]))
     return data, na_token, dimension
 
 
