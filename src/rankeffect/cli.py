@@ -54,7 +54,7 @@ def cmd_analyze(args) -> int:
     sample = parse_dataset(args.dataset, dimension=args.dimension, na_token=args.na_token)
     idx = derive_pattern_index(sample)
     methods = _parse_methods(args.methods)
-    analyses = analyze(sample, idx, alpha=args.alpha, methods=methods, pattern=args.pattern)
+    analyses = analyze(sample, alpha=args.alpha, methods=methods, pattern=args.pattern)
     config = {
         "command": "analyze",
         "alpha": args.alpha,

@@ -7,7 +7,7 @@ both groups on a variable (a *complete* case for that variable), in exactly
 one group (an *incomplete* case), or in neither.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,7 +117,7 @@ class PatternIndex:
     n_complete: np.ndarray     # (d,) counts per component
     n1_only: np.ndarray
     n2_only: np.ndarray
-    is_simple_pattern: bool = field(default=False)
+    is_simple_pattern: bool
 
     @property
     def m1(self) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceEstimate, covariance_general, covariance_simple
-from .data import MaskedSample, PatternIndex
+from .data import MaskedSample, PatternIndex, derive_pattern_index
 from .effects import METHODS, check_methods, estimate_effects, restrict_method
 from .errors import (
     DomainError,
@@ -318,32 +318,41 @@ def _select_covariance(b, idx, pattern: str):
 
 def analyze(
     sample: MaskedSample,
-    idx: PatternIndex,
     alpha: float = ALPHA,
     methods: tuple[str, ...] = METHODS,
     pattern: str = "auto",
 ) -> list[MethodAnalysis]:
     """Run the full pipeline for each requested case-restriction method.
 
-    ``pattern`` selects the covariance estimator: ``"auto"`` picks the
-    treatment-level form whenever the (restricted) data allows it,
-    ``"simple"`` insists on it (raising :class:`PatternMismatch` otherwise)
-    and ``"general"`` always uses the nine-term form.  Methods whose
-    restriction is inestimable yield placeholder reports instead of
-    aborting the run.  ``alpha`` outside (0, 1) and a method list that is
-    empty, repeats a method or names an unknown one raise ``ValueError``.
+    The pattern index is derived from ``sample`` once the other arguments
+    are checked.  ``pattern`` selects the covariance estimator: ``"auto"``
+    picks the treatment-level form whenever the (restricted) data allows
+    it, ``"simple"`` insists on it and ``"general"`` always uses the
+    nine-term form.  Methods whose restriction is inestimable yield
+    placeholder reports instead of aborting the run.
 
     ``sample`` may be a block of replicates; every effect, covariance and
     report then has its leading replicate axis, and a skip applies to the
     whole block, since its reasons depend on the shared mask alone.  The
     exception is a zero covariance off the null point, which belongs to a
     replicate: a block of several raises :class:`ZeroCovariance` instead.
+
+    Raises
+    ------
+    ValueError
+        ``alpha`` outside (0, 1), a method list that is empty, repeats a
+        method or names an unknown one, or an unknown ``pattern``.
+    InestimableComponent
+        Some group has no observation on a component of ``sample``.
+    PatternMismatch
+        ``pattern="simple"`` on data without treatment-level missingness.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     check_methods(methods)
     if pattern not in PATTERN_CHOICES:
         raise ValueError(f"unknown pattern {pattern!r}")
+    idx = derive_pattern_index(sample)
     if pattern == "simple" and not idx.is_simple_pattern:
         raise PatternMismatch(
             "pattern mismatch: data does not have treatment-level missingness"

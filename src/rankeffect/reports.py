@@ -46,6 +46,11 @@ def _is_number(token: str) -> bool:
         return False
 
 
+def _is_header(cells: list[str], na_token: str) -> bool:
+    """A first row is a header when some cell is neither a number, the NA token, nor empty."""
+    return any(c and c != na_token and not _is_number(c) for c in cells)
+
+
 def _malformed(text: str, exc: csv.Error, start: int, end: int) -> ParseError:
     """The error for a CSV record of ``text`` that ``csv`` rejected, begun at line ``start``.
 
@@ -104,8 +109,8 @@ def _read_rows(text: str, dimension: int | None, na_token: str) -> np.ndarray:
                 continue
             if width is None:
                 width = len(cells)
-                if any(not _is_number(c) and c != na_token for c in cells):
-                    continue  # a header
+                if _is_header(cells, na_token):
+                    continue
             if not rows:
                 if width % 2 != 0:
                     raise ParseError(f"column count {width} is odd; expected 2 * d")
@@ -157,8 +162,8 @@ def _read_fast(text: str, dimension: int | None, na_token: str) -> np.ndarray | 
     width = len(first)
     if width % 2 != 0 or (dimension is not None and dimension != width // 2):
         return None
-    if any(not _is_number(c) and c != na_token for c in first):
-        start += 1  # a header
+    if _is_header(first, na_token):
+        start += 1
     end = len(lines)
     while end > start and not lines[end - 1]:
         end -= 1  # blank lines at the end of the file
@@ -194,8 +199,9 @@ def parse_dataset(
     """Read a wide CSV file into a :class:`MaskedSample`.
 
     A header row is detected when the first row contains a token that is
-    neither numeric nor the NA token.  The number of response variables is
-    inferred as half the column count unless ``dimension`` is given.
+    neither numeric, the NA token, nor empty.  The number of response
+    variables is inferred as half the column count unless ``dimension`` is
+    given.
 
     The file is read and decoded once.  Plain text (no quotes, lines ending
     in LF or CRLF) is first read by numpy's C reader, and that result is

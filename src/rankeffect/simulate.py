@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import MaskedSample, build_masked_sample, derive_pattern_index
+from .data import MaskedSample, build_masked_sample
 from .effects import METHODS, check_methods
 from .errors import NotPositiveDefinite, RankEffectError, ScenarioError
 from .inference import ALPHA, FAMILIES, analyze
@@ -269,11 +269,13 @@ class SimulationResult:
 def run_scenario(scenario: Scenario) -> SimulationResult:
     """Draw, estimate and test ``replications`` times; tally rejections.
 
-    Replicates run in blocks of ``max(1, CELLS // (2d * n))``.  A replicate
-    that raises a :class:`RankEffectError` is counted as a failure and never
-    aborts the run: a block that raises one is run again one replicate at a
-    time, so that the error fails (or, for :class:`ZeroCovariance`, skips)
-    its own replicate alone.  Any other exception is a bug and propagates.
+    Replicates run in blocks of ``max(1, CELLS // (2d * n))``, each one
+    :func:`analyze` call, which derives the block's pattern index.  A
+    replicate that raises a :class:`RankEffectError` is counted as a failure
+    and never aborts the run: a block that raises one is run again one
+    replicate at a time, so that the error fails (or, for
+    :class:`ZeroCovariance`, skips) its own replicate alone.  Any other
+    exception is a bug and propagates.
     A method that :func:`analyze` reports as skipped (its ``skipped`` reason
     is set) is tallied as skipped, not as evaluated.
     """
@@ -288,8 +290,7 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
         block = blocks.pop()
         try:
             sample = draw_sample(scenario, block)
-            idx = derive_pattern_index(sample)
-            analyses = analyze(sample, idx, alpha=scenario.alpha, methods=scenario.methods)
+            analyses = analyze(sample, alpha=scenario.alpha, methods=scenario.methods)
         except RankEffectError:
             if len(block) == 1:
                 failures += 1

@@ -75,17 +75,16 @@ def assert_same_tests(eff, cov, effs, covs, n):
 
 
 def assert_same_analyses(block, singles):
-    idx = derive_pattern_index(block)
-    per_replicate = [analyze(s, idx) for s in singles]
+    per_replicate = [analyze(s) for s in singles]
     if any(
         isinstance(item.skipped, str) and item.skipped.startswith("covariance estimate is zero")
         for items in per_replicate
         for item in items
     ):
         with pytest.raises(ZeroCovariance):
-            analyze(block, idx)
+            analyze(block)
         return
-    for item, items in zip(analyze(block, idx), zip(*per_replicate)):
+    for item, items in zip(analyze(block), zip(*per_replicate)):
         assert item.skipped == items[0].skipped
         assert item.skipped or item.index.n == items[0].index.n
         for family in ("wald", "anova"):
@@ -142,9 +141,9 @@ def test_block_of_one_replicate_skips_a_zero_covariance():
     # point skips the method instead of raising
     values = np.array([[[0.0, 0.0], [1.0, 1.0]]])
     block = build_masked_sample(values, np.ones((2, 2), bool))
-    (item,) = analyze(block, derive_pattern_index(block), methods=("all",))
+    (item,) = analyze(block, methods=("all",))
     assert item.skipped.startswith("covariance estimate is zero")
     assert item.wald.flags == (("inestimable: " + item.skipped,),)
     twice = build_masked_sample(np.concatenate([values, values]), np.ones((2, 2), bool))
     with pytest.raises(ZeroCovariance):
-        analyze(twice, derive_pattern_index(twice), methods=("all",))
+        analyze(twice, methods=("all",))

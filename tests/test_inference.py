@@ -4,14 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankeffect import (
+    METHODS,
     CovarianceEstimate,
     analyze,
     anova_test,
     build_masked_sample,
     build_rank_table,
     chisq_upper_tail,
+    covariance_general,
+    covariance_simple,
     derive_pattern_index,
     estimate_effects,
+    restrict_method,
     wald_test,
 )
 from rankeffect.errors import DomainError, ZeroCovariance
@@ -235,8 +239,7 @@ class TestRunAllMethods:
     def test_fully_observed_all_equals_complete(self, rng):
         obs = np.ones((4, 12), bool)
         s = build_masked_sample(rng.integers(0, 5, obs.shape).astype(float), obs)
-        idx = derive_pattern_index(s)
-        analyses = analyze(s, idx)
+        analyses = analyze(s)
         assert [item.skipped is not None for item in analyses] == [False, False, True]
         reports = reports_by_key(analyses)
         for fam in ("wald", "anova"):
@@ -252,8 +255,7 @@ class TestRunAllMethods:
     def test_single_group2_case_flags_degenerate_part(self, rng):
         obs = simple_mask(3, 33, 8, 1)
         s = build_masked_sample(rng.integers(1, 8, obs.shape).astype(float), obs)
-        idx = derive_pattern_index(s)
-        reports = reports_by_key(analyze(s, idx))
+        reports = reports_by_key(analyze(s))
         inc = reports[("anova", "incomplete")]
         assert any("degenerate" in f for f in inc.flags)
         assert 0.0 <= inc.p_value <= 1.0
@@ -261,34 +263,64 @@ class TestRunAllMethods:
     def test_alpha_outside_unit_interval_rejected(self, rng):
         obs = simple_mask(2, 8, 3, 3)
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
-        idx = derive_pattern_index(s)
         for alpha in (0.0, 1.0, 1.5, -0.1, float("nan")):
             with pytest.raises(ValueError, match="alpha"):
-                analyze(s, idx, alpha=alpha)
+                analyze(s, alpha=alpha)
 
     @pytest.mark.parametrize("methods", [(), ("all", "all"), ("bogus",)])
     def test_empty_repeated_or_unknown_methods_rejected(self, rng, methods):
         # a repeated method would be tallied twice per replicate
         obs = simple_mask(2, 8, 3, 3)
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
-        idx = derive_pattern_index(s)
         with pytest.raises(ValueError, match="method"):
-            analyze(s, idx, methods=methods)
+            analyze(s, methods=methods)
 
     def test_unknown_pattern_rejected(self, rng):
         obs = simple_mask(2, 8, 3, 3)
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
         with pytest.raises(ValueError, match="pattern"):
-            analyze(s, derive_pattern_index(s), pattern="bogus")
+            analyze(s, pattern="bogus")
 
     def test_six_reports_in_method_order(self, rng):
         obs = simple_mask(2, 8, 3, 3)
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
-        idx = derive_pattern_index(s)
         labels = [(rep.family, item.method)
-                  for item in analyze(s, idx) for rep in (item.wald, item.anova)]
+                  for item in analyze(s) for rep in (item.wald, item.anova)]
         assert labels == [
             ("wald", "all"), ("anova", "all"),
             ("wald", "complete"), ("anova", "complete"),
             ("wald", "incomplete"), ("anova", "incomplete"),
         ]
+
+    def test_rests_on_the_samples_own_pattern_index(self, rng):
+        # b has a's case counts with its one-sided subjects in other columns,
+        # so only the masks tell the two indexes apart; b's index on a's
+        # values would run NaN counts into the tail
+        values = rng.integers(0, 9, (4, 12)).astype(float)
+        masks = []
+        for g1_only, g2_only in (([6, 7, 8], [9, 10, 11]), ([9, 10, 11], [6, 7, 8])):
+            obs = np.ones((4, 12), bool)
+            obs[2:, g1_only] = False
+            obs[:2, g2_only] = False
+            obs[0, 5] = False  # not treatment-level
+            masks.append(obs)
+        a, b = (build_masked_sample(np.where(obs, values, np.nan), obs) for obs in masks)
+        idx_a, idx_b = derive_pattern_index(a), derive_pattern_index(b)
+        for name in ("n_complete", "n1_only", "n2_only"):
+            assert (getattr(idx_a, name) == getattr(idx_b, name)).all()
+        assert not (idx_a.g1_only_mask == idx_b.g1_only_mask).all()
+        analyses = analyze(a)
+        assert [item.method for item in analyses] == list(METHODS)
+        for item in analyses:
+            sub, sub_idx = restrict_method(a, idx_a, item.method)
+            b_sub = build_rank_table(sub)
+            eff = estimate_effects(b_sub, sub_idx)
+            estimator = covariance_simple if sub_idx.is_simple_pattern else covariance_general
+            cov = estimator(b_sub, sub_idx)
+            assert item.skipped is None
+            np.testing.assert_array_equal(item.effects, eff)
+            np.testing.assert_array_equal(item.covariance.v_hat, cov.v_hat)
+            for got, test in ((item.wald, wald_test), (item.anova, anova_test)):
+                want = test(eff, cov, sub_idx.n, 0.05)
+                np.testing.assert_array_equal(got.statistic, want.statistic)
+                np.testing.assert_array_equal(got.p_value, want.p_value)

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import rankeffect
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def package_modules():
@@ -48,6 +49,17 @@ def test_every_traced_function_resolves():
         if not callable(getattr(module, func_name, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_readme_library_example_runs(capsys):
+    # README's "Library use" block, on the fixture in place of study.csv
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    fixture = ROOT / "tests" / "data" / "paired_qol_42subjects.csv"
+    assert '"study.csv"' in code
+    exec(compile(code.replace('"study.csv"', repr(str(fixture))), "README.md", "exec"), {})
+    heads = [line.split(" ", 1)[0] for line in capsys.readouterr().out.splitlines()]
+    assert [head for head in heads if head in rankeffect.METHODS] == list(rankeffect.METHODS)
 
 
 def test_package_exports_each_name_once():
@@ -87,6 +99,11 @@ def test_traced_layers_stay_on_the_monte_carlo_path():
         "simulate.run_scenario",
     ]
     assert [name for name in layers if table[name]["calls"] == 0] == []
+    # the pattern index is derived once per block, inside analyze, and once
+    # more by each restriction: "complete" and "incomplete" of the first
+    # scenario (design1 runs "all" only)
+    assert table["inference.analyze"]["calls"] == 2  # one block per scenario
+    assert table["data.derive_pattern_index"]["calls"] == 2 + 2
     assert tracer.counts["simulate.replicates"] == 10
     assert tracer.counts["simulate.failures"] == 0
     assert tracer.counts["ranks.cells_ranked"] > 0
@@ -107,5 +124,9 @@ def test_traced_layers_stay_on_the_analyze_path(tmp_path):
             "--output", str(tmp_path / "report.json"),
         ])
     assert code == 0
+    table = tracer.layer_table()
+    # one index for the report, one inside analyze, one per restriction
+    assert table["inference.analyze"]["calls"] == 1
+    assert table["data.derive_pattern_index"]["calls"] == 1 + 1 + 2
     assert tracer.counts["reports.parse_bytes"] == fixture.stat().st_size
     assert tracer.counts["covariance.general_terms"] == 3 * 9 * 3 * 4 // 2  # 3 methods, d = 3

@@ -58,6 +58,20 @@ class TestParseDataset:
         assert s.d == 1 and s.n == 3
         assert list(s.values[:, 0]) == [1.0, 2.0]
 
+    @pytest.mark.parametrize("first, fast", [("1,,3,4", True), ('"1",,3,4', False)],
+                             ids=["c-reader", "loop"])
+    def test_empty_cell_keeps_the_first_row(self, tmp_path, first, fast):
+        # pandas' to_csv(header=False) writes a missing value as an empty
+        # cell, which does not make the first row a header
+        text = first + "\n5,6,7,8\n9,1,2,3\n"
+        path = tmp_path / "empty-cell.csv"
+        path.write_text(text)
+        assert (reports._read_fast(text, None, "NA") is not None) == fast
+        s = parse_dataset(path)
+        assert s.d == 2 and s.n == 3
+        assert list(s.observed[:, 0]) == [True, False, True, True]
+        assert list(s.values[[0, 2, 3], 0]) == [1.0, 3.0, 4.0]
+
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("g1_var1,g2_var1\n")
@@ -360,7 +374,7 @@ class TestReportDocument:
         obs = obs if obs is not None else simple_mask(2, 10, 4, 4)
         s = build_masked_sample(rng.integers(0, 7, obs.shape).astype(float), obs)
         idx = derive_pattern_index(s)
-        analyses = analyze(s, idx)
+        analyses = analyze(s)
         return build_report(analyses, idx, 0.05, {"flags": "unit"})
 
     def test_validates_against_schema(self):
@@ -369,7 +383,7 @@ class TestReportDocument:
     def test_fixture_report_validates_and_flags_degeneracy(self):
         s = parse_dataset(FIXTURE)
         idx = derive_pattern_index(s)
-        report = build_report(analyze(s, idx), idx, 0.05, {"flags": "unit"})
+        report = build_report(analyze(s), idx, 0.05, {"flags": "unit"})
         jsonschema.validate(report, REPORT_SCHEMA)
         all_tests = [t for t in report["tests"] if t["method"] == "all"]
         assert all(any("degenerate" in f for f in t["flags"]) for t in all_tests)
