@@ -132,18 +132,27 @@ def _read_rows(text: str, dimension: int | None, na_token: str) -> np.ndarray:
     return np.array(rows)
 
 
+# blank lines, then a line of quoted names that hold no quote, comma or line end
+_QUOTED_HEADER = re.compile(r'(?:[ \t,]*\r?\n)*("[^"\r\n,]*"(?:,"[^"\r\n,]*")*)(?=\r?\n|\Z)')
+
+
 def _read_fast(text: str, dimension: int | None, na_token: str) -> np.ndarray | None:
     """What :func:`_read_rows` returns for ``text``, read by numpy's C reader; None if unproven.
 
-    Only text without quotes, NUL or a carriage return outside a CRLF line
-    end is tried, so that a line is a record and a comma ends a field, as
-    for the loop.  The header is found by the loop's rule.  Whole NA and
+    A first line of names each in quotes, as R's ``write.csv`` writes a
+    header, loses its quotes, which gives the cells the loop reads.  Only
+    text that then holds no quote, NUL or carriage return outside a CRLF
+    line end is tried, so that a line is a record and a comma ends a field,
+    as for the loop.  The header is found by the loop's rule.  Whole NA and
     empty fields become ``nan`` and are counted.  The result stands only if
     it has one row per line after the header and the loop's even width, its
     NaN cells are exactly the fields replaced (a literal ``nan`` is an error
     to the loop), and it has no infinity and no row without an observed
     cell.  Any other text, including every text the loop rejects, gives None.
     """
+    header = _QUOTED_HEADER.match(text)
+    if header:
+        text = text[:header.start(1)] + header[1].replace('"', "") + text[header.end(1):]
     if '"' in text or "\x00" in text or "," in na_token or na_token != na_token.strip():
         return None
     if "\r" in text:
@@ -203,14 +212,15 @@ def parse_dataset(
     variables is inferred as half the column count unless ``dimension`` is
     given.
 
-    The file is read and decoded once.  Plain text (no quotes, lines ending
-    in LF or CRLF) is first read by numpy's C reader, and that result is
-    kept only when checks prove it equal to a row-by-row reading: the shape,
-    the count of missing cells, no infinity and no empty row.  Otherwise the
-    file is read row by row, converting each row as it is read; only that
-    loop raises errors, so they do not depend on the route.  A byte that is
-    not UTF-8 is reported before anything else; otherwise the first error
-    in file order is reported, with its line.
+    The file is read and decoded once.  Plain text (no quotes but around
+    the header's names, lines ending in LF or CRLF) is first read by numpy's
+    C reader, and that result is kept only when checks prove it equal to a
+    row-by-row reading: the shape, the count of missing cells, no infinity
+    and no empty row.  Otherwise the file is read row by row, converting
+    each row as it is read; only that loop raises errors, so they do not
+    depend on the route.  A byte that is not UTF-8 is reported before
+    anything else; otherwise the first error in file order is reported,
+    with its line.
 
     Raises
     ------

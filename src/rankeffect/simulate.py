@@ -16,10 +16,12 @@ Replicates use counter-based seeding, so results are reproducible and
 independent of execution order.  :func:`run_scenario` draws each replicate
 from its own generator, as :func:`draw_sample` does for one, and stacks the
 draws of consecutive replicates into blocks that share the scenario's mask;
-each block goes through :func:`~rankeffect.inference.analyze` once.  A
-block holds ``max(1, CELLS // (2d * n))`` replicates, so its arrays stay
-small whatever the sample size.  Tallies, failures and every output are
-the same as one replicate at a time would give.
+each block goes through :func:`~rankeffect.inference.analyze` once.  A run
+takes as few blocks as hold at most ``max(1, CELLS // (2d * n))``
+replicates each, with sizes that differ by at most one, so a block's arrays
+stay small whatever the sample size and no short block is left over.
+Tallies, failures and every output are the same as one replicate at a time
+would give.
 """
 
 import os
@@ -47,12 +49,12 @@ DISTRIBUTIONS = ("normal", "lognormal", "cauchy")
 PATTERNS = {"simple": 3, "design1": 1, "design2": 2, "design3": 1}
 #: Dimensions of the built-in grids that vary ``d``.
 DIMS = (2, 3, 5)
-#: Cells (replicates x 2d x n) of a block of replicates analyzed at once:
-#: enough that many small replicates share each call's overhead, few enough
-#: that a block's arrays stay within about 2 MB at any sample size (the
-#: pipeline peaks near 60 bytes per cell).  Twice as many cells run no
-#: faster and hold twice the memory.
-CELLS = 32_768
+#: Cells (replicates x 2d x n) of a block of replicates analyzed at once.
+#: Every block pays a fixed cost (the draw plan, the pattern index and many
+#: small numpy calls), so a block holds many replicates even at ``design3``'s
+#: n of about 1,410 (23 of them); its arrays peak near 45 bytes a cell, about
+#: 6 MB.  Twice as many cells run ``design3`` no faster and hold twice the memory.
+CELLS = 131_072
 
 
 def build_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> np.ndarray:
@@ -222,18 +224,25 @@ def draw_sample(scenario: Scenario, replicates: int | range) -> MaskedSample:
     chol, mu, observed = _draw_plan(scenario)
     block = isinstance(replicates, range)
     indices = replicates if block else [replicates]
-    values = np.empty((len(indices), *observed.shape))
+    cauchy = scenario.distribution == "cauchy"
+    z = np.empty((len(indices), *observed.shape))
+    halfnorm = np.empty((len(indices), 1, observed.shape[1])) if cauchy else None
+    for i, index in enumerate(indices):
+        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(index,)))
+        rng.standard_normal(out=z[i])
+        if cauchy:
+            rng.standard_normal(out=halfnorm[i, 0])
+    values = chol @ z
+    del z
     # an overflowing draw becomes inf, which build_masked_sample rejects
     with np.errstate(over="ignore"):
-        for out, index in zip(values, indices):
-            rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(index,)))
-            z = rng.standard_normal(observed.shape)
-            if scenario.distribution == "cauchy":
-                halfnorm = np.abs(rng.standard_normal(observed.shape[1]))
-                out[...] = (chol @ z) / halfnorm[None, :] + mu[:, None]
-            else:
-                w = chol @ z + mu[:, None]
-                out[...] = np.rint(w) if scenario.distribution == "normal" else np.exp(w)
+        if cauchy:
+            values /= np.abs(halfnorm, out=halfnorm)
+        values += mu[:, None]
+        if scenario.distribution == "normal":
+            np.rint(values, out=values)
+        elif scenario.distribution == "lognormal":
+            np.exp(values, out=values)
     return build_masked_sample(values if block else values[0], observed)
 
 
@@ -269,13 +278,14 @@ class SimulationResult:
 def run_scenario(scenario: Scenario) -> SimulationResult:
     """Draw, estimate and test ``replications`` times; tally rejections.
 
-    Replicates run in blocks of ``max(1, CELLS // (2d * n))``, each one
-    :func:`analyze` call, which derives the block's pattern index.  A
-    replicate that raises a :class:`RankEffectError` is counted as a failure
-    and never aborts the run: a block that raises one is run again one
-    replicate at a time, so that the error fails (or, for
-    :class:`ZeroCovariance`, skips) its own replicate alone.  Any other
-    exception is a bug and propagates.
+    Replicates run in ``ceil(replications / size)`` consecutive blocks,
+    where ``size = max(1, CELLS // (2d * n))``, whose lengths differ by at
+    most one; each is one :func:`draw_sample` and one :func:`analyze` call,
+    which derives the block's pattern index.  A replicate that raises a
+    :class:`RankEffectError` is counted as a failure and never aborts the
+    run: a block that raises one is run again one replicate at a time, so
+    that the error fails (or, for :class:`ZeroCovariance`, skips) its own
+    replicate alone.  Any other exception is a bug and propagates.
     A method that :func:`analyze` reports as skipped (its ``skipped`` reason
     is set) is tallied as skipped, not as evaluated.
     """
@@ -284,8 +294,12 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
     failures = 0
     reps = scenario.replications
     size = max(1, CELLS // (2 * scenario.d * sum(scenario.pattern_counts())))
+    # as few blocks as ``size`` allows, the first ``extra`` one replicate longer
+    count = -(-reps // size)
+    base, extra = divmod(reps, count)
+    starts = [k * base + min(k, extra) for k in range(count + 1)]
     # a stack: the first block is popped first, then a failed block's replicates
-    blocks = [range(r, min(r + size, reps)) for r in range(0, reps, size)][::-1]
+    blocks = [range(a, b) for a, b in zip(starts, starts[1:])][::-1]
     while blocks:
         block = blocks.pop()
         try:

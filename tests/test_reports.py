@@ -327,6 +327,15 @@ class TestCReaderRoute:
     def test_taken_for_the_fixture(self):
         assert read_fast_checked(FIXTURE.read_text(encoding="utf-8")) is not None
 
+    def test_taken_for_a_quoted_header(self):
+        # the fixture as R's write.csv writes it: names in quotes, \r\n line ends
+        rows = FIXTURE.read_text(encoding="utf-8").splitlines()
+        rows[0] = ",".join(f'"{c}"' for c in rows[0].split(","))
+        assert read_fast_checked("".join(row + "\r\n" for row in rows)) is not None
+        # any other quote is left to the loop
+        assert read_fast_checked('"a""1","b"\n1,2\n3,4\n') is None
+        assert read_fast_checked('"a","b"\n"1",2\n3,4\n') is None
+
     @pytest.mark.parametrize("na_rep", ["NA", ""], ids=["na", "empty"])
     def test_taken_for_a_wide_file(self, na_rep):
         # "" is how pandas' to_csv writes a missing value by default

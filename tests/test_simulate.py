@@ -362,11 +362,34 @@ class TestBlocks:
         assert results[0].failures == failures
         assert results[0].tallies["wald:all"].skipped == skipped
 
-    def test_block_draws_are_the_replicates_draws(self):
-        s = scenario(distribution="cauchy", pattern="design1", sizes=(75,), seed=3)
+    def test_blocks_are_balanced(self, monkeypatch):
+        import rankeffect.simulate as sim
+
+        s = scenario(replications=50)  # 2d * n = 200 cells a replicate
+        blocks = []
+
+        def recording(scenario, replicates):
+            blocks.append(replicates)
+            return draw_sample(scenario, replicates)
+
+        monkeypatch.setattr(sim, "draw_sample", recording)
+        monkeypatch.setattr(sim, "CELLS", 23 * 200)  # up to 23 a block: three blocks
+        balanced = run_scenario(s)
+        assert [r for block in blocks for r in block] == list(range(50))
+        assert [len(block) for block in blocks] == [17, 17, 16]
+        monkeypatch.setattr(sim, "CELLS", 1)
+        assert run_scenario(s) == balanced
+
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    @pytest.mark.parametrize("kw", [
+        dict(pattern="design1", sizes=(75,)),
+        dict(d=5, delta=(0.2,) * 5, sizes=(10, 3, 4)),
+    ], ids=["design1", "simple-d5"])
+    def test_block_draws_are_the_replicates_draws(self, distribution, kw):
+        s = scenario(distribution=distribution, seed=3, **kw)
         block = draw_sample(s, range(4, 7))
         for i, r in enumerate(range(4, 7)):
-            assert np.array_equal(block.values[i], draw_sample(s, r).values, equal_nan=True)
+            assert block.values[i].tobytes() == draw_sample(s, r).values.tobytes()
         assert np.array_equal(block.observed, draw_sample(s, 4).observed)
 
 
