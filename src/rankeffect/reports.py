@@ -62,7 +62,7 @@ def _malformed(text: str, exc: csv.Error, start: int, end: int) -> ParseError:
     """
     opened = None
     if str(exc).startswith(("unexpected end of data", "field larger than field limit")):
-        lines = itertools.islice(io.StringIO(text, newline=""), start - 1, end)
+        lines = itertools.islice(_lines(text), start - 1, end)
         for line, chunk in enumerate(lines, start):
             for _ in range(chunk.replace('""', "").count('"')):
                 opened = None if opened else line
@@ -91,13 +91,25 @@ def _numbers(cells: list[str], na_token: str, line: int) -> list[float]:
     return row
 
 
-def _read_rows(text: str, dimension: int | None, na_token: str) -> np.ndarray:
-    """The data rows of ``text`` as an array, NaN where missing, read row by row.
+# one line of a text, its end included, as a file opened with newline="" yields it
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
 
-    This loop defines the format: it decides every value and raises every
-    error, the first in file order.
+
+def _lines(text: str):
+    """The lines of ``text`` as ``csv`` reads a file; lazily, so no copy of the text is made."""
+    return (m[0] for m in _LINE.finditer(text))
+
+
+def _read_rows(text: str, dimension: int | None, na_token: str) -> np.ndarray:
+    """The data rows of ``text`` as an array, NaN where missing.
+
+    This loop defines the format: it decides the header, the width and
+    every value, and raises every error, the first in file order.  Once it
+    has read the first data row, it offers the lines after it to
+    :func:`_read_body`, once; rows from there stand for the rest of the
+    file, and without them the loop reads on row by row.
     """
-    reader = csv.reader(io.StringIO(text, newline=""), strict=True)  # lines end as in a file
+    reader = csv.reader(_lines(text), strict=True)
     width = None
     rows = []
     line = 0  # the line the last record read ends on; blank lines count
@@ -123,6 +135,10 @@ def _read_rows(text: str, dimension: int | None, na_token: str) -> np.ndarray:
             rows.append(_numbers(cells, na_token, line))
             if all(map(math.isnan, rows[-1])):
                 raise ParseError("the row has no observed cell", line=line)
+            if len(rows) == 1:
+                body = _read_body(text, line, width, na_token)
+                if body is not None:
+                    return np.concatenate([np.array(rows), body])
     except csv.Error as exc:
         raise _malformed(text, exc, line + 1, reader.line_num) from None
     if width is None:
@@ -132,55 +148,36 @@ def _read_rows(text: str, dimension: int | None, na_token: str) -> np.ndarray:
     return np.array(rows)
 
 
-# blank lines, then a line of quoted names that hold no quote, comma or line end
-_QUOTED_HEADER = re.compile(r'(?:[ \t,]*\r?\n)*("[^"\r\n,]*"(?:,"[^"\r\n,]*")*)(?=\r?\n|\Z)')
+def _read_body(text: str, skip: int, width: int, na_token: str) -> np.ndarray | None:
+    """What :func:`_read_rows` reads after line ``skip`` of ``text``, read by numpy's C reader.
 
-
-def _read_fast(text: str, dimension: int | None, na_token: str) -> np.ndarray | None:
-    """What :func:`_read_rows` returns for ``text``, read by numpy's C reader; None if unproven.
-
-    A first line of names each in quotes, as R's ``write.csv`` writes a
-    header, loses its quotes, which gives the cells the loop reads.  Only
-    text that then holds no quote, NUL or carriage return outside a CRLF
-    line end is tried, so that a line is a record and a comma ends a field,
-    as for the loop.  The header is found by the loop's rule.  Whole NA and
-    empty fields become ``nan`` and are counted.  The result stands only if
-    it has one row per line after the header and the loop's even width, its
-    NaN cells are exactly the fields replaced (a literal ``nan`` is an error
-    to the loop), and it has no infinity and no row without an observed
-    cell.  Any other text, including every text the loop rejects, gives None.
+    Only a text with no carriage return outside a CRLF line end, and a body
+    with no quote or NUL, is tried, so that a line is a record and a comma
+    ends a field, as for the loop.  Whole NA and empty fields become
+    ``nan`` and are counted.  The result stands only if it has one row of
+    ``width`` cells per line, its NaN cells are exactly the fields replaced
+    (a literal ``nan`` is an error to the loop), and it has no infinity and
+    no row without an observed cell.  Any other body, including every body
+    the loop rejects, gives None.
     """
-    header = _QUOTED_HEADER.match(text)
-    if header:
-        text = text[:header.start(1)] + header[1].replace('"', "") + text[header.end(1):]
-    if '"' in text or "\x00" in text or "," in na_token or na_token != na_token.strip():
+    if "," in na_token or na_token != na_token.strip():
         return None
     if "\r" in text:
+        # csv ends a line at a lone CR too, which would shift the body
         if text.count("\r") != text.count("\r\n"):
             return None
         text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
+    lines = text.split("\n")[skip:]
+    while lines and not lines[-1]:
+        lines.pop()  # blank lines at the end of the file
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
         return None  # the loop's reader rejects a longer field
-    start = next(
-        (i for i, line in enumerate(lines) if any(c.strip() for c in line.split(","))), None
-    )
-    if start is None:
-        return None
-    first = [c.strip() for c in lines[start].split(",")]
-    width = len(first)
-    if width % 2 != 0 or (dimension is not None and dimension != width // 2):
-        return None
-    if _is_header(first, na_token):
-        start += 1
-    end = len(lines)
-    while end > start and not lines[end - 1]:
-        end -= 1  # blank lines at the end of the file
-    if end == start:
-        return None
     # every field between two commas, so that a whole field is ",NA" before a ","
-    body = "," + ",\n,".join(lines[start:end]) + ","
-    del lines
+    body = "," + ",\n,".join(lines) + ","
+    count = len(lines)
+    del text, lines
+    if '"' in body or "\x00" in body:
+        return None
     body, replaced = re.subn(f",(?:{re.escape(na_token)}(?=,)|(?=,))", ",nan", body)
     body = body[1:-1].replace(",\n,", "\n")
     try:
@@ -191,7 +188,7 @@ def _read_fast(text: str, dimension: int | None, na_token: str) -> np.ndarray | 
         return None
     missing = np.isnan(rows)
     if (
-        rows.shape != (end - start, width)
+        rows.shape != (count, width)
         or np.count_nonzero(missing) != replaced
         or np.isinf(rows).any()
         or missing.all(axis=1).any()
@@ -212,15 +209,15 @@ def parse_dataset(
     variables is inferred as half the column count unless ``dimension`` is
     given.
 
-    The file is read and decoded once.  Plain text (no quotes but around
-    the header's names, lines ending in LF or CRLF) is first read by numpy's
-    C reader, and that result is kept only when checks prove it equal to a
-    row-by-row reading: the shape, the count of missing cells, no infinity
-    and no empty row.  Otherwise the file is read row by row, converting
-    each row as it is read; only that loop raises errors, so they do not
-    depend on the route.  A byte that is not UTF-8 is reported before
-    anything else; otherwise the first error in file order is reported,
-    with its line.
+    The file is read and decoded once.  A row-by-row loop reads it up to
+    the first data row, which settles the header and the width.  The plain
+    rows after it (no quotes, lines ending in LF or CRLF) are read by
+    numpy's C reader, and that result is kept only when checks prove it
+    equal to reading on row by row: the shape, the count of missing cells,
+    no infinity and no empty row.  Otherwise the loop reads on; only the
+    loop raises errors, so they do not depend on the route.  A byte that is
+    not UTF-8 is reported before anything else; otherwise the first error
+    in file order is reported, with its line.
 
     Raises
     ------
@@ -239,9 +236,7 @@ def parse_dataset(
             f"{str(path)!r} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x}, {exc.reason}",
             line=exc.object.count(b"\n", 0, exc.start) + 1,
         ) from None
-    rows = _read_fast(text, dimension, na_token)
-    if rows is None:
-        rows = _read_rows(text, dimension, na_token)
+    rows = _read_rows(text, dimension, na_token)
     values = np.ascontiguousarray(rows.T)  # subjects as columns, in C order
     return build_masked_sample(values, ~np.isnan(values))
 
@@ -489,7 +484,10 @@ def simulation_results_document(results, config: dict) -> dict:
 
 
 def render_simulation_table(results) -> str:
-    """Aligned text table: one row per scenario, rejection rates in percent."""
+    """Aligned text table: one row per scenario, rejection rates in percent.
+
+    A row whose scenario lost replicates to failures ends with their count.
+    """
     keys: list[str] = []
     for res in results:
         for k in res.tallies:
@@ -506,5 +504,7 @@ def render_simulation_table(results) -> str:
                 row += "-".rjust(18)
             else:
                 row += f"{100 * tally.rate:.1f} ± {100 * tally.mc_se:.1f}".rjust(18)
+        if res.failures:
+            row += f"  ({res.failures} of {res.scenario.replications} failed)"
         lines.append(row)
     return "\n".join(lines) + "\n"

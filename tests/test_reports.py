@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -58,15 +59,15 @@ class TestParseDataset:
         assert s.d == 1 and s.n == 3
         assert list(s.values[:, 0]) == [1.0, 2.0]
 
-    @pytest.mark.parametrize("first, fast", [("1,,3,4", True), ('"1",,3,4', False)],
+    @pytest.mark.parametrize("second, fast", [("5,6,7,8", True), ('"5",6,7,8', False)],
                              ids=["c-reader", "loop"])
-    def test_empty_cell_keeps_the_first_row(self, tmp_path, first, fast):
+    def test_empty_cell_keeps_the_first_row(self, tmp_path, second, fast):
         # pandas' to_csv(header=False) writes a missing value as an empty
         # cell, which does not make the first row a header
-        text = first + "\n5,6,7,8\n9,1,2,3\n"
+        text = "1,,3,4\n" + second + "\n9,1,2,3\n"
         path = tmp_path / "empty-cell.csv"
         path.write_text(text)
-        assert (reports._read_fast(text, None, "NA") is not None) == fast
+        assert (read_fast_checked(text) is not None) == fast
         s = parse_dataset(path)
         assert s.d == 2 and s.n == 3
         assert list(s.observed[:, 0]) == [True, False, True, True]
@@ -199,9 +200,15 @@ class TestParseDataset:
             assert np.array_equal(back.values, sample.values, equal_nan=True)
 
 
+def read_rows_by_loop(text, dimension=None, na_token="NA"):
+    """``reports._read_rows`` with the C reader's rows never used."""
+    with mock.patch.object(reports, "_read_body", return_value=None):
+        return reports._read_rows(text, dimension, na_token)
+
+
 def read_by_loop(text, dimension=None, na_token="NA"):
     """What ``parse_dataset`` returns for ``text`` when it reads row by row."""
-    values = np.ascontiguousarray(reports._read_rows(text, dimension, na_token).T)
+    values = np.ascontiguousarray(read_rows_by_loop(text, dimension, na_token).T)
     return build_masked_sample(values, ~np.isnan(values))
 
 
@@ -215,12 +222,26 @@ def outcome(read):
 
 
 def read_fast_checked(text, dimension=None, na_token="NA"):
-    """The C reader's rows for ``text``, asserted bit-equal to the loop's; None where not taken."""
-    fast = reports._read_fast(text, dimension, na_token)
-    if fast is not None:
-        rows = reports._read_rows(text, dimension, na_token)
-        assert fast.shape == rows.shape and fast.tobytes() == rows.tobytes()
-    return fast
+    """The rows read for ``text``, asserted bit-equal to the loop's; None without the C reader's."""
+    used = []
+
+    def read_body(*args):
+        body = original(*args)
+        used.append(body is not None)
+        return body
+
+    original = reports._read_body
+    with mock.patch.object(reports, "_read_body", read_body):
+        try:
+            rows = reports._read_rows(text, dimension, na_token)
+        except RankEffectError:
+            rows = None
+    assert len(used) <= 1
+    if not any(used):
+        return None
+    loop = read_rows_by_loop(text, dimension, na_token)
+    assert rows.shape == loop.shape and rows.tobytes() == loop.tobytes()
+    return rows
 
 
 def wide_csv_text(rng, d, n, missing, na_rep="NA"):
@@ -332,9 +353,26 @@ class TestCReaderRoute:
         rows = FIXTURE.read_text(encoding="utf-8").splitlines()
         rows[0] = ",".join(f'"{c}"' for c in rows[0].split(","))
         assert read_fast_checked("".join(row + "\r\n" for row in rows)) is not None
-        # any other quote is left to the loop
-        assert read_fast_checked('"a""1","b"\n1,2\n3,4\n') is None
-        assert read_fast_checked('"a","b"\n"1",2\n3,4\n') is None
+        # the loop reads any quote in the header or the first data row
+        assert read_fast_checked('"a""1","b"\n1,2\n3,4\n') is not None
+        assert read_fast_checked('"a","b"\n"1",2\n3,4\n') is not None
+        # a quote after them is left to the loop
+        assert read_fast_checked('a,b\n1,2\n"3",4\n') is None
+
+    @pytest.mark.parametrize("text, calls", [
+        ("a,b\n1,2\n3,4\n", 1),
+        ('a,b\n1,2\n"3",4\n5,6\n7,8\n', 1),
+        ("a,b\n1,2\n3,x\n5,6\n", 1),
+        ("a,b\nNA,NA\n3,4\n", 0),
+        ("a,b\n", 0),
+    ], ids=["taken", "quote-after-first-row", "error-after-first-row", "error-in-first-row",
+            "header-only"])
+    def test_body_is_offered_at_most_once(self, tmp_path, text, calls):
+        path = tmp_path / "once.csv"
+        path.write_text(text)
+        with mock.patch.object(reports, "_read_body", wraps=reports._read_body) as read_body:
+            outcome(lambda: parse_dataset(path))
+        assert read_body.call_count == calls
 
     @pytest.mark.parametrize("na_rep", ["NA", ""], ids=["na", "empty"])
     def test_taken_for_a_wide_file(self, na_rep):

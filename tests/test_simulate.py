@@ -199,6 +199,38 @@ class TestScenarioValidation:
         assert run_scenario(s).failures == 0
 
 
+# draw_sample(scenario(distribution=..., pattern=...), 0).values[:, :3]: the
+# first three subjects of replicate 0, all observed, with design1 at n = 75
+PINNED_DRAWS = {
+    ("normal", "simple"): [[-1.0, 0.0, 0.0], [-1.0, -2.0, 1.0], [0.0, 0.0, -1.0], [0.0, 1.0, 1.0]],
+    ("normal", "design1"): [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 1.0, 1.0], [1.0, -1.0, -1.0]],
+    ("lognormal", "simple"): [
+        [0.5271244931783837, 1.4810817240050667, 0.6749258920402775],
+        [0.31949717653726, 0.17102734716403684, 2.6808868692236403],
+        [0.8126931819680708, 0.903787659617825, 0.28209299257294845],
+        [0.7881502011397465, 2.02220962960494, 3.263844134402649],
+    ],
+    ("lognormal", "design1"): [
+        [0.5271244931783837, 1.4810817240050667, 0.6749258920402775],
+        [0.8740920353317605, 0.28542956924959395, 0.8030889938471636],
+        [0.8667226786599566, 2.1205297996744936, 3.2791923961200324],
+        [3.1439684463102013, 0.46453035368600665, 0.49263252372016797],
+    ],
+    ("cauchy", "simple"): [
+        [-3.2232204520214705, 1.4818589310492556, -1.8696552461123888],
+        [-5.743573591881655, -6.662534647021959, 4.689673074581742],
+        [-1.0440134838189965, -0.3816611551610738, -6.018234667902813],
+        [-1.1983740738547306, 2.656781822738915, 5.625365399197994],
+    ],
+    ("cauchy", "design1"): [
+        [-0.5958919648104543, 0.2737998343624889, -0.37820201391395564],
+        [-0.1252329004113103, -0.8739896114681184, -0.2109508333798699],
+        [-0.1331120814291997, 0.5239824664171252, 1.1424365221976658],
+        [1.0660097695242046, -0.534482396761136, -0.6810690324529663],
+    ],
+}
+
+
 class TestDrawSample:
     def test_deterministic_given_seed_and_index(self):
         s = scenario(seed=9)
@@ -207,6 +239,18 @@ class TestDrawSample:
         assert np.array_equal(a.values, b.values, equal_nan=True)
         c = draw_sample(s, 4)
         assert not np.array_equal(a.values, c.values, equal_nan=True)
+
+    @pytest.mark.parametrize("distribution, pattern", list(PINNED_DRAWS))
+    def test_values_are_pinned(self, distribution, pattern):
+        # outputs are byte-identical across releases only if the draws are
+        sizes = (30, 10, 10) if pattern == "simple" else (75,)
+        s = scenario(distribution=distribution, pattern=pattern, sizes=sizes)
+        values = draw_sample(s, 0).values[:, :3]
+        expected = PINNED_DRAWS[distribution, pattern]
+        if distribution == "normal":  # rounded to integers, so exact
+            assert np.array_equal(values, expected)
+        else:  # BLAS may move the last bits of the Cholesky product
+            np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
 
     def test_discretized_normal_is_integer(self):
         s = scenario()
@@ -337,6 +381,18 @@ class TestRunScenario:
         assert row["methods"]["anova:complete"]["rate"] is None
         assert row["methods"]["anova:complete"]["mc_se"] is None
         assert render_simulation_table([res]).splitlines()[1].split()[-2:] == ["-", "-"]
+
+    def test_failures_are_noted_in_the_table(self):
+        # overflowing lognormal draws fail their replicates
+        failed = run_scenario(scenario(distribution="lognormal", sigma_sq=(40000.0, 40000.0),
+                                       replications=40, seed=1, label="wide"))
+        clean = run_scenario(scenario(replications=40, seed=1, label="clean"))
+        assert (failed.failures, clean.failures) == (4, 0)
+        note = "  (4 of 40 failed)"
+        rows = render_simulation_table([failed, clean]).splitlines()
+        assert rows[1].startswith("wide") and rows[1].endswith(note)
+        # the note follows the aligned cells; a row without failures has none
+        assert rows[2].startswith("clean") and len(rows[2]) == len(rows[1]) - len(note)
 
 
 class TestBlocks:
