@@ -223,6 +223,7 @@ def outcome(read):
 
 def read_fast_checked(text, dimension=None, na_token="NA"):
     """The rows read for ``text``, asserted bit-equal to the loop's; None without the C reader's."""
+    original = reports._read_body
     used = []
 
     def read_body(*args):
@@ -230,7 +231,6 @@ def read_fast_checked(text, dimension=None, na_token="NA"):
         used.append(body is not None)
         return body
 
-    original = reports._read_body
     with mock.patch.object(reports, "_read_body", read_body):
         try:
             rows = reports._read_rows(text, dimension, na_token)
