@@ -8,8 +8,13 @@ effect averages.  ``b`` is also the pooled minus the within-group midrank.  Tie
 detection uses exact floating-point equality (``-0.0`` ties with ``0.0``);
 noisy continuous data will in general contain no ties.
 
-All counts come from one sort: split each sorted pooled row into runs of
-equal values, count the group-1 cells inside every run and before it, and
+All counts come from one sort of pooled rows that hold only observed cells:
+component ``l``'s row is its observed group-1 cells, then its observed
+group-2 cells, in column order.  Every row is cut at the largest observed
+count over the components, ``L = max_l(m1_l + m2_l)``, and a shorter row is
+padded with ``+inf``; observed values are finite, so the padding sorts last
+and never ties with a cell that is counted.  Split each sorted row into runs
+of equal values, count the group-1 cells inside every run and before it, and
 give each cell of a run the opposite group's cells before the run plus half
 of those inside it.  Every count is a half-integer computed exactly.
 
@@ -28,19 +33,36 @@ __all__ = ["build_rank_table", "placements"]
 def build_rank_table(sample: MaskedSample) -> np.ndarray:
     """Placement count ``b`` of every observed cell within its component.
 
-    Component ``l`` of a replicate is one pooled row of ``2n`` cells, group 1
-    then group 2, with unobserved cells set to ``+inf`` so that they sort
-    last; one ``argsort`` of all pooled rows, of every replicate of a block,
-    gives every count.  Returns a read-only array shaped like the sample, a
-    block's leading replicate axis included, NaN where a cell is unobserved.
-    A group with no observation on a component leaves its row NaN and the
-    other group's row zero; such a sample has no pattern index, since
+    Component ``l`` of a replicate is one pooled row of its observed cells,
+    group 1 then group 2 in column order, cut at ``L``, the most cells any
+    component has observed; a row with fewer is padded with ``+inf``, which
+    sorts after every finite value and ties with none.  The map from pooled
+    positions to table cells depends only on the mask, so every replicate of
+    a block shares it, and one ``argsort`` of all pooled rows gives every
+    count.  Returns a read-only array shaped like the sample, a block's
+    leading replicate axis included, NaN where a cell is unobserved.  A group
+    with no observation on a component leaves its row NaN and the other
+    group's row zero; such a sample has no pattern index, since
     :func:`~rankeffect.data.derive_pattern_index` rejects it.
     """
     d, n = sample.d, sample.n
-    keys = np.where(sample.observed, sample.values, np.inf)
-    keys = keys.reshape(-1, 2, d, n).swapaxes(1, 2).reshape(-1, 2 * n)
-    # cell[q, k]: pooled column of the k-th smallest cell of pooled row q ...
+    # source[l, k]: the (2d, n) table cell, as a flat index, at position k of
+    # component l's pooled row: observed cells first, then unobserved ones,
+    # which stand in for the padding so that its counts land on cells set to
+    # NaN below; a row of L cells always has enough of them
+    pooled = sample.observed.reshape(2, d, n).swapaxes(0, 1).reshape(d, 2 * n)
+    length = pooled.sum(axis=1)
+    width = int(length.max())
+    # a copy, so that the 2n-wide order is freed
+    source = np.argsort(~pooled, axis=1, kind="stable")[:, :width].copy()
+    del pooled
+    np.add(source, (d - 1) * n, out=source, where=source >= n)
+    source += n * np.arange(d)[:, None]
+    padding = np.arange(width) >= length[:, None]
+    keys = np.take(sample.values.reshape(-1, 2 * d * n), source, axis=1)
+    np.copyto(keys, np.inf, where=padding)
+    keys = keys.reshape(-1, width)
+    # cell[q, k]: position in pooled row q of its k-th smallest cell ...
     cell = np.argsort(keys, axis=1)
     ordered = np.take_along_axis(keys, cell, axis=1)
     del keys  # per-cell temporaries go as soon as they are used
@@ -55,11 +77,14 @@ def build_rank_table(sample: MaskedSample) -> np.ndarray:
     run -= 1
     run = run.reshape(new_run.shape)
     del new_run
-    in_group1 = cell < n
+    rows = cell.reshape(-1, d, width)
+    in_group1 = (rows < sample.observed[:d].sum(axis=1)[:, None]).reshape(cell.shape)
     # ... as a flat index into the (..., 2d, n) table; row q = r * d + l
-    np.add(cell, (d - 1) * n, out=cell, where=~in_group1)
-    q = np.arange(len(cell))
-    cell += (n * (q + d * (q // d)))[:, None]
+    rows += width * np.arange(d)[:, None]
+    target = np.take(source, cell)
+    del cell, rows, source
+    replicates = target.reshape(-1, d * width)
+    replicates += 2 * d * n * np.arange(len(replicates))[:, None]
     # group-1 cells inside each run, and before it in its row
     group1 = np.add.reduceat(in_group1.ravel(), starts, dtype=run.dtype)
     before = np.cumsum(group1, dtype=run.dtype)
@@ -74,9 +99,9 @@ def build_rank_table(sample: MaskedSample) -> np.ndarray:
     counts[0] += before
     del group1, before
     np.subtract(starts[1:], starts[:-1], out=counts[1, :-1])
-    counts[1, -1] = cell.size - starts[-1]
+    counts[1, -1] = target.size - starts[-1]
     counts[1] *= 0.5
-    starts %= 2 * n
+    starts %= width
     counts[1] += starts
     counts[1] -= counts[0]
     del starts
@@ -84,7 +109,7 @@ def build_rank_table(sample: MaskedSample) -> np.ndarray:
     np.add(run, counts.shape[1], out=run, where=in_group1)
     del in_group1
     b = np.empty(sample.values.shape)
-    np.put(b, cell, counts.ravel()[run])
+    np.put(b, target, counts.ravel()[run])
     np.copyto(b, np.nan, where=~sample.observed)
     b.setflags(write=False)
     return b

@@ -91,13 +91,22 @@ def _numbers(cells: list[str], na_token: str, line: int) -> list[float]:
     return row
 
 
-# one line of a text, its end included, as a file opened with newline="" yields it
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+# characters of text that _lines hands io.StringIO at a time, up to a line end
+_SLICE = 1 << 16
 
 
 def _lines(text: str):
-    """The lines of ``text`` as ``csv`` reads a file; lazily, so no copy of the text is made."""
-    return (m[0] for m in _LINE.finditer(text))
+    """The lines of ``text``, ends included, as ``csv`` reads a file opened with ``newline=""``.
+
+    Lazily: ``io.StringIO`` splits one slice of about ``_SLICE`` characters
+    at a time, so no copy of the whole text is made.  A slice ends just
+    after a LF, so no CRLF is split between two slices.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _SLICE) + 1 or len(text)
+        yield from io.StringIO(text[start:end], newline="")
+        start = end
 
 
 def _read_rows(text: str, dimension: int | None, na_token: str) -> np.ndarray:
@@ -181,8 +190,9 @@ def _read_body(text: str, skip: int, width: int, na_token: str) -> np.ndarray | 
     body, replaced = re.subn(f",(?:{re.escape(na_token)}(?=,)|(?=,))", ",nan", body)
     body = body[1:-1].replace(",\n,", "\n")
     try:
+        # a line at a time: one io.StringIO of the body would hold 4 bytes a character
         rows = np.loadtxt(
-            io.StringIO(body), dtype=float, delimiter=",", comments=None, quotechar=None, ndmin=2
+            _lines(body), dtype=float, delimiter=",", comments=None, quotechar=None, ndmin=2
         )
     except ValueError:
         return None

@@ -52,8 +52,9 @@ DIMS = (2, 3, 5)
 #: Cells (replicates x 2d x n) of a block of replicates analyzed at once.
 #: Every block pays a fixed cost (the draw plan, the pattern index and many
 #: small numpy calls), so a block holds many replicates even at ``design3``'s
-#: n of about 1,410 (23 of them); its arrays peak near 45 bytes a cell, about
-#: 6 MB.  Twice as many cells run ``design3`` no faster and hold twice the memory.
+#: n of about 1,410 (23 of them); drawing and analyzing one peaks near 35
+#: bytes a cell, about 4.6 MB.  Twice as many cells run ``design3`` no faster
+#: and hold twice the memory.
 CELLS = 131_072
 
 

@@ -15,6 +15,8 @@ from conftest import DATA_DIR
 
 FIXTURE = str(DATA_DIR / "paired_qol_42subjects.csv")
 GOLDEN = DATA_DIR / "golden_analyze_report.json"
+# the benchmark's stored tallies of simulate --builtin G --reps 5 --seed 0
+MC_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference" / "mc.json"
 
 
 def run_cli(capsys, *argv):
@@ -468,6 +470,27 @@ class TestSimulateCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "ScenarioError"
         assert named in error["message"]
+
+
+@pytest.mark.parametrize("grid", ["table3", "design1", "design3"])
+def test_builtin_tallies_equal_the_benchmark_reference(tmp_path, grid):
+    reference = json.loads(MC_REFERENCE.read_text())
+    reps = reference["grids"][grid]["reps"]
+    out = tmp_path / grid
+    argv = ["simulate", "--builtin", grid, "--reps", str(reps), "--seed", str(reference["seed"])]
+    assert main([*argv, "--output", str(out)]) == 0
+    tallies = [
+        {
+            "label": row["label"],
+            "failures": row["failures"],
+            "methods": {
+                key: [t["rejections"], t["evaluated"], t["skipped"], t["flagged"]]
+                for key, t in row["methods"].items()
+            },
+        }
+        for row in json.loads(out.with_suffix(".json").read_text())["results"]
+    ]
+    assert tallies == reference["grids"][grid]["tallies"]
 
 
 def test_import_does_not_load_scipy_stats():

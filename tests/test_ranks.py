@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankeffect import (
+    MaskedSample,
     build_masked_sample,
     build_rank_table,
     derive_pattern_index,
@@ -11,6 +12,7 @@ from rankeffect import (
     placements,
 )
 from rankeffect.errors import InestimableComponent
+from rankeffect.simulate import builtin_grid, draw_sample
 
 from conftest import random_general_sample, simple_mask
 from oracles import placement_counts_bruteforce, placement_counts_rankdata
@@ -119,6 +121,68 @@ class TestRankTable:
             )
             b = build_rank_table(sample)
             assert np.array_equal(build_rank_table(shuffled), b[:, order], equal_nan=True)
+
+
+def assert_equals_rankdata_per_replicate(values, observed):
+    """A block's counts equal each replicate's ``rankdata`` counts, bit for bit."""
+    block = build_masked_sample(values, observed)
+    b = build_rank_table(block)
+    assert b.shape == block.values.shape and not b.flags.writeable
+    for r, values_r in enumerate(block.values):
+        alone = placement_counts_rankdata(build_masked_sample(values_r, observed))
+        assert np.array_equal(b[r], alone, equal_nan=True)
+    return b
+
+
+class TestObservedCellsOnly:
+    """Pooled rows hold observed cells only, cut at the largest count and padded."""
+
+    def test_very_unequal_observed_counts(self, rng):
+        d, n = 3, 12
+        observed = np.zeros((2 * d, n), bool)
+        observed[[0, d]] = True  # component 0: every cell, so L = 2n
+        observed[1, 0] = observed[d + 1, 1] = True  # component 1: one cell per group
+        observed[2, ::2] = observed[d + 2, 1::3] = True
+        assert_equals_rankdata_per_replicate(rng.integers(0, 4, (3, 2 * d, n)) * 1.0, observed)
+
+    def test_component_without_group1_cell(self, rng):
+        d, n = 2, 5
+        observed = np.ones((2 * d, n), bool)
+        observed[1] = False  # component 1: group 2 only
+        observed[d + 1, 2] = False
+        b = assert_equals_rankdata_per_replicate(rng.standard_normal((2, 2 * d, n)), observed)
+        assert np.isnan(b[:, 1]).all()
+        assert (b[:, d + 1][:, observed[d + 1]] == 0.0).all()
+
+    def test_block_with_every_cell_observed(self, rng):
+        d, n = 2, 7
+        observed = np.ones((2 * d, n), bool)
+        assert_equals_rankdata_per_replicate(rng.integers(0, 3, (4, 2 * d, n)) * 1.0, observed)
+
+    def test_negative_zero_ties_with_zero(self):
+        observed = np.array([[True, True, False], [False, True, True]])
+        values = np.array([[[-0.0, 1.0, 5.0], [5.0, 0.0, -1.0]],
+                           [[0.0, -0.0, 5.0], [5.0, -0.0, 0.0]]])
+        b = assert_equals_rankdata_per_replicate(values, observed)
+        assert list(b[0, 0, :2]) == [1.5, 2.0] and list(b[0, 1, 1:]) == [0.5, 0.0]
+        assert (b[1][observed] == 1.0).all()
+
+    def test_values_at_unobserved_cells_are_ignored(self, rng):
+        # the padding is +inf, not what a shorter row's unobserved cells hold
+        d, n = 2, 6
+        observed = rng.random((2 * d, n)) < 0.5
+        observed[:, 0] = observed[0] = True
+        values = rng.integers(0, 3, (2, 2 * d, n)) * 1.0
+        sample = build_masked_sample(values, observed)
+        unchecked = MaskedSample(d, n, values, observed)
+        assert np.array_equal(build_rank_table(unchecked), build_rank_table(sample),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("grid, dims", [("table3", (5,)), ("design1", None),
+                                            ("design3", None)])
+    def test_first_scenario_of_a_grid(self, grid, dims):
+        block = draw_sample(builtin_grid(grid, dims=dims)[0], range(3))
+        assert_equals_rankdata_per_replicate(block.values, block.observed)
 
 
 class TestPlacements:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import sys
@@ -198,6 +199,17 @@ class TestParseDataset:
             back = parse_dataset(path)
             assert np.array_equal(back.observed, sample.observed)
             assert np.array_equal(back.values, sample.values, equal_nan=True)
+
+
+class TestLines:
+    @given(text=st.text(st.sampled_from(["a", ",", '"', " ", "\r", "\n", "\x0b", "\x1c"])),
+           size=st.integers(1, 8))
+    @example(text="a\r\nb\r\nc", size=1)  # a slice ends only after the LF of a CRLF
+    @example(text="a\rb\rc\r", size=1)  # no LF: one slice
+    def test_lines_of_a_file_opened_with_newline_empty(self, text, size):
+        with mock.patch.object(reports, "_SLICE", size):
+            lines = list(reports._lines(text))
+        assert lines == list(io.StringIO(text, newline=""))
 
 
 def read_rows_by_loop(text, dimension=None, na_token="NA"):
