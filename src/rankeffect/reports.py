@@ -188,11 +188,11 @@ def _read_body(text: str, skip: int, width: int, na_token: str) -> np.ndarray | 
     if '"' in body or "\x00" in body:
         return None
     body, replaced = re.subn(f",(?:{re.escape(na_token)}(?=,)|(?=,))", ",nan", body)
-    body = body[1:-1].replace(",\n,", "\n")
+    # the StringIO holds its own copy, so the body's str goes before numpy reads
+    body = io.StringIO(body[1:-1].replace(",\n,", "\n"))
     try:
-        # a line at a time: one io.StringIO of the body would hold 4 bytes a character
         rows = np.loadtxt(
-            _lines(body), dtype=float, delimiter=",", comments=None, quotechar=None, ndmin=2
+            body, dtype=float, delimiter=",", comments=None, quotechar=None, ndmin=2
         )
     except ValueError:
         return None
