@@ -36,12 +36,14 @@ __all__ = [
 class CovarianceEstimate:
     """Symmetric d x d estimate with its provenance; trace diagnostics derive from it.
 
+    ``n`` is the subject count that scales ``v_hat``, and the tests read it.
     For a block, ``v_hat`` is ``(R, d, d)`` and the diagnostics are ``(R,)``
     arrays; ``degenerate`` is shared, as it depends on the mask alone.
     """
 
     v_hat: np.ndarray
     estimator: str         # "simple" | "general"
+    n: int
     degenerate: tuple[str, ...] = ()
 
     @property
@@ -123,7 +125,7 @@ def covariance_simple(b: np.ndarray, idx: PatternIndex) -> CovarianceEstimate:
         if cnt == 1:
             flags.append(f"group-{g} incomplete part degenerate (single case); contributed zero")
     v, _ = _kernel(b, idx)
-    return CovarianceEstimate(v, "simple", tuple(flags))
+    return CovarianceEstimate(v, "simple", idx.n, tuple(flags))
 
 
 def covariance_general(b: np.ndarray, idx: PatternIndex) -> CovarianceEstimate:
@@ -143,4 +145,4 @@ def covariance_general(b: np.ndarray, idx: PatternIndex) -> CovarianceEstimate:
         "contributed zero"
         for l, r, i, j in np.argwhere(single)
     ]
-    return CovarianceEstimate(v, "general", tuple(flags))
+    return CovarianceEstimate(v, "general", idx.n, tuple(flags))

@@ -7,7 +7,7 @@ both groups on a variable (a *complete* case for that variable), in exactly
 one group (an *incomplete* case), or in neither.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -38,29 +38,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class MaskedSample:
     """Validated ``2d x n`` observation matrix with per-cell observedness.
 
-    ``values`` holds NaN at every masked cell so that accidental reads of
-    unobserved data poison any arithmetic instead of silently passing.  A
-    *block* of ``R`` replicates that share one mask stacks their values
-    along a leading axis; ranks, effects, covariances and tests of a block
-    carry the same leading axis.
-    """
-
-    d: int
-    n: int
-    values: np.ndarray   # (2d, n), or (R, 2d, n) for a block; float64, NaN where not observed
-    observed: np.ndarray  # (2d, n) bool, shared by every replicate of a block
-
-
-def build_masked_sample(values, observed) -> MaskedSample:
-    """Validate raw arrays and construct an immutable :class:`MaskedSample`.
-
-    Parameters
-    ----------
-    values : array_like, shape (2d, n) or (R, 2d, n)
-        Measurements, of one dataset or of a block of ``R`` replicates;
-        entries at masked cells are ignored.
-    observed : array_like, shape (2d, n)
-        Boolean mask, ``True`` where a value is present; a block shares it.
+    ``MaskedSample(values, observed)`` takes the ``(2d, n)`` measurements,
+    or ``(R, 2d, n)`` for a *block* of ``R`` replicates, and the ``(2d, n)``
+    mask, ``True`` where a value is present, which a block shares.  Building
+    one validates both, so an unchecked sample cannot exist, and writes NaN
+    into every masked cell, so that reads of unobserved data poison any
+    arithmetic.  Ranks, effects, covariances and tests of a block carry its
+    leading replicate axis.
 
     Raises
     ------
@@ -72,30 +56,48 @@ def build_masked_sample(values, observed) -> MaskedSample:
     NonFiniteObservedValue
         An observed cell (of any replicate of a block) holds NaN or infinity.
     """
-    values = np.asarray(values, dtype=float)
-    observed = np.asarray(observed, dtype=bool)
-    if values.ndim not in (2, 3) or observed.shape != values.shape[-2:]:
-        raise DimensionMismatch(
-            f"values {values.shape} must be (2d, n) or (R, 2d, n) "
-            f"and observed {observed.shape} their (2d, n)"
-        )
-    rows, n = observed.shape
-    if rows % 2 != 0 or rows < 2:
-        raise DimensionMismatch(f"row count {rows} is not twice a positive dimension")
-    d = rows // 2
-    if n < 2:
-        raise DimensionMismatch(f"need at least 2 subjects, got {n}")
-    empty = ~observed.any(axis=0)
-    if empty.any():
-        raise EmptySubject(int(np.flatnonzero(empty)[0]))
-    cleaned = np.where(observed, values, np.nan)
-    # masked cells now hold NaN, so all observed cells are finite exactly
-    # when the finite cells are as many as the observed ones
-    if np.count_nonzero(np.isfinite(cleaned)) != np.count_nonzero(observed) * (
-        cleaned.size // observed.size
-    ):
-        raise NonFiniteObservedValue("observed cells must be finite")
-    return MaskedSample(d=d, n=n, values=_freeze(cleaned), observed=_freeze(observed.copy()))
+
+    values: np.ndarray   # (2d, n), or (R, 2d, n) for a block; float64, NaN where not observed
+    observed: np.ndarray  # (2d, n) bool, shared by every replicate of a block
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=float)
+        observed = np.asarray(self.observed, dtype=bool)
+        if values.ndim not in (2, 3) or observed.shape != values.shape[-2:]:
+            raise DimensionMismatch(
+                f"values {values.shape} must be (2d, n) or (R, 2d, n) "
+                f"and observed {observed.shape} their (2d, n)"
+            )
+        rows, n = observed.shape
+        if rows % 2 != 0 or rows < 2:
+            raise DimensionMismatch(f"row count {rows} is not twice a positive dimension")
+        if n < 2:
+            raise DimensionMismatch(f"need at least 2 subjects, got {n}")
+        empty = ~observed.any(axis=0)
+        if empty.any():
+            raise EmptySubject(int(np.flatnonzero(empty)[0]))
+        cleaned = np.where(observed, values, np.nan)
+        # masked cells now hold NaN, so all observed cells are finite exactly
+        # when the finite cells are as many as the observed ones
+        if np.count_nonzero(np.isfinite(cleaned)) != np.count_nonzero(observed) * (
+            cleaned.size // observed.size
+        ):
+            raise NonFiniteObservedValue("observed cells must be finite")
+        object.__setattr__(self, "values", _freeze(cleaned))
+        object.__setattr__(self, "observed", _freeze(observed.copy()))
+
+    @property
+    def d(self) -> int:
+        return self.observed.shape[0] // 2
+
+    @property
+    def n(self) -> int:
+        return self.observed.shape[1]
+
+
+def build_masked_sample(values, observed) -> MaskedSample:
+    """Validate raw arrays into an immutable sample: ``MaskedSample(values, observed)``."""
+    return MaskedSample(values, observed)
 
 
 @dataclass(frozen=True)
@@ -104,20 +106,61 @@ class PatternIndex:
 
     For component ``l`` the three boolean rows partition the subjects that
     are observed on ``l`` in at least one group: observed in both groups
-    (complete), in group 1 only, or in group 2 only.  Only
-    :func:`derive_pattern_index` builds one, so both groups have data on
-    every component of every index.
+    (complete), in group 1 only, or in group 2 only.  It is built from a
+    sample alone, ``PatternIndex(sample)``, so both groups have data on every
+    component of every index.  The treatment-level layout (each subject
+    either fully paired or observed in exactly one group on all components)
+    is reported via ``is_simple_pattern``; it makes the treatment-level
+    covariance estimator valid.
+
+    Raises
+    ------
+    InestimableComponent
+        Some group has no observation at all on a component; the first
+        such component, and its first such group, is named.
     """
 
-    d: int
-    n: int
-    complete_mask: np.ndarray  # (d, n) bool
-    g1_only_mask: np.ndarray   # (d, n) bool
-    g2_only_mask: np.ndarray   # (d, n) bool
-    n_complete: np.ndarray     # (d,) counts per component
-    n1_only: np.ndarray
-    n2_only: np.ndarray
-    is_simple_pattern: bool
+    sample: InitVar[MaskedSample]
+    complete_mask: np.ndarray = field(init=False)  # (d, n) bool
+    g1_only_mask: np.ndarray = field(init=False)   # (d, n) bool
+    g2_only_mask: np.ndarray = field(init=False)   # (d, n) bool
+    n_complete: np.ndarray = field(init=False)     # (d,) counts per component
+    n1_only: np.ndarray = field(init=False)
+    n2_only: np.ndarray = field(init=False)
+    is_simple_pattern: bool = field(init=False)
+
+    def __post_init__(self, sample: MaskedSample) -> None:
+        d = sample.d
+        obs1 = sample.observed[:d]
+        obs2 = sample.observed[d:]
+        has1, has2 = obs1.any(axis=1), obs2.any(axis=1)
+        bad = np.flatnonzero(~(has1 & has2))
+        if bad.size:
+            l = int(bad[0])
+            raise InestimableComponent(l, group=2 if has1[l] else 1)
+        complete = obs1 & obs2
+        g1_only = obs1 & ~obs2
+        g2_only = ~obs1 & obs2
+        # treatment-level: every component has the same three index sets
+        simple = all((m == m[0]).all() for m in (complete, g1_only, g2_only))
+        for name, value in (
+            ("complete_mask", _freeze(complete)),
+            ("g1_only_mask", _freeze(g1_only)),
+            ("g2_only_mask", _freeze(g2_only)),
+            ("n_complete", _freeze(complete.sum(axis=1))),
+            ("n1_only", _freeze(g1_only.sum(axis=1))),
+            ("n2_only", _freeze(g2_only.sum(axis=1))),
+            ("is_simple_pattern", simple),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def d(self) -> int:
+        return self.complete_mask.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.complete_mask.shape[1]
 
     @property
     def m1(self) -> np.ndarray:
@@ -130,45 +173,8 @@ class PatternIndex:
 
 
 def derive_pattern_index(sample: MaskedSample) -> PatternIndex:
-    """Classify every (subject, component) pair as complete/one-sided/absent.
-
-    The treatment-level layout (each subject either fully paired or observed
-    in exactly one group on all components) is detected and reported via
-    ``is_simple_pattern``; it makes the treatment-level covariance estimator valid.
-
-    Raises
-    ------
-    InestimableComponent
-        Some group has no observation at all on a component; the first
-        such component, and its first such group, is named.
-    """
-    d = sample.d
-    obs1 = sample.observed[:d]
-    obs2 = sample.observed[d:]
-    has1, has2 = obs1.any(axis=1), obs2.any(axis=1)
-    bad = np.flatnonzero(~(has1 & has2))
-    if bad.size:
-        l = int(bad[0])
-        raise InestimableComponent(l, group=2 if has1[l] else 1)
-    complete = obs1 & obs2
-    g1_only = obs1 & ~obs2
-    g2_only = ~obs1 & obs2
-    simple = bool(
-        (complete == complete[0]).all()
-        and (g1_only == g1_only[0]).all()
-        and (g2_only == g2_only[0]).all()
-    )
-    return PatternIndex(
-        d=d,
-        n=sample.n,
-        complete_mask=_freeze(complete),
-        g1_only_mask=_freeze(g1_only),
-        g2_only_mask=_freeze(g2_only),
-        n_complete=_freeze(complete.sum(axis=1)),
-        n1_only=_freeze(g1_only.sum(axis=1)),
-        n2_only=_freeze(g2_only.sum(axis=1)),
-        is_simple_pattern=simple,
-    )
+    """Classify every (subject, component) pair: ``PatternIndex(sample)``."""
+    return PatternIndex(sample)
 
 
 def check_assumptions(idx: PatternIndex) -> list[str]:

@@ -216,10 +216,10 @@ def _flags(base: tuple[str, ...], zero: np.ndarray) -> list:
 def wald_test(
     p_hat: np.ndarray,
     cov: CovarianceEstimate,
-    n: int,
+    *,
     alpha: float = ALPHA,
 ) -> TestReport:
-    """Quadratic form of ``p_hat - 1/2`` against the inverse covariance.
+    """Quadratic form of ``p_hat - 1/2`` against the inverse covariance, times ``cov.n``.
 
     When the covariance estimate is singular, its Moore-Penrose
     pseudo-inverse is used (eigenvalues below ``1e-10 * trace/d``
@@ -246,12 +246,12 @@ def wald_test(
     # columns hand to BLAS, so a block projects exactly as its replicates do
     proj = (np.ascontiguousarray(eigvecs.swapaxes(1, 2)) @ dev[:, :, None])[:, :, 0]
     terms = np.divide(proj * proj, eigvals, out=np.zeros_like(proj), where=kept)
-    stat = n * terms.sum(axis=1)
+    stat = cov.n * terms.sum(axis=1)
     flags = _flags(cov.degenerate, zero)
     for i in np.flatnonzero((rank < d) & ~zero):
         # a pseudo-inverse projects onto the kept eigenvectors alone
         proj = eigvecs[i][:, kept[i]].T @ dev[i]
-        stat[i] = n * np.sum(proj * proj / eigvals[i][kept[i]])
+        stat[i] = cov.n * np.sum(proj * proj / eigvals[i][kept[i]])
         flags[i] += (f"singular covariance: pseudo-inverse with rank {rank[i]}",)
     stat[zero] = 0.0
     df = np.where(zero, 0.0, rank)
@@ -266,13 +266,13 @@ def wald_test(
 def anova_test(
     p_hat: np.ndarray,
     cov: CovarianceEstimate,
-    n: int,
+    *,
     alpha: float = ALPHA,
 ) -> TestReport:
     """Trace-normalized quadratic form of ``p_hat - 1/2`` with estimated degrees of freedom.
 
-    The degrees of freedom are ``cov.nu_hat``.  A block gives one test per
-    replicate.
+    It is scaled by ``cov.n``, and the degrees of freedom are ``cov.nu_hat``.
+    A block gives one test per replicate.
 
     Raises
     ------
@@ -284,7 +284,7 @@ def anova_test(
     dev = (p_hat - 0.5).reshape(-1, p_hat.shape[-1])
     trace = np.reshape(cov.trace, -1)
     zero = _zero_covariance(dev, trace)
-    scale = np.divide(n, trace, out=np.zeros(trace.shape), where=~zero)
+    scale = np.divide(cov.n, trace, out=np.zeros(trace.shape), where=~zero)
     stat = scale * np.sum(dev * dev, axis=1)
     df = np.where(zero, 0.0, np.reshape(cov.nu_hat, -1))
     p = np.ones(stat.shape)
@@ -365,8 +365,8 @@ def analyze(
             b = build_rank_table(sub)
             eff = estimate_effects(b, sub_idx)
             cov = _select_covariance(b, sub_idx, pattern)
-            wald = wald_test(eff, cov, sub_idx.n, alpha)
-            anova = anova_test(eff, cov, sub_idx.n, alpha)
+            wald = wald_test(eff, cov, alpha=alpha)
+            anova = anova_test(eff, cov, alpha=alpha)
             out.append(MethodAnalysis(method, eff, cov, sub_idx, wald, anova))
         except (EverythingFiltered, NoEstimablePart, ZeroCovariance) as exc:
             # the first two depend on the mask and so hold for every replicate

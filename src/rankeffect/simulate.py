@@ -207,7 +207,9 @@ def _draw_plan(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     blocks = [full, 2**d - 1, (2**d - 1) << d]
     bits = blocks if scenario.pattern == "simple" else range(full, 0, -1)
     counts = scenario.pattern_counts()
-    observed = (np.repeat(bits, counts)[None, :] >> np.arange(2 * d)[:, None]) & 1 == 1
+    # bit j marks row j observed; Python ints, as 2**(2d) - 1 overflows int64 at d = 32
+    patterns = np.array([[b >> j & 1 for b in bits] for j in range(2 * d)], dtype=bool)
+    observed = np.repeat(patterns, counts, axis=1)
     return chol, mu, observed
 
 

@@ -258,8 +258,8 @@ def test_criterion_10_invariant_sweep(tmp_path):
             checks.append(1.0 - 1e-12 <= cov.nu_hat <= sample.d + 1e-12)
             eff = rf.estimate_effects(rt, idx)
             for r in (
-                rf.wald_test(eff, cov, sample.n),
-                rf.anova_test(eff, cov, sample.n),
+                rf.wald_test(eff, cov),
+                rf.anova_test(eff, cov),
             ):
                 checks.append(0.0 <= r.p_value <= 1.0)
     # CLI determinism golden

@@ -52,26 +52,26 @@ def assert_stacked(block_value, single_values):
     assert np.array_equal(block_value, np.stack(single_values), equal_nan=True)
 
 
-def assert_same_tests(eff, cov, effs, covs, n):
+def assert_same_tests(eff, cov, effs, covs):
     for test in (wald_test, anova_test):
         singles = []
         for e, c in zip(effs, covs):
             try:
-                singles.append(test(e, c, n))
+                singles.append(test(e, c))
             except ZeroCovariance:
                 singles.append(None)
         if None in singles:
             with pytest.raises(ZeroCovariance):
-                test(eff, cov, n)
+                test(eff, cov)
             continue
-        rep = test(eff, cov, n)
+        rep = test(eff, cov)
         for field in ("statistic", "df", "p_value", "reject"):
             assert_stacked(getattr(rep, field), [getattr(s, field) for s in singles])
         assert rep.flags == tuple(s.flags for s in singles)
         if test is wald_test:
             for e, c, s in zip(effs, covs, singles):
                 if c.trace > 0.0:
-                    assert s.statistic == wald_statistic_pinv(e - 0.5, c.v_hat, n)
+                    assert s.statistic == wald_statistic_pinv(e - 0.5, c.v_hat, c.n)
 
 
 def assert_same_analyses(block, singles):
@@ -132,7 +132,7 @@ def test_block_equals_its_replicates(block):
         for field in ("v_hat", "trace", "trace_sq", "nu_hat"):
             assert_stacked(getattr(cov, field), [getattr(c, field) for c in covs])
         assert all(c.degenerate == cov.degenerate for c in covs)
-        assert_same_tests(eff, cov, effs, covs, block.n)
+        assert_same_tests(eff, cov, effs, covs)
     assert_same_analyses(block, singles)
 
 

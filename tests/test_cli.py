@@ -17,6 +17,8 @@ FIXTURE = str(DATA_DIR / "paired_qol_42subjects.csv")
 GOLDEN = DATA_DIR / "golden_analyze_report.json"
 # the benchmark's stored tallies of simulate --builtin G --reps 5 --seed 0
 MC_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference" / "mc.json"
+# the same tallies of every built-in grid at --reps 31 --seed 7
+MC_TALLIES_31 = DATA_DIR / "mc_tallies_reps31_seed7.json"
 
 
 def run_cli(capsys, *argv):
@@ -472,9 +474,16 @@ class TestSimulateCommand:
         assert named in error["message"]
 
 
-@pytest.mark.parametrize("grid", ["table3", "design1", "design3"])
-def test_builtin_tallies_equal_the_benchmark_reference(tmp_path, grid):
-    reference = json.loads(MC_REFERENCE.read_text())
+@pytest.mark.parametrize("reference_path, grid", [
+    *[pytest.param(MC_REFERENCE, grid, id=grid) for grid in ("table3", "design1", "design3")],
+    # every grid at 31 reps; each design3 scenario runs two blocks, of 16 and 15
+    *[
+        pytest.param(MC_TALLIES_31, grid, id=f"reps31-{grid}")
+        for grid in ("table3", "table6", "design1", "design2", "design3")
+    ],
+])
+def test_builtin_tallies_equal_the_benchmark_reference(tmp_path, reference_path, grid):
+    reference = json.loads(reference_path.read_text())
     reps = reference["grids"][grid]["reps"]
     out = tmp_path / grid
     argv = ["simulate", "--builtin", grid, "--reps", str(reps), "--seed", str(reference["seed"])]

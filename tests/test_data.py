@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rankeffect import (
+    MaskedSample,
+    PatternIndex,
     build_masked_sample,
     check_assumptions,
     derive_pattern_index,
@@ -60,6 +64,43 @@ class TestBuildMaskedSample:
         vals2[~obs] = 1e9
         s2 = build_masked_sample(vals2, obs)
         assert np.array_equal(s1.values, s2.values, equal_nan=True)
+
+
+class TestBuiltOnlyWhenValid:
+    """The constructors run the builders' checks; an unchecked object cannot exist."""
+
+    def test_constructors_take_only_what_cannot_be_derived(self):
+        assert [f.name for f in fields(MaskedSample) if f.init] == ["values", "observed"]
+        assert [f.name for f in fields(PatternIndex) if f.init] == []  # the sample is an InitVar
+        with pytest.raises(TypeError):
+            MaskedSample(1, 2, np.zeros((2, 2)), np.ones((2, 2), bool))
+
+    def test_nan_in_an_observed_cell_is_rejected(self, rng):
+        # built directly, such a sample once went through analyze to a p-value
+        obs = simple_mask(2, 20, 5, 5)
+        values = rng.standard_normal(obs.shape)
+        values[0, 3] = np.nan
+        with pytest.raises(NonFiniteObservedValue):
+            MaskedSample(values, obs)
+
+    def test_wrong_shape_is_a_dimension_mismatch(self):
+        # a stored d or n that disagreed with the arrays once ended in
+        # numpy's reshape ValueError; now both are read from the mask
+        with pytest.raises(DimensionMismatch):
+            MaskedSample(np.zeros((4, 3)), np.ones((4, 2), bool))
+        with pytest.raises(DimensionMismatch):
+            MaskedSample(np.zeros((3, 4)), np.ones((3, 4), bool))
+        s = MaskedSample(np.zeros((2, 4, 3)), np.ones((4, 3), bool))
+        assert (s.d, s.n) == (2, 3)
+
+    def test_pattern_index_equals_the_builder(self, rng):
+        sample, _ = random_general_sample(rng, d=3, n=15)
+        built, derived = PatternIndex(sample), derive_pattern_index(sample)
+        assert (built.d, built.n) == (derived.d, derived.n) == (sample.d, sample.n)
+        assert built.is_simple_pattern == derived.is_simple_pattern
+        for f in fields(PatternIndex):
+            np.testing.assert_array_equal(getattr(built, f.name), getattr(derived, f.name))
+            assert f.name == "is_simple_pattern" or not getattr(built, f.name).flags.writeable
 
 
 class TestDerivePatternIndex:

@@ -28,8 +28,8 @@ def make_effects(p):
     return np.asarray(p, dtype=float)
 
 
-def make_cov(v, estimator="simple"):
-    return CovarianceEstimate(v_hat=np.asarray(v, dtype=float), estimator=estimator)
+def make_cov(v, n, estimator="simple"):
+    return CovarianceEstimate(v_hat=np.asarray(v, dtype=float), estimator=estimator, n=n)
 
 
 class TestChisqUpperTail:
@@ -118,37 +118,47 @@ class TestChisqUpperTail:
 
 class TestWald:
     def test_null_point_gives_one(self):
-        rep = wald_test(make_effects([0.5, 0.5]), make_cov(np.eye(2)), n=50)
+        rep = wald_test(make_effects([0.5, 0.5]), make_cov(np.eye(2), n=50))
         assert rep.statistic == 0.0 and rep.p_value == pytest.approx(1.0)
         assert not rep.reject
 
     def test_identity_covariance_closed_form(self):
-        rep = wald_test(make_effects([0.6, 0.5]), make_cov(np.eye(2)), n=100)
+        rep = wald_test(make_effects([0.6, 0.5]), make_cov(np.eye(2), n=100))
         assert rep.statistic == pytest.approx(1.0)
         assert rep.df == 2.0
         assert rep.p_value == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     def test_rank_one_covariance_reports_df_one(self):
         v = np.array([[1.0, 0.0], [0.0, 0.0]])
-        rep = wald_test(make_effects([0.6, 0.5]), make_cov(v), n=100)
+        rep = wald_test(make_effects([0.6, 0.5]), make_cov(v, n=100))
         assert rep.df == 1.0
         assert any("pseudo-inverse" in f for f in rep.flags)
         assert rep.statistic == pytest.approx(1.0)
 
     def test_zero_covariance_null_vs_error(self):
-        zero = make_cov(np.zeros((2, 2)))
-        rep = wald_test(make_effects([0.5, 0.5]), zero, n=20)
+        zero = make_cov(np.zeros((2, 2)), n=20)
+        rep = wald_test(make_effects([0.5, 0.5]), zero)
         assert rep.p_value == 1.0 and "zero-covariance-null" in rep.flags
         with pytest.raises(ZeroCovariance):
-            wald_test(make_effects([0.7, 0.5]), zero, n=20)
+            wald_test(make_effects([0.7, 0.5]), zero)
 
     def test_negative_quadratic_form_is_clamped(self):
         # an indefinite general-pattern estimate can make the form negative
-        cov = CovarianceEstimate(v_hat=np.diag([1.0, -0.5]), estimator="general")
-        rep = wald_test(make_effects([0.5, 0.6]), cov, n=10)
+        cov = CovarianceEstimate(v_hat=np.diag([1.0, -0.5]), estimator="general", n=10)
+        rep = wald_test(make_effects([0.5, 0.6]), cov)
         assert rep.statistic < 0.0
         assert "negative quadratic form clamped to zero for the p-value" in rep.flags
         assert rep.df == 2 and rep.p_value == 1.0 and not rep.reject
+
+    def test_n_comes_from_the_covariance_and_alpha_is_keyword_only(self):
+        # a third positional argument was the subject count; it must not
+        # silently become alpha
+        p_hat = make_effects([0.6, 0.5])
+        for test in (wald_test, anova_test):
+            with pytest.raises(TypeError):
+                test(p_hat, make_cov(np.eye(2), n=100), 100)
+            small, large = (test(p_hat, make_cov(np.eye(2), n=n)) for n in (25, 100))
+            assert large.statistic == pytest.approx(4.0 * small.statistic)
 
     def test_invariance_under_congruence(self, rng):
         d = 3
@@ -159,39 +169,39 @@ class TestWald:
             t = rng.standard_normal((d, d))
             while abs(np.linalg.det(t)) < 1e-3:
                 t = rng.standard_normal((d, d))
-            base = wald_test(make_effects(0.5 + dev), make_cov(v), n=40)
+            base = wald_test(make_effects(0.5 + dev), make_cov(v, n=40))
             dev2 = t @ dev
             dev2 = np.clip(dev2, -0.49, 0.49)  # keep p_hat in range
             if not np.allclose(dev2, t @ dev):
                 continue
-            rep2 = wald_test(make_effects(0.5 + t @ dev), make_cov(t @ v @ t.T), n=40)
+            rep2 = wald_test(make_effects(0.5 + t @ dev), make_cov(t @ v @ t.T, n=40))
             assert rep2.statistic == pytest.approx(base.statistic, rel=1e-9)
             assert rep2.p_value == pytest.approx(base.p_value, rel=1e-9)
 
 
 class TestAnova:
     def test_null_point(self):
-        rep = anova_test(make_effects([0.5, 0.5]), make_cov(np.eye(2)), n=50)
+        rep = anova_test(make_effects([0.5, 0.5]), make_cov(np.eye(2), n=50))
         assert rep.statistic == 0.0 and rep.p_value == pytest.approx(1.0)
 
     def test_identity_covariance_df_is_dimension(self):
-        rep = anova_test(make_effects([0.6, 0.4]), make_cov(np.eye(2)), n=50)
+        rep = anova_test(make_effects([0.6, 0.4]), make_cov(np.eye(2), n=50))
         assert rep.df == pytest.approx(2.0)
 
     def test_all_ones_covariance_df_is_one(self):
-        rep = anova_test(make_effects([0.6, 0.4]), make_cov(np.ones((2, 2))), n=50)
+        rep = anova_test(make_effects([0.6, 0.4]), make_cov(np.ones((2, 2)), n=50))
         assert rep.df == pytest.approx(1.0)
 
     def test_zero_trace(self):
-        zero = make_cov(np.zeros((2, 2)))
-        rep = anova_test(make_effects([0.5, 0.5]), zero, n=20)
+        zero = make_cov(np.zeros((2, 2)), n=20)
+        rep = anova_test(make_effects([0.5, 0.5]), zero)
         assert rep.p_value == 1.0 and "zero-covariance-null" in rep.flags
         with pytest.raises(ZeroCovariance):
-            anova_test(make_effects([0.7, 0.5]), zero, n=20)
+            anova_test(make_effects([0.7, 0.5]), zero)
 
     def test_f_statistic_value(self):
         # F = n/tr(V) * ||dev||^2 = 50/2 * 0.02 = 0.5
-        rep = anova_test(make_effects([0.6, 0.4]), make_cov(np.eye(2)), n=50)
+        rep = anova_test(make_effects([0.6, 0.4]), make_cov(np.eye(2), n=50))
         assert rep.statistic == pytest.approx(0.5)
         assert rep.p_value == pytest.approx(chisq_upper_tail(2 * 0.5, 2.0))
 
@@ -208,7 +218,7 @@ class TestAnova:
             from rankeffect import covariance_simple
 
             cov = covariance_simple(rt, idx)
-            hits += int(anova_test(eff, cov, s.n).reject)
+            hits += int(anova_test(eff, cov).reject)
         assert 0.03 <= hits / reps <= 0.08
 
     def test_p_values_in_unit_interval(self, rng):
@@ -218,8 +228,8 @@ class TestAnova:
             v = a @ a.T
             dev = rng.uniform(-0.3, 0.3, size=d)
             for rep in (
-                wald_test(make_effects(0.5 + dev), make_cov(v), n=30),
-                anova_test(make_effects(0.5 + dev), make_cov(v), n=30),
+                wald_test(make_effects(0.5 + dev), make_cov(v, n=30)),
+                anova_test(make_effects(0.5 + dev), make_cov(v, n=30)),
             ):
                 assert 0.0 <= rep.p_value <= 1.0
                 assert rep.statistic >= 0.0
@@ -292,6 +302,14 @@ class TestRunAllMethods:
             ("wald", "incomplete"), ("anova", "incomplete"),
         ]
 
+    def test_each_covariance_carries_its_methods_subject_count(self, rng):
+        obs = simple_mask(2, 20, 6, 4)
+        s = build_masked_sample(rng.standard_normal(obs.shape), obs)
+        analyses = analyze(s)
+        assert [item.index.n for item in analyses] == [30, 20, 10]
+        for item in analyses:
+            assert item.covariance.n == item.index.n
+
     def test_rests_on_the_samples_own_pattern_index(self, rng):
         # b has a's case counts with its one-sided subjects in other columns,
         # so only the masks tell the two indexes apart; b's index on a's
@@ -321,6 +339,6 @@ class TestRunAllMethods:
             np.testing.assert_array_equal(item.effects, eff)
             np.testing.assert_array_equal(item.covariance.v_hat, cov.v_hat)
             for got, test in ((item.wald, wald_test), (item.anova, anova_test)):
-                want = test(eff, cov, sub_idx.n, 0.05)
+                want = test(eff, cov, alpha=0.05)
                 np.testing.assert_array_equal(got.statistic, want.statistic)
                 np.testing.assert_array_equal(got.p_value, want.p_value)

@@ -168,14 +168,17 @@ class TestObservedCellsOnly:
         assert (b[1][observed] == 1.0).all()
 
     def test_values_at_unobserved_cells_are_ignored(self, rng):
-        # the padding is +inf, not what a shorter row's unobserved cells hold
+        # the constructor writes NaN into every unobserved cell, so what a
+        # caller left there never reaches the counts or the +inf padding
         d, n = 2, 6
         observed = rng.random((2 * d, n)) < 0.5
         observed[:, 0] = observed[0] = True
         values = rng.integers(0, 3, (2, 2 * d, n)) * 1.0
-        sample = build_masked_sample(values, observed)
-        unchecked = MaskedSample(d, n, values, observed)
-        assert np.array_equal(build_rank_table(unchecked), build_rank_table(sample),
+        sample = MaskedSample(values, observed)
+        assert np.isnan(sample.values[:, ~observed]).all()
+        assert np.array_equal(sample.values[:, observed], values[:, observed])
+        other = build_masked_sample(np.where(observed, values, -7.0), observed)
+        assert np.array_equal(build_rank_table(other), build_rank_table(sample),
                               equal_nan=True)
 
     @pytest.mark.parametrize("grid, dims", [("table3", (5,)), ("design1", None),

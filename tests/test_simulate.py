@@ -269,6 +269,16 @@ class TestDrawSample:
         assert (idx.n_complete == 30).all()
         assert (idx.n1_only == 10).all() and (idx.n2_only == 10).all()
 
+    @pytest.mark.parametrize("d", [31, 32, 33])
+    def test_simple_allocation_at_wide_dimensions(self, d):
+        # a pattern packed into one integer, 2**(2d) - 1, became a float64
+        # array at d = 32, and its shift raised a bare TypeError
+        sample = draw_sample(scenario(d=d, delta=(0.0,) * d, sizes=(10, 5, 5)), 0)
+        expect = np.zeros((2 * d, 20), bool)
+        expect[:, :10] = expect[:d, 10:15] = expect[d:, 15:] = True
+        assert np.array_equal(sample.observed, expect)
+        assert derive_pattern_index(sample).is_simple_pattern
+
     def test_design1_pattern_counts(self):
         sample = draw_sample(scenario(pattern="design1", sizes=(75,)), 0)
         idx = derive_pattern_index(sample)
