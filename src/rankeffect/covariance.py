@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PatternIndex
-from .errors import NoEstimablePart, PatternMismatch
+from .data import PatternIndex, _freeze
+from .effects import estimate_effects
+from .errors import DimensionMismatch, NoEstimablePart, PatternMismatch
 
 __all__ = [
     "CovarianceEstimate",
@@ -32,19 +33,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceEstimate:
-    """Symmetric d x d estimate with its provenance; trace diagnostics derive from it.
+    """Effect ``p_hat`` of ``(b, idx)``, its d x d covariance estimate and the ``n`` scaling it.
 
-    ``n`` is the subject count that scales ``v_hat``, and the tests read it.
-    For a block, ``v_hat`` is ``(R, d, d)`` and the diagnostics are ``(R,)``
-    arrays; ``degenerate`` is shared, as it depends on the mask alone.
+    The tests read all three; the trace diagnostics derive from ``v_hat``.
+    Both arrays are stored read-only, ``v_hat`` symmetrised, ``(v + v^T) / 2``.
+    For a block, ``p_hat`` is ``(R, d)``, ``v_hat`` ``(R, d, d)`` and the
+    diagnostics ``(R,)``; ``degenerate`` is shared, as it depends on the mask.
+
+    Raises
+    ------
+    DimensionMismatch
+        ``v_hat`` is not ``p_hat``'s shape plus its last axis, or ``n < 2``.
     """
 
+    p_hat: np.ndarray
     v_hat: np.ndarray
     estimator: str         # "simple" | "general"
     n: int
     degenerate: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        p_hat = np.array(self.p_hat, dtype=float)  # a copy: the caller's array stays writable
+        v = np.asarray(self.v_hat, dtype=float)
+        if p_hat.ndim not in (1, 2) or v.shape != p_hat.shape + p_hat.shape[-1:] or self.n < 2:
+            raise DimensionMismatch(f"v_hat {v.shape}, p_hat {p_hat.shape}, n = {self.n}")
+        object.__setattr__(self, "p_hat", _freeze(p_hat))
+        object.__setattr__(self, "v_hat", _freeze(0.5 * (v + v.swapaxes(-1, -2))))
 
     @property
     def trace(self):
@@ -67,8 +83,8 @@ def _kernel(b: np.ndarray, idx: PatternIndex) -> tuple[np.ndarray, np.ndarray]:
     """Estimate and the (3d, 3d) intersection sizes of the stacked rows.
 
     Row ``a * d + l`` is component ``l``'s complete (a=0), group-2-only (a=1)
-    or group-1-only (a=2) row.  The estimate is read-only and exactly
-    symmetric, but not forced to be positive semidefinite.
+    or group-1-only (a=2) row.  :class:`CovarianceEstimate` makes the estimate
+    exactly symmetric; nothing forces it to be positive semidefinite.
     """
     d, n = idx.d, idx.n
     lo, hi = b[..., :d, :], b[..., d:, :]
@@ -89,8 +105,6 @@ def _kernel(b: np.ndarray, idx: PatternIndex) -> tuple[np.ndarray, np.ndarray]:
     c = (e * (x @ x.swapaxes(-1, -2)) - s * s.swapaxes(-1, -2)) * w
     dm = (idx.m1 * idx.m2).astype(float)
     v = n * c.reshape(*c.shape[:-2], 3, d, 3, d).sum(axis=(-4, -2)) / np.outer(dm, dm)
-    v = 0.5 * (v + v.swapaxes(-1, -2))
-    v.setflags(write=False)
     return v, e
 
 
@@ -125,7 +139,7 @@ def covariance_simple(b: np.ndarray, idx: PatternIndex) -> CovarianceEstimate:
         if cnt == 1:
             flags.append(f"group-{g} incomplete part degenerate (single case); contributed zero")
     v, _ = _kernel(b, idx)
-    return CovarianceEstimate(v, "simple", idx.n, tuple(flags))
+    return CovarianceEstimate(estimate_effects(b, idx), v, "simple", idx.n, tuple(flags))
 
 
 def covariance_general(b: np.ndarray, idx: PatternIndex) -> CovarianceEstimate:
@@ -145,4 +159,4 @@ def covariance_general(b: np.ndarray, idx: PatternIndex) -> CovarianceEstimate:
         "contributed zero"
         for l, r, i, j in np.argwhere(single)
     ]
-    return CovarianceEstimate(v, "general", idx.n, tuple(flags))
+    return CovarianceEstimate(estimate_effects(b, idx), v, "general", idx.n, tuple(flags))

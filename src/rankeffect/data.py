@@ -34,7 +34,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskedSample:
     """Validated ``2d x n`` observation matrix with per-cell observedness.
 
@@ -100,7 +100,7 @@ def build_masked_sample(values, observed) -> MaskedSample:
     return MaskedSample(values, observed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatternIndex:
     """Per-component index sets and counts derived from the observedness mask.
 

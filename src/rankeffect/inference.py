@@ -1,13 +1,13 @@
 """Joint hypothesis tests on the effect vector.
 
 Two statistics against the no-tendency null (all component effects equal
-one half): a Wald-type quadratic form referred to chi-square with ``d``
-degrees of freedom, and a trace-normalized (ANOVA-type) form referred to an
-F distribution with estimated numerator degrees of freedom and infinite
-denominator degrees of freedom, which is evaluated through the chi-square
-identity ``P(F(nu, inf) >= f) = P(chi2_nu >= nu * f)``.  The Wald statistic
-is known to be liberal in small samples; the ANOVA-type statistic is the
-small-sample workhorse.
+one half), each a function of one :class:`CovarianceEstimate`: its effect,
+covariance and subject count.  A Wald-type quadratic form is referred to
+chi-square with ``d`` degrees of freedom, and a trace-normalized (ANOVA-type)
+form to an F distribution with estimated numerator and infinite denominator
+degrees of freedom, through ``P(F(nu, inf) >= f) = P(chi2_nu >= nu * f)``.
+The Wald statistic is known to be liberal in small samples; the ANOVA-type
+statistic is the small-sample workhorse.
 
 Both tests share one zero-covariance rule: at a trace <= 0 (the only case of
 a rank-0 Wald pseudo-inverse, since the largest eigenvalue is >= trace/d) a
@@ -32,7 +32,7 @@ import numpy as np
 
 from .covariance import CovarianceEstimate, covariance_general, covariance_simple
 from .data import MaskedSample, PatternIndex, derive_pattern_index
-from .effects import METHODS, check_methods, estimate_effects, restrict_method
+from .effects import METHODS, check_methods, restrict_method
 from .errors import (
     DomainError,
     EverythingFiltered,
@@ -205,6 +205,11 @@ def _zero_covariance(dev: np.ndarray, trace: np.ndarray) -> np.ndarray:
     return zero
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def _flags(base: tuple[str, ...], zero: np.ndarray) -> list:
     """Each replicate's flags: the covariance's, then ``"zero-covariance-null"`` if it applies."""
     flags = [base] * zero.size
@@ -213,45 +218,44 @@ def _flags(base: tuple[str, ...], zero: np.ndarray) -> list:
     return flags
 
 
-def wald_test(
-    p_hat: np.ndarray,
-    cov: CovarianceEstimate,
-    *,
-    alpha: float = ALPHA,
-) -> TestReport:
-    """Quadratic form of ``p_hat - 1/2`` against the inverse covariance, times ``cov.n``.
+def wald_test(cov: CovarianceEstimate, *, alpha: float = ALPHA) -> TestReport:
+    """Quadratic form of ``cov.p_hat - 1/2`` against the inverse covariance, times ``cov.n``.
 
-    When the covariance estimate is singular, its Moore-Penrose
-    pseudo-inverse is used (eigenvalues below ``1e-10 * trace/d``
-    in magnitude dropped) and the reported degrees of freedom shrink to the
-    effective rank; the fallback is flagged.  A block gives one test per
-    replicate.
+    The form sums over the eigenpairs of ``cov.v_hat`` with eigenvalues above
+    ``1e-10 * trace/d`` in magnitude: the Moore-Penrose pseudo-inverse of a
+    singular estimate, whose degrees of freedom shrink to the effective rank
+    and whose fallback is flagged.  A block gives one test per replicate.
 
     Raises
     ------
+    ValueError
+        ``alpha`` outside (0, 1).
     ZeroCovariance
         The covariance estimate vanishes but the effect deviates from the
         null point, leaving the statistic undefined.
     """
-    single = p_hat.ndim == 1
-    d = p_hat.shape[-1]
-    dev = (p_hat - 0.5).reshape(-1, d)
-    v = cov.v_hat.reshape(-1, d, d)
+    _check_alpha(alpha)
+    single = cov.p_hat.ndim == 1
+    d = cov.p_hat.shape[-1]
+    dev = (cov.p_hat - 0.5).reshape(-1, d)
     trace = np.reshape(cov.trace, -1)
     zero = _zero_covariance(dev, trace)
-    eigvals, eigvecs = np.linalg.eigh((v + v.swapaxes(1, 2)) / 2.0)
+    eigvals, eigvecs = np.linalg.eigh(cov.v_hat.reshape(-1, d, d))
     kept = np.abs(eigvals) > _PINV_RANK_REL * trace[:, None] / d
     rank = kept.sum(axis=1)
-    # eigenvectors as contiguous rows: the layout one replicate's kept
-    # columns hand to BLAS, so a block projects exactly as its replicates do
-    proj = (np.ascontiguousarray(eigvecs.swapaxes(1, 2)) @ dev[:, :, None])[:, :, 0]
-    terms = np.divide(proj * proj, eigvals, out=np.zeros_like(proj), where=kept)
-    stat = cov.n * terms.sum(axis=1)
+    # BLAS rounds a projection by its row count, so the replicates that keep
+    # the same eigenvectors are projected onto them together, each as alone
+    stat = np.empty(rank.shape)
+    todo = np.ones(rank.shape, bool)
+    while todo.any():
+        mask = kept[todo.argmax()]
+        group = todo & (kept == mask).all(axis=1)
+        todo &= ~group
+        rows = np.ascontiguousarray(eigvecs[group][:, :, mask].swapaxes(1, 2))
+        proj = (rows @ dev[group][:, :, None])[:, :, 0]
+        stat[group] = cov.n * np.sum(proj * proj / eigvals[group][:, mask], axis=1)
     flags = _flags(cov.degenerate, zero)
     for i in np.flatnonzero((rank < d) & ~zero):
-        # a pseudo-inverse projects onto the kept eigenvectors alone
-        proj = eigvecs[i][:, kept[i]].T @ dev[i]
-        stat[i] = cov.n * np.sum(proj * proj / eigvals[i][kept[i]])
         flags[i] += (f"singular covariance: pseudo-inverse with rank {rank[i]}",)
     stat[zero] = 0.0
     df = np.where(zero, 0.0, rank)
@@ -263,25 +267,23 @@ def wald_test(
     return _report(stat, df, p, p <= alpha, "wald", flags, single)
 
 
-def anova_test(
-    p_hat: np.ndarray,
-    cov: CovarianceEstimate,
-    *,
-    alpha: float = ALPHA,
-) -> TestReport:
-    """Trace-normalized quadratic form of ``p_hat - 1/2`` with estimated degrees of freedom.
+def anova_test(cov: CovarianceEstimate, *, alpha: float = ALPHA) -> TestReport:
+    """Trace-normalized quadratic form of ``cov.p_hat - 1/2`` with estimated df.
 
-    It is scaled by ``cov.n``, and the degrees of freedom are ``cov.nu_hat``.
+    It is scaled by ``cov.n``, and the degrees of freedom (df) are ``cov.nu_hat``.
     A block gives one test per replicate.
 
     Raises
     ------
+    ValueError
+        ``alpha`` outside (0, 1).
     ZeroCovariance
         The covariance trace vanishes but the effect deviates from the null
         point.
     """
-    single = p_hat.ndim == 1
-    dev = (p_hat - 0.5).reshape(-1, p_hat.shape[-1])
+    _check_alpha(alpha)
+    single = cov.p_hat.ndim == 1
+    dev = (cov.p_hat - 0.5).reshape(-1, cov.p_hat.shape[-1])
     trace = np.reshape(cov.trace, -1)
     zero = _zero_covariance(dev, trace)
     scale = np.divide(cov.n, trace, out=np.zeros(trace.shape), where=~zero)
@@ -292,13 +294,13 @@ def anova_test(
     return _report(stat, df, p, p <= alpha, "anova", _flags(cov.degenerate, zero), single)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MethodAnalysis:
     """Everything one case-restriction method produced, or why it was skipped.
 
     ``index`` is the restricted sample's pattern index, with the subject and
-    case counts behind ``effects`` (the ``p_hat`` array); all three are
-    ``None`` for a skipped method.
+    case counts behind ``effects`` (the covariance's ``p_hat`` array); all
+    three are ``None`` for a skipped method.
     """
 
     method: str
@@ -347,8 +349,7 @@ def analyze(
     PatternMismatch
         ``pattern="simple"`` on data without treatment-level missingness.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     check_methods(methods)
     if pattern not in PATTERN_CHOICES:
         raise ValueError(f"unknown pattern {pattern!r}")
@@ -363,11 +364,10 @@ def analyze(
         try:
             sub, sub_idx = restrict_method(sample, idx, method)
             b = build_rank_table(sub)
-            eff = estimate_effects(b, sub_idx)
             cov = _select_covariance(b, sub_idx, pattern)
-            wald = wald_test(eff, cov, alpha=alpha)
-            anova = anova_test(eff, cov, alpha=alpha)
-            out.append(MethodAnalysis(method, eff, cov, sub_idx, wald, anova))
+            wald = wald_test(cov, alpha=alpha)
+            anova = anova_test(cov, alpha=alpha)
+            out.append(MethodAnalysis(method, cov.p_hat, cov, sub_idx, wald, anova))
         except (EverythingFiltered, NoEstimablePart, ZeroCovariance) as exc:
             # the first two depend on the mask and so hold for every replicate
             # of a block; a zero covariance is one replicate's, and a block of

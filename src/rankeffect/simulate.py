@@ -167,30 +167,31 @@ class Scenario:
         """Subjects per observedness pattern, in the documented pattern order."""
         if self.pattern == "simple":
             counts = [_int_exact(s, "size") for s in self.sizes]
-            if any(c < 0 for c in counts) or sum(counts) < 2:
-                raise ScenarioError(f"invalid simple-pattern sizes {self.sizes}")
-            for group in (1, 2):  # counts[group] is that group's one-sided cases
-                if counts[0] + counts[group] == 0:
-                    raise ScenarioError(f"sizes {self.sizes} give group {group} no observation")
-            return counts
-        if self.d != 2:
+        elif self.d != 2:
             raise ScenarioError("pattern designs are defined for d = 2")
-        if self.pattern == "design1":
+        elif self.pattern == "design1":
             (n,) = self.sizes
             n = _int_exact(n, "n")
             if n % 15 != 0:
                 raise ScenarioError(f"design1 total n = {n} must be divisible by 15")
-            return [n // 15] * 15
-        if self.pattern == "design2":
+            counts = [n // 15] * 15
+        elif self.pattern == "design2":
             n, a = self.sizes
             n = _int_exact(n, "n")
             if not 0.0 < a < 1.0:
                 raise ScenarioError(f"design2 proportion a = {a} must lie in (0, 1)")
             n_complete = _int_exact(n * a, "n * a")
             per_pattern = _int_exact((n - n_complete) / 14.0, "n * (1 - a) / 14")
-            return [n_complete] + [per_pattern] * 14
-        (n_complete,) = self.sizes
-        return [_int_exact(n_complete, "n_complete")] + [100] * 14
+            counts = [n_complete] + [per_pattern] * 14
+        else:
+            (n_complete,) = self.sizes
+            counts = [_int_exact(n_complete, "n_complete")] + [100] * 14
+        if any(c < 0 for c in counts) or sum(counts) < 2:
+            raise ScenarioError(f"invalid {self.pattern}-pattern sizes {self.sizes}")
+        for group in (1, 2):  # a simple pattern's counts[group]: that group's one-sided cases
+            if self.pattern == "simple" and counts[0] + counts[group] == 0:
+                raise ScenarioError(f"sizes {self.sizes} give group {group} no observation")
+        return counts
 
 
 def _draw_plan(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

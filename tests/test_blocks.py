@@ -52,19 +52,19 @@ def assert_stacked(block_value, single_values):
     assert np.array_equal(block_value, np.stack(single_values), equal_nan=True)
 
 
-def assert_same_tests(eff, cov, effs, covs):
+def assert_same_tests(cov, effs, covs):
     for test in (wald_test, anova_test):
         singles = []
-        for e, c in zip(effs, covs):
+        for c in covs:
             try:
-                singles.append(test(e, c))
+                singles.append(test(c))
             except ZeroCovariance:
                 singles.append(None)
         if None in singles:
             with pytest.raises(ZeroCovariance):
-                test(eff, cov)
+                test(cov)
             continue
-        rep = test(eff, cov)
+        rep = test(cov)
         for field in ("statistic", "df", "p_value", "reject"):
             assert_stacked(getattr(rep, field), [getattr(s, field) for s in singles])
         assert rep.flags == tuple(s.flags for s in singles)
@@ -129,10 +129,10 @@ def test_block_equals_its_replicates(block):
                     estimator(t, idx)
             continue
         covs = [estimator(t, idx) for t in rts]
-        for field in ("v_hat", "trace", "trace_sq", "nu_hat"):
+        for field in ("p_hat", "v_hat", "trace", "trace_sq", "nu_hat"):
             assert_stacked(getattr(cov, field), [getattr(c, field) for c in covs])
         assert all(c.degenerate == cov.degenerate for c in covs)
-        assert_same_tests(eff, cov, effs, covs)
+        assert_same_tests(cov, effs, covs)
     assert_same_analyses(block, singles)
 
 

@@ -306,6 +306,19 @@ class TestSimulateCommand:
         table = out1.with_suffix(".txt").read_text()
         assert "tiny-null" in table and "anova:all" in table
 
+    def test_config_without_subjects_is_scenario_error(self, capsys, tmp_path):
+        # it validated, then run_scenario divided by zero: a traceback
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(
+            "[empty]\ndistribution = normal\nd = 2\nrho = 0, 0, 0\nsigma_sq = 1, 1\n"
+            "delta = 0, 0\npattern = design1\nsizes = 0\nreplications = 3\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ScenarioError"
+        assert error["message"] == "scenario [empty]: invalid design1-pattern sizes (0.0,)"
+
     def test_config_file_with_byte_order_mark_runs(self, capsys, tmp_path):
         # the mark used to hide the first section header
         cfg = tmp_path / "bom.ini"

@@ -18,7 +18,7 @@ from rankeffect import (
     restrict_method,
     wald_test,
 )
-from rankeffect.errors import DomainError, ZeroCovariance
+from rankeffect.errors import DimensionMismatch, DomainError, ZeroCovariance
 
 from conftest import simple_mask
 from oracles import chisq_upper_tail_highprec
@@ -28,8 +28,10 @@ def make_effects(p):
     return np.asarray(p, dtype=float)
 
 
-def make_cov(v, n, estimator="simple"):
-    return CovarianceEstimate(v_hat=np.asarray(v, dtype=float), estimator=estimator, n=n)
+def make_cov(p, v, n, estimator="simple"):
+    return CovarianceEstimate(
+        p_hat=make_effects(p), v_hat=np.asarray(v, dtype=float), estimator=estimator, n=n
+    )
 
 
 class TestChisqUpperTail:
@@ -118,34 +120,35 @@ class TestChisqUpperTail:
 
 class TestWald:
     def test_null_point_gives_one(self):
-        rep = wald_test(make_effects([0.5, 0.5]), make_cov(np.eye(2), n=50))
+        rep = wald_test(make_cov([0.5, 0.5], np.eye(2), n=50))
         assert rep.statistic == 0.0 and rep.p_value == pytest.approx(1.0)
         assert not rep.reject
 
     def test_identity_covariance_closed_form(self):
-        rep = wald_test(make_effects([0.6, 0.5]), make_cov(np.eye(2), n=100))
+        rep = wald_test(make_cov([0.6, 0.5], np.eye(2), n=100))
         assert rep.statistic == pytest.approx(1.0)
         assert rep.df == 2.0
         assert rep.p_value == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     def test_rank_one_covariance_reports_df_one(self):
         v = np.array([[1.0, 0.0], [0.0, 0.0]])
-        rep = wald_test(make_effects([0.6, 0.5]), make_cov(v, n=100))
+        rep = wald_test(make_cov([0.6, 0.5], v, n=100))
         assert rep.df == 1.0
         assert any("pseudo-inverse" in f for f in rep.flags)
         assert rep.statistic == pytest.approx(1.0)
 
     def test_zero_covariance_null_vs_error(self):
-        zero = make_cov(np.zeros((2, 2)), n=20)
-        rep = wald_test(make_effects([0.5, 0.5]), zero)
+        rep = wald_test(make_cov([0.5, 0.5], np.zeros((2, 2)), n=20))
         assert rep.p_value == 1.0 and "zero-covariance-null" in rep.flags
         with pytest.raises(ZeroCovariance):
-            wald_test(make_effects([0.7, 0.5]), zero)
+            wald_test(make_cov([0.7, 0.5], np.zeros((2, 2)), n=20))
 
     def test_negative_quadratic_form_is_clamped(self):
         # an indefinite general-pattern estimate can make the form negative
-        cov = CovarianceEstimate(v_hat=np.diag([1.0, -0.5]), estimator="general", n=10)
-        rep = wald_test(make_effects([0.5, 0.6]), cov)
+        cov = CovarianceEstimate(
+            p_hat=make_effects([0.5, 0.6]), v_hat=np.diag([1.0, -0.5]), estimator="general", n=10
+        )
+        rep = wald_test(cov)
         assert rep.statistic < 0.0
         assert "negative quadratic form clamped to zero for the p-value" in rep.flags
         assert rep.df == 2 and rep.p_value == 1.0 and not rep.reject
@@ -156,8 +159,8 @@ class TestWald:
         p_hat = make_effects([0.6, 0.5])
         for test in (wald_test, anova_test):
             with pytest.raises(TypeError):
-                test(p_hat, make_cov(np.eye(2), n=100), 100)
-            small, large = (test(p_hat, make_cov(np.eye(2), n=n)) for n in (25, 100))
+                test(make_cov(p_hat, np.eye(2), n=100), 100)
+            small, large = (test(make_cov(p_hat, np.eye(2), n=n)) for n in (25, 100))
             assert large.statistic == pytest.approx(4.0 * small.statistic)
 
     def test_invariance_under_congruence(self, rng):
@@ -169,39 +172,38 @@ class TestWald:
             t = rng.standard_normal((d, d))
             while abs(np.linalg.det(t)) < 1e-3:
                 t = rng.standard_normal((d, d))
-            base = wald_test(make_effects(0.5 + dev), make_cov(v, n=40))
+            base = wald_test(make_cov(0.5 + dev, v, n=40))
             dev2 = t @ dev
             dev2 = np.clip(dev2, -0.49, 0.49)  # keep p_hat in range
             if not np.allclose(dev2, t @ dev):
                 continue
-            rep2 = wald_test(make_effects(0.5 + t @ dev), make_cov(t @ v @ t.T, n=40))
+            rep2 = wald_test(make_cov(0.5 + t @ dev, t @ v @ t.T, n=40))
             assert rep2.statistic == pytest.approx(base.statistic, rel=1e-9)
             assert rep2.p_value == pytest.approx(base.p_value, rel=1e-9)
 
 
 class TestAnova:
     def test_null_point(self):
-        rep = anova_test(make_effects([0.5, 0.5]), make_cov(np.eye(2), n=50))
+        rep = anova_test(make_cov([0.5, 0.5], np.eye(2), n=50))
         assert rep.statistic == 0.0 and rep.p_value == pytest.approx(1.0)
 
     def test_identity_covariance_df_is_dimension(self):
-        rep = anova_test(make_effects([0.6, 0.4]), make_cov(np.eye(2), n=50))
+        rep = anova_test(make_cov([0.6, 0.4], np.eye(2), n=50))
         assert rep.df == pytest.approx(2.0)
 
     def test_all_ones_covariance_df_is_one(self):
-        rep = anova_test(make_effects([0.6, 0.4]), make_cov(np.ones((2, 2)), n=50))
+        rep = anova_test(make_cov([0.6, 0.4], np.ones((2, 2)), n=50))
         assert rep.df == pytest.approx(1.0)
 
     def test_zero_trace(self):
-        zero = make_cov(np.zeros((2, 2)), n=20)
-        rep = anova_test(make_effects([0.5, 0.5]), zero)
+        rep = anova_test(make_cov([0.5, 0.5], np.zeros((2, 2)), n=20))
         assert rep.p_value == 1.0 and "zero-covariance-null" in rep.flags
         with pytest.raises(ZeroCovariance):
-            anova_test(make_effects([0.7, 0.5]), zero)
+            anova_test(make_cov([0.7, 0.5], np.zeros((2, 2)), n=20))
 
     def test_f_statistic_value(self):
         # F = n/tr(V) * ||dev||^2 = 50/2 * 0.02 = 0.5
-        rep = anova_test(make_effects([0.6, 0.4]), make_cov(np.eye(2), n=50))
+        rep = anova_test(make_cov([0.6, 0.4], np.eye(2), n=50))
         assert rep.statistic == pytest.approx(0.5)
         assert rep.p_value == pytest.approx(chisq_upper_tail(2 * 0.5, 2.0))
 
@@ -214,11 +216,10 @@ class TestAnova:
             s = build_masked_sample(rng.standard_normal(obs.shape), obs)
             idx = derive_pattern_index(s)
             rt = build_rank_table(s)
-            eff = estimate_effects(rt, idx)
             from rankeffect import covariance_simple
 
             cov = covariance_simple(rt, idx)
-            hits += int(anova_test(eff, cov).reject)
+            hits += int(anova_test(cov).reject)
         assert 0.03 <= hits / reps <= 0.08
 
     def test_p_values_in_unit_interval(self, rng):
@@ -228,11 +229,86 @@ class TestAnova:
             v = a @ a.T
             dev = rng.uniform(-0.3, 0.3, size=d)
             for rep in (
-                wald_test(make_effects(0.5 + dev), make_cov(v, n=30)),
-                anova_test(make_effects(0.5 + dev), make_cov(v, n=30)),
+                wald_test(make_cov(0.5 + dev, v, n=30)),
+                anova_test(make_cov(0.5 + dev, v, n=30)),
             ):
                 assert 0.0 <= rep.p_value <= 1.0
                 assert rep.statistic >= 0.0
+
+
+
+class TestOneEstimate:
+    """Both tests read the effect, its covariance and ``n`` from one estimate."""
+
+    def test_estimators_carry_the_effect_of_their_counts(self, rng):
+        obs = simple_mask(2, 20, 6, 4)
+        s = build_masked_sample(rng.standard_normal(obs.shape), obs)
+        idx, b = derive_pattern_index(s), build_rank_table(s)
+        for estimator in (covariance_simple, covariance_general):
+            np.testing.assert_array_equal(estimator(b, idx).p_hat, estimate_effects(b, idx))
+        for item in analyze(s):
+            assert item.effects is item.covariance.p_hat
+
+    def test_old_two_argument_call_is_a_type_error(self):
+        cov = make_cov([0.6, 0.5], np.eye(2), n=50)
+        for test in (wald_test, anova_test):
+            with pytest.raises(TypeError):
+                test(cov.p_hat, cov)
+
+    @pytest.mark.parametrize("p, v, n", [
+        # a d = 2 effect with a d = 3 estimate: anova_test gave p = 0.919 and
+        # wald_test numpy's reshape ValueError
+        ([0.6, 0.5], np.eye(3), 50),
+        # a block's effects with one dataset's estimate, and the reverse:
+        # both ended in numpy's IndexError
+        ([[0.6, 0.5]] * 3, np.eye(2), 50),
+        ([0.6, 0.5], np.stack([np.eye(2)] * 3), 50),
+        # a three-axis effect was tested as a block of one
+        ([[[0.6, 0.5]]], np.eye(2)[None, None], 50),
+        # n = 0 gave a statistic of 0 and p = 1, and n = 1 a test
+        ([0.6, 0.5], np.eye(2), 0),
+        ([0.6, 0.5], np.eye(2), 1),
+    ], ids=["d2-with-d3", "block-with-single", "single-with-block", "3d", "n0", "n1"])
+    def test_estimate_that_does_not_fit_is_a_dimension_mismatch(self, p, v, n):
+        with pytest.raises(DimensionMismatch):
+            make_cov(p, v, n=n)
+
+    def test_arrays_are_stored_read_only_and_v_hat_symmetrised(self):
+        p_hat = make_effects([0.5, 0.5])
+        cov = make_cov(p_hat, [[2.0, 1.0], [0.0, 1.0]], n=10)
+        np.testing.assert_array_equal(cov.v_hat, [[2.0, 0.5], [0.5, 1.0]])
+        assert not cov.v_hat.flags.writeable and not cov.p_hat.flags.writeable
+        assert p_hat.flags.writeable
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, -0.1, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # alpha = 5 rejected at the null point, where p = 1; 0, negative or
+        # NaN never rejected
+        cov = make_cov([0.5, 0.5], np.eye(2), n=50)
+        for test in (wald_test, anova_test):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+                test(cov, alpha=alpha)
+
+
+@pytest.mark.parametrize("record", ["sample", "index", "covariance", "analysis"])
+def test_records_holding_arrays_compare_by_identity(rng, record):
+    # equal data made == raise numpy's ambiguous-truth ValueError, and hash()
+    # raise TypeError
+    obs = simple_mask(2, 8, 3, 3)
+    values = rng.standard_normal(obs.shape)
+
+    def build():
+        item = analyze(build_masked_sample(values, obs), methods=("all",))[0]
+        return {
+            "sample": build_masked_sample(values, obs),
+            "index": item.index,
+            "covariance": item.covariance,
+            "analysis": item,
+        }[record]
+
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def reports_by_key(analyses):
@@ -339,6 +415,6 @@ class TestRunAllMethods:
             np.testing.assert_array_equal(item.effects, eff)
             np.testing.assert_array_equal(item.covariance.v_hat, cov.v_hat)
             for got, test in ((item.wald, wald_test), (item.anova, anova_test)):
-                want = test(eff, cov, alpha=0.05)
+                want = test(cov, alpha=0.05)
                 np.testing.assert_array_equal(got.statistic, want.statistic)
                 np.testing.assert_array_equal(got.p_value, want.p_value)

@@ -126,6 +126,19 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=field):
             scenario(**kw).validate()
 
+    @pytest.mark.parametrize("pattern, sizes", [
+        ("design1", (0,)), ("design2", (0, 0.5)),
+        ("design1", (-15,)), ("design2", (-28, 0.5)), ("design3", (-5,)),
+    ])
+    def test_design_sizes_must_give_a_drawable_sample(self, pattern, sizes):
+        # each validated, then run_scenario raised ZeroDivisionError (no
+        # subject) or numpy's ValueError (a negative pattern count)
+        with pytest.raises(ScenarioError, match=f"invalid {pattern}-pattern sizes"):
+            scenario(pattern=pattern, sizes=sizes)
+
+    def test_design3_without_complete_cases_is_valid(self):
+        assert scenario(pattern="design3", sizes=(0,)).pattern_counts() == [0] + [100] * 14
+
     @pytest.mark.parametrize("sizes, group", [((0, 10, 0), 2), ((0, 0, 2), 1)])
     def test_simple_sizes_must_leave_each_group_an_observation(self, sizes, group):
         # every replicate of such a scenario raised InestimableComponent and
