@@ -159,7 +159,7 @@ def chisq_upper_tail(x: float | np.ndarray, k: float | np.ndarray) -> float | np
     return float(q[0]) if x.ndim == 0 else q.reshape(x.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestReport:
     """Outcome of one test: statistic, reference distribution, decision.
 

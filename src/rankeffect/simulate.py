@@ -25,13 +25,13 @@ would give.
 """
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import MaskedSample, build_masked_sample
 from .effects import METHODS, check_methods
-from .errors import NotPositiveDefinite, RankEffectError, ScenarioError
+from .errors import NonFiniteObservedValue, NotPositiveDefinite, ScenarioError, ZeroCovariance
 from .inference import ALPHA, FAMILIES, analyze
 
 __all__ = [
@@ -50,8 +50,8 @@ PATTERNS = {"simple": 3, "design1": 1, "design2": 2, "design3": 1}
 #: Dimensions of the built-in grids that vary ``d``.
 DIMS = (2, 3, 5)
 #: Cells (replicates x 2d x n) of a block of replicates analyzed at once.
-#: Every block pays a fixed cost (the draw plan, the pattern index and many
-#: small numpy calls), so a block holds many replicates even at ``design3``'s
+#: Every block pays a fixed cost (the pattern index and many small numpy
+#: calls), so a block holds many replicates even at ``design3``'s
 #: n of about 1,410 (23 of them); drawing and analyzing one peaks near 35
 #: bytes a cell, about 4.6 MB.  Twice as many cells run ``design3`` no faster
 #: and hold twice the memory.
@@ -118,7 +118,9 @@ class Scenario:
     * ``"design3"``: ``(n_complete,)`` complete cases, with 100 subjects in
       each of the other 14 patterns.
 
-    Designs require ``d == 2``.  Building a scenario (``replace`` too) validates it.
+    Designs require ``d == 2``.  Building a scenario (``replace`` too)
+    validates it and builds what its draws share: the covariance's Cholesky
+    factor and the ``(2d, n)`` observedness mask.
     """
 
     distribution: str
@@ -133,6 +135,8 @@ class Scenario:
     alpha: float = ALPHA
     methods: tuple[str, ...] = ("all",)
     label: str = ""
+    _chol: np.ndarray = field(init=False, repr=False, compare=False)
+    _observed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -160,8 +164,18 @@ class Scenario:
             check_methods(self.methods)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
-        build_sigma(self.d, *self.rho, *self.sigma_sq)
-        self.pattern_counts()
+        d = self.d
+        _, chol = _factor_sigma(d, *self.rho, *self.sigma_sq)
+        counts = self.pattern_counts()  # before ``bits``: it rejects designs at d != 2
+        full = 2**(2 * d) - 1
+        blocks = [full, 2**d - 1, (2**d - 1) << d]
+        bits = blocks if self.pattern == "simple" else range(full, 0, -1)
+        # bit j marks row j observed; Python ints, as 2**(2d) - 1 overflows int64 at d = 32
+        patterns = np.array([[b >> j & 1 for b in bits] for j in range(2 * d)], dtype=bool)
+        observed = np.repeat(patterns, counts, axis=1)
+        observed.setflags(write=False)
+        object.__setattr__(self, "_chol", chol)
+        object.__setattr__(self, "_observed", observed)
 
     def pattern_counts(self) -> list[int]:
         """Subjects per observedness pattern, in the documented pattern order."""
@@ -194,26 +208,6 @@ class Scenario:
         return counts
 
 
-def _draw_plan(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The parts of a draw that depend only on the scenario.
-
-    Returns the Cholesky factor of the covariance, the mean and the
-    observedness mask; :func:`draw_sample` builds them once per call, and
-    every replicate of a block shares them.
-    """
-    d = scenario.d
-    _, chol = _factor_sigma(d, *scenario.rho, *scenario.sigma_sq)
-    mu = np.concatenate([np.zeros(d), np.asarray(scenario.delta, dtype=float)])
-    full = 2**(2 * d) - 1
-    blocks = [full, 2**d - 1, (2**d - 1) << d]
-    bits = blocks if scenario.pattern == "simple" else range(full, 0, -1)
-    counts = scenario.pattern_counts()
-    # bit j marks row j observed; Python ints, as 2**(2d) - 1 overflows int64 at d = 32
-    patterns = np.array([[b >> j & 1 for b in bits] for j in range(2 * d)], dtype=bool)
-    observed = np.repeat(patterns, counts, axis=1)
-    return chol, mu, observed
-
-
 def draw_sample(scenario: Scenario, replicates: int | range) -> MaskedSample:
     """One replicate's masked sample, or the block of a range of replicates.
 
@@ -225,7 +219,8 @@ def draw_sample(scenario: Scenario, replicates: int | range) -> MaskedSample:
     NonFiniteObservedValue
         A draw (of any replicate of a block) overflowed.
     """
-    chol, mu, observed = _draw_plan(scenario)
+    observed = scenario._observed
+    mu = np.concatenate([np.zeros(scenario.d), np.asarray(scenario.delta, dtype=float)])
     block = isinstance(replicates, range)
     indices = replicates if block else [replicates]
     cauchy = scenario.distribution == "cauchy"
@@ -236,7 +231,7 @@ def draw_sample(scenario: Scenario, replicates: int | range) -> MaskedSample:
         rng.standard_normal(out=z[i])
         if cauchy:
             rng.standard_normal(out=halfnorm[i, 0])
-    values = chol @ z
+    values = scenario._chol @ z
     del z
     # an overflowing draw becomes inf, which build_masked_sample rejects
     with np.errstate(over="ignore"):
@@ -286,10 +281,12 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
     where ``size = max(1, CELLS // (2d * n))``, whose lengths differ by at
     most one; each is one :func:`draw_sample` and one :func:`analyze` call,
     which derives the block's pattern index.  A replicate that raises a
-    :class:`RankEffectError` is counted as a failure and never aborts the
-    run: a block that raises one is run again one replicate at a time, so
-    that the error fails (or, for :class:`ZeroCovariance`, skips) its own
-    replicate alone.  Any other exception is a bug and propagates.
+    data event of a validated scenario, :class:`NonFiniteObservedValue` (an
+    overflowing draw) or :class:`ZeroCovariance`, is counted as a failure
+    and never aborts the run: a block that raises one is run again one
+    replicate at a time, so that the event fails (or, for a zero covariance
+    off the null point, skips) its own replicate alone.  Any other
+    exception, a :class:`RankEffectError` too, is a bug and propagates.
     A method that :func:`analyze` reports as skipped (its ``skipped`` reason
     is set) is tallied as skipped, not as evaluated.
     """
@@ -297,19 +294,17 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
     counters = {k: [0, 0, 0, 0] for k in keys}  # rej, eval, skip, flagged
     failures = 0
     reps = scenario.replications
-    size = max(1, CELLS // (2 * scenario.d * sum(scenario.pattern_counts())))
-    # as few blocks as ``size`` allows, the first ``extra`` one replicate longer
-    count = -(-reps // size)
-    base, extra = divmod(reps, count)
-    starts = [k * base + min(k, extra) for k in range(count + 1)]
+    size = max(1, CELLS // scenario._observed.size)
+    # as few blocks as ``size`` allows, the first ones one replicate longer;
     # a stack: the first block is popped first, then a failed block's replicates
-    blocks = [range(a, b) for a, b in zip(starts, starts[1:])][::-1]
+    split = np.array_split(range(reps), -(-reps // size))
+    blocks = [range(b[0], b[-1] + 1) for b in split][::-1]
     while blocks:
         block = blocks.pop()
         try:
             sample = draw_sample(scenario, block)
             analyses = analyze(sample, alpha=scenario.alpha, methods=scenario.methods)
-        except RankEffectError:
+        except (NonFiniteObservedValue, ZeroCovariance):
             if len(block) == 1:
                 failures += 1
             else:

@@ -290,7 +290,7 @@ class TestOneEstimate:
                 test(cov, alpha=alpha)
 
 
-@pytest.mark.parametrize("record", ["sample", "index", "covariance", "analysis"])
+@pytest.mark.parametrize("record", ["sample", "index", "covariance", "analysis", "block-report"])
 def test_records_holding_arrays_compare_by_identity(rng, record):
     # equal data made == raise numpy's ambiguous-truth ValueError, and hash()
     # raise TypeError
@@ -299,11 +299,13 @@ def test_records_holding_arrays_compare_by_identity(rng, record):
 
     def build():
         item = analyze(build_masked_sample(values, obs), methods=("all",))[0]
+        block = build_masked_sample(np.stack([values] * 3), obs)
         return {
             "sample": build_masked_sample(values, obs),
             "index": item.index,
             "covariance": item.covariance,
             "analysis": item,
+            "block-report": analyze(block, methods=("all",))[0].wald,
         }[record]
 
     a, b = build(), build()

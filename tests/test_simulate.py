@@ -1,4 +1,5 @@
 import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from rankeffect import (
     run_scenario,
 )
 from rankeffect.effects import METHODS
-from rankeffect.errors import NotPositiveDefinite, ScenarioError, ZeroCovariance
+from rankeffect.errors import DomainError, NotPositiveDefinite, ScenarioError, ZeroCovariance
 from rankeffect.reports import render_simulation_table, simulation_results_document
 from rankeffect.simulate import DISTRIBUTIONS
 
@@ -62,15 +63,17 @@ class TestBuildSigma:
             build_sigma(2, -0.9, -0.9, 0.9, 1.0, 1.0)
 
     def test_a_draw_factors_sigma_once(self, monkeypatch):
-        # the factorisation that validates sigma also supplies the draw's factor
-        s = scenario(d=3, delta=(0.0,) * 3)
-        chol = np.linalg.cholesky(build_sigma(3, *s.rho, *s.sigma_sq))
+        # the factorisation that validates sigma, when the scenario is built,
+        # also supplies every draw's factor
         calls = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        s = scenario(d=3, delta=(0.0,) * 3)
+        assert len(calls) == 1
         block = draw_sample(s, range(3))
         assert len(calls) == 1
         # and that factor is the one the draw uses
+        chol = cholesky(build_sigma(3, *s.rho, *s.sigma_sq))
         rng = np.random.default_rng(np.random.SeedSequence(s.seed, spawn_key=(1,)))
         z = np.rint(chol @ rng.standard_normal(block.observed.shape))
         assert np.array_equal(block.values[1][block.observed], z[block.observed])
@@ -189,6 +192,21 @@ class TestScenarioValidation:
     def test_replace_checks_the_copy(self):
         with pytest.raises(ScenarioError, match="rho"):
             replace(scenario(), rho=(0.1, 0.1))
+
+    def test_replace_rebuilds_the_draws_mask(self):
+        copy = replace(scenario(), sizes=(5, 2, 3))
+        fresh = scenario(sizes=(5, 2, 3))
+        assert copy == fresh
+        assert draw_sample(copy, 0).observed.shape == (4, 10)
+        assert np.array_equal(draw_sample(copy, 0).observed, draw_sample(fresh, 0).observed)
+
+    def test_a_pickled_scenario_draws_the_same_block(self):
+        s = scenario(pattern="design1", sizes=(75,), distribution="cauchy", seed=3)
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy == s and hash(copy) == hash(s)
+        a, b = draw_sample(s, range(2, 5)), draw_sample(copy, range(2, 5))
+        assert a.values.tobytes() == b.values.tobytes()
+        assert np.array_equal(a.observed, b.observed)
 
     @given(
         sizes=st.tuples(*[st.integers(0, 6)] * 3),
@@ -393,6 +411,18 @@ class TestRunScenario:
         assert run_scenario(scenario(replications=3)).failures == 3
         monkeypatch.setattr(sim, "analyze", bug)
         with pytest.raises(TypeError):
+            run_scenario(scenario(replications=3))
+
+    def test_a_package_error_that_is_no_data_event_propagates(self, monkeypatch):
+        # only an overflowing draw and a zero covariance are data events; a
+        # DomainError from analyze was counted as 3 failures of 3
+        import rankeffect.simulate as sim
+
+        def bug(*args, **kwargs):
+            raise DomainError("df must be positive")
+
+        monkeypatch.setattr(sim, "analyze", bug)
+        with pytest.raises(DomainError):
             run_scenario(scenario(replications=3))
 
     def test_never_evaluated_method_has_no_rate(self):
