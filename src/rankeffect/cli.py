@@ -11,9 +11,9 @@ import json
 import sys
 
 from .data import derive_pattern_index
-from .effects import METHODS
+from .effects import METHODS, check_methods
 from .errors import RankEffectError, ScenarioError
-from .inference import ALPHA, PATTERN_CHOICES, analyze
+from .inference import ALPHA, PATTERN_CHOICES, _check_alpha, analyze
 from .reports import (
     build_report,
     parse_dataset,
@@ -51,9 +51,12 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 
 def cmd_analyze(args) -> int:
+    # the arguments first, so that a bad one is named without reading the file
+    _check_alpha(args.alpha)
+    methods = _parse_methods(args.methods)
+    check_methods(methods)
     sample = parse_dataset(args.dataset, dimension=args.dimension, na_token=args.na_token)
     idx = derive_pattern_index(sample)
-    methods = _parse_methods(args.methods)
     analyses = analyze(sample, alpha=args.alpha, methods=methods, pattern=args.pattern)
     config = {
         "command": "analyze",

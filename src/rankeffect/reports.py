@@ -18,7 +18,6 @@ import io
 import itertools
 import json
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -157,53 +156,84 @@ def _read_rows(text: str, dimension: int | None, na_token: str) -> np.ndarray:
     return np.array(rows)
 
 
+# bytes of the body that _read_body reads or writes
+_LF, _CR, _COMMA, _SPACE, _ZERO = b"\n\r, 0"
+
+
 def _read_body(text: str, skip: int, width: int, na_token: str) -> np.ndarray | None:
     """What :func:`_read_rows` reads after line ``skip`` of ``text``, read by numpy's C reader.
 
     Only a text with no carriage return outside a CRLF line end, and a body
     with no quote or NUL, is tried, so that a line is a record and a comma
-    ends a field, as for the loop.  Whole NA and empty fields become
-    ``nan`` and are counted.  The result stands only if it has one row of
-    ``width`` cells per line, its NaN cells are exactly the fields replaced
-    (a literal ``nan`` is an error to the loop), and it has no infinity and
-    no row without an observed cell.  Any other body, including every body
-    the loop rejects, gives None.
+    ends a field, as for the loop.  The body is read as UTF-8 bytes: every
+    field that is empty or exactly the NA token's bytes is noted by its
+    index and written as ``0``, padded with spaces to its length, so numpy
+    reads a number there.  The result stands only if it has one row of
+    ``width`` cells per line, it has no NaN and no infinity before the noted
+    cells become NaN (a literal ``nan`` is an error to the loop), and no row
+    is left without an observed cell.  Any other body, including every
+    body the loop rejects, gives None.
     """
     if "," in na_token or na_token != na_token.strip():
         return None
-    if "\r" in text:
-        # csv ends a line at a lone CR too, which would shift the body
-        if text.count("\r") != text.count("\r\n"):
-            return None
-        text = text.replace("\r\n", "\n")
-    lines = text.split("\n")[skip:]
-    while lines and not lines[-1]:
-        lines.pop()  # blank lines at the end of the file
-    if not lines or max(map(len, lines)) > csv.field_size_limit():
-        return None  # the loop's reader rejects a longer field
-    # every field between two commas, so that a whole field is ",NA" before a ","
-    body = "," + ",\n,".join(lines) + ","
-    count = len(lines)
-    del text, lines
-    if '"' in body or "\x00" in body:
+    # csv ends a line at a lone CR too, which would shift the body
+    crlf = "\r" in text
+    if crlf and text.count("\r") != text.count("\r\n"):
         return None
-    body, replaced = re.subn(f",(?:{re.escape(na_token)}(?=,)|(?=,))", ",nan", body)
-    # the StringIO holds its own copy, so the body's str goes before numpy reads
-    body = io.StringIO(body[1:-1].replace(",\n,", "\n"))
+    data = text.encode()
+    start = 0
+    for _ in range(skip):
+        start = data.find(b"\n", start) + 1
+        if not start:
+            return None
+    stop = len(data)
+    while stop > start and data[stop - 1] in b"\r\n":
+        stop -= 1  # blank lines at the end of the file
+    if stop == start or data.find(b'"', start) >= 0 or data.find(b"\x00", start) >= 0:
+        return None
+    # the body, each line ended by one LF
+    body = np.append(np.frombuffer(data, np.uint8, stop - start, start), np.uint8(_LF))
+    del data
+    if crlf:
+        body = body[body != _CR]
+    ends = np.flatnonzero((body == _COMMA) | (body == _LF))  # the byte after each field
+    lines = ends[body[ends] == _LF]
+    if np.diff(lines, prepend=-1).max() - 1 > csv.field_size_limit():
+        return None  # the loop's reader rejects a longer field
+    # each field's length, without the copy of ends that np.diff(prepend=) makes
+    lengths = np.empty_like(ends)
+    lengths[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    lengths[1:] -= 1
+    missing = lengths == 0
+    empty = ends[missing]
+    token = na_token.encode()
+    # an empty token names only the empty fields
+    na = np.flatnonzero(lengths == len(token)) if token else np.zeros(0, int)
+    del lengths
+    for offset, byte in enumerate(token):
+        na = na[body[ends[na] - len(token) + offset] == byte]
+    missing[na] = True
+    # "0", then spaces to the token's length
+    at = ends[na] - len(token)
+    body[at] = _ZERO
+    for _ in token[1:]:
+        at += 1
+        body[at] = _SPACE
+    del ends
+    body = np.insert(body, empty, _ZERO).tobytes()
     try:
         rows = np.loadtxt(
-            body, dtype=float, delimiter=",", comments=None, quotechar=None, ndmin=2
+            io.BytesIO(body), dtype=float, delimiter=",", comments=None, quotechar=None, ndmin=2
         )
     except ValueError:
         return None
-    missing = np.isnan(rows)
-    if (
-        rows.shape != (count, width)
-        or np.count_nonzero(missing) != replaced
-        or np.isinf(rows).any()
-        or missing.all(axis=1).any()
-    ):
+    if rows.shape != (len(lines), width) or not np.isfinite(rows).all():
         return None
+    missing = missing.reshape(rows.shape)  # a flag a field, so a flag a cell once the shape holds
+    if missing.all(axis=1).any():
+        return None
+    rows[missing] = np.nan
     return rows
 
 
@@ -222,12 +252,13 @@ def parse_dataset(
     The file is read and decoded once.  A row-by-row loop reads it up to
     the first data row, which settles the header and the width.  The plain
     rows after it (no quotes, lines ending in LF or CRLF) are read by
-    numpy's C reader, and that result is kept only when checks prove it
-    equal to reading on row by row: the shape, the count of missing cells,
-    no infinity and no empty row.  Otherwise the loop reads on; only the
-    loop raises errors, so they do not depend on the route.  A byte that is
-    not UTF-8 is reported before anything else; otherwise the first error
-    in file order is reported, with its line.
+    numpy's C reader from their UTF-8 bytes, each NA or empty field written
+    as a ``0`` placeholder and made NaN afterwards.  That result is kept
+    only when checks prove it equal to reading on row by row: the shape, no
+    NaN or infinity read from the file, and no empty row.  Otherwise the
+    loop reads on; only the loop raises errors, so they do not depend on
+    the route.  A byte that is not UTF-8 is reported before anything else;
+    otherwise the first error in file order is reported, with its line.
 
     Raises
     ------

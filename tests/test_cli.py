@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
 
 import rankeffect
-from rankeffect import REPORT_SCHEMA
+from rankeffect import REPORT_SCHEMA, cli
 from rankeffect.cli import main
 
 from conftest import DATA_DIR
@@ -130,6 +131,20 @@ class TestAnalyzeCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "ValueError"
         assert "method" in error["message"]
+
+    @pytest.mark.parametrize("argument, word", [
+        (["--alpha", "2"], "alpha"),
+        (["--methods", "all,bogus"], "method"),
+    ], ids=["alpha", "methods"])
+    def test_arguments_are_checked_before_the_file_is_read(self, capsys, argument, word):
+        # a missing file was reported as FileNotFoundError, after an attempt to parse it
+        with mock.patch.object(cli, "parse_dataset") as parse:
+            code, out, err = run_cli(capsys, "analyze", "/nonexistent.csv", *argument)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert word in error["message"]
+        parse.assert_not_called()
 
     def test_table_rendering(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", FIXTURE, "--table")

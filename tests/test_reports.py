@@ -357,6 +357,21 @@ class TestCReaderRoute:
         assert outcome(lambda: parse_dataset(csv_path, dimension, na_token)) == expected
         read_fast_checked(text, dimension, na_token)
 
+    @pytest.mark.parametrize("text, na_token, missing", [
+        ("a,b,c,d\n1,2,3,4\n—,5,6,—\n7,—,—,8\n", "—", 4),
+        ("a,b,c,d\n1,2,3,4\nn/a,5,6,n/a\n7,9,n/a,8\n", "n/a", 3),
+        ("a,b,c,d\n1,2,3,4\n-1,-1.5,-10,-1\n-10,-1,-2,-1.0\n", "-1", 3),
+        ("a,b,c,d\n1,2,3,4\nNA,NA,5,6\n7,8,NA,NA\n", "NA", 4),
+        ("a,b,c,d\n1,2,3,4\n5,6,7,\n8,,9,\n", "NA", 3),
+        ("a,b,c,d\r\n1,2,3,4\r\n5,NA,7,NA\r\n,9,NA,\r\n\r\n", "NA", 5),
+        ("a,b,c,d\n1,2,3,4\n5,NA,7,8\n9,1,NA,", "NA", 3),
+    ], ids=["multi-byte-token", "slash-token", "numeric-token", "adjacent-at-line-ends",
+            "trailing-empty-field", "crlf", "no-final-newline"])
+    def test_missing_fields_marked_as_bytes(self, text, na_token, missing):
+        rows = read_fast_checked(text, None, na_token)
+        assert rows is not None
+        assert np.count_nonzero(np.isnan(rows)) == missing
+
     def test_taken_for_the_fixture(self):
         assert read_fast_checked(FIXTURE.read_text(encoding="utf-8")) is not None
 
