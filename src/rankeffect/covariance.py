@@ -8,10 +8,14 @@ cases and ``-b1`` on the group-1-only cases.  Entry (l, r) sums
 the nine cross-covariances of component ``l``'s rows with component ``r``'s,
 each over the intersection of the two index sets with an ``e/(e-1)`` bias
 factor (``e`` the intersection size), divided by ``m1_l m2_l m1_r m2_r``.
-Single-subject intersections contribute zero and are flagged.  All terms
-come from a few masked matrix products, one set per replicate of a block;
-the index sets, their sizes and the flags depend on the mask alone and are
-shared by the block.
+Single-subject intersections contribute zero and are flagged.  The three
+rows are cut from one difference row per component, ``b2 - b1`` with an
+unobserved count read as zero.  Its values are half-integers, so its sums
+over the index sets are exact in any order; one pass centres it on those
+sums and one product with the 0/1 set masks zeroes it off each set, so no
+pass over the cells is masked.  Three matrix products then give every term,
+one set per replicate of a block; the index sets, their sizes and the flags
+depend on the mask alone and are shared by the block.
 
 :func:`covariance_general` is this estimator for per-cell missingness;
 :func:`covariance_simple` is the same kernel on treatment-level data, where
@@ -83,22 +87,24 @@ def _kernel(b: np.ndarray, idx: PatternIndex) -> tuple[np.ndarray, np.ndarray]:
     """Estimate and the (3d, 3d) intersection sizes of the stacked rows.
 
     Row ``a * d + l`` is component ``l``'s complete (a=0), group-2-only (a=1)
-    or group-1-only (a=2) row.  :class:`CovarianceEstimate` makes the estimate
-    exactly symmetric; nothing forces it to be positive semidefinite.
+    or group-1-only (a=2) row: the difference row centred on its exact sum
+    over the set, times the set's mask.  :class:`CovarianceEstimate` makes
+    the estimate exactly symmetric; nothing forces it to be positive semidefinite.
     """
     d, n = idx.d, idx.n
-    lo, hi = b[..., :d, :], b[..., d:, :]
-    masks = np.concatenate([idx.complete_mask, idx.g2_only_mask, idx.g1_only_mask])
-    m = masks.astype(float)
+    m = np.concatenate([idx.complete_mask, idx.g2_only_mask, idx.g1_only_mask]).astype(float)
     e = m @ m.T
-    x = np.zeros((*b.shape[:-2], 3 * d, n))
-    np.subtract(hi, lo, out=x[..., :d, :], where=idx.complete_mask)
-    np.copyto(x[..., d:2 * d, :], hi, where=idx.g2_only_mask)
-    np.negative(lo, out=x[..., 2 * d:, :], where=idx.g1_only_mask)
+    # counts are never negative, and fmax drops the NaN of unobserved cells
+    y = np.fmax(b[..., d:, :], 0.0)
+    y -= np.fmax(b[..., :d, :], 0.0)
+    # sums[..., a, l]: component l's row summed over its set a
+    sums = (y @ m.T).reshape(*y.shape[:-1], 3, d).diagonal(axis1=-3, axis2=-1)
     # centring each row on its own-set mean leaves every intersection
     # covariance unchanged and keeps the subtraction below well conditioned
-    mean = x.sum(axis=-1) / np.maximum(e.diagonal(), 1.0)
-    np.subtract(x, mean[..., None], out=x, where=masks)
+    mean = sums / np.maximum(e.diagonal(), 1.0).reshape(3, d)
+    x = np.empty((*y.shape[:-2], 3 * d, n))
+    np.subtract(y[..., None, :, :], mean[..., None], out=x.reshape(*y.shape[:-2], 3, d, n))
+    x *= m
     s = x @ m.T  # s[i, j]: sum of row i over the intersection with set j
     # e/(e-1) * (x_i . x_j - s_ij * s_ji / e), zero where e <= 1
     w = np.divide(1.0, e - 1.0, out=np.zeros_like(e), where=e > 1)

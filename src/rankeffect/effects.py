@@ -51,8 +51,8 @@ def estimate_effects(b: np.ndarray, idx: PatternIndex) -> np.ndarray:
     the group-2 rows are read.  Returns the read-only ``p_hat`` in [0, 1],
     ``(d,)`` for one dataset and ``(R, d)`` for a block.
     """
-    b2 = b[..., idx.d:, :]
-    p_hat = np.where(np.isnan(b2), 0.0, b2).sum(axis=-1) / (idx.m1 * idx.m2)
+    # counts are never negative, and fmax drops the NaN of unobserved cells
+    p_hat = np.fmax(b[..., idx.d:, :], 0.0).sum(axis=-1) / (idx.m1 * idx.m2)
     p_hat.setflags(write=False)
     return p_hat
 

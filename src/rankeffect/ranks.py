@@ -106,11 +106,14 @@ def build_rank_table(sample: MaskedSample) -> np.ndarray:
     counts[1] -= counts[0]
     del starts
     # runs index the group-2 cells' counts, runs + len(counts[0]) the group-1 ones
-    np.add(run, counts.shape[1], out=run, where=in_group1)
+    run += in_group1 * run.dtype.type(counts.shape[1])
     del in_group1
-    b = np.empty(sample.values.shape)
+    b = np.zeros(sample.values.shape)  # so no stale NaN shows through the add
     np.put(b, target, counts.ravel()[run])
-    np.copyto(b, np.nan, where=~sample.observed)
+    del counts, run, first, target, replicates
+    # unobserved cells, padding counts too, become NaN by a plain add; the other
+    # addend is -0.0, since ``x + -0.0`` is ``x`` bit for bit (``-0.0 + 0.0`` is 0.0)
+    b += np.where(sample.observed, -0.0, np.nan)
     b.setflags(write=False)
     return b
 

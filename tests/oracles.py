@@ -290,3 +290,80 @@ def write_dataset(sample, path) -> None:
                 for j in range(2 * d)
             ]
             writer.writerow(row)
+
+
+# The forms below are the masked-pass versions of ``build_rank_table``,
+# ``estimate_effects`` and the covariance kernel: masked writes
+# (``where=``, ``copyto(where=)``, ``np.where``) over the per-cell masks.
+# The package computes the same bits with plain arithmetic; these forms pin
+# those bits, signs of zero included.
+
+def build_rank_table_masked(sample) -> np.ndarray:
+    """Placement counts with the runs, group-1 offsets and NaN cells written by masked passes."""
+    d, n = sample.d, sample.n
+    pooled = sample.observed.reshape(2, d, n).swapaxes(0, 1).reshape(d, 2 * n)
+    length = pooled.sum(axis=1)
+    width = int(length.max())
+    source = np.argsort(~pooled, axis=1, kind="stable")[:, :width].copy()
+    np.add(source, (d - 1) * n, out=source, where=source >= n)
+    source += n * np.arange(d)[:, None]
+    padding = np.arange(width) >= length[:, None]
+    keys = np.take(sample.values.reshape(-1, 2 * d * n), source, axis=1)
+    np.copyto(keys, np.inf, where=padding)
+    keys = keys.reshape(-1, width)
+    cell = np.argsort(keys, axis=1)
+    ordered = np.take_along_axis(keys, cell, axis=1)
+    new_run = np.empty(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_run[:, 1:])
+    new_run[:, :1] = True
+    starts = np.flatnonzero(new_run)
+    run = (np.cumsum(new_run) - 1).reshape(new_run.shape)
+    rows = cell.reshape(-1, d, width)
+    in_group1 = (rows < sample.observed[:d].sum(axis=1)[:, None]).reshape(cell.shape)
+    rows += width * np.arange(d)[:, None]
+    target = np.take(source, cell)
+    replicates = target.reshape(-1, d * width)
+    replicates += 2 * d * n * np.arange(len(replicates))[:, None]
+    group1 = np.add.reduceat(in_group1.ravel(), starts, dtype=run.dtype)
+    before = np.cumsum(group1) - group1
+    first = run[:, 0]
+    before -= np.repeat(before[first], np.diff(first, append=len(starts)))
+    counts = np.empty((2, len(starts)))
+    np.multiply(group1, 0.5, out=counts[0])
+    counts[0] += before
+    np.subtract(starts[1:], starts[:-1], out=counts[1, :-1])
+    counts[1, -1] = target.size - starts[-1]
+    counts[1] *= 0.5
+    counts[1] += starts % width
+    counts[1] -= counts[0]
+    np.add(run, counts.shape[1], out=run, where=in_group1)
+    b = np.empty(sample.values.shape)
+    np.put(b, target, counts.ravel()[run])
+    np.copyto(b, np.nan, where=~sample.observed)
+    return b
+
+
+def estimate_effects_masked(b, idx) -> np.ndarray:
+    """Effects with the NaN cells of ``b`` replaced by zero through ``np.where``."""
+    b2 = b[..., idx.d:, :]
+    return np.where(np.isnan(b2), 0.0, b2).sum(axis=-1) / (idx.m1 * idx.m2)
+
+
+def covariance_kernel_masked(b, idx) -> np.ndarray:
+    """The unsymmetrised covariance estimate, each stacked row written and centred on its mask."""
+    d, n = idx.d, idx.n
+    lo, hi = b[..., :d, :], b[..., d:, :]
+    masks = np.concatenate([idx.complete_mask, idx.g2_only_mask, idx.g1_only_mask])
+    m = masks.astype(float)
+    e = m @ m.T
+    x = np.zeros((*b.shape[:-2], 3 * d, n))
+    np.subtract(hi, lo, out=x[..., :d, :], where=idx.complete_mask)
+    np.copyto(x[..., d:2 * d, :], hi, where=idx.g2_only_mask)
+    np.negative(lo, out=x[..., 2 * d:, :], where=idx.g1_only_mask)
+    mean = x.sum(axis=-1) / np.maximum(e.diagonal(), 1.0)
+    np.subtract(x, mean[..., None], out=x, where=masks)
+    s = x @ m.T
+    w = np.divide(1.0, e - 1.0, out=np.zeros_like(e), where=e > 1)
+    c = (e * (x @ x.swapaxes(-1, -2)) - s * s.swapaxes(-1, -2)) * w
+    dm = (idx.m1 * idx.m2).astype(float)
+    return n * c.reshape(*c.shape[:-2], 3, d, 3, d).sum(axis=(-4, -2)) / np.outer(dm, dm)

@@ -16,6 +16,11 @@ from conftest import DATA_DIR
 
 FIXTURE = str(DATA_DIR / "paired_qol_42subjects.csv")
 GOLDEN = DATA_DIR / "golden_analyze_report.json"
+# d = 4, n = 600, 30 % of cells missing one by one and values of two
+# decimals, so that they tie: masks as scattered as the paper's QOL data, at
+# a size the 42-subject fixture does not reach
+SCATTERED = str(DATA_DIR / "scattered_d4_n600.csv")
+GOLDEN_SCATTERED = DATA_DIR / "golden_scattered_report.json"
 # the benchmark's stored tallies of simulate --builtin G --reps 5 --seed 0
 MC_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference" / "mc.json"
 # the same tallies of every built-in grid at --reps 31 --seed 7
@@ -173,6 +178,11 @@ class TestAnalyzeCommand:
         assert main(["analyze", FIXTURE, "--output", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         assert json.loads(out_a.read_text()) == json.loads(GOLDEN.read_text())
+
+    def test_scattered_golden(self, tmp_path):
+        out = tmp_path / "scattered.json"
+        assert main(["analyze", SCATTERED, "--output", str(out)]) == 0
+        assert json.loads(out.read_text()) == json.loads(GOLDEN_SCATTERED.read_text())
 
     def test_unwritable_output_is_operational_error(self, capsys, tmp_path):
         # the report write ran outside the error contract and crashed
