@@ -10,12 +10,12 @@ each over the intersection of the two index sets with an ``e/(e-1)`` bias
 factor (``e`` the intersection size), divided by ``m1_l m2_l m1_r m2_r``.
 Single-subject intersections contribute zero and are flagged.  The three
 rows are cut from one difference row per component, ``b2 - b1`` with an
-unobserved count read as zero.  Its values are half-integers, so its sums
-over the index sets are exact in any order; one pass centres it on those
-sums and one product with the 0/1 set masks zeroes it off each set, so no
-pass over the cells is masked.  Three matrix products then give every term,
-one set per replicate of a block; the index sets, their sizes and the flags
-depend on the mask alone and are shared by the block.
+unobserved count read as zero.  Its values are half-integers, and stay so
+when one pass centres it on the whole number nearest each set's mean;
+one product with the 0/1 set masks zeroes it off each set, so no pass over
+the cells is masked.  Three matrix products then give every term exactly in
+any order (for any data up to n of about 8e4), one set per replicate of a
+block; the index sets, their sizes and the flags are shared by the block.
 
 :func:`covariance_general` is this estimator for per-cell missingness;
 :func:`covariance_simple` is the same kernel on treatment-level data, where
@@ -87,9 +87,12 @@ def _kernel(b: np.ndarray, idx: PatternIndex) -> tuple[np.ndarray, np.ndarray]:
     """Estimate and the (3d, 3d) intersection sizes of the stacked rows.
 
     Row ``a * d + l`` is component ``l``'s complete (a=0), group-2-only (a=1)
-    or group-1-only (a=2) row: the difference row centred on its exact sum
-    over the set, times the set's mask.  :class:`CovarianceEstimate` makes
-    the estimate exactly symmetric; nothing forces it to be positive semidefinite.
+    or group-1-only (a=2) row: the difference row minus the whole number
+    nearest its mean over the set, times the set's mask.  Its entries are
+    half-integers of size at most 2n + 1/2, so the products are exact, and
+    ``v`` the same under every BLAS kernel, while 16 n**3 < 2**53 (n below
+    about 8e4).  :class:`CovarianceEstimate` makes the estimate exactly
+    symmetric; nothing forces it to be positive semidefinite.
     """
     d, n = idx.d, idx.n
     m = np.concatenate([idx.complete_mask, idx.g2_only_mask, idx.g1_only_mask]).astype(float)
@@ -99,9 +102,10 @@ def _kernel(b: np.ndarray, idx: PatternIndex) -> tuple[np.ndarray, np.ndarray]:
     y -= np.fmax(b[..., :d, :], 0.0)
     # sums[..., a, l]: component l's row summed over its set a
     sums = (y @ m.T).reshape(*y.shape[:-1], 3, d).diagonal(axis1=-3, axis2=-1)
-    # centring each row on its own-set mean leaves every intersection
-    # covariance unchanged and keeps the subtraction below well conditioned
-    mean = sums / np.maximum(e.diagonal(), 1.0).reshape(3, d)
+    # centring each row on the whole number nearest its own-set mean leaves
+    # every intersection covariance unchanged, keeps the products below well
+    # conditioned and the rows half-integers, so all three products are exact
+    mean = np.round(sums / np.maximum(e.diagonal(), 1.0).reshape(3, d))
     x = np.empty((*y.shape[:-2], 3 * d, n))
     np.subtract(y[..., None, :, :], mean[..., None], out=x.reshape(*y.shape[:-2], 3, d, n))
     x *= m

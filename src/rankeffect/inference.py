@@ -243,17 +243,11 @@ def wald_test(cov: CovarianceEstimate, *, alpha: float = ALPHA) -> TestReport:
     eigvals, eigvecs = np.linalg.eigh(cov.v_hat.reshape(-1, d, d))
     kept = np.abs(eigvals) > _PINV_RANK_REL * trace[:, None] / d
     rank = kept.sum(axis=1)
-    # BLAS rounds a projection by its row count, so the replicates that keep
-    # the same eigenvectors are projected onto them together, each as alone
-    stat = np.empty(rank.shape)
-    todo = np.ones(rank.shape, bool)
-    while todo.any():
-        mask = kept[todo.argmax()]
-        group = todo & (kept == mask).all(axis=1)
-        todo &= ~group
-        rows = np.ascontiguousarray(eigvecs[group][:, :, mask].swapaxes(1, 2))
-        proj = (rows @ dev[group][:, :, None])[:, :, 0]
-        stat[group] = cov.n * np.sum(proj * proj / eigvals[group][:, mask], axis=1)
+    # products summed over the components in order and terms by a row sum: no
+    # BLAS call, so the bits depend on neither the BLAS kernel nor the block
+    proj = np.sum(eigvecs * dev[:, :, None], axis=1)
+    terms = np.divide(proj * proj, eigvals, out=np.zeros(eigvals.shape), where=kept)
+    stat = cov.n * np.sum(terms, axis=1)
     flags = _flags(cov.degenerate, zero)
     for i in np.flatnonzero((rank < d) & ~zero):
         flags[i] += (f"singular covariance: pseudo-inverse with rank {rank[i]}",)

@@ -216,15 +216,21 @@ def wald_statistic_pinv(dev, v_hat, n: int) -> float:
     """One replicate's Wald statistic through the eigenpairs its pseudo-inverse keeps.
 
     The statistic ``n * sum_k (u_k . dev)^2 / lambda_k`` over the kept
-    eigenpairs, evaluated as one matrix-vector product of the kept
-    eigenvectors; the package must give the same float for every replicate
-    of a block.
+    eigenpairs.  Each projection ``u_k . dev`` is summed by a Python loop in
+    component order, with no BLAS call, and ``np.sum`` adds the terms, zero
+    for a dropped eigenpair; the package must give the same float for every
+    replicate of a block.
     """
     d = dev.size
     eigvals, eigvecs = np.linalg.eigh((v_hat + v_hat.T) / 2.0)
     kept = np.abs(eigvals) > 1e-10 * np.trace(v_hat) / d
-    proj = eigvecs[:, kept].T @ dev
-    return float(n * np.sum(proj * proj / eigvals[kept]))
+    terms = np.zeros(d)
+    for k in np.flatnonzero(kept):
+        proj = 0.0
+        for i in range(d):
+            proj += float(eigvecs[i, k]) * float(dev[i])
+        terms[k] = proj * proj / eigvals[k]
+    return float(n * np.sum(terms))
 
 
 def chisq_upper_tail_highprec(x: float, k: float, dps: int = 50) -> float:
@@ -350,20 +356,28 @@ def estimate_effects_masked(b, idx) -> np.ndarray:
 
 
 def covariance_kernel_masked(b, idx) -> np.ndarray:
-    """The unsymmetrised covariance estimate, each stacked row written and centred on its mask."""
+    """The unsymmetrised covariance estimate, each stacked row written and centred on its mask.
+
+    A row is centred on the whole number nearest its mean, so twice the
+    row is integer; its sums and Gram products are taken exactly with
+    numpy's int64 matmul, which calls no BLAS, so the bits they pin do not
+    depend on any BLAS kernel's summation order.
+    """
     d, n = idx.d, idx.n
     lo, hi = b[..., :d, :], b[..., d:, :]
     masks = np.concatenate([idx.complete_mask, idx.g2_only_mask, idx.g1_only_mask])
-    m = masks.astype(float)
-    e = m @ m.T
+    ints = masks.astype(np.int64)
+    e = (ints @ ints.T).astype(float)
     x = np.zeros((*b.shape[:-2], 3 * d, n))
     np.subtract(hi, lo, out=x[..., :d, :], where=idx.complete_mask)
     np.copyto(x[..., d:2 * d, :], hi, where=idx.g2_only_mask)
     np.negative(lo, out=x[..., 2 * d:, :], where=idx.g1_only_mask)
-    mean = x.sum(axis=-1) / np.maximum(e.diagonal(), 1.0)
+    mean = np.round(x.sum(axis=-1) / np.maximum(e.diagonal(), 1.0))
     np.subtract(x, mean[..., None], out=x, where=masks)
-    s = x @ m.T
+    twice = np.rint(2.0 * x).astype(np.int64)
+    s = (twice @ ints.T) / 2.0
+    gram = (twice @ twice.swapaxes(-1, -2)) / 4.0
     w = np.divide(1.0, e - 1.0, out=np.zeros_like(e), where=e > 1)
-    c = (e * (x @ x.swapaxes(-1, -2)) - s * s.swapaxes(-1, -2)) * w
+    c = (e * gram - s * s.swapaxes(-1, -2)) * w
     dm = (idx.m1 * idx.m2).astype(float)
     return n * c.reshape(*c.shape[:-2], 3, d, 3, d).sum(axis=(-4, -2)) / np.outer(dm, dm)
