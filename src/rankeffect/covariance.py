@@ -4,18 +4,20 @@ One kernel estimates the asymptotic covariance of ``sqrt(n) * (p_hat - p)``
 from the placement counts ``b`` and the pattern index alone, so both entry
 points take ``(b, idx)``.  Per component it has three value rows:
 ``b2 - b1`` on the complete (paired) cases, ``b2`` on the group-2-only
-cases and ``-b1`` on the group-1-only cases.  Entry (l, r) sums
-the nine cross-covariances of component ``l``'s rows with component ``r``'s,
-each over the intersection of the two index sets with an ``e/(e-1)`` bias
-factor (``e`` the intersection size), divided by ``m1_l m2_l m1_r m2_r``.
-Single-subject intersections contribute zero and are flagged.  The three
-rows are cut from one difference row per component, ``b2 - b1`` with an
-unobserved count read as zero.  Its values are half-integers, and stay so
-when one pass centres it on the whole number nearest each set's mean;
-one product with the 0/1 set masks zeroes it off each set, so no pass over
-the cells is masked.  Three matrix products then give every term exactly in
-any order (for any data up to n of about 8e4), one set per replicate of a
-block; the index sets, their sizes and the flags are shared by the block.
+cases and ``-b1`` on the group-1-only cases.  Entry (l, r) sums the nine
+cross-covariances of component ``l``'s rows with component ``r``'s, each
+over the intersection of the two index sets with an ``e/(e-1)`` bias factor
+(``e`` the intersection size), divided by ``m1_l m2_l m1_r m2_r``.
+Single-subject intersections contribute zero and are flagged.  Only the
+sets with a member are stacked, so a restriction to complete or one-sided
+cases works on its own rows alone.  The rows are cut from one difference
+row per component, ``b2 - b1`` with an unobserved count read as zero.  Its
+values are half-integers, and stay so when one pass centres it on the whole
+number nearest each set's mean; one product with the 0/1 set masks zeroes
+it off each set, so no pass over the cells is masked.  Three matrix
+products then give every term exactly in any order (for any data up to n of
+about 8e4), one set per replicate of a block; the index sets, their sizes
+and the flags are shared by the block.
 
 :func:`covariance_general` is this estimator for per-cell missingness;
 :func:`covariance_simple` is the same kernel on treatment-level data, where
@@ -83,39 +85,45 @@ class CovarianceEstimate:
         return np.divide(trace * trace, trace_sq, out=nan, where=trace_sq > 0)[()]
 
 
-def _kernel(b: np.ndarray, idx: PatternIndex) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate and the (3d, 3d) intersection sizes of the stacked rows.
+def _kernel(b: np.ndarray, idx: PatternIndex) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Estimate, the intersection sizes of the stacked rows and the kept sets.
 
-    Row ``a * d + l`` is component ``l``'s complete (a=0), group-2-only (a=1)
-    or group-1-only (a=2) row: the difference row minus the whole number
-    nearest its mean over the set, times the set's mask.  Its entries are
-    half-integers of size at most 2n + 1/2, so the products are exact, and
+    ``kept`` lists the index sets with a member, of complete (0),
+    group-2-only (1) and group-1-only (2); only they are stacked, as an
+    empty set's rows add only exact zeros.  Row ``i * d + l`` is component
+    ``l``'s row of kept set ``kept[i]``: the difference row minus the whole
+    number nearest its mean over the set, times the set's mask.  Its entries
+    are half-integers of size at most 2n + 1/2, so the products are exact, and
     ``v`` the same under every BLAS kernel, while 16 n**3 < 2**53 (n below
     about 8e4).  :class:`CovarianceEstimate` makes the estimate exactly
     symmetric; nothing forces it to be positive semidefinite.
     """
     d, n = idx.d, idx.n
-    m = np.concatenate([idx.complete_mask, idx.g2_only_mask, idx.g1_only_mask]).astype(float)
+    sets = (idx.complete_mask, idx.g2_only_mask, idx.g1_only_mask)
+    # the counts depend on the mask alone, so a block's replicates share them
+    kept = [a for a, count in enumerate((idx.n_complete, idx.n2_only, idx.n1_only)) if count.any()]
+    k = len(kept)
+    m = np.concatenate([sets[a] for a in kept], dtype=float)
     e = m @ m.T
     # counts are never negative, and fmax drops the NaN of unobserved cells
     y = np.fmax(b[..., d:, :], 0.0)
     y -= np.fmax(b[..., :d, :], 0.0)
-    # sums[..., a, l]: component l's row summed over its set a
-    sums = (y @ m.T).reshape(*y.shape[:-1], 3, d).diagonal(axis1=-3, axis2=-1)
+    # sums[..., i, l]: component l's row summed over kept set i
+    sums = (y @ m.T).reshape(*y.shape[:-1], k, d).diagonal(axis1=-3, axis2=-1)
     # centring each row on the whole number nearest its own-set mean leaves
     # every intersection covariance unchanged, keeps the products below well
     # conditioned and the rows half-integers, so all three products are exact
-    mean = np.round(sums / np.maximum(e.diagonal(), 1.0).reshape(3, d))
-    x = np.empty((*y.shape[:-2], 3 * d, n))
-    np.subtract(y[..., None, :, :], mean[..., None], out=x.reshape(*y.shape[:-2], 3, d, n))
+    mean = np.round(sums / np.maximum(e.diagonal(), 1.0).reshape(k, d))
+    x = np.empty((*y.shape[:-2], k * d, n))
+    np.subtract(y[..., None, :, :], mean[..., None], out=x.reshape(*y.shape[:-2], k, d, n))
     x *= m
     s = x @ m.T  # s[i, j]: sum of row i over the intersection with set j
     # e/(e-1) * (x_i . x_j - s_ij * s_ji / e), zero where e <= 1
     w = np.divide(1.0, e - 1.0, out=np.zeros_like(e), where=e > 1)
     c = (e * (x @ x.swapaxes(-1, -2)) - s * s.swapaxes(-1, -2)) * w
     dm = (idx.m1 * idx.m2).astype(float)
-    v = n * c.reshape(*c.shape[:-2], 3, d, 3, d).sum(axis=(-4, -2)) / np.outer(dm, dm)
-    return v, e
+    v = n * c.reshape(*c.shape[:-2], k, d, k, d).sum(axis=(-4, -2)) / np.outer(dm, dm)
+    return v, e, kept
 
 
 def covariance_simple(b: np.ndarray, idx: PatternIndex) -> CovarianceEstimate:
@@ -148,7 +156,7 @@ def covariance_simple(b: np.ndarray, idx: PatternIndex) -> CovarianceEstimate:
     for g, cnt in ((1, n_1), (2, n_2)):
         if cnt == 1:
             flags.append(f"group-{g} incomplete part degenerate (single case); contributed zero")
-    v, _ = _kernel(b, idx)
+    v = _kernel(b, idx)[0]
     return CovarianceEstimate(estimate_effects(b, idx), v, "simple", idx.n, tuple(flags))
 
 
@@ -159,13 +167,14 @@ def covariance_general(b: np.ndarray, idx: PatternIndex) -> CovarianceEstimate:
     order complete, group-2-only, group-1-only for the left then the right
     component) of entry (l, r), r >= l.
     """
-    v, e = _kernel(b, idx)
-    d = idx.d
-    # axes (l, r, i, j), so argwhere lists the entries and terms in flag order
-    single = e.reshape(3, d, 3, d).transpose(1, 3, 0, 2) == 1
+    v, e, kept = _kernel(b, idx)
+    d, k = idx.d, len(kept)
+    # axes (l, r, i, j), so argwhere lists the entries and terms in flag order;
+    # an empty set meets every set in no subject, so it has no term to flag
+    single = e.reshape(k, d, k, d).transpose(1, 3, 0, 2) == 1
     single &= np.triu(np.ones((d, d), bool))[:, :, None, None]
     flags = [
-        f"term C{3 * i + j + 1} for components ({l},{r}) has a single subject; "
+        f"term C{3 * kept[i] + kept[j] + 1} for components ({l},{r}) has a single subject; "
         "contributed zero"
         for l, r, i, j in np.argwhere(single)
     ]

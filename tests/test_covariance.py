@@ -135,8 +135,22 @@ class TestCovarianceGeneral:
             forced[:d, 0] = False
             forced[0, 1] = False
             forced[d, 2] = False
-            masks = [forced]
-            for _ in range(40):
+            # no complete subject, so the kernel stacks only the one-sided
+            # sets.  Component 1 is group-1-only in subjects 0 and 2 and
+            # group-2-only in 1 and 3, every other component group-2-only
+            # in 0 and 1 and group-1-only in 2 and 3, so components 0 and 1
+            # meet in one subject on terms C5, C6, C8 and C9
+            one_sided = np.zeros((2 * d, 4), bool)
+            one_sided[d:, :2] = one_sided[:d, 2:] = True
+            if d > 1:
+                one_sided[[1, d + 1]] = [[True, False, True, False], [False, True, False, True]]
+            # no one-sided cell, so the kernel stacks only the complete set;
+            # components 0 and 1 share only subject 2: term C1
+            pairs = np.ones((d, 5), bool)
+            if d > 1:
+                pairs[:2] = [[True, True, True, False, False], [False, False, True, True, True]]
+            masks = {"forced": forced, "one-sided": one_sided, "paired": np.r_[pairs, pairs]}
+            for i in range(40):
                 n = int(rng.integers(4, 30))
                 # sparse masks make single-subject intersections common; one
                 # observed cell per subject and one complete subject keep the
@@ -144,8 +158,20 @@ class TestCovarianceGeneral:
                 obs = rng.random((2 * d, n)) < rng.uniform(0.3, 0.8)
                 obs[rng.integers(0, 2 * d, n), np.arange(n)] = True
                 obs[:, 0] = True
-                masks.append(obs)
-            for obs in masks:
+                masks[f"random {i}"] = obs
+                # the same mask with each pair cut to one of its cells, where
+                # subjects 0 (group 1) and 1 (group 2) keep every component
+                # estimable, and cut to its pairs, where subject 0 does
+                group1 = rng.random((d, n)) < 0.5
+                split = obs & np.r_[~obs[d:] | group1, ~obs[:d] | ~group1]
+                split[:, :2] = False
+                split[:d, 0] = split[d:, 1] = True
+                masks[f"split {i}"] = split
+                both = obs[:d] & obs[d:]
+                both[rng.integers(0, d, n), np.arange(n)] = True
+                masks[f"paired {i}"] = np.r_[both, both]
+            terms = {}
+            for name, obs in masks.items():
                 sample = build_masked_sample(draw_values(rng, obs.shape), obs)
                 idx, rt = pipeline(sample)
                 cov = covariance_general(rt, idx)
@@ -153,9 +179,16 @@ class TestCovarianceGeneral:
                 # the floor absorbs rounding noise where the oracle's exact
                 # value is zero (e.g. constant data in every index set)
                 scale = max(np.abs(want).max(), 1e-12)
-                assert np.abs(cov.v_hat - want).max() <= 1e-12 * scale
-                assert list(cov.degenerate) == flags
-                assert flags or obs is not forced
+                assert np.abs(cov.v_hat - want).max() <= 1e-12 * scale, name
+                assert list(cov.degenerate) == flags, name
+                terms[name] = {flag.split()[1] for flag in flags}
+                if name.startswith(("one-sided", "split")):
+                    assert not idx.n_complete.any(), name
+                if name.startswith("paired"):
+                    assert not (idx.n1_only.any() or idx.n2_only.any()), name
+            assert terms["forced"]
+            assert terms["one-sided"] == ({"C5", "C6", "C8", "C9"} if d > 1 else set())
+            assert terms["paired"] == ({"C1"} if d > 1 else set())
 
     @given(seed=st.integers(0, 2**32 - 1), ties=st.booleans())
     @settings(max_examples=100, deadline=None)

@@ -43,7 +43,9 @@ SETTINGS = {
 
 # writes the report of each input file and prints the X86_V4 dispatch flag
 # and a digest of v_hat for two Monte Carlo blocks: a design3 block of 23
-# (general estimator, n = 1420) and a table3 block of 200 at d = 5 (simple)
+# (general estimator, n = 1420) and a table3 block of 200 at d = 5 (simple),
+# the latter also restricted to its complete and to its one-sided cases,
+# whose kernels stack one and two index sets
 PROBE = """
 import hashlib, json, sys
 try:
@@ -53,16 +55,22 @@ except ImportError:
 from rankeffect import build_rank_table, covariance_general, covariance_simple
 from rankeffect import derive_pattern_index
 from rankeffect.cli import main
+from rankeffect.effects import restrict_method
 from rankeffect.simulate import builtin_grid, draw_sample
 
 for csv, out in zip(sys.argv[1::2], sys.argv[2::2]):
     assert main(["analyze", csv, "--output", out]) == 0
 digests = []
-for grid, reps, dims, estimator in [("design3", 23, None, covariance_general),
-                                    ("table3", 200, (5,), covariance_simple)]:
+for grid, reps, dims, estimator, methods in [
+    ("design3", 23, None, covariance_general, ("all",)),
+    ("table3", 200, (5,), covariance_simple, ("all", "complete", "incomplete")),
+]:
     block = draw_sample(builtin_grid(grid, reps=reps, dims=dims)[-1], range(reps))
-    cov = estimator(build_rank_table(block), derive_pattern_index(block))
-    digests.append(hashlib.sha256(cov.v_hat.tobytes()).hexdigest())
+    idx = derive_pattern_index(block)
+    for method in methods:
+        sample, restricted = restrict_method(block, idx, method)
+        cov = estimator(build_rank_table(sample), restricted)
+        digests.append(hashlib.sha256(cov.v_hat.tobytes()).hexdigest())
 print(json.dumps({"x86_v4": __cpu_features__.get("X86_V4"), "v_hat": digests}))
 """
 

@@ -61,6 +61,18 @@ def assert_same_bits(got, expected):
 # g1-only cells whose count is zero, which the masked form negates to -0.0
 @example(build_masked_sample(np.array([[0.0, 0.0, 5.0], [1.0, 9.0, 9.0]]),
                              np.array([[True, True, True], [True, False, False]])))
+# blocks of 2 whose kernel stacks the complete set alone, then the one-sided
+# sets alone; the first replicate's constant rows give zero terms
+@example(build_masked_sample(
+    np.array([[[1.0, 1.0, 1.0], [-0.0, 2.0, 0.5], [1.0, 1.0, 1.0], [0.0, -1.0, 0.5]],
+              [[2.0, -1.0, 0.0], [0.5, 1e300, 0.5], [-1.0, 2.0, 2.0], [1e-300, 0.0, -0.0]]]),
+    simple_mask(2, 3, 0, 0)))
+@example(build_masked_sample(
+    np.array([[[1.0, 1.0, 0.0, 0.0, 0.0], [0.5, -2.0, 0.0, 0.0, 0.0],
+               [0.0, 0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 2.0, -0.0, 2.0]],
+              [[-1e300, 2.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0],
+               [0.0, 0.0, -1.0, 1e300, 0.5], [0.0, 0.0, 0.0, 0.0, 0.0]]]),
+    simple_mask(2, 0, 2, 3)))
 @given(samples())
 @settings(max_examples=400, deadline=None)
 def test_plain_passes_keep_the_masked_bits(sample):
