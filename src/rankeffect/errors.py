@@ -42,10 +42,6 @@ class PatternMismatch(RankEffectError):
     """The requested missingness pattern does not match the data."""
 
 
-class ZeroCovariance(RankEffectError):
-    """Covariance estimate is zero while the effect deviates from the null point."""
-
-
 class DomainError(RankEffectError):
     """Argument outside the mathematical domain of a special function."""
 

@@ -9,10 +9,12 @@ degrees of freedom, through ``P(F(nu, inf) >= f) = P(chi2_nu >= nu * f)``.
 The Wald statistic is known to be liberal in small samples; the ANOVA-type
 statistic is the small-sample workhorse.
 
-Both tests share one zero-covariance rule: at a trace <= 0 (the only case of
-a rank-0 Wald pseudo-inverse, since the largest eigenvalue is >= trace/d) a
-statistic exists only at the null point, reported as a non-rejection flagged
-``"zero-covariance-null"``; elsewhere :class:`ZeroCovariance` is raised.
+Both tests share one zero-covariance rule, replicate by replicate: at a
+trace <= 0 (the only case of a rank-0 Wald pseudo-inverse, since the largest
+eigenvalue is >= trace/d) a statistic exists only at the null point, reported
+as a non-rejection flagged ``"zero-covariance-null"``.  Off the null point, as
+under complete separation, the test is undefined: NaN statistic, df and
+p-value, no rejection, and an ``"inestimable: ..."`` flag alone.
 
 Both p-values come from the chi-square upper tail :func:`chisq_upper_tail`,
 the regularized upper incomplete gamma function Q(a, x), computed in numpy
@@ -33,13 +35,7 @@ import numpy as np
 from .covariance import CovarianceEstimate, covariance_general, covariance_simple
 from .data import MaskedSample, PatternIndex, derive_pattern_index
 from .effects import METHODS, check_methods, restrict_method
-from .errors import (
-    DomainError,
-    EverythingFiltered,
-    NoEstimablePart,
-    PatternMismatch,
-    ZeroCovariance,
-)
+from .errors import DomainError, EverythingFiltered, NoEstimablePart, PatternMismatch
 from .ranks import build_rank_table
 
 __all__ = [
@@ -63,6 +59,7 @@ _PINV_RANK_REL = 1e-10
 # max |p_hat - 1/2| still treated as the exact null point when the
 # covariance estimate is identically zero
 _NULL_DEVIATION = 1e-12
+_OFF_NULL = "covariance estimate is zero while the effect deviates from one half"
 
 
 # terms 1..32 of the lower series, one column per term; an element whose own
@@ -175,8 +172,17 @@ class TestReport:
     flags: tuple[str, ...] = ()
 
 
-def _report(stat, df, p, reject, family: str, flags: list, single: bool) -> TestReport:
-    """A report from per-replicate arrays; a single dataset's holds plain values."""
+def _report(stat, df, p, alpha, family: str, flags: list, single: bool,
+            undefined: np.ndarray, reason: str = _OFF_NULL) -> TestReport:
+    """A report from per-replicate arrays; a single dataset's holds plain values.
+
+    A replicate in ``undefined`` has no test: NaN statistic, df and p-value, no
+    rejection, and ``"inestimable: <reason>"`` as its only flag.
+    """
+    stat[undefined] = df[undefined] = p[undefined] = np.nan
+    for i in np.flatnonzero(undefined):
+        flags[i] = (f"inestimable: {reason}",)
+    reject = p <= alpha
     if single:
         stat, df, p, reject = float(stat[0]), float(df[0]), float(p[0]), bool(reject[0])
         return TestReport(stat, df, p, reject, family, flags[0])
@@ -185,24 +191,14 @@ def _report(stat, df, p, reject, family: str, flags: list, single: bool) -> Test
 
 def _skipped(family: str, reason: str, batch: tuple[int, ...]) -> TestReport:
     nan = np.full(batch or (1,), np.nan)
-    flags = [(f"inestimable: {reason}",)] * nan.size
-    return _report(nan, nan, nan, np.zeros(nan.shape, bool), family, flags, not batch)
+    undefined = np.ones(nan.shape, bool)
+    return _report(nan, nan, nan, ALPHA, family, [()] * nan.size, not batch, undefined, reason)
 
 
-def _zero_covariance(dev: np.ndarray, trace: np.ndarray) -> np.ndarray:
-    """Replicates whose covariance trace is <= 0; each must sit at the null point.
-
-    Raises
-    ------
-    ZeroCovariance
-        Some such replicate's effect deviates from one half.
-    """
+def _zero_covariance(dev: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Replicates whose covariance trace is <= 0, and those of them off the null point."""
     zero = trace <= 0.0
-    if (np.abs(dev[zero]) > _NULL_DEVIATION).any():
-        raise ZeroCovariance(
-            "covariance estimate is zero while the effect deviates from one half"
-        )
-    return zero
+    return zero, zero & (np.abs(dev) > _NULL_DEVIATION).any(axis=1)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -225,21 +221,20 @@ def wald_test(cov: CovarianceEstimate, *, alpha: float = ALPHA) -> TestReport:
     ``1e-10 * trace/d`` in magnitude: the Moore-Penrose pseudo-inverse of a
     singular estimate, whose degrees of freedom shrink to the effective rank
     and whose fallback is flagged.  A block gives one test per replicate.
+    A replicate whose estimate vanishes off the null point has no statistic:
+    its results are NaN and it is flagged inestimable.
 
     Raises
     ------
     ValueError
         ``alpha`` outside (0, 1).
-    ZeroCovariance
-        The covariance estimate vanishes but the effect deviates from the
-        null point, leaving the statistic undefined.
     """
     _check_alpha(alpha)
     single = cov.p_hat.ndim == 1
     d = cov.p_hat.shape[-1]
     dev = (cov.p_hat - 0.5).reshape(-1, d)
     trace = np.reshape(cov.trace, -1)
-    zero = _zero_covariance(dev, trace)
+    zero, off = _zero_covariance(dev, trace)
     eigvals, eigvecs = np.linalg.eigh(cov.v_hat.reshape(-1, d, d))
     kept = np.abs(eigvals) > _PINV_RANK_REL * trace[:, None] / d
     rank = kept.sum(axis=1)
@@ -258,34 +253,32 @@ def wald_test(cov: CovarianceEstimate, *, alpha: float = ALPHA) -> TestReport:
         flags[i] += ("negative quadratic form clamped to zero for the p-value",)
     p = np.ones(stat.shape)
     p[~zero] = chisq_upper_tail(np.maximum(stat[~zero], 0.0), df[~zero])
-    return _report(stat, df, p, p <= alpha, "wald", flags, single)
+    return _report(stat, df, p, alpha, "wald", flags, single, off)
 
 
 def anova_test(cov: CovarianceEstimate, *, alpha: float = ALPHA) -> TestReport:
     """Trace-normalized quadratic form of ``cov.p_hat - 1/2`` with estimated df.
 
     It is scaled by ``cov.n``, and the degrees of freedom (df) are ``cov.nu_hat``.
-    A block gives one test per replicate.
+    A block gives one test per replicate; one whose trace vanishes off the
+    null point has NaN results and is flagged inestimable.
 
     Raises
     ------
     ValueError
         ``alpha`` outside (0, 1).
-    ZeroCovariance
-        The covariance trace vanishes but the effect deviates from the null
-        point.
     """
     _check_alpha(alpha)
     single = cov.p_hat.ndim == 1
     dev = (cov.p_hat - 0.5).reshape(-1, cov.p_hat.shape[-1])
     trace = np.reshape(cov.trace, -1)
-    zero = _zero_covariance(dev, trace)
+    zero, off = _zero_covariance(dev, trace)
     scale = np.divide(cov.n, trace, out=np.zeros(trace.shape), where=~zero)
     stat = scale * np.sum(dev * dev, axis=1)
     df = np.where(zero, 0.0, np.reshape(cov.nu_hat, -1))
     p = np.ones(stat.shape)
     p[~zero] = chisq_upper_tail(df[~zero] * stat[~zero], df[~zero])
-    return _report(stat, df, p, p <= alpha, "anova", _flags(cov.degenerate, zero), single)
+    return _report(stat, df, p, alpha, "anova", _flags(cov.degenerate, zero), single, off)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +287,10 @@ class MethodAnalysis:
 
     ``index`` is the restricted sample's pattern index, with the subject and
     case counts behind ``effects`` (the covariance's ``p_hat`` array); all
-    three are ``None`` for a skipped method.
+    three are ``None`` for a skipped method.  ``skipped`` is a reason on the
+    mask, shared by every replicate of a block; a replicate whose test is
+    undefined has NaN results and an inestimable flag in ``wald`` and
+    ``anova`` instead.
     """
 
     method: str
@@ -329,9 +325,9 @@ def analyze(
 
     ``sample`` may be a block of replicates; every effect, covariance and
     report then has its leading replicate axis, and a skip applies to the
-    whole block, since its reasons depend on the shared mask alone.  The
-    exception is a zero covariance off the null point, which belongs to a
-    replicate: a block of several raises :class:`ZeroCovariance` instead.
+    whole block, since its reasons depend on the shared mask alone.  A zero
+    covariance off the null point belongs to one replicate and skips nothing:
+    that replicate's tests are NaN and flagged inestimable.
 
     Raises
     ------
@@ -362,12 +358,8 @@ def analyze(
             wald = wald_test(cov, alpha=alpha)
             anova = anova_test(cov, alpha=alpha)
             out.append(MethodAnalysis(method, cov.p_hat, cov, sub_idx, wald, anova))
-        except (EverythingFiltered, NoEstimablePart, ZeroCovariance) as exc:
-            # the first two depend on the mask and so hold for every replicate
-            # of a block; a zero covariance is one replicate's, and a block of
-            # several raises it for its caller to re-run them one at a time
-            if isinstance(exc, ZeroCovariance) and batch and batch[0] > 1:
-                raise
+        except (EverythingFiltered, NoEstimablePart) as exc:
+            # both depend on the mask and so hold for every replicate of a block
             reason = str(exc)
             out.append(
                 MethodAnalysis(

@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import MaskedSample, build_masked_sample
 from .effects import METHODS, check_methods
-from .errors import NonFiniteObservedValue, NotPositiveDefinite, ScenarioError, ZeroCovariance
+from .errors import NonFiniteObservedValue, NotPositiveDefinite, ScenarioError
 from .inference import ALPHA, FAMILIES, analyze
 
 __all__ = [
@@ -280,15 +280,14 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
     Replicates run in ``ceil(replications / size)`` consecutive blocks,
     where ``size = max(1, CELLS // (2d * n))``, whose lengths differ by at
     most one; each is one :func:`draw_sample` and one :func:`analyze` call,
-    which derives the block's pattern index.  A replicate that raises a
-    data event of a validated scenario, :class:`NonFiniteObservedValue` (an
-    overflowing draw) or :class:`ZeroCovariance`, is counted as a failure
-    and never aborts the run: a block that raises one is run again one
-    replicate at a time, so that the event fails (or, for a zero covariance
-    off the null point, skips) its own replicate alone.  Any other
-    exception, a :class:`RankEffectError` too, is a bug and propagates.
-    A method that :func:`analyze` reports as skipped (its ``skipped`` reason
-    is set) is tallied as skipped, not as evaluated.
+    which derives the block's pattern index.  The one data event a validated
+    scenario can raise, :class:`NonFiniteObservedValue` (an overflowing
+    draw), is counted as a failure and never aborts the run: a block that
+    raises it is run again one replicate at a time, so that it fails its own
+    replicate alone.  Any other exception, a :class:`RankEffectError` too, is
+    a bug and propagates.  A test with a p-value is evaluated and one without
+    (a skipped method, or a zero covariance off the null point) is skipped;
+    only evaluated tests count as rejected or flagged.
     """
     keys = [f"{fam}:{meth}" for meth in scenario.methods for fam in FAMILIES]
     counters = {k: [0, 0, 0, 0] for k in keys}  # rej, eval, skip, flagged
@@ -304,7 +303,7 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
         try:
             sample = draw_sample(scenario, block)
             analyses = analyze(sample, alpha=scenario.alpha, methods=scenario.methods)
-        except (NonFiniteObservedValue, ZeroCovariance):
+        except NonFiniteObservedValue:
             if len(block) == 1:
                 failures += 1
             else:
@@ -313,12 +312,11 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
         for item in analyses:
             for rep in (item.wald, item.anova):
                 c = counters[f"{rep.family}:{item.method}"]
-                if item.skipped is not None:
-                    c[2] += len(block)
-                else:
-                    c[0] += int(np.count_nonzero(rep.reject))
-                    c[1] += len(block)
-                    c[3] += sum(map(bool, rep.flags))
+                evaluated = ~np.isnan(rep.p_value)
+                c[0] += int(np.count_nonzero(rep.reject))
+                c[1] += int(np.count_nonzero(evaluated))
+                c[2] += len(block) - int(np.count_nonzero(evaluated))
+                c[3] += sum(bool(f) for f, e in zip(rep.flags, evaluated) if e)
     tallies = {k: MethodTally(*v) for k, v in counters.items()}
     return SimulationResult(scenario=scenario, tallies=tallies, failures=failures)
 

@@ -22,7 +22,7 @@ from rankeffect import (
     estimate_effects,
     wald_test,
 )
-from rankeffect.errors import InestimableComponent, NoEstimablePart, ZeroCovariance
+from rankeffect.errors import InestimableComponent, NoEstimablePart
 
 from conftest import simple_mask
 from oracles import wald_statistic_pinv
@@ -54,16 +54,7 @@ def assert_stacked(block_value, single_values):
 
 def assert_same_tests(cov, effs, covs):
     for test in (wald_test, anova_test):
-        singles = []
-        for c in covs:
-            try:
-                singles.append(test(c))
-            except ZeroCovariance:
-                singles.append(None)
-        if None in singles:
-            with pytest.raises(ZeroCovariance):
-                test(cov)
-            continue
+        singles = [test(c) for c in covs]
         rep = test(cov)
         for field in ("statistic", "df", "p_value", "reject"):
             assert_stacked(getattr(rep, field), [getattr(s, field) for s in singles])
@@ -76,14 +67,6 @@ def assert_same_tests(cov, effs, covs):
 
 def assert_same_analyses(block, singles):
     per_replicate = [analyze(s) for s in singles]
-    if any(
-        isinstance(item.skipped, str) and item.skipped.startswith("covariance estimate is zero")
-        for items in per_replicate
-        for item in items
-    ):
-        with pytest.raises(ZeroCovariance):
-            analyze(block)
-        return
     for item, items in zip(analyze(block), zip(*per_replicate)):
         assert item.skipped == items[0].skipped
         assert item.skipped or item.index.n == items[0].index.n
@@ -101,6 +84,13 @@ def assert_same_analyses(block, singles):
 @example(build_masked_sample(
     [np.full((2, 4), 1.0), [[1.0, 2.0, 2.0, 0.0], [3.0, -0.0, 0.0, 1.0]]],
     np.ones((2, 4), bool),
+))
+# replicate 0 separates the groups, replicate 1 does not: a zero covariance
+# off the null point leaves replicate 0's tests undefined and 1's intact
+@example(build_masked_sample(
+    [np.repeat([[0.0, 1.0, 2.0, 3.0], [10.0, 11.0, 12.0, 13.0]], 2, axis=0),
+     [[0.0, 3.0, 1.0, 2.0], [2.0, 1.0, 0.0, 3.0], [1.0, 0.0, 3.0, 2.0], [3.0, 2.0, 2.0, 0.0]]],
+    np.ones((4, 4), bool),
 ))
 # d = 9 on three subjects: every covariance is rank deficient
 @example(build_masked_sample(
@@ -137,13 +127,16 @@ def test_block_equals_its_replicates(block):
 
 
 def test_block_of_one_replicate_skips_a_zero_covariance():
-    # the per-replicate rule of analyze: a zero covariance off the null
-    # point skips the method instead of raising
+    # a zero covariance off the null point leaves the replicate's tests
+    # undefined and skips no method, in a block of one and of two alike
     values = np.array([[[0.0, 0.0], [1.0, 1.0]]])
-    block = build_masked_sample(values, np.ones((2, 2), bool))
-    (item,) = analyze(block, methods=("all",))
-    assert item.skipped.startswith("covariance estimate is zero")
-    assert item.wald.flags == (("inestimable: " + item.skipped,),)
-    twice = build_masked_sample(np.concatenate([values, values]), np.ones((2, 2), bool))
-    with pytest.raises(ZeroCovariance):
-        analyze(twice, methods=("all",))
+    flag = "inestimable: covariance estimate is zero while the effect deviates from one half"
+    for reps in (1, 2):
+        block = build_masked_sample(np.repeat(values, reps, axis=0), np.ones((2, 2), bool))
+        (item,) = analyze(block, methods=("all",))
+        assert item.skipped is None
+        assert np.array_equal(item.effects, np.ones((reps, 1)))
+        for rep in (item.wald, item.anova):
+            assert np.isnan([rep.statistic, rep.df, rep.p_value]).all()
+            assert not rep.reject.any()
+            assert rep.flags == ((flag,),) * reps

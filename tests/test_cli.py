@@ -202,16 +202,21 @@ class TestAnalyzeCommand:
 
     def test_complete_separation_is_reported_not_crashed(self, capsys, tmp_path):
         # separated groups give p_hat = 1 with a zero covariance estimate;
-        # the statistic is undefined and the method is flagged, not an error
+        # the effect and covariance are reported, the statistic is undefined
+        # and the tests are flagged, not an error
         path = tmp_path / "separated.csv"
         rows = ["g1_var1,g2_var1"] + [f"{k},{k + 100}" for k in range(12)]
         path.write_text("\n".join(rows) + "\n")
         code, out, _ = run_cli(capsys, "analyze", str(path), "--methods", "all")
         assert code == 0
         report = json.loads(out)
-        assert all(
-            any("inestimable" in f for f in t["flags"]) for t in report["tests"]
-        )
+        assert report["effects"]["all"]["p_hat"] == [1.0]
+        assert report["covariance"]["all"]["trace"] == 0.0
+        for t in report["tests"]:
+            assert [t[k] for k in ("statistic", "df", "p_value", "reject")] == [None] * 3 + [False]
+            assert t["flags"] == [
+                "inestimable: covariance estimate is zero while the effect deviates from one half"
+            ]
 
 
 class TestSimulateCommand:

@@ -18,7 +18,7 @@ from rankeffect import (
     restrict_method,
     wald_test,
 )
-from rankeffect.errors import DimensionMismatch, DomainError, ZeroCovariance
+from rankeffect.errors import DimensionMismatch, DomainError
 
 from conftest import simple_mask
 from oracles import chisq_upper_tail_highprec
@@ -118,6 +118,15 @@ class TestChisqUpperTail:
             assert np.all((p >= 0.0) & (p <= 1.0))
 
 
+def assert_undefined(rep):
+    """Off the null point a zero covariance leaves the test undefined, not an error."""
+    assert np.isnan([rep.statistic, rep.df, rep.p_value]).all()
+    assert rep.reject is False
+    assert rep.flags == (
+        "inestimable: covariance estimate is zero while the effect deviates from one half",
+    )
+
+
 class TestWald:
     def test_null_point_gives_one(self):
         rep = wald_test(make_cov([0.5, 0.5], np.eye(2), n=50))
@@ -140,8 +149,7 @@ class TestWald:
     def test_zero_covariance_null_vs_error(self):
         rep = wald_test(make_cov([0.5, 0.5], np.zeros((2, 2)), n=20))
         assert rep.p_value == 1.0 and "zero-covariance-null" in rep.flags
-        with pytest.raises(ZeroCovariance):
-            wald_test(make_cov([0.7, 0.5], np.zeros((2, 2)), n=20))
+        assert_undefined(wald_test(make_cov([0.7, 0.5], np.zeros((2, 2)), n=20)))
 
     def test_negative_quadratic_form_is_clamped(self):
         # an indefinite general-pattern estimate can make the form negative
@@ -198,8 +206,7 @@ class TestAnova:
     def test_zero_trace(self):
         rep = anova_test(make_cov([0.5, 0.5], np.zeros((2, 2)), n=20))
         assert rep.p_value == 1.0 and "zero-covariance-null" in rep.flags
-        with pytest.raises(ZeroCovariance):
-            anova_test(make_cov([0.7, 0.5], np.zeros((2, 2)), n=20))
+        assert_undefined(anova_test(make_cov([0.7, 0.5], np.zeros((2, 2)), n=20)))
 
     def test_f_statistic_value(self):
         # F = n/tr(V) * ||dev||^2 = 50/2 * 0.02 = 0.5

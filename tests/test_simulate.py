@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from rankeffect import (
+    MethodAnalysis,
     Scenario,
     build_sigma,
     builtin_grid,
@@ -18,7 +19,12 @@ from rankeffect import (
     run_scenario,
 )
 from rankeffect.effects import METHODS
-from rankeffect.errors import DomainError, NotPositiveDefinite, ScenarioError, ZeroCovariance
+from rankeffect.errors import (
+    DomainError,
+    NonFiniteObservedValue,
+    NotPositiveDefinite,
+    ScenarioError,
+)
 from rankeffect.reports import render_simulation_table, simulation_results_document
 from rankeffect.simulate import DISTRIBUTIONS
 
@@ -402,7 +408,7 @@ class TestRunScenario:
         import rankeffect.simulate as sim
 
         def statistical_failure(*args, **kwargs):
-            raise ZeroCovariance("covariance estimate is zero")
+            raise NonFiniteObservedValue("observed cell holds inf")
 
         def bug(*args, **kwargs):
             raise TypeError("unsupported operand")
@@ -413,9 +419,35 @@ class TestRunScenario:
         with pytest.raises(TypeError):
             run_scenario(scenario(replications=3))
 
+    def test_a_replicate_without_a_p_value_is_tallied_as_skipped(self, monkeypatch):
+        # a zero covariance off the null point leaves one replicate's tests
+        # NaN: that replicate is skipped, its flag uncounted, and the rest of
+        # its block is evaluated
+        import rankeffect.simulate as sim
+        from rankeffect.inference import TestReport  # a module-level name would be collected
+
+        undefined = (
+            "inestimable: covariance estimate is zero while the effect deviates from one half",
+        )
+
+        def one_undefined(sample, alpha, methods):
+            reps = len(sample.values)
+            p = np.r_[np.nan, np.full(reps - 1, 0.01)]
+            flags = (undefined, ("zero-covariance-null",)) + ((),) * (reps - 2)
+            tests = [TestReport(p, p, p, p <= alpha, fam, flags) for fam in ("wald", "anova")]
+            return [MethodAnalysis(m, None, None, None, *tests) for m in methods]
+
+        monkeypatch.setattr(sim, "analyze", one_undefined)
+        reps = 5
+        res = run_scenario(scenario(replications=reps, methods=("all",)))
+        assert res.failures == 0
+        for tally in res.tallies.values():
+            assert (tally.evaluated, tally.skipped) == (reps - 1, 1)
+            assert (tally.rejections, tally.flagged) == (reps - 1, 1)
+
     def test_a_package_error_that_is_no_data_event_propagates(self, monkeypatch):
-        # only an overflowing draw and a zero covariance are data events; a
-        # DomainError from analyze was counted as 3 failures of 3
+        # only an overflowing draw is a data event; a DomainError from
+        # analyze was counted as 3 failures of 3
         import rankeffect.simulate as sim
 
         def bug(*args, **kwargs):
