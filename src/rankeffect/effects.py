@@ -77,10 +77,7 @@ def restrict_method(
     check_methods((method,))
     if method == "all":
         return sample, idx
-    if method == "complete":
-        new_obs = np.concatenate([idx.complete_mask, idx.complete_mask])
-    else:
-        new_obs = np.concatenate([idx.g1_only_mask, idx.g2_only_mask])
+    new_obs = _restricted_cells(idx, method)
     keep = new_obs.any(axis=0)
     if keep.sum() < 2:
         raise EverythingFiltered(
@@ -95,3 +92,10 @@ def restrict_method(
             f"on component {exc.component}"
         ) from None
     return restricted, new_idx
+
+
+def _restricted_cells(idx: PatternIndex, method: str) -> np.ndarray:
+    """The ``(2d, n)`` mask of the cells ``"complete"`` or ``"incomplete"`` keeps."""
+    if method == "complete":
+        return np.concatenate([idx.complete_mask, idx.complete_mask])
+    return np.concatenate([idx.g1_only_mask, idx.g2_only_mask])

@@ -34,7 +34,7 @@ import numpy as np
 
 from .covariance import CovarianceEstimate, covariance_general, covariance_simple
 from .data import MaskedSample, PatternIndex, derive_pattern_index
-from .effects import METHODS, check_methods, restrict_method
+from .effects import METHODS, _restricted_cells, check_methods, restrict_method
 from .errors import DomainError, EverythingFiltered, NoEstimablePart, PatternMismatch
 from .ranks import build_rank_table
 
@@ -323,6 +323,16 @@ def analyze(
     nine-term form.  Methods whose restriction is inestimable yield
     placeholder reports instead of aborting the run.
 
+    The sample is sorted once for every method: one
+    :func:`~rankeffect.ranks.build_rank_table` call split by the complete
+    cases gives the counts of ``"all"`` and each cell's counts within its
+    own case class, which, cut to a restricted method's columns, are its
+    restricted sample's counts bit for bit.  Each restricted method still
+    takes its pattern index from :func:`~rankeffect.effects.restrict_method`.
+    The restricted methods run first, so that their table is freed before
+    ``"all"`` estimates its covariance; the results come in the order of
+    ``methods``.
+
     ``sample`` may be a block of replicates; every effect, covariance and
     report then has its leading replicate axis, and a skip applies to the
     whole block, since its reasons depend on the shared mask alone.  A zero
@@ -349,28 +359,43 @@ def analyze(
             "pattern mismatch: data does not have treatment-level missingness"
         )
     batch = sample.values.shape[:-2]
-    out = []
-    for method in methods:
+    # each table goes after its last use, so that "all" never holds ``own``
+    restricted = [method for method in methods if method != "all"]
+    if restricted:
+        b, own = build_rank_table(sample, split=idx.complete_mask)
+    else:
+        b = build_rank_table(sample)
+    out = {}
+    for method in sorted(methods, key=lambda m: m == "all"):
         try:
-            sub, sub_idx = restrict_method(sample, idx, method)
-            b = build_rank_table(sub)
-            cov = _select_covariance(b, sub_idx, pattern)
+            # the restricted pattern index; the restricted values are not read
+            sub_idx = restrict_method(sample, idx, method)[1]
+            if method == "all":
+                table, own = b, None
+            else:
+                # the own-class counts of the kept columns, NaN off their
+                # cells; compress keeps the rows C-ordered, where a boolean
+                # index would lay them out column by column, slower to reduce
+                table = np.compress(_restricted_cells(idx, method).any(axis=0), own, axis=-1)
+                if method == restricted[-1]:
+                    own = None
+                table += np.where(_restricted_cells(sub_idx, method), -0.0, np.nan)
+            cov = _select_covariance(table, sub_idx, pattern)
+            del table
             wald = wald_test(cov, alpha=alpha)
             anova = anova_test(cov, alpha=alpha)
-            out.append(MethodAnalysis(method, cov.p_hat, cov, sub_idx, wald, anova))
+            out[method] = MethodAnalysis(method, cov.p_hat, cov, sub_idx, wald, anova)
         except (EverythingFiltered, NoEstimablePart) as exc:
             # both depend on the mask and so hold for every replicate of a block
             reason = str(exc)
-            out.append(
-                MethodAnalysis(
-                    method,
-                    None,
-                    None,
-                    None,
-                    _skipped("wald", reason, batch),
-                    _skipped("anova", reason, batch),
-                    skipped=reason,
-                )
+            out[method] = MethodAnalysis(
+                method,
+                None,
+                None,
+                None,
+                _skipped("wald", reason, batch),
+                _skipped("anova", reason, batch),
+                skipped=reason,
             )
-    return out
+    return [out[method] for method in methods]
 

@@ -18,6 +18,13 @@ of equal values, count the group-1 cells inside every run and before it, and
 give each cell of a run the opposite group's cells before the run plus half
 of those inside it.  Every count is a half-integer computed exactly.
 
+The same sort also counts within the two sides of a split of each
+component's subjects, such as complete against one-sided cases: the cells
+of a run's side before and inside it give the side's counts as the whole
+row's give the full ones, and a cell off the side gets its full count minus
+its count on it.  Each side's counts are those of the sample restricted to
+that side, bit for bit, so the comparison methods need no sort of their own.
+
 Counting needs the sample alone and raises nothing.  Placements also take a
 :class:`~rankeffect.data.PatternIndex`, which exists only when both groups
 have data on every component, so the group counts they divide by are positive.
@@ -30,7 +37,9 @@ from .data import MaskedSample, PatternIndex
 __all__ = ["build_rank_table", "placements"]
 
 
-def build_rank_table(sample: MaskedSample) -> np.ndarray:
+def build_rank_table(
+    sample: MaskedSample, split: np.ndarray | None = None
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Placement count ``b`` of every observed cell within its component.
 
     Component ``l`` of a replicate is one pooled row of its observed cells,
@@ -44,6 +53,15 @@ def build_rank_table(sample: MaskedSample) -> np.ndarray:
     with no observation on a component leaves its row NaN and the other
     group's row zero; such a sample has no pattern index, since
     :func:`~rankeffect.data.derive_pattern_index` rejects it.
+
+    ``split`` is a ``(d, n)`` boolean mask, such as a pattern index's
+    ``complete_mask``, that puts both cells of subject ``j`` on component
+    ``l`` on side ``split[l, j]``.  With it the call returns ``(b, own)``,
+    where ``own`` is ``b`` but for counting only the opposite group's cells
+    on the cell's own side, from the same sort.  Each side's counts are, bit
+    for bit, those of the sample cut down to that side's cells: a cell off
+    the ``True`` side gets its full count minus its count against that side,
+    and every term is an exact half-integer.
     """
     d, n = sample.d, sample.n
     # source[l, k]: the (2d, n) table cell, as a flat index, at position k of
@@ -77,27 +95,34 @@ def build_rank_table(sample: MaskedSample) -> np.ndarray:
     run -= 1
     run = run.reshape(new_run.shape)
     del new_run
+    # per sorted cell: in group 1; with a split also on the True side, and
+    # in group 1 on that side
+    flags = np.empty((1 if split is None else 3, cell.size), dtype=bool)
+    in_group1 = flags[0].reshape(cell.shape)
     rows = cell.reshape(-1, d, width)
-    in_group1 = (rows < sample.observed[:d].sum(axis=1)[:, None]).reshape(cell.shape)
+    np.less(rows, sample.observed[:d].sum(axis=1)[:, None], out=in_group1.reshape(rows.shape))
     # ... as a flat index into the (..., 2d, n) table; row q = r * d + l
     rows += width * np.arange(d)[:, None]
     target = np.take(source, cell)
     del cell, rows, source
+    if split is not None:
+        # padding may fall on either side; its runs come last in their rows
+        np.take(np.concatenate([split, split]).ravel(), target.ravel(), out=flags[1])
+        np.logical_and(flags[0], flags[1], out=flags[2])
     replicates = target.reshape(-1, d * width)
     replicates += 2 * d * n * np.arange(len(replicates))[:, None]
-    # group-1 cells inside each run, and before it in its row
-    group1 = np.add.reduceat(in_group1.ravel(), starts, dtype=run.dtype)
-    before = np.cumsum(group1, dtype=run.dtype)
-    before -= group1
+    # flagged cells inside each run, and before it in its row
+    inside = np.add.reduceat(flags, starts, axis=1, dtype=run.dtype)
+    before = np.cumsum(inside, axis=1, dtype=run.dtype)
+    before -= inside
     first = run[:, 0]
-    before -= np.repeat(before[first], np.diff(first, append=len(starts)))
+    before -= np.repeat(before[:, first], np.diff(first, append=len(starts)), axis=1)
     # a group-2 cell counts the group-1 cells before its run and half of those
     # inside it, and a group-1 cell the same of group 2, so a run's two counts
     # sum to its offset in the row plus half its length
     counts = np.empty((2, len(starts)))
-    np.multiply(group1, 0.5, out=counts[0])
-    counts[0] += before
-    del group1, before
+    np.multiply(inside[0], 0.5, out=counts[0])
+    counts[0] += before[0]
     np.subtract(starts[1:], starts[:-1], out=counts[1, :-1])
     counts[1, -1] = target.size - starts[-1]
     counts[1] *= 0.5
@@ -105,17 +130,37 @@ def build_rank_table(sample: MaskedSample) -> np.ndarray:
     counts[1] += starts
     counts[1] -= counts[0]
     del starts
+    if split is not None:
+        # the same counts within the True side, whose cells before and inside
+        # a run give its offset and length there: own[1]; off it, own[0]
+        own = np.empty((2, *counts.shape))
+        np.multiply(inside[2], 0.5, out=own[1, 0])
+        own[1, 0] += before[2]
+        np.multiply(inside[1], 0.5, out=own[1, 1])
+        own[1, 1] += before[1]
+        own[1, 1] -= own[1, 0]
+        np.subtract(counts, own[1], out=own[0])
+    del inside, before
     # runs index the group-2 cells' counts, runs + len(counts[0]) the group-1 ones
     run += in_group1 * run.dtype.type(counts.shape[1])
     del in_group1
     b = np.zeros(sample.values.shape)  # so no stale NaN shows through the add
     np.put(b, target, counts.ravel()[run])
-    del counts, run, first, target, replicates
+    tables = [b]
+    if split is not None:
+        # own's first half is laid out as counts, its second half on the True side
+        run += flags[1].reshape(run.shape) * run.dtype.type(counts.size)
+        tables.append(np.zeros(sample.values.shape))
+        np.put(tables[1], target, own.ravel()[run])
+        del own
+    del counts, flags, run, first, target, replicates
     # unobserved cells, padding counts too, become NaN by a plain add; the other
     # addend is -0.0, since ``x + -0.0`` is ``x`` bit for bit (``-0.0 + 0.0`` is 0.0)
-    b += np.where(sample.observed, -0.0, np.nan)
-    b.setflags(write=False)
-    return b
+    unobserved = np.where(sample.observed, -0.0, np.nan)
+    for table in tables:
+        table += unobserved
+        table.setflags(write=False)
+    return b if split is None else (b, tables[1])
 
 
 def placements(b: np.ndarray, idx: PatternIndex) -> np.ndarray:

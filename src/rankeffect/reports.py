@@ -527,7 +527,11 @@ def simulation_results_document(results, config: dict) -> dict:
 def render_simulation_table(results) -> str:
     """Aligned text table: one row per scenario, rejection rates in percent.
 
-    A row whose scenario lost replicates to failures ends with their count.
+    A column with no evaluated test shows ``-``.  A row whose scenario lost
+    replicates to failures ends with their count, and then, for each count
+    of replicates skipped (a skipped method, or an undefined test) in columns
+    that evaluated the others, the columns that skipped that many: their
+    rates are over fewer replicates.
     """
     keys: list[str] = []
     for res in results:
@@ -545,7 +549,15 @@ def render_simulation_table(results) -> str:
                 row += "-".rjust(18)
             else:
                 row += f"{100 * tally.rate:.1f} ± {100 * tally.mc_se:.1f}".rjust(18)
-        if res.failures:
-            row += f"  ({res.failures} of {res.scenario.replications} failed)"
+        reps = res.scenario.replications
+        notes = [f"{res.failures} of {reps} failed"] if res.failures else []
+        skipped: dict[int, list[str]] = {}
+        for k in keys:
+            tally = res.tallies.get(k)
+            if tally is not None and tally.skipped and tally.evaluated:
+                skipped.setdefault(tally.skipped, []).append(k)
+        notes += [f"{count} of {reps} skipped in {', '.join(ks)}" for count, ks in skipped.items()]
+        if notes:
+            row += f"  ({'; '.join(notes)})"
         lines.append(row)
     return "\n".join(lines) + "\n"

@@ -219,10 +219,15 @@ def draw_sample(scenario: Scenario, replicates: int | range) -> MaskedSample:
     NonFiniteObservedValue
         A draw (of any replicate of a block) overflowed.
     """
+    block = isinstance(replicates, range)
+    values = _draw(scenario, replicates if block else [replicates])
+    return build_masked_sample(values if block else values[0], scenario._observed)
+
+
+def _draw(scenario: Scenario, indices) -> np.ndarray:
+    """The ``(len(indices), 2d, n)`` values of the replicates; an overflow is inf."""
     observed = scenario._observed
     mu = np.concatenate([np.zeros(scenario.d), np.asarray(scenario.delta, dtype=float)])
-    block = isinstance(replicates, range)
-    indices = replicates if block else [replicates]
     cauchy = scenario.distribution == "cauchy"
     z = np.empty((len(indices), *observed.shape))
     halfnorm = np.empty((len(indices), 1, observed.shape[1])) if cauchy else None
@@ -242,7 +247,26 @@ def draw_sample(scenario: Scenario, replicates: int | range) -> MaskedSample:
             np.rint(values, out=values)
         elif scenario.distribution == "lognormal":
             np.exp(values, out=values)
-    return build_masked_sample(values if block else values[0], observed)
+    return values
+
+
+def _draw_finite(scenario: Scenario, block: range) -> MaskedSample:
+    """The block's sample without the replicates whose draw overflowed.
+
+    Raises
+    ------
+    NonFiniteObservedValue
+        Every replicate's draw overflowed.
+    """
+    try:
+        return draw_sample(scenario, block)
+    except NonFiniteObservedValue:
+        # the same draws again, to find the replicates with an infinite observed cell
+        values = _draw(scenario, block)
+        finite = (np.isfinite(values) | ~scenario._observed).all(axis=(1, 2))
+        if not finite.any():
+            raise
+        return build_masked_sample(values[finite], scenario._observed)
 
 
 @dataclass(frozen=True)
@@ -282,10 +306,10 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
     most one; each is one :func:`draw_sample` and one :func:`analyze` call,
     which derives the block's pattern index.  The one data event a validated
     scenario can raise, :class:`NonFiniteObservedValue` (an overflowing
-    draw), is counted as a failure and never aborts the run: a block that
-    raises it is run again one replicate at a time, so that it fails its own
-    replicate alone.  Any other exception, a :class:`RankEffectError` too, is
-    a bug and propagates.  A test with a p-value is evaluated and one without
+    draw), is counted as a failure and never aborts the run: the block is
+    drawn once more to find the replicates whose draw overflowed, which fail
+    alone, and the rest of the block is analyzed in one call.  Any other exception, a :class:`RankEffectError` too, is a
+    bug and propagates.  A test with a p-value is evaluated and one without
     (a skipped method, or a zero covariance off the null point) is skipped;
     only evaluated tests count as rejected or flagged.
     """
@@ -294,28 +318,24 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
     failures = 0
     reps = scenario.replications
     size = max(1, CELLS // scenario._observed.size)
-    # as few blocks as ``size`` allows, the first ones one replicate longer;
-    # a stack: the first block is popped first, then a failed block's replicates
-    split = np.array_split(range(reps), -(-reps // size))
-    blocks = [range(b[0], b[-1] + 1) for b in split][::-1]
-    while blocks:
-        block = blocks.pop()
+    # as few blocks as ``size`` allows, the first ones one replicate longer
+    for block in np.array_split(range(reps), -(-reps // size)):
+        block = range(block[0], block[-1] + 1)
         try:
-            sample = draw_sample(scenario, block)
+            sample = _draw_finite(scenario, block)
             analyses = analyze(sample, alpha=scenario.alpha, methods=scenario.methods)
         except NonFiniteObservedValue:
-            if len(block) == 1:
-                failures += 1
-            else:
-                blocks.extend(range(r, r + 1) for r in reversed(block))
+            failures += len(block)
             continue
+        replicates = len(sample.values)
+        failures += len(block) - replicates
         for item in analyses:
             for rep in (item.wald, item.anova):
                 c = counters[f"{rep.family}:{item.method}"]
                 evaluated = ~np.isnan(rep.p_value)
                 c[0] += int(np.count_nonzero(rep.reject))
                 c[1] += int(np.count_nonzero(evaluated))
-                c[2] += len(block) - int(np.count_nonzero(evaluated))
+                c[2] += replicates - int(np.count_nonzero(evaluated))
                 c[3] += sum(bool(f) for f, e in zip(rep.flags, evaluated) if e)
     tallies = {k: MethodTally(*v) for k, v in counters.items()}
     return SimulationResult(scenario=scenario, tallies=tallies, failures=failures)

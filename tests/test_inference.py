@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from rankeffect import (
     METHODS,
     CovarianceEstimate,
+    MethodAnalysis,
     analyze,
     anova_test,
     build_masked_sample,
@@ -18,9 +21,9 @@ from rankeffect import (
     restrict_method,
     wald_test,
 )
-from rankeffect.errors import DimensionMismatch, DomainError
+from rankeffect.errors import DimensionMismatch, DomainError, EverythingFiltered, NoEstimablePart
 
-from conftest import simple_mask
+from conftest import DATA_DIR, random_general_sample, simple_mask
 from oracles import chisq_upper_tail_highprec
 
 
@@ -427,3 +430,59 @@ class TestRunAllMethods:
                 want = test(cov, alpha=0.05)
                 np.testing.assert_array_equal(got.statistic, want.statistic)
                 np.testing.assert_array_equal(got.p_value, want.p_value)
+
+
+def restricted_analysis(sample, method):
+    """``method``'s analysis from its restricted sample ranked on its own, or its skip reason."""
+    try:
+        sub, sub_idx = restrict_method(sample, derive_pattern_index(sample), method)
+        b = build_rank_table(sub)
+        estimator = covariance_simple if sub_idx.is_simple_pattern else covariance_general
+        cov = estimator(b, sub_idx)
+    except (EverythingFiltered, NoEstimablePart) as exc:
+        return str(exc)
+    return MethodAnalysis(method, cov.p_hat, cov, sub_idx, wald_test(cov), anova_test(cov))
+
+
+def assert_same_analysis(got, want):
+    """Bit for bit: effects, covariance, counts, statistics, p-values and flags."""
+    if isinstance(want, str):
+        assert got.skipped == want
+        return
+    assert (got.method, got.skipped) == (want.method, None)
+    for x, y in ((got.effects, want.effects), (got.covariance.v_hat, want.covariance.v_hat)):
+        assert x.tobytes() == y.tobytes()
+    assert got.covariance.degenerate == want.covariance.degenerate
+    for name in ("n_complete", "n1_only", "n2_only"):
+        assert np.array_equal(getattr(got.index, name), getattr(want.index, name))
+    for x, y in ((got.wald, want.wald), (got.anova, want.anova)):
+        for field in ("statistic", "df", "p_value", "reject"):
+            assert np.asarray(getattr(x, field)).tobytes() == np.asarray(getattr(y, field)).tobytes()
+        assert x.flags == y.flags
+
+
+def _samples():
+    from rankeffect.reports import parse_dataset
+    from rankeffect.simulate import builtin_grid, draw_sample
+
+    rng = np.random.default_rng(11)
+    yield parse_dataset(DATA_DIR / "scattered_d4_n600.csv")
+    yield parse_dataset(DATA_DIR / "paired_qol_42subjects.csv")
+    yield draw_sample(builtin_grid("table3", reps=4, dims=(5,))[-1], range(4))
+    for _ in range(4):
+        yield random_general_sample(rng, d=3, n=25)[0]
+    obs = np.ones((4, 12), bool)  # no one-sided case: "incomplete" is skipped
+    yield build_masked_sample(rng.integers(0, 5, obs.shape).astype(float), obs)
+
+
+@pytest.mark.parametrize("sample", _samples())
+def test_a_methods_analysis_does_not_depend_on_the_others(sample):
+    # each method's analysis is its restricted sample's, whether analyze gets
+    # it alone, with the others, or in another order
+    want = {method: restricted_analysis(sample, method) for method in METHODS}
+    for k in (1, 2, 3):
+        for methods in itertools.permutations(METHODS, k):
+            analyses = analyze(sample, methods=methods)
+            assert [item.method for item in analyses] == list(methods)
+            for item in analyses:
+                assert_same_analysis(item, want[item.method])

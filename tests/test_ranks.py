@@ -10,8 +10,9 @@ from rankeffect import (
     derive_pattern_index,
     estimate_effects,
     placements,
+    restrict_method,
 )
-from rankeffect.errors import InestimableComponent
+from rankeffect.errors import EverythingFiltered, InestimableComponent
 from rankeffect.simulate import builtin_grid, draw_sample
 
 from conftest import random_general_sample, simple_mask
@@ -38,6 +39,19 @@ def masked_samples(draw):
     empty = ~observed.any(axis=0)
     observed[np.flatnonzero(empty) % (2 * d), empty] = True  # every subject has a cell
     return build_masked_sample(values.reshape(2 * d, n), observed)
+
+
+@st.composite
+def masked_blocks(draw):
+    """A ``masked_samples`` sample, or a block of one to four replicates on its mask."""
+    sample = draw(masked_samples())
+    reps = draw(st.integers(0, 4))
+    if not reps:
+        return sample
+    size = (reps - 1) * sample.values.size
+    values = np.array(draw(st.lists(_CELL_VALUES, min_size=size, max_size=size)))
+    block = np.concatenate([sample.values[None], values.reshape(reps - 1, *sample.values.shape)])
+    return build_masked_sample(block, sample.observed)
 
 
 class TestRankTable:
@@ -121,6 +135,54 @@ class TestRankTable:
             )
             b = build_rank_table(sample)
             assert np.array_equal(build_rank_table(shuffled), b[:, order], equal_nan=True)
+
+
+def _sample(values, observed):
+    return build_masked_sample(np.array(values), np.array(observed, dtype=bool))
+
+
+class TestSplit:
+    """Counts split by case class, from the full sample's one sort."""
+
+    @given(masked_blocks())
+    # a -0.0 complete cell of group 1 ties with a 0.0 one-sided cell of group 2
+    @example(_sample([[-0.0, -0.0, 0.0], [0.0, 0.0, 0.0]],
+                     [[True, True, False], [True, False, True]]))
+    # component 1 has no complete cell
+    @example(_sample([[1.0, 2.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0],
+                      [2.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 3.0]],
+                     [[1, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 0], [0, 1, 0, 1]]))
+    # component 0 has no one-sided cell
+    @example(_sample([[1.0, 0.0, 0.0, 2.0], [0.0, 3.0, 1.0, 1.0],
+                      [1.0, 1.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0]],
+                     [[1, 1, 0, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 0, 0]]))
+    @settings(max_examples=300, deadline=None)
+    def test_each_side_equals_its_restricted_sample(self, sample):
+        # bit for bit: values, NaN positions and the signs of zeros
+        complete = sample.observed[: sample.d] & sample.observed[sample.d:]
+        b, own = build_rank_table(sample, split=complete)
+        assert b.tobytes() == build_rank_table(sample).tobytes()
+        assert own.shape == b.shape and not own.flags.writeable
+        assert np.array_equal(np.isnan(own), np.isnan(b))
+        try:
+            idx = derive_pattern_index(sample)
+        except InestimableComponent:
+            return
+        for method in ("complete", "incomplete"):
+            try:
+                sub, _ = restrict_method(sample, idx, method)
+            except EverythingFiltered:
+                continue
+            side = np.concatenate([complete, complete]) == (method == "complete")
+            keep = (sample.observed & side).any(axis=0)
+            table = own[..., keep] + np.where(sub.observed, -0.0, np.nan)
+            assert table.tobytes() == build_rank_table(sub).tobytes()
+
+    @pytest.mark.parametrize("side", [False, True])
+    def test_a_split_with_one_side_empty_keeps_the_full_counts(self, rng, side):
+        sample, _ = random_general_sample(rng, d=3, n=20)
+        b, own = build_rank_table(sample, split=np.full((3, 20), side))
+        assert own.tobytes() == b.tobytes()
 
 
 def assert_equals_rankdata_per_replicate(values, observed):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from rankeffect import (
     REPORT_SCHEMA,
+    Scenario,
+    SimulationResult,
     analyze,
     build_masked_sample,
     build_report,
@@ -20,6 +22,8 @@ from rankeffect import (
     reports,
 )
 from rankeffect.errors import InconsistentWidth, ParseError, RankEffectError
+from rankeffect.reports import render_simulation_table
+from rankeffect.simulate import MethodTally
 
 from conftest import DATA_DIR, random_general_sample, simple_mask
 from oracles import write_dataset
@@ -480,3 +484,40 @@ class TestReportDocument:
         b = self.build()
         assert a["provenance"]["config_hash"] == b["provenance"]["config_hash"]
         assert a == b
+
+
+class TestSimulationTable:
+    @staticmethod
+    def result(label, failures, *skips, reps=200):
+        # (skipped, evaluated) of wald:all and anova:all; 10 rejections each
+        tallies = {
+            key: MethodTally(10, evaluated, skipped, 0)
+            for key, (skipped, evaluated) in zip(("wald:all", "anova:all"), skips)
+        }
+        scenario = Scenario(
+            distribution="normal", d=2, rho=(0.1, 0.1, 0.1), sigma_sq=(1.0, 1.0),
+            delta=(0.0, 0.0), sizes=(30, 10, 10), replications=reps, label=label,
+        )
+        return SimulationResult(scenario=scenario, tallies=tallies, failures=failures)
+
+    def test_skipped_replicates_are_noted_like_failures(self):
+        rows = render_simulation_table([
+            self.result("clean", 0, (0, 200), (0, 200)),
+            self.result("failed", 15, (0, 185), (0, 185)),
+            self.result("undefined", 0, (24, 176), (24, 176)),
+            self.result("both", 15, (3, 182), (1, 184)),
+        ]).splitlines()
+        assert rows[1].endswith("5.0 ± 1.5")
+        assert rows[2].endswith("  (15 of 200 failed)")
+        assert rows[3].endswith("5.7 ± 1.7  (24 of 200 skipped in wald:all, anova:all)")
+        assert rows[4].endswith(
+            "  (15 of 200 failed; 3 of 200 skipped in wald:all; 1 of 200 skipped in anova:all)"
+        )
+        # the notes follow the aligned cells
+        assert len({len(row.split("  (")[0]) for row in rows[1:]}) == 1
+
+    def test_a_column_without_an_evaluated_test_shows_a_dash_alone(self):
+        (row,) = render_simulation_table([
+            self.result("dash", 0, (200, 0), (24, 176)),
+        ]).splitlines()[1:]
+        assert row.endswith("-         5.7 ± 1.7  (24 of 200 skipped in anova:all)")

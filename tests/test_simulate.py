@@ -503,6 +503,28 @@ class TestBlocks:
         assert results[0].failures == failures
         assert results[0].tallies["wald:all"].skipped == skipped
 
+    def test_an_overflowing_draw_fails_alone_without_a_rerun(self, monkeypatch):
+        # 7 of 200 lognormal draws overflow in this one-block run; the other
+        # 193 replicates are analyzed in the block's one call
+        import rankeffect.simulate as sim
+
+        s = scenario(distribution="lognormal", sigma_sq=(40000.0, 40000.0),
+                     replications=200, seed=3)
+        calls, analyze = [], sim.analyze
+
+        def counting(sample, **kw):
+            calls.append(len(sample.values))
+            return analyze(sample, **kw)
+
+        monkeypatch.setattr(sim, "analyze", counting)
+        result = run_scenario(s)
+        assert (result.failures, calls) == (7, [193])
+        assert result.tallies["wald:all"].evaluated == 193
+        monkeypatch.setattr(sim, "CELLS", 1)  # one replicate a block
+        calls.clear()
+        assert run_scenario(s) == result
+        assert len(calls) == 193
+
     def test_blocks_are_balanced(self, monkeypatch):
         import rankeffect.simulate as sim
 
