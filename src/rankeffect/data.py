@@ -107,20 +107,23 @@ class PatternIndex:
     For component ``l`` the three boolean rows partition the subjects that
     are observed on ``l`` in at least one group: observed in both groups
     (complete), in group 1 only, or in group 2 only.  It is built from a
-    sample alone, ``PatternIndex(sample)``, so both groups have data on every
-    component of every index.  The treatment-level layout (each subject
-    either fully paired or observed in exactly one group on all components)
-    is reported via ``is_simple_pattern``; it makes the treatment-level
-    covariance estimator valid.
+    ``(2d, n)`` mask alone, ``PatternIndex(sample.observed)``, and exists only
+    when both groups have data on every component.  The treatment-level
+    layout (each subject either fully paired or observed in exactly one group
+    on all components) is reported via ``is_simple_pattern``; it makes the
+    treatment-level covariance estimator valid.
 
     Raises
     ------
+    DimensionMismatch
+        ``observed`` is not 2-D with an even, positive row count, as when
+        it is a sample rather than its mask.
     InestimableComponent
         Some group has no observation at all on a component; the first
         such component, and its first such group, is named.
     """
 
-    sample: InitVar[MaskedSample]
+    observed: InitVar[np.ndarray]
     complete_mask: np.ndarray = field(init=False)  # (d, n) bool
     g1_only_mask: np.ndarray = field(init=False)   # (d, n) bool
     g2_only_mask: np.ndarray = field(init=False)   # (d, n) bool
@@ -129,10 +132,12 @@ class PatternIndex:
     n2_only: np.ndarray = field(init=False)
     is_simple_pattern: bool = field(init=False)
 
-    def __post_init__(self, sample: MaskedSample) -> None:
-        d = sample.d
-        obs1 = sample.observed[:d]
-        obs2 = sample.observed[d:]
+    def __post_init__(self, observed: np.ndarray) -> None:
+        observed = np.asarray(observed, dtype=bool)
+        if observed.ndim != 2 or observed.shape[0] % 2 or not observed.shape[0]:
+            raise DimensionMismatch(f"mask {observed.shape} must be (2d, n) with d >= 1")
+        d = observed.shape[0] // 2
+        obs1, obs2 = observed[:d], observed[d:]
         has1, has2 = obs1.any(axis=1), obs2.any(axis=1)
         bad = np.flatnonzero(~(has1 & has2))
         if bad.size:
@@ -173,8 +178,8 @@ class PatternIndex:
 
 
 def derive_pattern_index(sample: MaskedSample) -> PatternIndex:
-    """Classify every (subject, component) pair: ``PatternIndex(sample)``."""
-    return PatternIndex(sample)
+    """Classify every (subject, component) pair: ``PatternIndex(sample.observed)``."""
+    return PatternIndex(sample.observed)
 
 
 def check_assumptions(idx: PatternIndex) -> list[str]:

@@ -15,7 +15,7 @@ sample-size weights that pool complete and incomplete cases cancel.
 
 import numpy as np
 
-from .data import MaskedSample, PatternIndex, build_masked_sample, derive_pattern_index
+from .data import MaskedSample, PatternIndex, build_masked_sample
 from .errors import EverythingFiltered, InestimableComponent
 
 __all__ = [
@@ -77,25 +77,30 @@ def restrict_method(
     check_methods((method,))
     if method == "all":
         return sample, idx
-    new_obs = _restricted_cells(idx, method)
-    keep = new_obs.any(axis=0)
-    if keep.sum() < 2:
-        raise EverythingFiltered(
-            f"restriction {method!r} leaves {int(keep.sum())} subject(s)"
-        )
-    restricted = build_masked_sample(sample.values[..., keep], new_obs[:, keep])
+    keep, mask, sub_idx = _restriction(idx, method)
+    return build_masked_sample(np.compress(keep, sample.values, axis=-1), mask), sub_idx
+
+
+def _restriction(idx: PatternIndex, method: str) -> tuple[np.ndarray, np.ndarray, PatternIndex]:
+    """A restricted method's kept subjects, their ``(2d, m)`` mask and its pattern index.
+
+    Raises ``EverythingFiltered`` when fewer than two subjects are kept or
+    some group has no kept cell on a component.
+    """
+    if method == "complete":
+        cells = np.concatenate([idx.complete_mask, idx.complete_mask])
+    else:
+        cells = np.concatenate([idx.g1_only_mask, idx.g2_only_mask])
+    keep = cells.any(axis=0)
+    kept = np.count_nonzero(keep)
+    if kept < 2:
+        raise EverythingFiltered(f"restriction {method!r} leaves {kept} subject(s)")
+    # a boolean index would leave the mask column-ordered, slow to reduce by rows
+    mask = np.compress(keep, cells, axis=1)
     try:
-        new_idx = derive_pattern_index(restricted)
+        return keep, mask, PatternIndex(mask)
     except InestimableComponent as exc:
         raise EverythingFiltered(
             f"restriction {method!r} leaves no group-{exc.group} data "
             f"on component {exc.component}"
         ) from None
-    return restricted, new_idx
-
-
-def _restricted_cells(idx: PatternIndex, method: str) -> np.ndarray:
-    """The ``(2d, n)`` mask of the cells ``"complete"`` or ``"incomplete"`` keeps."""
-    if method == "complete":
-        return np.concatenate([idx.complete_mask, idx.complete_mask])
-    return np.concatenate([idx.g1_only_mask, idx.g2_only_mask])

@@ -34,9 +34,9 @@ import numpy as np
 
 from .covariance import CovarianceEstimate, covariance_general, covariance_simple
 from .data import MaskedSample, PatternIndex, derive_pattern_index
-from .effects import METHODS, _restricted_cells, check_methods, restrict_method
+from .effects import METHODS, _restriction, check_methods
 from .errors import DomainError, EverythingFiltered, NoEstimablePart, PatternMismatch
-from .ranks import build_rank_table
+from .ranks import build_rank_table, nan_unless
 
 __all__ = [
     "TestReport",
@@ -327,8 +327,9 @@ def analyze(
     :func:`~rankeffect.ranks.build_rank_table` call split by the complete
     cases gives the counts of ``"all"`` and each cell's counts within its
     own case class, which, cut to a restricted method's columns, are its
-    restricted sample's counts bit for bit.  Each restricted method still
-    takes its pattern index from :func:`~rankeffect.effects.restrict_method`.
+    restricted sample's counts bit for bit.  A restricted method's pattern
+    index comes from its cut of the mask alone; no restricted sample is
+    built, so :func:`~rankeffect.effects.restrict_method` is not called.
     The restricted methods run first, so that their table is freed before
     ``"all"`` estimates its covariance; the results come in the order of
     ``methods``.
@@ -368,18 +369,16 @@ def analyze(
     out = {}
     for method in sorted(methods, key=lambda m: m == "all"):
         try:
-            # the restricted pattern index; the restricted values are not read
-            sub_idx = restrict_method(sample, idx, method)[1]
             if method == "all":
-                table, own = b, None
+                table, sub_idx, own = b, idx, None
             else:
-                # the own-class counts of the kept columns, NaN off their
-                # cells; compress keeps the rows C-ordered, where a boolean
-                # index would lay them out column by column, slower to reduce
-                table = np.compress(_restricted_cells(idx, method).any(axis=0), own, axis=-1)
+                keep, mask, sub_idx = _restriction(idx, method)
+                # the own-class counts of the kept columns, NaN off their cells
+                table = np.compress(keep, own, axis=-1)
                 if method == restricted[-1]:
                     own = None
-                table += np.where(_restricted_cells(sub_idx, method), -0.0, np.nan)
+                table += nan_unless(mask)
+                del keep, mask
             cov = _select_covariance(table, sub_idx, pattern)
             del table
             wald = wald_test(cov, alpha=alpha)

@@ -71,7 +71,7 @@ class TestBuiltOnlyWhenValid:
 
     def test_constructors_take_only_what_cannot_be_derived(self):
         assert [f.name for f in fields(MaskedSample) if f.init] == ["values", "observed"]
-        assert [f.name for f in fields(PatternIndex) if f.init] == []  # the sample is an InitVar
+        assert [f.name for f in fields(PatternIndex) if f.init] == []  # the mask is an InitVar
         with pytest.raises(TypeError):
             MaskedSample(1, 2, np.zeros((2, 2)), np.ones((2, 2), bool))
 
@@ -95,12 +95,21 @@ class TestBuiltOnlyWhenValid:
 
     def test_pattern_index_equals_the_builder(self, rng):
         sample, _ = random_general_sample(rng, d=3, n=15)
-        built, derived = PatternIndex(sample), derive_pattern_index(sample)
+        built, derived = PatternIndex(sample.observed), derive_pattern_index(sample)
         assert (built.d, built.n) == (derived.d, derived.n) == (sample.d, sample.n)
         assert built.is_simple_pattern == derived.is_simple_pattern
         for f in fields(PatternIndex):
             np.testing.assert_array_equal(getattr(built, f.name), getattr(derived, f.name))
             assert f.name == "is_simple_pattern" or not getattr(built, f.name).flags.writeable
+
+    def test_pattern_index_takes_a_two_dimensional_even_row_mask(self, rng):
+        # the index is built from the mask; a sample in its place, or a mask
+        # that is not (2d, n), is refused
+        sample, _ = random_general_sample(rng, d=2, n=10)
+        for observed in (sample, sample.observed[0], sample.observed[:3],
+                         sample.observed[:0], sample.observed[None]):
+            with pytest.raises(DimensionMismatch):
+                PatternIndex(observed)
 
 
 class TestDerivePatternIndex:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from rankeffect import (
     METHODS,
     CovarianceEstimate,
     MethodAnalysis,
+    PatternIndex,
     analyze,
     anova_test,
     build_masked_sample,
@@ -390,6 +392,29 @@ class TestRunAllMethods:
             ("wald", "incomplete"), ("anova", "incomplete"),
         ]
 
+    @pytest.mark.parametrize("block", [False, True])
+    def test_inestimable_restrictions_are_skipped_with_their_reasons(self, block):
+        # one complete case, on component 0; component 0's one-sided cases
+        # are all in group 1
+        obs = np.array([[1, 1, 1, 1, 1, 0],
+                        [0, 1, 1, 0, 0, 0],
+                        [1, 0, 0, 0, 0, 0],
+                        [0, 0, 0, 1, 1, 1]], bool)
+        values = np.arange(24.0).reshape(obs.shape)
+        if block:
+            values = np.stack([values, values[:, ::-1], 2.0 * values])
+        analyses = analyze(build_masked_sample(values, obs))
+        assert [item.skipped for item in analyses] == [
+            None,
+            "restriction 'complete' leaves 1 subject(s)",
+            "restriction 'incomplete' leaves no group-2 data on component 0",
+        ]
+        for item in analyses[1:]:
+            assert item.index is None and item.covariance is None
+            for rep in (item.wald, item.anova):
+                assert np.shape(rep.p_value) == ((3,) if block else ())
+                assert np.isnan(rep.p_value).all()
+
     def test_each_covariance_carries_its_methods_subject_count(self, rng):
         obs = simple_mask(2, 20, 6, 4)
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
@@ -473,6 +498,29 @@ def _samples():
         yield random_general_sample(rng, d=3, n=25)[0]
     obs = np.ones((4, 12), bool)  # no one-sided case: "incomplete" is skipped
     yield build_masked_sample(rng.integers(0, 5, obs.shape).astype(float), obs)
+
+
+def _indexed_samples():
+    from rankeffect.reports import parse_dataset
+    from rankeffect.simulate import builtin_grid, draw_sample
+
+    yield parse_dataset(DATA_DIR / "paired_qol_42subjects.csv")
+    yield parse_dataset(DATA_DIR / "scattered_d4_n600.csv")
+    yield draw_sample(builtin_grid("design3", reps=5)[-1], range(5))
+
+
+@pytest.mark.parametrize("sample", _indexed_samples())
+def test_restricted_index_is_the_restricted_samples(sample):
+    # analyze cuts the mask alone; restrict_method also builds the sample
+    idx = derive_pattern_index(sample)
+    for item in analyze(sample):
+        want = restrict_method(sample, idx, item.method)[1]
+        assert item.skipped is None
+        for f in fields(PatternIndex):
+            got = getattr(item.index, f.name)
+            assert type(got) is type(getattr(want, f.name))
+            assert np.array_equal(got, getattr(want, f.name))
+            assert f.name == "is_simple_pattern" or got.dtype == getattr(want, f.name).dtype
 
 
 @pytest.mark.parametrize("sample", _samples())

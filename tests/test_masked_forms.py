@@ -1,9 +1,10 @@
 """The counts, effects and covariance keep the bits of their masked-pass forms.
 
 ``build_rank_table``, ``estimate_effects`` and the covariance kernel read
-the per-cell masks with plain arithmetic; ``oracles`` keeps the forms that
-wrote through the masks.  Every value must agree bit for bit, the sign of
-every zero and the place of every NaN included.
+the per-cell masks with plain arithmetic, and ``nan_unless`` builds the NaN
+addend of a mask from its bits; ``oracles`` and ``np.where`` keep the forms
+that wrote through the masks.  Every value must agree bit for bit, the sign
+of every zero and the place of every NaN included.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from rankeffect import (
 )
 from rankeffect.covariance import CovarianceEstimate, _kernel
 from rankeffect.errors import InestimableComponent
+from rankeffect.ranks import nan_unless
 
 from conftest import simple_mask
 from oracles import build_rank_table_masked, covariance_kernel_masked, estimate_effects_masked
@@ -102,3 +104,11 @@ def test_wide_scattered_block():
     idx = derive_pattern_index(sample)
     assert_same_bits(estimate_effects(b, idx), estimate_effects_masked(b, idx))
     assert_same_bits(_kernel(b, idx)[0], covariance_kernel_masked(b, idx))
+
+
+@given(hnp.arrays(bool, hnp.array_shapes(min_dims=1, max_dims=3, max_side=9)))
+@settings(max_examples=200, deadline=None)
+def test_nan_addend_is_the_where_form(observed):
+    # every bit, the NaN's sign and payload included, on a strided view too
+    for mask in (observed, observed[..., ::2]):
+        assert nan_unless(mask).tobytes() == np.where(mask, -0.0, np.nan).tobytes()

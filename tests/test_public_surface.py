@@ -92,18 +92,18 @@ def test_traced_layers_stay_on_the_monte_carlo_path():
             rankeffect.simulate.run_scenario(scenario)
     table = tracer.layer_table()
     layers = [
-        "simulate.draw_sample", "data.derive_pattern_index", "effects.restrict_method",
+        "simulate.draw_sample", "data.derive_pattern_index",
         "ranks.build_rank_table", "effects.estimate_effects",
         "covariance.covariance_simple", "covariance.covariance_general",
         "inference.analyze", "inference.wald_test", "inference.anova_test",
         "simulate.run_scenario",
     ]
     assert [name for name in layers if table[name]["calls"] == 0] == []
-    # the pattern index is derived once per block, inside analyze, and once
-    # more by each restriction: "complete" and "incomplete" of the first
-    # scenario (design1 runs "all" only)
+    # the pattern index is derived once per block, inside analyze; the
+    # restricted methods' indices come from their masks, with no sample
     assert table["inference.analyze"]["calls"] == 2  # one block per scenario
-    assert table["data.derive_pattern_index"]["calls"] == 2 + 2
+    assert table["data.derive_pattern_index"]["calls"] == 2
+    assert table["effects.restrict_method"]["calls"] == 0
     assert tracer.counts["simulate.replicates"] == 10
     assert tracer.counts["simulate.failures"] == 0
     assert tracer.counts["ranks.cells_ranked"] > 0
@@ -125,8 +125,8 @@ def test_traced_layers_stay_on_the_analyze_path(tmp_path):
         ])
     assert code == 0
     table = tracer.layer_table()
-    # one index for the report, one inside analyze, one per restriction
+    # one index for the report and one inside analyze
     assert table["inference.analyze"]["calls"] == 1
-    assert table["data.derive_pattern_index"]["calls"] == 1 + 1 + 2
+    assert table["data.derive_pattern_index"]["calls"] == 1 + 1
     assert tracer.counts["reports.parse_bytes"] == fixture.stat().st_size
     assert tracer.counts["covariance.general_terms"] == 3 * 9 * 3 * 4 // 2  # 3 methods, d = 3

@@ -12,7 +12,7 @@ from rankeffect import (
     placements,
     restrict_method,
 )
-from rankeffect.errors import EverythingFiltered, InestimableComponent
+from rankeffect.errors import DimensionMismatch, EverythingFiltered, InestimableComponent
 from rankeffect.simulate import builtin_grid, draw_sample
 
 from conftest import random_general_sample, simple_mask
@@ -183,6 +183,15 @@ class TestSplit:
         sample, _ = random_general_sample(rng, d=3, n=20)
         b, own = build_rank_table(sample, split=np.full((3, 20), side))
         assert own.tobytes() == b.tobytes()
+
+    def test_a_split_that_is_not_a_d_by_n_bool_mask_is_a_dimension_mismatch(self, rng):
+        # a transposed mask has as many cells as the right one and once gave
+        # other counts without an error; a short one ended in an IndexError
+        sample, _ = random_general_sample(rng, d=2, n=8)
+        complete = sample.observed[:2] & sample.observed[2:]
+        for split in (complete.T, complete[:, :4], complete.astype(np.int8)):
+            with pytest.raises(DimensionMismatch):
+                build_rank_table(sample, split=split)
 
 
 def assert_equals_rankdata_per_replicate(values, observed):
