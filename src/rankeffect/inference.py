@@ -7,14 +7,16 @@ chi-square with ``d`` degrees of freedom, and a trace-normalized (ANOVA-type)
 form to an F distribution with estimated numerator and infinite denominator
 degrees of freedom, through ``P(F(nu, inf) >= f) = P(chi2_nu >= nu * f)``.
 The Wald statistic is known to be liberal in small samples; the ANOVA-type
-statistic is the small-sample workhorse.
+statistic is the small-sample workhorse.  Either test also takes a sequence
+of estimates of one shape and tests all their replicates in one stacked pass.
 
-Both tests share one zero-covariance rule, replicate by replicate: at a
-trace <= 0 (the only case of a rank-0 Wald pseudo-inverse, since the largest
-eigenvalue is >= trace/d) a statistic exists only at the null point, reported
-as a non-rejection flagged ``"zero-covariance-null"``.  Off the null point, as
-under complete separation, the test is undefined: NaN statistic, df and
-p-value, no rejection, and an ``"inestimable: ..."`` flag alone.
+Both tests share one zero-covariance rule, replicate by replicate, each row of
+a stack alone: at a trace <= 0 (the only case of a rank-0 Wald pseudo-inverse,
+since the largest eigenvalue is >= trace/d) a statistic exists only at the
+null point, reported as a non-rejection flagged ``"zero-covariance-null"``.
+Off the null point, as under complete separation, the test is undefined: NaN
+statistic, df and p-value, no rejection, and an ``"inestimable: ..."`` flag
+alone.
 
 Both p-values come from the chi-square upper tail :func:`chisq_upper_tail`,
 the regularized upper incomplete gamma function Q(a, x), computed in numpy
@@ -33,9 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceEstimate, covariance_general, covariance_simple
-from .data import MaskedSample, PatternIndex, derive_pattern_index
+from .data import MaskedSample, PatternIndex, _freeze, derive_pattern_index
 from .effects import METHODS, _restriction, check_methods
-from .errors import DomainError, EverythingFiltered, NoEstimablePart, PatternMismatch
+from .errors import (
+    DimensionMismatch, DomainError, EverythingFiltered, NoEstimablePart, PatternMismatch,
+)
 from .ranks import build_rank_table, nan_unless
 
 __all__ = [
@@ -161,7 +165,7 @@ class TestReport:
     """Outcome of one test: statistic, reference distribution, decision.
 
     For a block of replicates, ``statistic``, ``df``, ``p_value`` and
-    ``reject`` are ``(R,)`` arrays and ``flags`` holds one tuple per replicate.
+    ``reject`` are read-only ``(R,)`` arrays and ``flags`` holds one tuple per replicate.
     """
 
     statistic: float
@@ -172,33 +176,30 @@ class TestReport:
     flags: tuple[str, ...] = ()
 
 
-def _report(stat, df, p, alpha, family: str, flags: list, single: bool,
-            undefined: np.ndarray, reason: str = _OFF_NULL) -> TestReport:
-    """A report from per-replicate arrays; a single dataset's holds plain values.
+def _reports(stat, df, p, alpha, family: str, flags: list, batch: tuple[int, ...],
+             undefined: np.ndarray, reason: str = _OFF_NULL) -> list[TestReport]:
+    """One report per estimate of a stack; a single dataset's holds plain values.
 
     A replicate in ``undefined`` has no test: NaN statistic, df and p-value, no
-    rejection, and ``"inestimable: <reason>"`` as its only flag.
+    rejection, and ``"inestimable: <reason>"`` as its only flag.  A block's
+    arrays are read-only rows of the stack's.
     """
     stat[undefined] = df[undefined] = p[undefined] = np.nan
     for i in np.flatnonzero(undefined):
         flags[i] = (f"inestimable: {reason}",)
-    reject = p <= alpha
-    if single:
-        stat, df, p, reject = float(stat[0]), float(df[0]), float(p[0]), bool(reject[0])
-        return TestReport(stat, df, p, reject, family, flags[0])
-    return TestReport(stat, df, p, reject, family, tuple(flags))
+    arrays = (stat, df, p, p <= alpha)
+    if batch:
+        arrays = [_freeze(a.reshape(-1, *batch)) for a in arrays]
+        flags = [tuple(flags[i:i + batch[0]]) for i in range(0, len(flags), batch[0])]
+    else:
+        arrays = [a.tolist() for a in arrays]
+    return [TestReport(*row[:4], family, row[4]) for row in zip(*arrays, flags)]
 
 
 def _skipped(family: str, reason: str, batch: tuple[int, ...]) -> TestReport:
-    nan = np.full(batch or (1,), np.nan)
-    undefined = np.ones(nan.shape, bool)
-    return _report(nan, nan, nan, ALPHA, family, [()] * nan.size, not batch, undefined, reason)
-
-
-def _zero_covariance(dev: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Replicates whose covariance trace is <= 0, and those of them off the null point."""
-    zero = trace <= 0.0
-    return zero, zero & (np.abs(dev) > _NULL_DEVIATION).any(axis=1)
+    size = batch[0] if batch else 1
+    stat, df, p = (np.full(size, np.nan) for _ in range(3))
+    return _reports(stat, df, p, ALPHA, family, [()] * size, batch, np.ones(size, bool), reason)[0]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -206,15 +207,31 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-def _flags(base: tuple[str, ...], zero: np.ndarray) -> list:
-    """Each replicate's flags: the covariance's, then ``"zero-covariance-null"`` if it applies."""
-    flags = [base] * zero.size
+def _stack(cov):
+    """The checked estimates of a test call, their batch shape and their stacked rows.
+
+    Per row: ``p_hat - 1/2``, trace, ``n``, whether the covariance is zero and
+    whether also off the null point, and the flags so far.
+    """
+    covs = (cov,) if isinstance(cov, CovarianceEstimate) else tuple(cov)
+    if not all(isinstance(c, CovarianceEstimate) for c in covs):
+        raise TypeError("the tests take a CovarianceEstimate or a sequence of them")
+    shapes = {c.p_hat.shape for c in covs}
+    if len(shapes) != 1:
+        raise DimensionMismatch(f"need estimates of one shape, got {sorted(shapes)}")
+    (shape,) = shapes
+    dev = np.concatenate([c.p_hat.reshape(-1, shape[-1]) for c in covs]) - 0.5
+    trace = np.concatenate([np.reshape(c.trace, -1) for c in covs])
+    reps = trace.size // len(covs)
+    zero = trace <= 0.0
+    off = zero & (np.abs(dev) > _NULL_DEVIATION).any(axis=1)
+    flags = [c.degenerate for c in covs for _ in range(reps)]
     for i in np.flatnonzero(zero):
-        flags[i] = base + ("zero-covariance-null",)
-    return flags
+        flags[i] += ("zero-covariance-null",)
+    return covs, shape[:-1], dev, trace, np.repeat([c.n for c in covs], reps), zero, off, flags
 
 
-def wald_test(cov: CovarianceEstimate, *, alpha: float = ALPHA) -> TestReport:
+def wald_test(cov, *, alpha: float = ALPHA) -> TestReport | list[TestReport]:
     """Quadratic form of ``cov.p_hat - 1/2`` against the inverse covariance, times ``cov.n``.
 
     The form sums over the eigenpairs of ``cov.v_hat`` with eigenvalues above
@@ -222,28 +239,29 @@ def wald_test(cov: CovarianceEstimate, *, alpha: float = ALPHA) -> TestReport:
     singular estimate, whose degrees of freedom shrink to the effective rank
     and whose fallback is flagged.  A block gives one test per replicate.
     A replicate whose estimate vanishes off the null point has no statistic:
-    its results are NaN and it is flagged inestimable.
+    its results are NaN and it is flagged inestimable.  A sequence of
+    estimates gives a list of their reports, each what its estimate gives alone.
 
     Raises
     ------
     ValueError
         ``alpha`` outside (0, 1).
+    TypeError
+        ``cov`` is neither an estimate nor a sequence of estimates.
+    DimensionMismatch
+        The sequence is empty or its estimates differ in d or batch shape.
     """
     _check_alpha(alpha)
-    single = cov.p_hat.ndim == 1
-    d = cov.p_hat.shape[-1]
-    dev = (cov.p_hat - 0.5).reshape(-1, d)
-    trace = np.reshape(cov.trace, -1)
-    zero, off = _zero_covariance(dev, trace)
-    eigvals, eigvecs = np.linalg.eigh(cov.v_hat.reshape(-1, d, d))
+    covs, batch, dev, trace, n, zero, off, flags = _stack(cov)
+    d = dev.shape[1]
+    eigvals, eigvecs = np.linalg.eigh(np.concatenate([c.v_hat.reshape(-1, d, d) for c in covs]))
     kept = np.abs(eigvals) > _PINV_RANK_REL * trace[:, None] / d
     rank = kept.sum(axis=1)
     # products summed over the components in order and terms by a row sum: no
     # BLAS call, so the bits depend on neither the BLAS kernel nor the block
     proj = np.sum(eigvecs * dev[:, :, None], axis=1)
     terms = np.divide(proj * proj, eigvals, out=np.zeros(eigvals.shape), where=kept)
-    stat = cov.n * np.sum(terms, axis=1)
-    flags = _flags(cov.degenerate, zero)
+    stat = n * np.sum(terms, axis=1)
     for i in np.flatnonzero((rank < d) & ~zero):
         flags[i] += (f"singular covariance: pseudo-inverse with rank {rank[i]}",)
     stat[zero] = 0.0
@@ -253,32 +271,27 @@ def wald_test(cov: CovarianceEstimate, *, alpha: float = ALPHA) -> TestReport:
         flags[i] += ("negative quadratic form clamped to zero for the p-value",)
     p = np.ones(stat.shape)
     p[~zero] = chisq_upper_tail(np.maximum(stat[~zero], 0.0), df[~zero])
-    return _report(stat, df, p, alpha, "wald", flags, single, off)
+    reports = _reports(stat, df, p, alpha, "wald", flags, batch, off)
+    return reports[0] if isinstance(cov, CovarianceEstimate) else reports
 
 
-def anova_test(cov: CovarianceEstimate, *, alpha: float = ALPHA) -> TestReport:
+def anova_test(cov, *, alpha: float = ALPHA) -> TestReport | list[TestReport]:
     """Trace-normalized quadratic form of ``cov.p_hat - 1/2`` with estimated df.
 
     It is scaled by ``cov.n``, and the degrees of freedom (df) are ``cov.nu_hat``.
     A block gives one test per replicate; one whose trace vanishes off the
-    null point has NaN results and is flagged inestimable.
-
-    Raises
-    ------
-    ValueError
-        ``alpha`` outside (0, 1).
+    null point has NaN results and is flagged inestimable.  ``cov`` may be a
+    sequence of estimates, and bad arguments raise, as for :func:`wald_test`.
     """
     _check_alpha(alpha)
-    single = cov.p_hat.ndim == 1
-    dev = (cov.p_hat - 0.5).reshape(-1, cov.p_hat.shape[-1])
-    trace = np.reshape(cov.trace, -1)
-    zero, off = _zero_covariance(dev, trace)
-    scale = np.divide(cov.n, trace, out=np.zeros(trace.shape), where=~zero)
+    covs, batch, dev, trace, n, zero, off, flags = _stack(cov)
+    scale = np.divide(n, trace, out=np.zeros(trace.shape), where=~zero)
     stat = scale * np.sum(dev * dev, axis=1)
-    df = np.where(zero, 0.0, np.reshape(cov.nu_hat, -1))
+    df = np.where(zero, 0.0, np.concatenate([np.reshape(c.nu_hat, -1) for c in covs]))
     p = np.ones(stat.shape)
     p[~zero] = chisq_upper_tail(df[~zero] * stat[~zero], df[~zero])
-    return _report(stat, df, p, alpha, "anova", _flags(cov.degenerate, zero), single, off)
+    reports = _reports(stat, df, p, alpha, "anova", flags, batch, off)
+    return reports[0] if isinstance(cov, CovarianceEstimate) else reports
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,13 +345,15 @@ def analyze(
     built, so :func:`~rankeffect.effects.restrict_method` is not called.
     The restricted methods run first, so that their table is freed before
     ``"all"`` estimates its covariance; the results come in the order of
-    ``methods``.
+    ``methods``.  One :func:`wald_test` and one :func:`anova_test` call then
+    test every estimable method, each replicate of each by its own row.
 
     ``sample`` may be a block of replicates; every effect, covariance and
     report then has its leading replicate axis, and a skip applies to the
     whole block, since its reasons depend on the shared mask alone.  A zero
-    covariance off the null point belongs to one replicate and skips nothing:
-    that replicate's tests are NaN and flagged inestimable.
+    covariance off the null point belongs to one replicate of one method and
+    skips nothing: that replicate's tests are NaN and flagged inestimable.
+    A block's report arrays are read-only.
 
     Raises
     ------
@@ -366,7 +381,7 @@ def analyze(
         b, own = build_rank_table(sample, split=idx.complete_mask)
     else:
         b = build_rank_table(sample)
-    out = {}
+    covs, out = {}, {}
     for method in sorted(methods, key=lambda m: m == "all"):
         try:
             if method == "all":
@@ -379,11 +394,8 @@ def analyze(
                     own = None
                 table += nan_unless(mask)
                 del keep, mask
-            cov = _select_covariance(table, sub_idx, pattern)
+            covs[method] = _select_covariance(table, sub_idx, pattern), sub_idx
             del table
-            wald = wald_test(cov, alpha=alpha)
-            anova = anova_test(cov, alpha=alpha)
-            out[method] = MethodAnalysis(method, cov.p_hat, cov, sub_idx, wald, anova)
         except (EverythingFiltered, NoEstimablePart) as exc:
             # both depend on the mask and so hold for every replicate of a block
             reason = str(exc)
@@ -396,5 +408,9 @@ def analyze(
                 _skipped("anova", reason, batch),
                 skipped=reason,
             )
+    if covs:
+        estimates = [cov for cov, _ in covs.values()]
+        tests = zip(wald_test(estimates, alpha=alpha), anova_test(estimates, alpha=alpha))
+        for (method, (cov, sub_idx)), (wald, anova) in zip(covs.items(), tests):
+            out[method] = MethodAnalysis(method, cov.p_hat, cov, sub_idx, wald, anova)
     return [out[method] for method in methods]
-

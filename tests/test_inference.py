@@ -23,6 +23,7 @@ from rankeffect import (
     restrict_method,
     wald_test,
 )
+from rankeffect import inference
 from rankeffect.errors import DimensionMismatch, DomainError, EverythingFiltered, NoEstimablePart
 
 from conftest import DATA_DIR, random_general_sample, simple_mask
@@ -267,6 +268,35 @@ class TestOneEstimate:
             with pytest.raises(TypeError):
                 test(cov.p_hat, cov)
 
+    @pytest.mark.parametrize("test", [wald_test, anova_test])
+    def test_empty_sequence_is_a_dimension_mismatch(self, test):
+        with pytest.raises(DimensionMismatch):
+            test([])
+
+    @pytest.mark.parametrize("test", [wald_test, anova_test])
+    def test_sequence_of_different_d_is_a_dimension_mismatch(self, test):
+        covs = [make_cov([0.6, 0.5], np.eye(2), n=50), make_cov([0.6, 0.5, 0.4], np.eye(3), n=50)]
+        with pytest.raises(DimensionMismatch):
+            test(covs)
+
+    @pytest.mark.parametrize("test", [wald_test, anova_test])
+    @pytest.mark.parametrize("reps", [(), (2,)], ids=["single", "block-of-2"])
+    def test_sequence_of_different_batch_shape_is_a_dimension_mismatch(self, test, reps):
+        # a block of 3 with one dataset, or with a block of 2: a stack would
+        # broadcast or cut one of them silently
+        block = make_cov([[0.6, 0.5]] * 3, np.stack([np.eye(2)] * 3), n=50)
+        other = make_cov(np.full(reps + (2,), 0.6),
+                         np.broadcast_to(np.eye(2), reps + (2, 2)), n=50)
+        with pytest.raises(DimensionMismatch):
+            test([block, other])
+
+    @pytest.mark.parametrize("test", [wald_test, anova_test])
+    def test_sequence_member_that_is_no_estimate_is_a_type_error(self, test):
+        cov = make_cov([0.6, 0.5], np.eye(2), n=50)
+        for member in (cov.p_hat, None, (cov,)):
+            with pytest.raises(TypeError):
+                test([cov, member])
+
     @pytest.mark.parametrize("p, v, n", [
         # a d = 2 effect with a d = 3 estimate: anova_test gave p = 0.919 and
         # wald_test numpy's reshape ValueError
@@ -391,6 +421,48 @@ class TestRunAllMethods:
             ("wald", "complete"), ("anova", "complete"),
             ("wald", "incomplete"), ("anova", "incomplete"),
         ]
+
+    @pytest.mark.parametrize("methods", [
+        ("all",), ("incomplete", "all"), METHODS, ("complete", "incomplete"),
+    ])
+    @pytest.mark.parametrize("reps", [(), (2,)], ids=["single", "block-of-2"])
+    def test_one_call_of_each_test_per_analyze_call(self, monkeypatch, methods, reps):
+        # every estimable method's tests come from one stacked call per family,
+        # with "complete" estimable and with it skipped (one complete case)
+        calls = []
+        for name in ("wald_test", "anova_test"):
+            original = getattr(inference, name)
+
+            def counted(cov, *, alpha, _name=name, _test=original):
+                calls.append(_name)
+                return _test(cov, alpha=alpha)
+
+            monkeypatch.setattr(inference, name, counted)
+        for n_c, skipped in ((6, None), (1, "restriction 'complete' leaves 1 subject(s)")):
+            obs = simple_mask(2, n_c, 4, 4)
+            values = np.arange(np.prod(reps + obs.shape), dtype=float).reshape(reps + obs.shape)
+            calls.clear()
+            analyses = analyze(build_masked_sample(values % 7, obs), methods=methods)
+            assert calls == ["wald_test", "anova_test"]
+            assert [item.method for item in analyses] == list(methods)
+            assert [item.skipped for item in analyses] == [
+                skipped if method == "complete" else None for method in methods
+            ]
+
+    def test_skipped_block_reports_hold_separate_read_only_arrays(self):
+        # the three NaN fields were one writable array: writing the statistic
+        # wrote the df and the p-value too
+        obs = simple_mask(2, 1, 4, 4)
+        block = build_masked_sample(np.arange(72.0).reshape(2, 4, 9) % 5, obs)
+        item = analyze(block, methods=("complete", "all"))[0]
+        assert item.skipped
+        for rep in (item.wald, item.anova):
+            arrays = [rep.statistic, rep.df, rep.p_value, rep.reject]
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+            for a in arrays:
+                assert a.shape == (2,) and not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 5.0
 
     @pytest.mark.parametrize("block", [False, True])
     def test_inestimable_restrictions_are_skipped_with_their_reasons(self, block):

@@ -8,6 +8,7 @@ of every zero and the place of every NaN included.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -112,3 +113,24 @@ def test_nan_addend_is_the_where_form(observed):
     # every bit, the NaN's sign and payload included, on a strided view too
     for mask in (observed, observed[..., ::2]):
         assert nan_unless(mask).tobytes() == np.where(mask, -0.0, np.nan).tobytes()
+
+
+@pytest.mark.parametrize("n", [13, 27])
+@pytest.mark.parametrize("leading", [(), (3,)], ids=["single", "block-of-3"])
+def test_unobserved_cells_hold_the_canonical_nan(n, leading):
+    # -nan, a payload NaN and +-inf in every unobserved cell, in the SIMD body
+    # and in the tail after it.  Adding a NaN addend (ranks.nan_unless), in
+    # either order, keeps the value's own NaN bits at some of these positions,
+    # which ones depending on body and tail; a select writes the canonical NaN
+    canonical = np.float64(np.nan).view(np.uint64)
+    specials = np.array([0xFFF8000000000000, 0x7FF8DEADBEEF0000,
+                         0x7FF0000000000000, 0xFFF0000000000000], np.uint64).view(float)
+    observed = np.zeros((2, n), bool)
+    observed[0] = True
+    observed[1, ::5] = True
+    values = np.resize(specials, leading + observed.shape)
+    values[..., observed] = 1.0
+    sample = build_masked_sample(values, observed)
+    bits = sample.values.view(np.uint64)
+    assert (bits[..., ~observed] == canonical).all()
+    assert (sample.values[..., observed] == 1.0).all()

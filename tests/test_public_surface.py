@@ -102,6 +102,8 @@ def test_traced_layers_stay_on_the_monte_carlo_path():
     # the pattern index is derived once per block, inside analyze; the
     # restricted methods' indices come from their masks, with no sample
     assert table["inference.analyze"]["calls"] == 2  # one block per scenario
+    # every method's tests of a block come from one call per family
+    assert table["inference.wald_test"]["calls"] == table["inference.anova_test"]["calls"] == 2
     assert table["data.derive_pattern_index"]["calls"] == 2
     assert table["effects.restrict_method"]["calls"] == 0
     assert tracer.counts["simulate.replicates"] == 10
@@ -127,6 +129,8 @@ def test_traced_layers_stay_on_the_analyze_path(tmp_path):
     table = tracer.layer_table()
     # one index for the report and one inside analyze
     assert table["inference.analyze"]["calls"] == 1
+    # the three methods' tests come from one call per family
+    assert table["inference.wald_test"]["calls"] == table["inference.anova_test"]["calls"] == 1
     assert table["data.derive_pattern_index"]["calls"] == 1 + 1
     assert tracer.counts["reports.parse_bytes"] == fixture.stat().st_size
     assert tracer.counts["covariance.general_terms"] == 3 * 9 * 3 * 4 // 2  # 3 methods, d = 3
