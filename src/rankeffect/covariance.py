@@ -24,7 +24,7 @@ and the flags are shared by the block.
 only the paired, group-1-only and group-2-only parts survive.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,10 +43,11 @@ __all__ = [
 class CovarianceEstimate:
     """Effect ``p_hat`` of ``(b, idx)``, its d x d covariance estimate and the ``n`` scaling it.
 
-    The tests read all three; the trace diagnostics derive from ``v_hat``.
-    Both arrays are stored read-only, ``v_hat`` symmetrised, ``(v + v^T) / 2``.
-    For a block, ``p_hat`` is ``(R, d)``, ``v_hat`` ``(R, d, d)`` and the
-    diagnostics ``(R,)``; ``degenerate`` is shared, as it depends on the mask.
+    The tests read all three; the trace diagnostics are computed from
+    ``v_hat`` once, at construction.  ``p_hat`` and ``v_hat`` are stored
+    read-only, ``v_hat`` symmetrised, ``(v + v^T) / 2``.  For a block,
+    ``p_hat`` is ``(R, d)``, ``v_hat`` ``(R, d, d)`` and the diagnostics
+    read-only ``(R,)`` arrays; ``degenerate`` is shared, as it depends on the mask.
 
     Raises
     ------
@@ -59,30 +60,24 @@ class CovarianceEstimate:
     estimator: str         # "simple" | "general"
     n: int
     degenerate: tuple[str, ...] = ()
+    trace: np.ndarray = field(init=False)
+    trace_sq: np.ndarray = field(init=False)  # trace of v_hat squared
+    nu_hat: np.ndarray = field(init=False)    # trace**2 / trace_sq, the ANOVA df; NaN at v_hat = 0
 
     def __post_init__(self) -> None:
         p_hat = np.array(self.p_hat, dtype=float)  # a copy: the caller's array stays writable
         v = np.asarray(self.v_hat, dtype=float)
         if p_hat.ndim not in (1, 2) or v.shape != p_hat.shape + p_hat.shape[-1:] or self.n < 2:
             raise DimensionMismatch(f"v_hat {v.shape}, p_hat {p_hat.shape}, n = {self.n}")
+        v = 0.5 * (v + v.swapaxes(-1, -2))
+        trace = np.trace(v, axis1=-2, axis2=-1)
+        trace_sq = np.sum(v * v, axis=(-2, -1))  # symmetric v
+        nu_hat = np.full(np.shape(trace_sq), np.nan)
+        np.divide(trace * trace, trace_sq, out=nu_hat, where=trace_sq > 0)
         object.__setattr__(self, "p_hat", _freeze(p_hat))
-        object.__setattr__(self, "v_hat", _freeze(0.5 * (v + v.swapaxes(-1, -2))))
-
-    @property
-    def trace(self):
-        return np.trace(self.v_hat, axis1=-2, axis2=-1)[()]
-
-    @property
-    def trace_sq(self):
-        """Trace of ``v_hat`` squared."""
-        return np.sum(self.v_hat * self.v_hat, axis=(-2, -1))[()]  # symmetric v_hat
-
-    @property
-    def nu_hat(self):
-        """ANOVA-type degrees of freedom ``trace**2 / trace_sq``; NaN where ``v_hat`` is zero."""
-        trace, trace_sq = self.trace, self.trace_sq
-        nan = np.full(np.shape(trace_sq), np.nan)
-        return np.divide(trace * trace, trace_sq, out=nan, where=trace_sq > 0)[()]
+        object.__setattr__(self, "v_hat", _freeze(v))
+        for name, value in (("trace", trace), ("trace_sq", trace_sq), ("nu_hat", nu_hat)):
+            object.__setattr__(self, name, _freeze(value)[()])
 
 
 def _kernel(b: np.ndarray, idx: PatternIndex) -> tuple[np.ndarray, np.ndarray, list[int]]:

@@ -49,8 +49,8 @@ class MaskedSample:
     Raises
     ------
     DimensionMismatch
-        Shapes disagree, the row count is odd, or sizes are below the
-        minimum (d >= 1, n >= 2).
+        Shapes disagree, the row count is odd, a block has no replicate, or
+        sizes are below the minimum (d >= 1, n >= 2).
     EmptySubject
         Some column has no observed cell.
     NonFiniteObservedValue
@@ -68,6 +68,8 @@ class MaskedSample:
                 f"values {values.shape} must be (2d, n) or (R, 2d, n) "
                 f"and observed {observed.shape} their (2d, n)"
             )
+        if values.ndim == 3 and not len(values):
+            raise DimensionMismatch("a block needs at least one replicate")
         rows, n = observed.shape
         if rows % 2 != 0 or rows < 2:
             raise DimensionMismatch(f"row count {rows} is not twice a positive dimension")

@@ -57,24 +57,25 @@ def estimate_effects(b: np.ndarray, idx: PatternIndex) -> np.ndarray:
     return p_hat
 
 
-def restrict_method(
-    sample: MaskedSample,
-    idx: PatternIndex,
-    method: str,
-) -> tuple[MaskedSample, PatternIndex]:
+def restrict_method(sample: MaskedSample, method: str) -> tuple[MaskedSample, PatternIndex]:
     """Filter the sample down to the cases a comparison method may use.
 
-    ``"all"`` is the identity.  ``"complete"`` keeps only cells belonging to
+    Returns the restricted sample and its pattern index; the case classes
+    come from the sample's own, ``PatternIndex(sample.observed)``.  ``"all"``
+    keeps the sample as it is.  ``"complete"`` keeps only cells belonging to
     within-component paired cases; ``"incomplete"`` keeps only one-sided
     cells.  Subjects left with no observed cell are dropped, so the subject
     count of the returned sample is the effective total for test statistics.
 
     Raises
     ------
+    InestimableComponent
+        Some group has no observation on a component of ``sample``.
     EverythingFiltered
         The restriction leaves some component with no data in one group.
     """
     check_methods((method,))
+    idx = PatternIndex(sample.observed)
     if method == "all":
         return sample, idx
     keep, mask, sub_idx = _restriction(idx, method)

@@ -337,10 +337,10 @@ def analyze(
     placeholder reports instead of aborting the run.
 
     The sample is sorted once for every method: one
-    :func:`~rankeffect.ranks.build_rank_table` call split by the complete
-    cases gives the counts of ``"all"`` and each cell's counts within its
-    own case class, which, cut to a restricted method's columns, are its
-    restricted sample's counts bit for bit.  A restricted method's pattern
+    :func:`~rankeffect.ranks.build_rank_table` call with ``split=True`` gives
+    the counts of ``"all"`` and each cell's counts within its own case class,
+    complete or one-sided, which, cut to a restricted method's columns, are
+    its restricted sample's counts bit for bit.  A restricted method's pattern
     index comes from its cut of the mask alone; no restricted sample is
     built, so :func:`~rankeffect.effects.restrict_method` is not called.
     The restricted methods run first, so that their table is freed before
@@ -378,7 +378,7 @@ def analyze(
     # each table goes after its last use, so that "all" never holds ``own``
     restricted = [method for method in methods if method != "all"]
     if restricted:
-        b, own = build_rank_table(sample, split=idx.complete_mask)
+        b, own = build_rank_table(sample, split=True)
     else:
         b = build_rank_table(sample)
     covs, out = {}, {}

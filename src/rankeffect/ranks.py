@@ -18,14 +18,15 @@ of equal values, count the group-1 cells inside every run and before it, and
 give each cell of a run the opposite group's cells before the run plus half
 of those inside it.  Every count is a half-integer computed exactly.
 
-The same sort also counts within the two sides of a split of each
-component's subjects, such as complete against one-sided cases: the cells
-of a run's side before and inside it give the side's counts as the whole
-row's give the full ones, and a cell off the side gets its full count minus
-its count on it.  Each side's counts are those of the sample restricted to
-that side, bit for bit, so the comparison methods need no sort of their own.
+The same sort also counts within each cell's case class on its component,
+complete (observed in both groups) or one-sided: the complete cells of a
+run's row before and inside it give the complete cells' counts as the whole
+row's give the full ones, and a one-sided cell gets its full count minus its
+count against the complete cells.  Each class's counts are those of the
+sample restricted to that class, bit for bit, so the comparison methods need
+no sort of their own.
 
-Counting needs the sample alone and fails only on a malformed split.
+Counting needs the sample alone and never fails.
 Placements also take a :class:`~rankeffect.data.PatternIndex`, which exists
 only when both groups have data on every component, so the group counts
 they divide by are positive.
@@ -34,7 +35,6 @@ they divide by are positive.
 import numpy as np
 
 from .data import MaskedSample, PatternIndex
-from .errors import DimensionMismatch
 
 __all__ = ["build_rank_table", "placements"]
 
@@ -59,7 +59,7 @@ def nan_unless(observed: np.ndarray) -> np.ndarray:
 
 
 def build_rank_table(
-    sample: MaskedSample, split: np.ndarray | None = None
+    sample: MaskedSample, split: bool = False
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Placement count ``b`` of every observed cell within its component.
 
@@ -75,27 +75,22 @@ def build_rank_table(
     group's row zero; such a sample has no pattern index, since
     :func:`~rankeffect.data.derive_pattern_index` rejects it.
 
-    ``split`` is a ``(d, n)`` boolean mask, such as a pattern index's
-    ``complete_mask``, that puts both cells of subject ``j`` on component
-    ``l`` on side ``split[l, j]``.  With it the call returns ``(b, own)``,
-    where ``own`` is ``b`` but for counting only the opposite group's cells
-    on the cell's own side, from the same sort.  Each side's counts are, bit
-    for bit, those of the sample cut down to that side's cells: a cell off
-    the ``True`` side gets its full count minus its count against that side,
-    and every term is an exact half-integer.
+    With ``split=True`` the call returns ``(b, own)``, where ``own`` is ``b``
+    but for counting only the opposite group's cells in the cell's own case
+    class, complete or one-sided, from the same sort; the classes come from
+    the sample's mask, ``observed[:d] & observed[d:]``.  Each class's counts
+    are, bit for bit, those of the sample cut down to that class's cells: a
+    one-sided cell gets its full count minus its count against the complete
+    cells, and every term is an exact half-integer.
 
     Raises
     ------
-    DimensionMismatch
-        ``split`` is given but is not a ``(d, n)`` boolean array.
+    TypeError
+        ``split`` is not a bool, as when it is a mask.
     """
+    if not isinstance(split, bool):
+        raise TypeError(f"split must be True or False, got {type(split).__name__}")
     d, n = sample.d, sample.n
-    if split is not None:
-        split = np.asarray(split)
-        if split.shape != (d, n) or split.dtype != bool:
-            raise DimensionMismatch(
-                f"split must be a ({d}, {n}) bool mask, got {split.dtype} {split.shape}"
-            )
     # source[l, k]: the (2d, n) table cell, as a flat index, at position k of
     # component l's pooled row: observed cells first, then unobserved ones,
     # which stand in for the padding so that its counts land on cells set to
@@ -127,9 +122,9 @@ def build_rank_table(
     run -= 1
     run = run.reshape(new_run.shape)
     del new_run
-    # per sorted cell: in group 1; with a split also on the True side, and
-    # in group 1 on that side
-    flags = np.empty((1 if split is None else 3, cell.size), dtype=bool)
+    # per sorted cell: in group 1; with a split also complete, and complete
+    # in group 1
+    flags = np.empty((3 if split else 1, cell.size), dtype=bool)
     in_group1 = flags[0].reshape(cell.shape)
     rows = cell.reshape(-1, d, width)
     np.less(rows, sample.observed[:d].sum(axis=1)[:, None], out=in_group1.reshape(rows.shape))
@@ -137,9 +132,10 @@ def build_rank_table(
     rows += width * np.arange(d)[:, None]
     target = np.take(source, cell)
     del cell, rows, source
-    if split is not None:
-        # padding may fall on either side; its runs come last in their rows
-        np.take(np.concatenate([split, split]).ravel(), target.ravel(), out=flags[1])
+    if split:
+        # padding may fall in either class; its runs come last in their rows
+        complete = sample.observed[:d] & sample.observed[d:]
+        np.take(np.concatenate([complete, complete]).ravel(), target.ravel(), out=flags[1])
         np.logical_and(flags[0], flags[1], out=flags[2])
     replicates = target.reshape(-1, d * width)
     replicates += 2 * d * n * np.arange(len(replicates))[:, None]
@@ -162,9 +158,9 @@ def build_rank_table(
     counts[1] += starts
     counts[1] -= counts[0]
     del starts
-    if split is not None:
-        # the same counts within the True side, whose cells before and inside
-        # a run give its offset and length there: own[1]; off it, own[0]
+    if split:
+        # the same counts within the complete cells, whose cells before and
+        # inside a run give its offset and length there: own[1]; off them, own[0]
         own = np.empty((2, *counts.shape))
         np.multiply(inside[2], 0.5, out=own[1, 0])
         own[1, 0] += before[2]
@@ -179,8 +175,8 @@ def build_rank_table(
     b = np.zeros(sample.values.shape)  # so no stale NaN shows through the add
     np.put(b, target, counts.ravel()[run])
     tables = [b]
-    if split is not None:
-        # own's first half is laid out as counts, its second half on the True side
+    if split:
+        # own's first half is laid out as counts, its second half for complete cells
         run += flags[1].reshape(run.shape) * run.dtype.type(counts.size)
         tables.append(np.zeros(sample.values.shape))
         np.put(tables[1], target, own.ravel()[run])
@@ -191,7 +187,7 @@ def build_rank_table(
     for table in tables:
         table += unobserved
         table.setflags(write=False)
-    return b if split is None else (b, tables[1])
+    return (b, tables[1]) if split else b
 
 
 def placements(b: np.ndarray, idx: PatternIndex) -> np.ndarray:

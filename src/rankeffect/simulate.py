@@ -216,6 +216,8 @@ def draw_sample(scenario: Scenario, replicates: int | range) -> MaskedSample:
 
     Raises
     ------
+    DimensionMismatch
+        ``replicates`` is an empty range.
     NonFiniteObservedValue
         A draw (of any replicate of a block) overflowed.
     """

@@ -217,6 +217,17 @@ class TestCovarianceGeneral:
             assert np.array_equal(cov.v_hat, cov.v_hat.T)
             assert (np.diag(cov.v_hat) >= 0.0).all()
 
+    def test_a_blocks_diagnostics_are_read_only(self, rng):
+        # computed once, at construction, and frozen like p_hat and v_hat
+        sample, idx = random_general_sample(rng, d=3, n=25)
+        block = build_masked_sample(rng.standard_normal((4, 6, 25)), sample.observed)
+        cov = covariance_general(build_rank_table(block), idx)
+        for name in ("trace", "trace_sq", "nu_hat"):
+            value = getattr(cov, name)
+            assert value.shape == (4,) and not value.flags.writeable
+            with pytest.raises(ValueError):
+                value[0] = 0.0
+
     def test_single_subject_intersections_flagged(self, rng):
         obs = np.ones((4, 6), bool)
         obs[0, 0] = False  # subject 0: g1 missing on var1 -> g2-only there

@@ -53,7 +53,6 @@ try:
 except ImportError:
     from numpy.core._multiarray_umath import __cpu_features__
 from rankeffect import build_rank_table, covariance_general, covariance_simple
-from rankeffect import derive_pattern_index
 from rankeffect.cli import main
 from rankeffect.effects import restrict_method
 from rankeffect.simulate import builtin_grid, draw_sample
@@ -66,9 +65,8 @@ for grid, reps, dims, estimator, methods in [
     ("table3", 200, (5,), covariance_simple, ("all", "complete", "incomplete")),
 ]:
     block = draw_sample(builtin_grid(grid, reps=reps, dims=dims)[-1], range(reps))
-    idx = derive_pattern_index(block)
     for method in methods:
-        sample, restricted = restrict_method(block, idx, method)
+        sample, restricted = restrict_method(block, method)
         cov = estimator(build_rank_table(sample), restricted)
         digests.append(hashlib.sha256(cov.v_hat.tobytes()).hexdigest())
 print(json.dumps({"x86_v4": __cpu_features__.get("X86_V4"), "v_hat": digests}))

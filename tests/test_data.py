@@ -19,6 +19,7 @@ from rankeffect.errors import (
     InestimableComponent,
     NonFiniteObservedValue,
 )
+from rankeffect.simulate import builtin_grid, draw_sample
 
 from conftest import random_general_sample, simple_mask
 
@@ -92,6 +93,16 @@ class TestBuiltOnlyWhenValid:
             MaskedSample(np.zeros((3, 4)), np.ones((3, 4), bool))
         s = MaskedSample(np.zeros((2, 4, 3)), np.ones((4, 3), bool))
         assert (s.d, s.n) == (2, 3)
+
+    def test_a_block_with_no_replicate_is_a_dimension_mismatch(self):
+        # such a block, built directly or drawn for an empty range, once
+        # reached analyze and ended in an IndexError from the counting
+        with pytest.raises(DimensionMismatch):
+            MaskedSample(np.zeros((0, 4, 10)), np.ones((4, 10), bool))
+        scenario = builtin_grid("design1", reps=2)[0]
+        with pytest.raises(DimensionMismatch):
+            draw_sample(scenario, range(2, 2))
+        assert draw_sample(scenario, range(2, 3)).values.shape[0] == 1
 
     def test_pattern_index_equals_the_builder(self, rng):
         sample, _ = random_general_sample(rng, d=3, n=15)

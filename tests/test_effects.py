@@ -121,14 +121,15 @@ class TestEstimateEffects:
 class TestRestrictMethod:
     def test_all_is_identity(self, rng):
         sample, idx = random_simple_sample(rng)
-        s2, idx2 = restrict_method(sample, idx, "all")
-        assert s2 is sample and idx2 is idx
+        s2, idx2 = restrict_method(sample, "all")
+        assert s2 is sample
+        for name in ("complete_mask", "g1_only_mask", "g2_only_mask"):
+            assert np.array_equal(getattr(idx2, name), getattr(idx, name))
 
     def test_complete_only_drops_one_sided(self, rng):
         obs = simple_mask(2, 4, 3, 2)
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
-        idx = derive_pattern_index(s)
-        s2, idx2 = restrict_method(s, idx, "complete")
+        s2, idx2 = restrict_method(s, "complete")
         assert s2.n == 4
         assert (idx2.n1_only == 0).all() and (idx2.n2_only == 0).all()
         assert (idx2.n_complete == 4).all()
@@ -136,8 +137,7 @@ class TestRestrictMethod:
     def test_incomplete_only_drops_paired(self, rng):
         obs = simple_mask(2, 4, 3, 2)
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
-        idx = derive_pattern_index(s)
-        s2, idx2 = restrict_method(s, idx, "incomplete")
+        s2, idx2 = restrict_method(s, "incomplete")
         assert s2.n == 5
         assert (idx2.n_complete == 0).all()
         assert (idx2.n1_only == 3).all() and (idx2.n2_only == 2).all()
@@ -145,26 +145,45 @@ class TestRestrictMethod:
     def test_everything_filtered(self, rng):
         obs = simple_mask(2, 4, 3, 0)  # no group-2-only subjects
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
-        idx = derive_pattern_index(s)
         with pytest.raises(EverythingFiltered) as exc:
-            restrict_method(s, idx, "incomplete")
+            restrict_method(s, "incomplete")
         assert str(exc.value) == "restriction 'incomplete' leaves no group-2 data on component 0"
         obs = simple_mask(2, 1, 3, 3)  # a single paired subject
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
         with pytest.raises(EverythingFiltered) as exc:
-            restrict_method(s, derive_pattern_index(s), "complete")
+            restrict_method(s, "complete")
         assert str(exc.value) == "restriction 'complete' leaves 1 subject(s)"
 
     def test_unknown_method(self, rng):
-        sample, idx = random_simple_sample(rng)
+        sample, _ = random_simple_sample(rng)
         with pytest.raises(ValueError):
-            restrict_method(sample, idx, "bogus")
+            restrict_method(sample, "bogus")
 
     def test_restricted_totals_feed_statistics(self, rng):
         obs = simple_mask(3, 33, 8, 1)
         s = build_masked_sample(rng.standard_normal(obs.shape), obs)
-        idx = derive_pattern_index(s)
-        s_inc, _ = restrict_method(s, idx, "incomplete")
+        s_inc, _ = restrict_method(s, "incomplete")
         assert s_inc.n == 9
-        s_com, _ = restrict_method(s, idx, "complete")
+        s_com, _ = restrict_method(s, "complete")
         assert s_com.n == 33
+
+    def test_the_case_classes_come_from_the_sample(self, rng):
+        # another sample on the same values, with one-sided cases in columns
+        # 0-2 and 8-9, once gave its 5-subject restriction of a full sample
+        values = rng.standard_normal((4, 10))
+        full = build_masked_sample(values, np.ones((4, 10), bool))
+        observed = np.ones((4, 10), bool)
+        observed[:2, [0, 1, 2]] = False
+        observed[2:, [8, 9]] = False
+        other = derive_pattern_index(build_masked_sample(values, observed))
+        sub, sub_idx = restrict_method(full, "complete")
+        assert sub.n == sub_idx.n == 10 and (sub_idx.n_complete == 10).all()
+        assert np.array_equal(sub.values, full.values)
+        with pytest.raises(TypeError):
+            restrict_method(full, other, "complete")
+
+    def test_a_sample_missing_a_group_on_a_component_is_inestimable(self):
+        observed = np.array([[True, True], [False, False], [True, True], [True, True]])
+        s = build_masked_sample(np.zeros((4, 2)), observed)
+        with pytest.raises(InestimableComponent):
+            restrict_method(s, "complete")

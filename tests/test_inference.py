@@ -515,7 +515,7 @@ class TestRunAllMethods:
         analyses = analyze(a)
         assert [item.method for item in analyses] == list(METHODS)
         for item in analyses:
-            sub, sub_idx = restrict_method(a, idx_a, item.method)
+            sub, sub_idx = restrict_method(a, item.method)
             b_sub = build_rank_table(sub)
             eff = estimate_effects(b_sub, sub_idx)
             estimator = covariance_simple if sub_idx.is_simple_pattern else covariance_general
@@ -532,7 +532,7 @@ class TestRunAllMethods:
 def restricted_analysis(sample, method):
     """``method``'s analysis from its restricted sample ranked on its own, or its skip reason."""
     try:
-        sub, sub_idx = restrict_method(sample, derive_pattern_index(sample), method)
+        sub, sub_idx = restrict_method(sample, method)
         b = build_rank_table(sub)
         estimator = covariance_simple if sub_idx.is_simple_pattern else covariance_general
         cov = estimator(b, sub_idx)
@@ -584,9 +584,8 @@ def _indexed_samples():
 @pytest.mark.parametrize("sample", _indexed_samples())
 def test_restricted_index_is_the_restricted_samples(sample):
     # analyze cuts the mask alone; restrict_method also builds the sample
-    idx = derive_pattern_index(sample)
     for item in analyze(sample):
-        want = restrict_method(sample, idx, item.method)[1]
+        want = restrict_method(sample, item.method)[1]
         assert item.skipped is None
         for f in fields(PatternIndex):
             got = getattr(item.index, f.name)

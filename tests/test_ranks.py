@@ -12,7 +12,7 @@ from rankeffect import (
     placements,
     restrict_method,
 )
-from rankeffect.errors import DimensionMismatch, EverythingFiltered, InestimableComponent
+from rankeffect.errors import EverythingFiltered, InestimableComponent
 from rankeffect.simulate import builtin_grid, draw_sample
 
 from conftest import random_general_sample, simple_mask
@@ -159,19 +159,15 @@ class TestSplit:
     @settings(max_examples=300, deadline=None)
     def test_each_side_equals_its_restricted_sample(self, sample):
         # bit for bit: values, NaN positions and the signs of zeros
-        complete = sample.observed[: sample.d] & sample.observed[sample.d:]
-        b, own = build_rank_table(sample, split=complete)
+        b, own = build_rank_table(sample, split=True)
         assert b.tobytes() == build_rank_table(sample).tobytes()
         assert own.shape == b.shape and not own.flags.writeable
         assert np.array_equal(np.isnan(own), np.isnan(b))
-        try:
-            idx = derive_pattern_index(sample)
-        except InestimableComponent:
-            return
+        complete = sample.observed[: sample.d] & sample.observed[sample.d:]
         for method in ("complete", "incomplete"):
             try:
-                sub, _ = restrict_method(sample, idx, method)
-            except EverythingFiltered:
+                sub, _ = restrict_method(sample, method)
+            except (InestimableComponent, EverythingFiltered):
                 continue
             side = np.concatenate([complete, complete]) == (method == "complete")
             keep = (sample.observed & side).any(axis=0)
@@ -180,17 +176,20 @@ class TestSplit:
 
     @pytest.mark.parametrize("side", [False, True])
     def test_a_split_with_one_side_empty_keeps_the_full_counts(self, rng, side):
-        sample, _ = random_general_sample(rng, d=3, n=20)
-        b, own = build_rank_table(sample, split=np.full((3, 20), side))
+        # every cell complete, or every cell one-sided, with ties
+        group1 = rng.random((3, 20)) < 0.5
+        observed = np.concatenate([group1 | side, ~group1 | side])
+        sample = build_masked_sample(rng.integers(0, 6, (2, 6, 20)).astype(float), observed)
+        b, own = build_rank_table(sample, split=True)
         assert own.tobytes() == b.tobytes()
 
-    def test_a_split_that_is_not_a_d_by_n_bool_mask_is_a_dimension_mismatch(self, rng):
-        # a transposed mask has as many cells as the right one and once gave
-        # other counts without an error; a short one ended in an IndexError
+    def test_a_mask_as_split_is_a_type_error(self, rng):
+        # another sample's complete mask, a (d, n) bool array like the
+        # sample's own, once counted the sample on the other's case classes
         sample, _ = random_general_sample(rng, d=2, n=8)
-        complete = sample.observed[:2] & sample.observed[2:]
-        for split in (complete.T, complete[:, :4], complete.astype(np.int8)):
-            with pytest.raises(DimensionMismatch):
+        other, _ = random_general_sample(rng, d=2, n=8)
+        for split in (other.observed[:2] & other.observed[2:], None, 1):
+            with pytest.raises(TypeError):
                 build_rank_table(sample, split=split)
 
 
