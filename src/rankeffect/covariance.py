@@ -11,7 +11,7 @@ over the intersection of the two index sets with an ``e/(e-1)`` bias factor
 Single-subject intersections contribute zero and are flagged.  Only the
 sets with a member are stacked, so a restriction to complete or one-sided
 cases works on its own rows alone.  The rows are cut from one difference
-row per component, ``b2 - b1`` with an unobserved count read as zero.  Its
+row per component, ``b2 - b1``, in which an unobserved cell counts zero.  Its
 values are half-integers, and stay so when one pass centres it on the whole
 number nearest each set's mean; one product with the 0/1 set masks zeroes
 it off each set, so no pass over the cells is masked.  Three matrix
@@ -100,9 +100,7 @@ def _kernel(b: np.ndarray, idx: PatternIndex) -> tuple[np.ndarray, np.ndarray, l
     k = len(kept)
     m = np.concatenate([sets[a] for a in kept], dtype=float)
     e = m @ m.T
-    # counts are never negative, and fmax drops the NaN of unobserved cells
-    y = np.fmax(b[..., d:, :], 0.0)
-    y -= np.fmax(b[..., :d, :], 0.0)
+    y = b[..., d:, :] - b[..., :d, :]
     # sums[..., i, l]: component l's row summed over kept set i
     sums = (y @ m.T).reshape(*y.shape[:-1], k, d).diagonal(axis1=-3, axis2=-1)
     # centring each row on the whole number nearest its own-set mean leaves

@@ -47,12 +47,11 @@ def estimate_effects(b: np.ndarray, idx: PatternIndex) -> np.ndarray:
     """Effect vector: the mean pairwise count, ``sum(b2) / (m1 * m2)``.
 
     ``b`` holds the placement counts of :func:`~rankeffect.ranks.build_rank_table`,
-    NaN exactly where a cell is unobserved, and ``idx`` the case counts; only
-    the group-2 rows are read.  Returns the read-only ``p_hat`` in [0, 1],
+    zero where a cell is unobserved, and ``idx`` the case counts; only the
+    group-2 rows are read.  Returns the read-only ``p_hat`` in [0, 1],
     ``(d,)`` for one dataset and ``(R, d)`` for a block.
     """
-    # counts are never negative, and fmax drops the NaN of unobserved cells
-    p_hat = np.fmax(b[..., idx.d:, :], 0.0).sum(axis=-1) / (idx.m1 * idx.m2)
+    p_hat = b[..., idx.d:, :].sum(axis=-1) / (idx.m1 * idx.m2)
     p_hat.setflags(write=False)
     return p_hat
 

@@ -40,7 +40,7 @@ from .effects import METHODS, _restriction, check_methods
 from .errors import (
     DimensionMismatch, DomainError, EverythingFiltered, NoEstimablePart, PatternMismatch,
 )
-from .ranks import build_rank_table, nan_unless
+from .ranks import build_rank_table
 
 __all__ = [
     "TestReport",
@@ -220,15 +220,16 @@ def _stack(cov):
     if len(shapes) != 1:
         raise DimensionMismatch(f"need estimates of one shape, got {sorted(shapes)}")
     (shape,) = shapes
-    dev = np.concatenate([c.p_hat.reshape(-1, shape[-1]) for c in covs]) - 0.5
-    trace = np.concatenate([np.reshape(c.trace, -1) for c in covs])
+    dev = np.concatenate([c.p_hat for c in covs], axis=None).reshape(-1, shape[-1]) - 0.5
+    trace = np.concatenate([c.trace for c in covs], axis=None)
     reps = trace.size // len(covs)
     zero = trace <= 0.0
     off = zero & (np.abs(dev) > _NULL_DEVIATION).any(axis=1)
     flags = [c.degenerate for c in covs for _ in range(reps)]
     for i in np.flatnonzero(zero):
         flags[i] += ("zero-covariance-null",)
-    return covs, shape[:-1], dev, trace, np.repeat([c.n for c in covs], reps), zero, off, flags
+    n = np.array([c.n for c in covs]).repeat(reps)
+    return covs, shape[:-1], dev, trace, n, zero, off, flags
 
 
 def wald_test(cov, *, alpha: float = ALPHA) -> TestReport | list[TestReport]:
@@ -254,7 +255,8 @@ def wald_test(cov, *, alpha: float = ALPHA) -> TestReport | list[TestReport]:
     _check_alpha(alpha)
     covs, batch, dev, trace, n, zero, off, flags = _stack(cov)
     d = dev.shape[1]
-    eigvals, eigvecs = np.linalg.eigh(np.concatenate([c.v_hat.reshape(-1, d, d) for c in covs]))
+    v = np.concatenate([c.v_hat for c in covs], axis=None).reshape(-1, d, d)
+    eigvals, eigvecs = np.linalg.eigh(v)
     kept = np.abs(eigvals) > _PINV_RANK_REL * trace[:, None] / d
     rank = kept.sum(axis=1)
     # products summed over the components in order and terms by a row sum: no
@@ -287,7 +289,7 @@ def anova_test(cov, *, alpha: float = ALPHA) -> TestReport | list[TestReport]:
     covs, batch, dev, trace, n, zero, off, flags = _stack(cov)
     scale = np.divide(n, trace, out=np.zeros(trace.shape), where=~zero)
     stat = scale * np.sum(dev * dev, axis=1)
-    df = np.where(zero, 0.0, np.concatenate([np.reshape(c.nu_hat, -1) for c in covs]))
+    df = np.where(zero, 0.0, np.concatenate([c.nu_hat for c in covs], axis=None))
     p = np.ones(stat.shape)
     p[~zero] = chisq_upper_tail(df[~zero] * stat[~zero], df[~zero])
     reports = _reports(stat, df, p, alpha, "anova", flags, batch, off)
@@ -388,11 +390,11 @@ def analyze(
                 table, sub_idx, own = b, idx, None
             else:
                 keep, mask, sub_idx = _restriction(idx, method)
-                # the own-class counts of the kept columns, NaN off their cells
+                # the own-class counts of the kept columns, zero off their cells
                 table = np.compress(keep, own, axis=-1)
                 if method == restricted[-1]:
                     own = None
-                table += nan_unless(mask)
+                table *= mask
                 del keep, mask
             covs[method] = _select_covariance(table, sub_idx, pattern), sub_idx
             del table

@@ -16,7 +16,9 @@ padded with ``+inf``; observed values are finite, so the padding sorts last
 and never ties with a cell that is counted.  Split each sorted row into runs
 of equal values, count the group-1 cells inside every run and before it, and
 give each cell of a run the opposite group's cells before the run plus half
-of those inside it.  Every count is a half-integer computed exactly.
+of those inside it.  Every count is a half-integer computed exactly.  An
+unobserved cell is in no pair and counts +0.0, so a sum over a table's row
+is a sum over its observed cells.
 
 The same sort also counts within each cell's case class on its component,
 complete (observed in both groups) or one-sided: the complete cells of a
@@ -38,26 +40,6 @@ from .data import MaskedSample, PatternIndex
 
 __all__ = ["build_rank_table", "placements"]
 
-# float64 bits of the NaN of an unobserved cell, and what -0.0 adds to them
-_NAN_BITS = np.float64(np.nan).view(np.uint64)
-_OBSERVED_STEP = np.float64(-0.0).view(np.uint64) - _NAN_BITS
-
-
-def nan_unless(observed: np.ndarray) -> np.ndarray:
-    """``np.where(observed, -0.0, np.nan)`` bit for bit, by integer arithmetic.
-
-    Added to a table, it makes the cells outside ``observed`` NaN and leaves
-    the others as they are: ``x + -0.0`` is ``x`` bit for bit (``-0.0 + 0.0``
-    is 0.0).  It takes no branch per cell, which ``np.where`` does, at several
-    times the cost on a scattered mask.
-    """
-    addend = np.empty(observed.shape)
-    bits = addend.view(np.uint64)
-    np.multiply(observed, _OBSERVED_STEP, out=bits)
-    bits += _NAN_BITS
-    return addend
-
-
 def build_rank_table(
     sample: MaskedSample, split: bool = False
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -70,10 +52,11 @@ def build_rank_table(
     positions to table cells depends only on the mask, so every replicate of
     a block shares it, and one ``argsort`` of all pooled rows gives every
     count.  Returns a read-only array shaped like the sample, a block's
-    leading replicate axis included, NaN where a cell is unobserved.  A group
-    with no observation on a component leaves its row NaN and the other
-    group's row zero; such a sample has no pattern index, since
-    :func:`~rankeffect.data.derive_pattern_index` rejects it.
+    leading replicate axis included, +0.0 where a cell is unobserved: such a
+    cell is in no cross-group pair.  A group with no observation on a
+    component leaves both groups' rows of it zero; such a sample has no
+    pattern index, since :func:`~rankeffect.data.derive_pattern_index`
+    rejects it.
 
     With ``split=True`` the call returns ``(b, own)``, where ``own`` is ``b``
     but for counting only the opposite group's cells in the cell's own case
@@ -93,8 +76,8 @@ def build_rank_table(
     d, n = sample.d, sample.n
     # source[l, k]: the (2d, n) table cell, as a flat index, at position k of
     # component l's pooled row: observed cells first, then unobserved ones,
-    # which stand in for the padding so that its counts land on cells set to
-    # NaN below; a row of L cells always has enough of them
+    # which stand in for the padding so that its counts land on cells zeroed
+    # below; a row of L cells always has enough of them
     pooled = sample.observed.reshape(2, d, n).swapaxes(0, 1).reshape(d, 2 * n)
     length = pooled.sum(axis=1)
     width = int(length.max())
@@ -172,7 +155,7 @@ def build_rank_table(
     # runs index the group-2 cells' counts, runs + len(counts[0]) the group-1 ones
     run += in_group1 * run.dtype.type(counts.shape[1])
     del in_group1
-    b = np.zeros(sample.values.shape)  # so no stale NaN shows through the add
+    b = np.zeros(sample.values.shape)  # not empty: a stale NaN survives the product
     np.put(b, target, counts.ravel()[run])
     tables = [b]
     if split:
@@ -182,10 +165,9 @@ def build_rank_table(
         np.put(tables[1], target, own.ravel()[run])
         del own
     del counts, flags, run, first, target, replicates
-    # unobserved cells, padding counts too, become NaN by a plain add
-    unobserved = nan_unless(sample.observed)
+    # unobserved cells, padding counts too, become +0.0: every count is >= +0.0
     for table in tables:
-        table += unobserved
+        table *= sample.observed
         table.setflags(write=False)
     return (b, tables[1]) if split else b
 
@@ -195,7 +177,7 @@ def placements(b: np.ndarray, idx: PatternIndex) -> np.ndarray:
 
     ``y[row, k] = b / m_other`` lies in [0, 1]; it is the weighted empirical
     CDF of the other group's sample at the observed value.  Unobserved cells
-    hold NaN.  Returns a read-only array shaped like ``b``.
+    hold 0.0, as in ``b``.  Returns a read-only array shaped like ``b``.
     """
     y = b / np.concatenate([idx.m2, idx.m1])[:, None]
     y.setflags(write=False)

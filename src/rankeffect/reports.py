@@ -451,7 +451,7 @@ def _fmt(x, width=10, prec=3) -> str:
 def render_analysis_table(report: dict) -> str:
     """Human-readable rendering: effects per component, then joint tests."""
     lines = []
-    methods = [m for m in METHODS if m in report["effects"]]
+    methods = list(report["effects"])
     lines.append(f"effects (n={report['n_subjects']}, pattern={report['pattern']})")
     head = "component".ljust(14) + "".join(m.rjust(12) for m in methods)
     lines.append(head)

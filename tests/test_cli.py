@@ -157,6 +157,16 @@ class TestAnalyzeCommand:
         assert "component" in out and "p_value" in out
         assert "var1" in out
 
+    def test_table_columns_follow_the_methods_order(self, capsys):
+        # the effect columns came in METHODS order, the test rows in --methods order
+        code, out, _ = run_cli(capsys, "analyze", FIXTURE, "--methods", "incomplete,all", "--table")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1].split() == ["component", "incomplete", "all"]
+        first = next(i for i, line in enumerate(lines) if line.startswith("method"))
+        assert [line.split()[0] for line in lines[first + 1:first + 5]] == [
+            "incomplete", "incomplete", "all", "all"]
+
     def test_table_marks_a_skipped_method(self, capsys, tmp_path):
         # fully observed data leave the incomplete-case restriction nobody
         path = tmp_path / "complete.csv"
@@ -176,13 +186,13 @@ class TestAnalyzeCommand:
         out_b = tmp_path / "b.json"
         assert main(["analyze", FIXTURE, "--output", str(out_a)]) == 0
         assert main(["analyze", FIXTURE, "--output", str(out_b)]) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-        assert json.loads(out_a.read_text()) == json.loads(GOLDEN.read_text())
+        # bytes, not parsed JSON, which has -0.0 == 0.0 and 3 == 3.0
+        assert out_a.read_bytes() == out_b.read_bytes() == GOLDEN.read_bytes()
 
     def test_scattered_golden(self, tmp_path):
         out = tmp_path / "scattered.json"
         assert main(["analyze", SCATTERED, "--output", str(out)]) == 0
-        assert json.loads(out.read_text()) == json.loads(GOLDEN_SCATTERED.read_text())
+        assert out.read_bytes() == GOLDEN_SCATTERED.read_bytes()
 
     def test_unwritable_output_is_operational_error(self, capsys, tmp_path):
         # the report write ran outside the error contract and crashed
@@ -569,7 +579,7 @@ def test_analyze_runs_without_scipy(tmp_path):
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert json.loads(out.read_text()) == json.loads(GOLDEN.read_text())
+    assert out.read_bytes() == GOLDEN.read_bytes()
 
 
 def test_output_files_are_utf8_in_any_locale(tmp_path):

@@ -54,6 +54,14 @@ def masked_blocks(draw):
     return build_masked_sample(block, sample.observed)
 
 
+def assert_zero_form(b, expected, observed):
+    """``b`` is ``expected`` on the observed cells and +0.0 off them, bit for bit.
+
+    ``expected`` is an oracle's table, NaN where a cell is unobserved.
+    """
+    assert b.tobytes() == np.where(observed, expected, 0.0).tobytes()
+
+
 class TestRankTable:
     def test_distinct_complete_case(self):
         obs = np.ones((2, 2), bool)
@@ -71,13 +79,13 @@ class TestRankTable:
         assert np.array_equal(b[obs], np.full(6, 1.5))
 
     def test_component_with_no_data(self):
-        # counting leaves the component's rows NaN; the pattern index rejects it
+        # counting leaves the component's rows +0.0; the pattern index rejects it
         obs = np.zeros((4, 3), bool)
         obs[0] = True
         obs[2] = True  # var 1 observed in both groups, var 2 nowhere
         s = build_masked_sample(np.zeros((4, 3)), obs)
         b = build_rank_table(s)
-        assert np.isnan(b[[1, 3]]).all() and not np.isnan(b[[0, 2]]).any()
+        assert not b[[1, 3]].view(np.uint64).any() and (b[[0, 2]] == 1.5).all()
         with pytest.raises(InestimableComponent) as exc:
             derive_pattern_index(s)
         assert exc.value.component == 1
@@ -86,7 +94,7 @@ class TestRankTable:
         for _ in range(30):
             sample, idx = random_general_sample(rng)
             b = build_rank_table(sample)
-            assert np.array_equal(b, placement_counts_bruteforce(sample), equal_nan=True)
+            assert_zero_form(b, placement_counts_bruteforce(sample), sample.observed)
 
     @given(masked_samples())
     # component 1: a single group-1 observation against a group with none
@@ -98,10 +106,9 @@ class TestRankTable:
     @example(build_masked_sample([[-0.0, 1.0], [0.0, 0.0]], np.ones((2, 2), bool)))
     @settings(max_examples=300, deadline=None)
     def test_equals_scipy_rankdata_per_component(self, sample):
-        # exact: counts are half-integers; rows without an observation stay NaN
+        # exact: counts are half-integers; unobserved cells count +0.0
         b = build_rank_table(sample)
-        assert np.array_equal(b, placement_counts_rankdata(sample), equal_nan=True)
-        assert np.isnan(b[~sample.observed]).all()
+        assert_zero_form(b, placement_counts_rankdata(sample), sample.observed)
 
     def test_rank_sum_identities_on_random_masks(self, rng):
         # every cross-group pair adds 1 to one side or 1/2 to both
@@ -124,7 +131,7 @@ class TestRankTable:
             s2 = build_masked_sample(
                 np.where(sample.observed, transformed, 0.0), sample.observed
             )
-            assert np.array_equal(b, build_rank_table(s2), equal_nan=True)
+            assert b.tobytes() == build_rank_table(s2).tobytes()
 
     def test_permutation_equivariance(self, rng):
         for _ in range(10):
@@ -134,7 +141,7 @@ class TestRankTable:
                 np.nan_to_num(sample.values[:, order]), sample.observed[:, order]
             )
             b = build_rank_table(sample)
-            assert np.array_equal(build_rank_table(shuffled), b[:, order], equal_nan=True)
+            assert build_rank_table(shuffled).tobytes() == b[:, order].tobytes()
 
 
 def _sample(values, observed):
@@ -158,11 +165,11 @@ class TestSplit:
                      [[1, 1, 0, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 0, 0]]))
     @settings(max_examples=300, deadline=None)
     def test_each_side_equals_its_restricted_sample(self, sample):
-        # bit for bit: values, NaN positions and the signs of zeros
+        # bit for bit: values and the signs of zeros
         b, own = build_rank_table(sample, split=True)
         assert b.tobytes() == build_rank_table(sample).tobytes()
         assert own.shape == b.shape and not own.flags.writeable
-        assert np.array_equal(np.isnan(own), np.isnan(b))
+        assert not own[..., ~sample.observed].view(np.uint64).any()
         complete = sample.observed[: sample.d] & sample.observed[sample.d:]
         for method in ("complete", "incomplete"):
             try:
@@ -171,7 +178,7 @@ class TestSplit:
                 continue
             side = np.concatenate([complete, complete]) == (method == "complete")
             keep = (sample.observed & side).any(axis=0)
-            table = own[..., keep] + np.where(sub.observed, -0.0, np.nan)
+            table = own[..., keep] * sub.observed
             assert table.tobytes() == build_rank_table(sub).tobytes()
 
     @pytest.mark.parametrize("side", [False, True])
@@ -182,6 +189,20 @@ class TestSplit:
         sample = build_masked_sample(rng.integers(0, 6, (2, 6, 20)).astype(float), observed)
         b, own = build_rank_table(sample, split=True)
         assert own.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("leading", [(), (3,)], ids=["single", "block-of-3"])
+    def test_unobserved_cells_count_positive_zero(self, rng, leading):
+        # components observed 20, 9 and 5 times: the padding of the two
+        # shorter pooled rows lands on their unobserved cells
+        d, n = 3, 10
+        observed = np.zeros((2 * d, n), bool)
+        observed[[0, d]] = True
+        observed[1, :4] = observed[d + 1, 3:8] = True
+        observed[2, ::3] = observed[d + 2, 5] = True
+        values = rng.integers(-2, 3, leading + observed.shape) * -1.0  # ties, and -0.0
+        sample = build_masked_sample(values, observed)
+        for table in build_rank_table(sample, split=True):
+            assert not table[..., ~observed].view(np.uint64).any()
 
     def test_a_mask_as_split_is_a_type_error(self, rng):
         # another sample's complete mask, a (d, n) bool array like the
@@ -200,7 +221,7 @@ def assert_equals_rankdata_per_replicate(values, observed):
     assert b.shape == block.values.shape and not b.flags.writeable
     for r, values_r in enumerate(block.values):
         alone = placement_counts_rankdata(build_masked_sample(values_r, observed))
-        assert np.array_equal(b[r], alone, equal_nan=True)
+        assert_zero_form(b[r], alone, observed)
     return b
 
 
@@ -221,7 +242,7 @@ class TestObservedCellsOnly:
         observed[1] = False  # component 1: group 2 only
         observed[d + 1, 2] = False
         b = assert_equals_rankdata_per_replicate(rng.standard_normal((2, 2 * d, n)), observed)
-        assert np.isnan(b[:, 1]).all()
+        assert not b[:, 1].view(np.uint64).any()
         assert (b[:, d + 1][:, observed[d + 1]] == 0.0).all()
 
     def test_block_with_every_cell_observed(self, rng):
@@ -248,8 +269,7 @@ class TestObservedCellsOnly:
         assert np.isnan(sample.values[:, ~observed]).all()
         assert np.array_equal(sample.values[:, observed], values[:, observed])
         other = build_masked_sample(np.where(observed, values, -7.0), observed)
-        assert np.array_equal(build_rank_table(other), build_rank_table(sample),
-                              equal_nan=True)
+        assert build_rank_table(other).tobytes() == build_rank_table(sample).tobytes()
 
     @pytest.mark.parametrize("grid, dims", [("table3", (5,)), ("design1", None),
                                             ("design3", None)])
@@ -274,8 +294,8 @@ class TestPlacements:
         s = build_masked_sample(vals, obs)
         idx = derive_pattern_index(s)
         y = placements(build_rank_table(s), idx)
-        assert np.allclose(y[1][~np.isnan(y[1])], 1.0)
-        assert np.allclose(y[0][~np.isnan(y[0])], 0.0)
+        assert np.allclose(y[1][obs[1]], 1.0)
+        assert np.allclose(y[0][obs[0]], 0.0)
 
     def test_mean_placement_half_under_symmetry(self):
         # both groups hold the same value multiset: mean placement must be 1/2
@@ -291,8 +311,9 @@ class TestPlacements:
         for _ in range(30):
             sample, idx = random_general_sample(rng)
             y = placements(build_rank_table(sample), idx)
-            finite = y[~np.isnan(y)]
-            assert (finite >= 0.0).all() and (finite <= 1.0).all()
+            seen = y[sample.observed]
+            assert (seen >= 0.0).all() and (seen <= 1.0).all()
+            assert not y[~sample.observed].view(np.uint64).any()
 
     def test_mean_placements_reproduce_effect(self, rng):
         """Per component, the effect is the mean group-2 placement and one
