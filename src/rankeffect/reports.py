@@ -221,7 +221,9 @@ def _read_body(text: str, skip: int, width: int, na_token: str) -> np.ndarray | 
         at += 1
         body[at] = _SPACE
     del ends
-    body = np.insert(body, empty, _ZERO).tobytes()
+    if empty.size:  # np.insert copies the body even with nothing to insert
+        body = np.insert(body, empty, _ZERO)
+    body = body.tobytes()
     try:
         rows = np.loadtxt(
             io.BytesIO(body), dtype=float, delimiter=",", comments=None, quotechar=None, ndmin=2

@@ -13,15 +13,17 @@ variables, three allocation designs spread subjects over all 15 nonempty
 patterns, counted down from 15 so the complete case comes first.
 
 Replicates use counter-based seeding, so results are reproducible and
-independent of execution order.  :func:`run_scenario` draws each replicate
-from its own generator, as :func:`draw_sample` does for one, and stacks the
-draws of consecutive replicates into blocks that share the scenario's mask;
-each block goes through :func:`~rankeffect.inference.analyze` once.  A run
-takes as few blocks as hold at most ``max(1, CELLS // (2d * n))``
-replicates each, with sizes that differ by at most one, so a block's arrays
-stay small whatever the sample size and no short block is left over.
-Tallies, failures and every output are the same as one replicate at a time
-would give.
+independent of execution order.  Each replicate draws from its own
+generator, as :func:`draw_sample` does for one, and the draws of replicates
+that share a mask are stacked into blocks; each block goes through
+:func:`~rankeffect.inference.analyze` once.  A block holds at most
+``size = max(1, CELLS // (2d * n))`` replicates, so its arrays stay small
+whatever the sample size.  :func:`run_grid` packs whole scenarios that share
+their mask, ``methods`` and ``alpha`` into common blocks, in grid order, while
+their replicates fit one; a scenario with more replicates than ``size`` runs
+alone in as few blocks as ``size`` allows, with sizes that differ by at most
+one, so no short block is left over.  Tallies, failures and every output are
+the same as one replicate at a time would give.
 """
 
 import os
@@ -51,11 +53,11 @@ PATTERNS = {"simple": 3, "design1": 1, "design2": 2, "design3": 1}
 DIMS = (2, 3, 5)
 #: Cells (replicates x 2d x n) of a block of replicates analyzed at once.
 #: Every block pays a fixed cost (the pattern index and many small numpy
-#: calls), so a block holds many replicates even at ``design3``'s
-#: n of about 1,410 (23 of them); drawing and analyzing one peaks near 35
-#: bytes a cell, about 4.6 MB.  Twice as many cells run ``design3`` no faster
-#: and hold twice the memory.
-CELLS = 131_072
+#: calls), so a block holds many replicates even at ``design3``'s n of about
+#: 1,410 (17 of them); drawing and analyzing one peaks near 35 bytes a cell,
+#: about 3.4 MB.  Past about 100k cells a block's cost per replicate rises
+#: again, so larger blocks run no faster and hold more memory.
+CELLS = 98_304
 
 
 def build_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> np.ndarray:
@@ -303,44 +305,117 @@ class SimulationResult:
 def run_scenario(scenario: Scenario) -> SimulationResult:
     """Draw, estimate and test ``replications`` times; tally rejections.
 
-    Replicates run in ``ceil(replications / size)`` consecutive blocks,
-    where ``size = max(1, CELLS // (2d * n))``, whose lengths differ by at
-    most one; each is one :func:`draw_sample` and one :func:`analyze` call,
-    which derives the block's pattern index.  The one data event a validated
+    ``run_grid([scenario])[0]``, in this process.  Replicates run in
+    ``ceil(replications / size)`` consecutive blocks, where
+    ``size = max(1, CELLS // (2d * n))``, whose lengths differ by at most
+    one; each is one :func:`draw_sample` and one :func:`analyze` call, which
+    derives the block's pattern index.  The one data event a validated
     scenario can raise, :class:`NonFiniteObservedValue` (an overflowing
     draw), is counted as a failure and never aborts the run: the block is
     drawn once more to find the replicates whose draw overflowed, which fail
-    alone, and the rest of the block is analyzed in one call.  Any other exception, a :class:`RankEffectError` too, is a
-    bug and propagates.  A test with a p-value is evaluated and one without
-    (a skipped method, or a zero covariance off the null point) is skipped;
-    only evaluated tests count as rejected or flagged.
+    alone, and the rest of the block is analyzed in one call.  Any other
+    exception, a :class:`RankEffectError` too, is a bug and propagates.  A
+    test with a p-value is evaluated and one without (a skipped method, or a
+    zero covariance off the null point) is skipped; only evaluated tests
+    count as rejected or flagged.
     """
-    keys = [f"{fam}:{meth}" for meth in scenario.methods for fam in FAMILIES]
-    counters = {k: [0, 0, 0, 0] for k in keys}  # rej, eval, skip, flagged
-    failures = 0
-    reps = scenario.replications
-    size = max(1, CELLS // scenario._observed.size)
-    # as few blocks as ``size`` allows, the first ones one replicate longer
-    for block in np.array_split(range(reps), -(-reps // size)):
-        block = range(block[0], block[-1] + 1)
-        try:
-            sample = _draw_finite(scenario, block)
-            analyses = analyze(sample, alpha=scenario.alpha, methods=scenario.methods)
-        except NonFiniteObservedValue:
-            failures += len(block)
+    return _collect([scenario], map(_run_pack, _packs([scenario])))[0]
+
+
+def _keys(scenario: Scenario) -> list[str]:
+    """The scenario's tally keys, ``"<family>:<method>"``, in output order."""
+    return [f"{fam}:{meth}" for meth in scenario.methods for fam in FAMILIES]
+
+
+def _packs(scenarios: list[Scenario]) -> list[list[tuple[int, Scenario, range]]]:
+    """The blocks of a grid, each a list of ``(position, scenario, replicates)`` parts.
+
+    A block holds at most ``size = max(1, CELLS // (2d * n))`` replicates.  A
+    scenario with more runs alone in as few blocks as ``size`` allows, the
+    first ones one replicate longer.  Any other joins, whole, the open pack of
+    the scenarios before it that share its mask, ``methods`` and ``alpha``, if
+    the pack stays within ``size``, and opens a new one otherwise.
+    """
+    packs, open_packs = [], {}
+    for position, s in enumerate(scenarios):
+        reps = s.replications
+        size = max(1, CELLS // s._observed.size)
+        if reps > size:
+            for block in np.array_split(range(reps), -(-reps // size)):
+                packs.append([(position, s, range(block[0], block[-1] + 1))])
             continue
-        replicates = len(sample.values)
-        failures += len(block) - replicates
+        key = (s._observed.shape, s._observed.tobytes(), tuple(s.methods), s.alpha)
+        pack = open_packs.get(key)
+        if pack is None or sum(len(part) for *_, part in pack) + reps > size:
+            pack = open_packs[key] = []
+            packs.append(pack)
+        pack.append((position, s, range(reps)))
+    return packs
+
+
+def _run_pack(pack: list[tuple[int, Scenario, range]]) -> list[tuple[int, int, np.ndarray]]:
+    """Each part's ``(position, failures, counts)`` from one :func:`analyze` call.
+
+    ``counts`` holds a row ``(rejected, evaluated, skipped, flagged)`` per
+    key of :func:`_keys`.  Each part is drawn on its own by
+    :func:`_draw_finite`, so an overflowing draw fails only its own
+    replicates, and a part whose every draw overflowed fails whole.  The
+    other parts' replicates are analyzed in one call, row by row, and each
+    part is tallied from its own rows of the reports.  A
+    :class:`NonFiniteObservedValue` from :func:`analyze` fails every
+    replicate of the pack.
+    """
+    _, first, _ = pack[0]  # the parts share the mask, methods and alpha
+    keys = _keys(first)
+    samples, drawn = [], []
+    for _, scenario, block in pack:
+        try:
+            samples.append(_draw_finite(scenario, block))
+        except NonFiniteObservedValue:
+            drawn.append(0)
+        else:
+            drawn.append(len(samples[-1].values))
+    counts = np.zeros((len(pack), len(keys), 4), dtype=int)
+    if samples:
+        sample = samples[0] if len(samples) == 1 else build_masked_sample(
+            np.concatenate([part.values for part in samples]), first._observed
+        )
+        del samples  # the parts' counts stay, so the pack holds one block's arrays
+        try:
+            analyses = analyze(sample, alpha=first.alpha, methods=first.methods)
+        except NonFiniteObservedValue:
+            analyses, drawn = [], [0] * len(pack)
+        edges = np.cumsum([0, *drawn])
         for item in analyses:
             for rep in (item.wald, item.anova):
-                c = counters[f"{rep.family}:{item.method}"]
                 evaluated = ~np.isnan(rep.p_value)
-                c[0] += int(np.count_nonzero(rep.reject))
-                c[1] += int(np.count_nonzero(evaluated))
-                c[2] += replicates - int(np.count_nonzero(evaluated))
-                c[3] += sum(bool(f) for f, e in zip(rep.flags, evaluated) if e)
-    tallies = {k: MethodTally(*v) for k, v in counters.items()}
-    return SimulationResult(scenario=scenario, tallies=tallies, failures=failures)
+                flagged = evaluated & np.fromiter(map(bool, rep.flags), bool, len(rep.flags))
+                columns = np.stack([rep.reject, evaluated, ~evaluated, flagged], axis=1)
+                running = np.concatenate([np.zeros((1, 4), int), columns.cumsum(axis=0)])
+                row = keys.index(f"{rep.family}:{item.method}")
+                counts[:, row] = np.diff(running[edges], axis=0)
+    return [
+        (position, len(block) - n, part_counts)
+        for (position, _, block), n, part_counts in zip(pack, drawn, counts)
+    ]
+
+
+def _collect(scenarios: list[Scenario], outcomes) -> list[SimulationResult]:
+    """Each scenario's result: its parts' failures and counts, summed over ``outcomes``."""
+    failures = [0] * len(scenarios)
+    counts = [0] * len(scenarios)
+    for outcome in outcomes:
+        for position, failed, part_counts in outcome:
+            failures[position] += failed
+            counts[position] = counts[position] + part_counts
+    return [
+        SimulationResult(
+            scenario=s,
+            tallies={k: MethodTally(*map(int, row)) for k, row in zip(_keys(s), c)},
+            failures=f,
+        )
+        for s, c, f in zip(scenarios, counts, failures)
+    ]
 
 
 def _derived_seed(master_seed: int, index: int) -> int:
@@ -361,13 +436,20 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult]:
-    """Run scenarios in order, optionally re-seeding each from a master seed.
+    """Run scenarios, optionally re-seeding each from a master seed.
 
     With ``master_seed`` given, scenario ``i`` runs under a seed derived
     from ``(master_seed, i)``, so a grid is reproducible regardless of how
-    its scenarios were configured.  ``RANK_EFFECT_THREADS`` (default 1) caps
-    process-level parallelism, never above the CPUs this process may use;
-    results are identical either way.
+    its scenarios were configured.  Scenarios that share their mask,
+    ``methods`` and ``alpha`` are packed whole, in grid order, into blocks of
+    at most ``size = max(1, CELLS // (2d * n))`` replicates, each analyzed in
+    one :func:`analyze` call; a scenario with more replicates runs alone in
+    balanced blocks, as in :func:`run_scenario`, whose result each scenario's
+    equals.  A :class:`NonFiniteObservedValue` from :func:`analyze` fails
+    every replicate of its block, each on its own scenario.
+    ``RANK_EFFECT_THREADS`` (default 1) caps process-level parallelism over
+    the blocks, never above the CPUs this process may use; results come in
+    input order and are identical either way.
     """
     scenarios = list(scenarios)
     if master_seed is not None:
@@ -375,13 +457,14 @@ def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult
         scenarios = [
             replace(s, seed=_derived_seed(master_seed, i)) for i, s in enumerate(scenarios)
         ]
-    workers = _worker_count(len(scenarios))
+    packs = _packs(scenarios)
+    workers = _worker_count(len(packs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_scenario, scenarios))
-    return [run_scenario(s) for s in scenarios]
+            return _collect(scenarios, pool.map(_run_pack, packs))
+    return _collect(scenarios, map(_run_pack, packs))
 
 
 _SIMPLE_SETTINGS = {

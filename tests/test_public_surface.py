@@ -8,6 +8,7 @@ checks catch that in the test suite instead.
 import importlib
 import importlib.util
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import rankeffect
@@ -110,6 +111,28 @@ def test_traced_layers_stay_on_the_monte_carlo_path():
     assert tracer.counts["simulate.failures"] == 0
     assert tracer.counts["ranks.cells_ranked"] > 0
     assert tracer.counts["covariance.general_terms"] > 0
+
+
+def test_traced_grid_packs_scenarios_that_share_a_mask():
+    # run_grid analyzes the replicates of scenarios that share a mask,
+    # methods and alpha in one block, while each scenario draws its own
+    import rankeffect.cli  # noqa: F401  (the tracer patches loaded modules)
+
+    first = rankeffect.Scenario(
+        distribution="normal", d=2, rho=(0.1, 0.1, 0.1), sigma_sq=(1.0, 1.0),
+        delta=(0.0, 0.0), sizes=(10, 5, 5), replications=6, methods=rankeffect.METHODS,
+    )
+    tracer = load_tracing().Tracer()
+    with tracer:
+        rankeffect.run_grid([first, replace(first, sigma_sq=(1.0, 5.0), seed=1)])
+    table = tracer.layer_table()
+    calls = {name: table[name]["calls"] for name in (
+        "inference.analyze", "inference.wald_test", "inference.anova_test", "simulate.draw_sample",
+    )}
+    assert calls == {
+        "inference.analyze": 1, "inference.wald_test": 1, "inference.anova_test": 1,
+        "simulate.draw_sample": 2,
+    }
 
 
 def test_traced_layers_stay_on_the_analyze_path(tmp_path):

@@ -415,9 +415,18 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim, "analyze", statistical_failure)
         assert run_scenario(scenario(replications=3)).failures == 3
+        # in a grid, the failed call fails every replicate of its pack, each
+        # on its own scenario, and no other pack's
+        grid = [scenario(replications=3), scenario(replications=2, seed=2),
+                scenario(replications=4, alpha=0.1)]
+        results = run_grid(grid)
+        assert [r.failures for r in results] == [3, 2, 4]
+        assert all(t.evaluated == t.skipped == 0 for r in results for t in r.tallies.values())
         monkeypatch.setattr(sim, "analyze", bug)
         with pytest.raises(TypeError):
             run_scenario(scenario(replications=3))
+        with pytest.raises(TypeError):
+            run_grid(grid)
 
     def test_a_replicate_without_a_p_value_is_tallied_as_skipped(self, monkeypatch):
         # a zero covariance off the null point leaves one replicate's tests
@@ -554,6 +563,103 @@ class TestBlocks:
         for i, r in enumerate(range(4, 7)):
             assert block.values[i].tobytes() == draw_sample(s, r).values.tobytes()
         assert np.array_equal(block.observed, draw_sample(s, 4).observed)
+
+
+def recording_analyze(monkeypatch, calls):
+    """Record ``(replicates, alpha, methods)`` of each analyze call."""
+    import rankeffect.simulate as sim
+
+    analyze = sim.analyze
+
+    def recording(sample, alpha, methods):
+        calls.append((len(sample.values), alpha, tuple(methods)))
+        return analyze(sample, alpha=alpha, methods=methods)
+
+    monkeypatch.setattr(sim, "analyze", recording)
+
+
+class TestPacks:
+    # two masks of one shape, interleaved, and same-mask scenarios that
+    # differ in alpha or in methods, whose tallies would differ in a shared
+    # pack; 2d * n = 200 cells a replicate
+    GRID = [
+        dict(replications=20, seed=1),
+        dict(replications=15, seed=2, sizes=(10, 30, 10), distribution="cauchy"),
+        dict(replications=20, seed=3, sigma_sq=(1.0, 5.0)),
+        dict(replications=20, seed=4, alpha=0.5),
+        dict(replications=15, seed=5, sizes=(10, 30, 10)),
+        dict(replications=20, seed=6, methods=METHODS),
+        dict(replications=20, seed=7, delta=(0.3, 0.3), alpha=0.5),
+        dict(replications=20, seed=8, delta=(0.3, 0.3)),
+    ]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_grid_equals_each_scenarios_own_run(self, monkeypatch, threads):
+        grid = [scenario(**kw) for kw in self.GRID]
+        solo = [run_scenario(s) for s in grid]
+        assert solo[3].tallies["wald:all"] != solo[0].tallies["wald:all"]  # alpha shows
+        monkeypatch.setenv("RANK_EFFECT_THREADS", threads)
+        assert run_grid(grid) == solo
+
+    def test_scenarios_pack_by_mask_methods_and_alpha(self, monkeypatch):
+        calls = []
+        recording_analyze(monkeypatch, calls)
+        run_grid([scenario(**kw) for kw in self.GRID])
+        # one pack per (mask, methods, alpha), opened in grid order
+        assert calls == [
+            (60, 0.05, ("all",)),  # scenarios 0, 2 and 7
+            (30, 0.05, ("all",)),  # the other mask's 1 and 4
+            (40, 0.5, ("all",)),  # 3 and 6
+            (20, 0.05, METHODS),  # 5
+        ]
+
+    def test_whole_scenarios_fill_a_pack_up_to_its_size(self, monkeypatch):
+        import rankeffect.simulate as sim
+
+        monkeypatch.setattr(sim, "CELLS", 10 * 200)  # up to 10 replicates a block
+        blocks = []
+
+        def recording(scenario, replicates):
+            blocks.append((scenario.seed, replicates))
+            return draw_sample(scenario, replicates)
+
+        monkeypatch.setattr(sim, "draw_sample", recording)
+        calls = []
+        recording_analyze(monkeypatch, calls)
+        grid = [scenario(replications=r, seed=i) for i, r in enumerate((4, 3, 3, 2, 12, 5, 10))]
+        results = run_grid(grid)
+        # 4 + 3 + 3 fill a pack; 2 opens the next, which 5 joins; 12 runs alone
+        # in two balanced blocks, and 10 fills a pack of its own
+        assert [n for n, _, _ in calls] == [10, 7, 6, 6, 10]
+        assert blocks == [
+            (0, range(4)), (1, range(3)), (2, range(3)), (3, range(2)), (5, range(5)),
+            (4, range(6)), (4, range(6, 12)), (6, range(10)),
+        ]
+        monkeypatch.setattr(sim, "CELLS", 1)  # one replicate a block, one scenario a pack
+        assert run_grid(grid) == results == [run_scenario(s) for s in grid]
+
+    def test_an_overflow_in_a_pack_fails_only_its_own_replicates(self, monkeypatch):
+        # the lognormal and normal sections of the CI scenario file, run at
+        # --seed 3: one pack, in which 15 lognormal draws overflow
+        lognormal = scenario(distribution="lognormal", sigma_sq=(40000.0, 40000.0),
+                             replications=200, seed=0)
+        normal = scenario(replications=200, seed=0)
+        calls = []
+        recording_analyze(monkeypatch, calls)
+        results = run_grid([lognormal, normal], master_seed=3)
+        assert [r.failures for r in results] == [15, 0]
+        assert [n for n, _, _ in calls] == [385]
+        calls.clear()
+        assert results == [run_scenario(r.scenario) for r in results]
+        assert [n for n, _, _ in calls] == [185, 200]
+        # a part whose every draw overflows fails whole, and the pack's other
+        # parts are tallied from their own rows
+        overflowing = scenario(distribution="lognormal", sigma_sq=(1e6, 1e6), replications=3)
+        grid = [normal, overflowing, replace(normal, seed=4)]
+        results = run_grid(grid)
+        assert [r.failures for r in results] == [0, 3, 0]
+        assert results == [run_scenario(s) for s in grid]
+        assert all(t.evaluated == t.skipped == 0 for t in results[1].tallies.values())
 
 
 class TestRunGrid:
