@@ -13,9 +13,11 @@ variables, three allocation designs spread subjects over all 15 nonempty
 patterns, counted down from 15 so the complete case comes first.
 
 Replicates use counter-based seeding, so results are reproducible and
-independent of execution order.  Each replicate draws from its own
-generator, as :func:`draw_sample` does for one, and the draws of replicates
-that share a mask are stacked into blocks; each block goes through
+independent of execution order: replicate ``i`` draws from its own stream,
+``PCG64(SeedSequence(seed, spawn_key=(i,)))``, whose states are computed a
+block at a time (``rankeffect._seeding``), and one generator set to each state
+in turn draws the block.  The draws of replicates that share a mask are
+stacked into blocks; each block goes through
 :func:`~rankeffect.inference.analyze` once.  A block holds at most
 ``size = max(1, CELLS // (2d * n))`` replicates, so its arrays stay small
 whatever the sample size.  :func:`run_grid` packs whole scenarios that share
@@ -26,11 +28,13 @@ one, so no short block is left over.  Tallies, failures and every output are
 the same as one replicate at a time would give.
 """
 
+import copy
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._seeding import pcg64_states, seed_words
 from .data import MaskedSample, build_masked_sample
 from .effects import METHODS, check_methods
 from .errors import NonFiniteObservedValue, NotPositiveDefinite, ScenarioError
@@ -214,7 +218,7 @@ def draw_sample(scenario: Scenario, replicates: int | range) -> MaskedSample:
     """One replicate's masked sample, or the block of a range of replicates.
 
     Deterministic given (seed, index): each replicate draws from its own
-    generator, so a block holds exactly the replicates' own draws.
+    stream, so a block holds exactly the replicates' own draws.
 
     Raises
     ------
@@ -235,8 +239,16 @@ def _draw(scenario: Scenario, indices) -> np.ndarray:
     cauchy = scenario.distribution == "cauchy"
     z = np.empty((len(indices), *observed.shape))
     halfnorm = np.empty((len(indices), 1, observed.shape[1])) if cauchy else None
-    for i, index in enumerate(indices):
-        rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(index,)))
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for i, (state, inc) in enumerate(pcg64_states(scenario.seed, indices)):
+        # as if seeded by SeedSequence(seed, spawn_key=(index,)), freshly built
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         rng.standard_normal(out=z[i])
         if cauchy:
             rng.standard_normal(out=halfnorm[i, 0])
@@ -305,19 +317,9 @@ class SimulationResult:
 def run_scenario(scenario: Scenario) -> SimulationResult:
     """Draw, estimate and test ``replications`` times; tally rejections.
 
-    ``run_grid([scenario])[0]``, in this process.  Replicates run in
-    ``ceil(replications / size)`` consecutive blocks, where
-    ``size = max(1, CELLS // (2d * n))``, whose lengths differ by at most
-    one; each is one :func:`draw_sample` and one :func:`analyze` call, which
-    derives the block's pattern index.  The one data event a validated
-    scenario can raise, :class:`NonFiniteObservedValue` (an overflowing
-    draw), is counted as a failure and never aborts the run: the block is
-    drawn once more to find the replicates whose draw overflowed, which fail
-    alone, and the rest of the block is analyzed in one call.  Any other
-    exception, a :class:`RankEffectError` too, is a bug and propagates.  A
-    test with a p-value is evaluated and one without (a skipped method, or a
-    zero covariance off the null point) is skipped; only evaluated tests
-    count as rejected or flagged.
+    ``run_grid([scenario])[0]``, in this process: the replicates run in
+    ``ceil(replications / size)`` blocks, whose lengths differ by at most one,
+    and are tallied as :func:`run_grid` tallies each scenario.
     """
     return _collect([scenario], map(_run_pack, _packs([scenario])))[0]
 
@@ -418,8 +420,15 @@ def _collect(scenarios: list[Scenario], outcomes) -> list[SimulationResult]:
     ]
 
 
-def _derived_seed(master_seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(master_seed, spawn_key=(index,)).generate_state(1)[0])
+def _reseeded(scenario: Scenario, seed: int) -> Scenario:
+    """``replace(scenario, seed=seed)`` for a valid ``seed``, keeping the validated plan.
+
+    The seed enters neither the Cholesky factor nor the mask, so the copy is
+    not validated again.
+    """
+    twin = copy.copy(scenario)
+    object.__setattr__(twin, "seed", seed)
+    return twin
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -438,25 +447,36 @@ def _worker_count(n_tasks: int) -> int:
 def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult]:
     """Run scenarios, optionally re-seeding each from a master seed.
 
-    With ``master_seed`` given, scenario ``i`` runs under a seed derived
-    from ``(master_seed, i)``, so a grid is reproducible regardless of how
-    its scenarios were configured.  Scenarios that share their mask,
-    ``methods`` and ``alpha`` are packed whole, in grid order, into blocks of
-    at most ``size = max(1, CELLS // (2d * n))`` replicates, each analyzed in
-    one :func:`analyze` call; a scenario with more replicates runs alone in
-    balanced blocks, as in :func:`run_scenario`, whose result each scenario's
-    equals.  A :class:`NonFiniteObservedValue` from :func:`analyze` fails
-    every replicate of its block, each on its own scenario.
-    ``RANK_EFFECT_THREADS`` (default 1) caps process-level parallelism over
-    the blocks, never above the CPUs this process may use; results come in
-    input order and are identical either way.
+    With ``master_seed`` given, scenario ``i`` runs under the seed
+    ``SeedSequence(master_seed, spawn_key=(i,)).generate_state(1)[0]``, so a
+    grid is reproducible regardless of how its scenarios were configured; the
+    re-seeded copies keep the scenarios' validated covariance factor and mask.
+    Scenarios that share their mask, ``methods`` and ``alpha`` are packed
+    whole, in grid order, into blocks of at most
+    ``size = max(1, CELLS // (2d * n))`` replicates, each one
+    :func:`draw_sample` per scenario and one :func:`analyze` call; a scenario
+    with more replicates runs alone in balanced blocks, as in
+    :func:`run_scenario`, whose result each scenario's equals.
+
+    The one data event a validated scenario can raise,
+    :class:`NonFiniteObservedValue`, is counted as a failure and never aborts
+    the run.  An overflowing draw fails alone: its scenario's part of the
+    block is drawn once more to find the replicates whose draw overflowed,
+    and the rest of the block is analyzed in one call.  One from
+    :func:`analyze` fails every replicate of its block, each on its own
+    scenario.  Any other exception, a :class:`RankEffectError` too, is a bug
+    and propagates.  A test with a p-value is evaluated and one without (a
+    skipped method, or a zero covariance off the null point) is skipped; only
+    evaluated tests count as rejected or flagged.  ``RANK_EFFECT_THREADS``
+    (default 1) caps process-level parallelism over the blocks, never above
+    the CPUs this process may use; results come in input order and are
+    identical either way.
     """
     scenarios = list(scenarios)
     if master_seed is not None:
         _check_count(master_seed, "master_seed", 0)
-        scenarios = [
-            replace(s, seed=_derived_seed(master_seed, i)) for i, s in enumerate(scenarios)
-        ]
+        seeds = seed_words(master_seed, range(len(scenarios)))[0].tolist()
+        scenarios = [_reseeded(s, seed) for s, seed in zip(scenarios, seeds)]
     packs = _packs(scenarios)
     workers = _worker_count(len(packs))
     if workers > 1:

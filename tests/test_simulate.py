@@ -1,5 +1,6 @@
 import os
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -194,6 +195,18 @@ class TestScenarioValidation:
     def test_numpy_integers_are_counts(self):
         s = scenario(d=np.int64(2), replications=np.int32(3), seed=np.uint64(5))
         assert run_scenario(s).tallies["anova:all"].evaluated == 3
+
+    @pytest.mark.parametrize("numpy_seed, seed", [
+        (np.uint64(2**64 - 1), 2**64 - 1),
+        (np.int64(7), 7),
+    ])
+    def test_numpy_integer_seeds_draw_the_int_seeds_values(self, numpy_seed, seed):
+        # mixed as numpy scalars, the seed's words would overflow with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = draw_sample(scenario(seed=numpy_seed, distribution="cauchy"), range(3))
+        expected = draw_sample(scenario(seed=seed, distribution="cauchy"), range(3))
+        assert block.values.tobytes() == expected.values.tobytes()
 
     def test_replace_checks_the_copy(self):
         with pytest.raises(ScenarioError, match="rho"):
@@ -674,6 +687,21 @@ class TestRunGrid:
             r.tallies["anova:all"].rejections for r in b
         ]
         assert a[0].scenario.seed != a[1].scenario.seed
+
+    def test_reseeding_validates_no_scenario_again(self, monkeypatch):
+        # a derived seed enters neither the Cholesky factor nor the mask
+        grid = [scenario(replications=3), scenario(replications=3, d=3, delta=(0.0,) * 3)]
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        results = run_grid(grid, master_seed=5)
+        assert calls == []
+        for r, s in zip(results, grid):
+            fresh = replace(s, seed=r.scenario.seed)
+            assert r.scenario == fresh
+            assert np.array_equal(r.scenario._chol, fresh._chol)
+            assert np.array_equal(r.scenario._observed, fresh._observed)
+        assert [r.scenario.seed for r in results] != [s.seed for s in grid]
 
     @pytest.mark.parametrize("named, master_seed", [
         ("master_seed must be >= 0, got -3", -3),
