@@ -24,8 +24,10 @@ whatever the sample size.  :func:`run_grid` packs whole scenarios that share
 their mask, ``methods`` and ``alpha`` into common blocks, in grid order, while
 their replicates fit one; a scenario with more replicates than ``size`` runs
 alone in as few blocks as ``size`` allows, with sizes that differ by at most
-one, so no short block is left over.  Tallies, failures and every output are
-the same as one replicate at a time would give.
+one, so no short block is left over.  Each part of a block is drawn once; a
+replicate whose draw overflowed in an observed cell fails, and the rest of
+the block is analyzed.  Tallies, failures and every output are the same as
+one replicate at a time would give.
 """
 
 import copy
@@ -37,7 +39,7 @@ import numpy as np
 from ._seeding import pcg64_states, seed_words
 from .data import MaskedSample, build_masked_sample
 from .effects import METHODS, check_methods
-from .errors import NonFiniteObservedValue, NotPositiveDefinite, ScenarioError
+from .errors import NotPositiveDefinite, ScenarioError
 from .inference import ALPHA, FAMILIES, analyze
 
 __all__ = [
@@ -254,7 +256,7 @@ def _draw(scenario: Scenario, indices) -> np.ndarray:
             rng.standard_normal(out=halfnorm[i, 0])
     values = scenario._chol @ z
     del z
-    # an overflowing draw becomes inf, which build_masked_sample rejects
+    # an overflowing draw becomes inf, which fails its replicate in an observed cell
     with np.errstate(over="ignore"):
         if cauchy:
             values /= np.abs(halfnorm, out=halfnorm)
@@ -264,25 +266,6 @@ def _draw(scenario: Scenario, indices) -> np.ndarray:
         elif scenario.distribution == "lognormal":
             np.exp(values, out=values)
     return values
-
-
-def _draw_finite(scenario: Scenario, block: range) -> MaskedSample:
-    """The block's sample without the replicates whose draw overflowed.
-
-    Raises
-    ------
-    NonFiniteObservedValue
-        Every replicate's draw overflowed.
-    """
-    try:
-        return draw_sample(scenario, block)
-    except NonFiniteObservedValue:
-        # the same draws again, to find the replicates with an infinite observed cell
-        values = _draw(scenario, block)
-        finite = (np.isfinite(values) | ~scenario._observed).all(axis=(1, 2))
-        if not finite.any():
-            raise
-        return build_masked_sample(values[finite], scenario._observed)
 
 
 @dataclass(frozen=True)
@@ -359,36 +342,27 @@ def _run_pack(pack: list[tuple[int, Scenario, range]]) -> list[tuple[int, int, n
     """Each part's ``(position, failures, counts)`` from one :func:`analyze` call.
 
     ``counts`` holds a row ``(rejected, evaluated, skipped, flagged)`` per
-    key of :func:`_keys`.  Each part is drawn on its own by
-    :func:`_draw_finite`, so an overflowing draw fails only its own
-    replicates, and a part whose every draw overflowed fails whole.  The
-    other parts' replicates are analyzed in one call, row by row, and each
-    part is tallied from its own rows of the reports.  A
-    :class:`NonFiniteObservedValue` from :func:`analyze` fails every
-    replicate of the pack.
+    key of :func:`_keys`.  Each part is drawn once, and a replicate whose
+    draw overflowed in an observed cell fails; an overflow in an unobserved
+    cell is masked away.  The other replicates of the pack are analyzed in
+    one call, row by row, and each part is tallied from its own rows of the
+    reports, so a part whose every draw overflowed fails whole.
     """
     _, first, _ = pack[0]  # the parts share the mask, methods and alpha
     keys = _keys(first)
-    samples, drawn = [], []
-    for _, scenario, block in pack:
-        try:
-            samples.append(_draw_finite(scenario, block))
-        except NonFiniteObservedValue:
-            drawn.append(0)
-        else:
-            drawn.append(len(samples[-1].values))
+    observed = first._observed
+    parts = [_draw(scenario, block) for _, scenario, block in pack]
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    del parts  # the pack holds one block's arrays
+    finite = (np.isfinite(values) | ~observed).all(axis=(1, 2))
+    starts = np.cumsum([0, *(len(block) for *_, block in pack)])
+    kept = np.add.reduceat(finite, starts[:-1]).tolist()
     counts = np.zeros((len(pack), len(keys), 4), dtype=int)
-    if samples:
-        sample = samples[0] if len(samples) == 1 else build_masked_sample(
-            np.concatenate([part.values for part in samples]), first._observed
-        )
-        del samples  # the parts' counts stay, so the pack holds one block's arrays
-        try:
-            analyses = analyze(sample, alpha=first.alpha, methods=first.methods)
-        except NonFiniteObservedValue:
-            analyses, drawn = [], [0] * len(pack)
-        edges = np.cumsum([0, *drawn])
-        for item in analyses:
+    if finite.any():
+        sample = build_masked_sample(values if finite.all() else values[finite], observed)
+        del values
+        edges = np.cumsum([0, *kept])
+        for item in analyze(sample, alpha=first.alpha, methods=first.methods):
             for rep in (item.wald, item.anova):
                 evaluated = ~np.isnan(rep.p_value)
                 flagged = evaluated & np.fromiter(map(bool, rep.flags), bool, len(rep.flags))
@@ -398,7 +372,7 @@ def _run_pack(pack: list[tuple[int, Scenario, range]]) -> list[tuple[int, int, n
                 counts[:, row] = np.diff(running[edges], axis=0)
     return [
         (position, len(block) - n, part_counts)
-        for (position, _, block), n, part_counts in zip(pack, drawn, counts)
+        for (position, _, block), n, part_counts in zip(pack, kept, counts)
     ]
 
 
@@ -453,24 +427,25 @@ def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult
     re-seeded copies keep the scenarios' validated covariance factor and mask.
     Scenarios that share their mask, ``methods`` and ``alpha`` are packed
     whole, in grid order, into blocks of at most
-    ``size = max(1, CELLS // (2d * n))`` replicates, each one
-    :func:`draw_sample` per scenario and one :func:`analyze` call; a scenario
-    with more replicates runs alone in balanced blocks, as in
-    :func:`run_scenario`, whose result each scenario's equals.
+    ``size = max(1, CELLS // (2d * n))`` replicates, each one draw per
+    scenario and one :func:`analyze` call; a scenario with more replicates
+    runs alone in balanced blocks, as in :func:`run_scenario`, whose result
+    each scenario's equals.
 
-    The one data event a validated scenario can raise,
-    :class:`NonFiniteObservedValue`, is counted as a failure and never aborts
-    the run.  An overflowing draw fails alone: its scenario's part of the
-    block is drawn once more to find the replicates whose draw overflowed,
-    and the rest of the block is analyzed in one call.  One from
-    :func:`analyze` fails every replicate of its block, each on its own
-    scenario.  Any other exception, a :class:`RankEffectError` too, is a bug
-    and propagates.  A test with a p-value is evaluated and one without (a
-    skipped method, or a zero covariance off the null point) is skipped; only
-    evaluated tests count as rejected or flagged.  ``RANK_EFFECT_THREADS``
-    (default 1) caps process-level parallelism over the blocks, never above
-    the CPUs this process may use; results come in input order and are
-    identical either way.
+    The one data event a validated scenario meets, a draw that overflows in
+    an observed cell, fails its replicate alone and never aborts the run:
+    each replicate's draw is checked once, and the rest of the block is
+    analyzed in one call.  An overflow in an unobserved cell is masked away
+    and fails nothing.  Any exception, a :class:`RankEffectError` such as
+    :class:`NonFiniteObservedValue` too, is a bug and propagates.  A test
+    with a p-value is evaluated and one without (a skipped method, or a zero
+    covariance off the null point) is skipped; only evaluated tests count as
+    rejected or flagged.  ``RANK_EFFECT_THREADS`` (default 1) caps
+    process-level parallelism over the blocks, never above the CPUs this
+    process may use; results come in input order and are identical either
+    way.  Only ``rankeffect simulate`` sets its heap policy
+    (``rankeffect._heap``): a library caller's process and its workers keep
+    their own allocator settings.
     """
     scenarios = list(scenarios)
     if master_seed is not None:

@@ -77,7 +77,8 @@ def test_setup_probe_entry_points_resolve():
 
 def test_traced_layers_stay_on_the_monte_carlo_path():
     # a layer that blocks of replicates bypassed would read zero calls in the
-    # benchmark's per-layer table; a count hook that raised would end the run
+    # benchmark's per-layer table; a count hook that raised would end the run.
+    # The draws take simulate._draw, not the traced draw_sample
     import rankeffect.cli  # noqa: F401  (the tracer patches loaded modules)
 
     scenarios = [
@@ -93,7 +94,7 @@ def test_traced_layers_stay_on_the_monte_carlo_path():
             rankeffect.simulate.run_scenario(scenario)
     table = tracer.layer_table()
     layers = [
-        "simulate.draw_sample", "data.derive_pattern_index",
+        "data.derive_pattern_index",
         "ranks.build_rank_table", "effects.estimate_effects",
         "covariance.covariance_simple", "covariance.covariance_general",
         "inference.analyze", "inference.wald_test", "inference.anova_test",
@@ -113,10 +114,15 @@ def test_traced_layers_stay_on_the_monte_carlo_path():
     assert tracer.counts["covariance.general_terms"] > 0
 
 
-def test_traced_grid_packs_scenarios_that_share_a_mask():
+def test_traced_grid_packs_scenarios_that_share_a_mask(monkeypatch):
     # run_grid analyzes the replicates of scenarios that share a mask,
     # methods and alpha in one block, while each scenario draws its own
     import rankeffect.cli  # noqa: F401  (the tracer patches loaded modules)
+
+    draws, draw = [], rankeffect.simulate._draw
+    monkeypatch.setattr(
+        rankeffect.simulate, "_draw", lambda s, indices: draws.append(s.seed) or draw(s, indices)
+    )
 
     first = rankeffect.Scenario(
         distribution="normal", d=2, rho=(0.1, 0.1, 0.1), sigma_sq=(1.0, 1.0),
@@ -127,12 +133,10 @@ def test_traced_grid_packs_scenarios_that_share_a_mask():
         rankeffect.run_grid([first, replace(first, sigma_sq=(1.0, 5.0), seed=1)])
     table = tracer.layer_table()
     calls = {name: table[name]["calls"] for name in (
-        "inference.analyze", "inference.wald_test", "inference.anova_test", "simulate.draw_sample",
+        "inference.analyze", "inference.wald_test", "inference.anova_test",
     )}
-    assert calls == {
-        "inference.analyze": 1, "inference.wald_test": 1, "inference.anova_test": 1,
-        "simulate.draw_sample": 2,
-    }
+    assert calls == {"inference.analyze": 1, "inference.wald_test": 1, "inference.anova_test": 1}
+    assert draws == [0, 1]
 
 
 def test_traced_layers_stay_on_the_analyze_path(tmp_path):

@@ -418,23 +418,16 @@ class TestRunScenario:
                 assert (tally.skipped, tally.evaluated) == (0, reps)
 
     def test_only_package_errors_count_as_failures(self, monkeypatch):
+        # an overflowing draw fails its replicate; an error that is no
+        # package error propagates, from a pack as from a lone scenario
         import rankeffect.simulate as sim
-
-        def statistical_failure(*args, **kwargs):
-            raise NonFiniteObservedValue("observed cell holds inf")
 
         def bug(*args, **kwargs):
             raise TypeError("unsupported operand")
 
-        monkeypatch.setattr(sim, "analyze", statistical_failure)
-        assert run_scenario(scenario(replications=3)).failures == 3
-        # in a grid, the failed call fails every replicate of its pack, each
-        # on its own scenario, and no other pack's
-        grid = [scenario(replications=3), scenario(replications=2, seed=2),
-                scenario(replications=4, alpha=0.1)]
-        results = run_grid(grid)
-        assert [r.failures for r in results] == [3, 2, 4]
-        assert all(t.evaluated == t.skipped == 0 for r in results for t in r.tallies.values())
+        grid = [scenario(distribution="lognormal", sigma_sq=(1e6, 1e6), replications=3),
+                scenario(replications=2, seed=2), scenario(replications=4, alpha=0.1)]
+        assert [r.failures for r in run_grid(grid)] == [3, 0, 0]
         monkeypatch.setattr(sim, "analyze", bug)
         with pytest.raises(TypeError):
             run_scenario(scenario(replications=3))
@@ -469,15 +462,21 @@ class TestRunScenario:
 
     def test_a_package_error_that_is_no_data_event_propagates(self, monkeypatch):
         # only an overflowing draw is a data event; a DomainError from
-        # analyze was counted as 3 failures of 3
+        # analyze was counted as 3 failures of 3, and a NonFiniteObservedValue
+        # from analyze, which builds no sample, as a failure of its whole pack
         import rankeffect.simulate as sim
 
-        def bug(*args, **kwargs):
-            raise DomainError("df must be positive")
+        grid = [scenario(replications=3), scenario(replications=2, seed=2)]
+        for error in (DomainError("df must be positive"),
+                      NonFiniteObservedValue("observed cells must be finite")):
+            def bug(*args, error=error, **kwargs):
+                raise error
 
-        monkeypatch.setattr(sim, "analyze", bug)
-        with pytest.raises(DomainError):
-            run_scenario(scenario(replications=3))
+            monkeypatch.setattr(sim, "analyze", bug)
+            with pytest.raises(type(error)):
+                run_scenario(scenario(replications=3))
+            with pytest.raises(type(error)):
+                run_grid(grid)
 
     def test_never_evaluated_method_has_no_rate(self):
         res = run_scenario(scenario(sizes=(0, 10, 10), replications=3, methods=("complete",)))
@@ -539,27 +538,26 @@ class TestBlocks:
             return analyze(sample, **kw)
 
         monkeypatch.setattr(sim, "analyze", counting)
+        draws = recording_draw(monkeypatch)
         result = run_scenario(s)
         assert (result.failures, calls) == (7, [193])
         assert result.tallies["wald:all"].evaluated == 193
+        assert draws == [(3, range(200))]  # the block was drawn once
         monkeypatch.setattr(sim, "CELLS", 1)  # one replicate a block
         calls.clear()
+        draws.clear()
         assert run_scenario(s) == result
         assert len(calls) == 193
+        assert draws == [(3, range(i, i + 1)) for i in range(200)]
 
     def test_blocks_are_balanced(self, monkeypatch):
         import rankeffect.simulate as sim
 
         s = scenario(replications=50)  # 2d * n = 200 cells a replicate
-        blocks = []
-
-        def recording(scenario, replicates):
-            blocks.append(replicates)
-            return draw_sample(scenario, replicates)
-
-        monkeypatch.setattr(sim, "draw_sample", recording)
+        draws = recording_draw(monkeypatch)
         monkeypatch.setattr(sim, "CELLS", 23 * 200)  # up to 23 a block: three blocks
         balanced = run_scenario(s)
+        blocks = [block for _, block in draws]
         assert [r for block in blocks for r in block] == list(range(50))
         assert [len(block) for block in blocks] == [17, 17, 16]
         monkeypatch.setattr(sim, "CELLS", 1)
@@ -576,6 +574,20 @@ class TestBlocks:
         for i, r in enumerate(range(4, 7)):
             assert block.values[i].tobytes() == draw_sample(s, r).values.tobytes()
         assert np.array_equal(block.observed, draw_sample(s, 4).observed)
+
+
+def recording_draw(monkeypatch):
+    """Record ``(seed, replicates)`` of each ``simulate._draw`` call; return the list."""
+    import rankeffect.simulate as sim
+
+    draws, draw = [], sim._draw
+
+    def recording(scenario, indices):
+        draws.append((scenario.seed, indices))
+        return draw(scenario, indices)
+
+    monkeypatch.setattr(sim, "_draw", recording)
+    return draws
 
 
 def recording_analyze(monkeypatch, calls):
@@ -630,13 +642,7 @@ class TestPacks:
         import rankeffect.simulate as sim
 
         monkeypatch.setattr(sim, "CELLS", 10 * 200)  # up to 10 replicates a block
-        blocks = []
-
-        def recording(scenario, replicates):
-            blocks.append((scenario.seed, replicates))
-            return draw_sample(scenario, replicates)
-
-        monkeypatch.setattr(sim, "draw_sample", recording)
+        blocks = recording_draw(monkeypatch)
         calls = []
         recording_analyze(monkeypatch, calls)
         grid = [scenario(replications=r, seed=i) for i, r in enumerate((4, 3, 3, 2, 12, 5, 10))]
@@ -659,9 +665,12 @@ class TestPacks:
         normal = scenario(replications=200, seed=0)
         calls = []
         recording_analyze(monkeypatch, calls)
+        draws = recording_draw(monkeypatch)
         results = run_grid([lognormal, normal], master_seed=3)
         assert [r.failures for r in results] == [15, 0]
         assert [n for n, _, _ in calls] == [385]
+        # each part was drawn once, the overflowing one too
+        assert draws == [(r.scenario.seed, range(200)) for r in results]
         calls.clear()
         assert results == [run_scenario(r.scenario) for r in results]
         assert [n for n, _, _ in calls] == [185, 200]
@@ -669,10 +678,37 @@ class TestPacks:
         # parts are tallied from their own rows
         overflowing = scenario(distribution="lognormal", sigma_sq=(1e6, 1e6), replications=3)
         grid = [normal, overflowing, replace(normal, seed=4)]
+        draws.clear()
         results = run_grid(grid)
         assert [r.failures for r in results] == [0, 3, 0]
+        assert draws == [(0, range(200)), (1, range(3)), (4, range(200))]
         assert results == [run_scenario(s) for s in grid]
         assert all(t.evaluated == t.skipped == 0 for t in results[1].tallies.values())
+        # a pack whose every draw overflows is not analyzed
+        calls.clear()
+        results = run_grid([overflowing, replace(overflowing, seed=2, replications=2)])
+        assert [r.failures for r in results] == [3, 2]
+        assert calls == []
+
+    def test_an_overflow_in_an_unobserved_cell_fails_nothing(self, monkeypatch):
+        # inf planted in a masked cell of every replicate is masked away
+        import rankeffect.simulate as sim
+
+        grid = [scenario(replications=20), scenario(replications=15, seed=2),
+                scenario(replications=30, seed=3, distribution="cauchy")]
+        clean = run_grid(grid)
+        draw = sim._draw
+
+        def planting(s, indices):
+            values = draw(s, indices)
+            row, column = np.argwhere(~s._observed)[0]
+            values[:, row, column] = np.inf
+            return values
+
+        monkeypatch.setattr(sim, "_draw", planting)
+        planted = run_grid(grid)
+        assert planted == clean
+        assert [r.failures for r in planted] == [0, 0, 0]
 
 
 class TestRunGrid:
