@@ -16,18 +16,16 @@ Replicates use counter-based seeding, so results are reproducible and
 independent of execution order: replicate ``i`` draws from its own stream,
 ``PCG64(SeedSequence(seed, spawn_key=(i,)))``, whose states are computed a
 block at a time (``rankeffect._seeding``), and one generator set to each state
-in turn draws the block.  The draws of replicates that share a mask are
-stacked into blocks; each block goes through
-:func:`~rankeffect.inference.analyze` once.  A block holds at most
-``size = max(1, CELLS // (2d * n))`` replicates, so its arrays stay small
-whatever the sample size.  :func:`run_grid` packs whole scenarios that share
-their mask, ``methods`` and ``alpha`` into common blocks, in grid order, while
-their replicates fit one; a scenario with more replicates than ``size`` runs
-alone in as few blocks as ``size`` allows, with sizes that differ by at most
-one, so no short block is left over.  Each part of a block is drawn once; a
-replicate whose draw overflowed in an observed cell fails, and the rest of
-the block is analyzed.  Tallies, failures and every output are the same as
-one replicate at a time would give.
+in turn draws the block.  The replicates of the scenarios that share their
+mask, ``methods`` and ``alpha`` are laid end to end, in grid order, and cut
+into ``ceil(total / size)`` blocks with ``size = max(1, CELLS // (2d * n))``,
+so a block's arrays stay small whatever the sample size (``table3`` at 1000
+replicates runs in 204 blocks).  Block lengths differ by at most one, so no
+short block is left over, and a cut may fall inside a scenario; each block
+goes through :func:`~rankeffect.inference.analyze` once.  Each part of a
+block is drawn once; a replicate whose draw overflowed in an observed cell
+fails, and the rest of the block is analyzed.  Tallies, failures and every
+output are the same as one replicate at a time would give.
 """
 
 import copy
@@ -300,9 +298,9 @@ class SimulationResult:
 def run_scenario(scenario: Scenario) -> SimulationResult:
     """Draw, estimate and test ``replications`` times; tally rejections.
 
-    ``run_grid([scenario])[0]``, in this process: the replicates run in
-    ``ceil(replications / size)`` blocks, whose lengths differ by at most one,
-    and are tallied as :func:`run_grid` tallies each scenario.
+    ``run_grid([scenario])[0]``, in this process: a stream of its own, cut
+    into ``ceil(replications / size)`` blocks whose lengths differ by at most
+    one, and tallied as :func:`run_grid` tallies each scenario.
     """
     return _collect([scenario], map(_run_pack, _packs([scenario])))[0]
 
@@ -315,26 +313,26 @@ def _keys(scenario: Scenario) -> list[str]:
 def _packs(scenarios: list[Scenario]) -> list[list[tuple[int, Scenario, range]]]:
     """The blocks of a grid, each a list of ``(position, scenario, replicates)`` parts.
 
-    A block holds at most ``size = max(1, CELLS // (2d * n))`` replicates.  A
-    scenario with more runs alone in as few blocks as ``size`` allows, the
-    first ones one replicate longer.  Any other joins, whole, the open pack of
-    the scenarios before it that share its mask, ``methods`` and ``alpha``, if
-    the pack stays within ``size``, and opens a new one otherwise.
+    The replicates of the scenarios that share a mask, ``methods`` and
+    ``alpha`` form one stream, in grid order, cut into ``ceil(total / size)``
+    blocks whose lengths differ by at most one, the first ones the longer; a
+    cut may fall inside a scenario.
     """
-    packs, open_packs = [], {}
+    streams = {}
     for position, s in enumerate(scenarios):
-        reps = s.replications
-        size = max(1, CELLS // s._observed.size)
-        if reps > size:
-            for block in np.array_split(range(reps), -(-reps // size)):
-                packs.append([(position, s, range(block[0], block[-1] + 1))])
-            continue
         key = (s._observed.shape, s._observed.tobytes(), tuple(s.methods), s.alpha)
-        pack = open_packs.get(key)
-        if pack is None or sum(len(part) for *_, part in pack) + reps > size:
-            pack = open_packs[key] = []
-            packs.append(pack)
-        pack.append((position, s, range(reps)))
+        streams.setdefault(key, []).append((position, s))
+    packs = []
+    for stream in streams.values():
+        size = max(1, CELLS // stream[0][1]._observed.size)
+        edges = np.cumsum([0, *(s.replications for _, s in stream)]).tolist()
+        for block in np.array_split(range(edges[-1]), -(-edges[-1] // size)):
+            lo, hi = block[0], block[-1] + 1
+            packs.append([
+                (position, s, range(max(lo, start) - start, min(hi, end) - start))
+                for (position, s), start, end in zip(stream, edges, edges[1:])
+                if start < hi and lo < end
+            ])
     return packs
 
 
@@ -425,12 +423,13 @@ def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult
     ``SeedSequence(master_seed, spawn_key=(i,)).generate_state(1)[0]``, so a
     grid is reproducible regardless of how its scenarios were configured; the
     re-seeded copies keep the scenarios' validated covariance factor and mask.
-    Scenarios that share their mask, ``methods`` and ``alpha`` are packed
-    whole, in grid order, into blocks of at most
-    ``size = max(1, CELLS // (2d * n))`` replicates, each one draw per
-    scenario and one :func:`analyze` call; a scenario with more replicates
-    runs alone in balanced blocks, as in :func:`run_scenario`, whose result
-    each scenario's equals.
+    The replicates of the scenarios that share their mask, ``methods`` and
+    ``alpha`` run as one stream, in grid order, cut into
+    ``ceil(total / size)`` blocks of at most
+    ``size = max(1, CELLS // (2d * n))`` replicates whose lengths differ by
+    at most one; a cut may fall inside a scenario.  A block is one draw per
+    scenario part and one :func:`analyze` call, and each scenario's result
+    equals its :func:`run_scenario`.
 
     The one data event a validated scenario meets, a draw that overflows in
     an observed cell, fails its replicate alone and never aborts the run:

@@ -618,9 +618,16 @@ class TestPacks:
         dict(replications=20, seed=8, delta=(0.3, 0.3)),
     ]
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_grid_equals_each_scenarios_own_run(self, monkeypatch, threads):
+    @pytest.mark.parametrize("threads, cells", [
+        ("1", None), ("2", None), ("1", 7 * 200), ("2", 7 * 200),
+    ], ids=["1", "2", "1-cut-inside", "2-cut-inside"])
+    def test_grid_equals_each_scenarios_own_run(self, monkeypatch, threads, cells):
+        import rankeffect.simulate as sim
+
         grid = [scenario(**kw) for kw in self.GRID]
+        if cells is not None:  # blocks of up to 7, whose cuts fall inside scenarios
+            monkeypatch.setattr(sim, "CELLS", cells)
+            assert any(len(pack) > 1 and pack[0][2].start > 0 for pack in sim._packs(grid))
         solo = [run_scenario(s) for s in grid]
         assert solo[3].tallies["wald:all"] != solo[0].tallies["wald:all"]  # alpha shows
         monkeypatch.setenv("RANK_EFFECT_THREADS", threads)
@@ -638,7 +645,38 @@ class TestPacks:
             (20, 0.05, METHODS),  # 5
         ]
 
-    def test_whole_scenarios_fill_a_pack_up_to_its_size(self, monkeypatch):
+    @pytest.mark.parametrize("reps", [1, 31, 50, 1000])
+    @pytest.mark.parametrize("name", ["table3", "table6", "design1", "design2", "design3"])
+    def test_each_stream_runs_once_in_balanced_blocks(self, name, reps):
+        import rankeffect.simulate as sim
+
+        def key(s):
+            return s._observed.shape, s._observed.tobytes(), s.methods, s.alpha
+
+        grid = builtin_grid(name, reps)
+        streams = {}
+        for pack in sim._packs(grid):
+            (k, *others) = {key(s) for _, s, _ in pack}
+            assert not others  # a block's parts share mask, methods and alpha
+            assert all(s is grid[position] for position, s, _ in pack)
+            streams.setdefault(k, []).append(pack)
+        assert len(streams) == len({key(s) for s in grid})
+        for k, blocks in streams.items():
+            members = [(position, s) for position, s in enumerate(grid) if key(s) == k]
+            total = sum(s.replications for _, s in members)
+            size = max(1, sim.CELLS // members[0][1]._observed.size)
+            lengths = [sum(len(part) for *_, part in block) for block in blocks]
+            assert len(blocks) == -(-total // size)
+            assert max(lengths) <= size
+            assert lengths == sorted(lengths, reverse=True)
+            assert lengths[0] - lengths[-1] <= 1
+            assert all(part for block in blocks for *_, part in block)
+            assert [(position, i) for block in blocks for position, _, part in block
+                    for i in part] == [
+                (position, i) for position, s in members for i in range(s.replications)
+            ]
+
+    def test_a_masks_stream_is_cut_into_balanced_blocks(self, monkeypatch):
         import rankeffect.simulate as sim
 
         monkeypatch.setattr(sim, "CELLS", 10 * 200)  # up to 10 replicates a block
@@ -647,12 +685,12 @@ class TestPacks:
         recording_analyze(monkeypatch, calls)
         grid = [scenario(replications=r, seed=i) for i, r in enumerate((4, 3, 3, 2, 12, 5, 10))]
         results = run_grid(grid)
-        # 4 + 3 + 3 fill a pack; 2 opens the next, which 5 joins; 12 runs alone
-        # in two balanced blocks, and 10 fills a pack of its own
-        assert [n for n, _, _ in calls] == [10, 7, 6, 6, 10]
+        # a stream of 39 replicates in ceil(39 / 10) = 4 blocks, the first ones
+        # the longer; the cuts after replicates 20 and 30 fall inside scenarios
+        assert [n for n, _, _ in calls] == [10, 10, 10, 9]
         assert blocks == [
-            (0, range(4)), (1, range(3)), (2, range(3)), (3, range(2)), (5, range(5)),
-            (4, range(6)), (4, range(6, 12)), (6, range(10)),
+            (0, range(4)), (1, range(3)), (2, range(3)), (3, range(2)), (4, range(8)),
+            (4, range(8, 12)), (5, range(5)), (6, range(1)), (6, range(1, 10)),
         ]
         monkeypatch.setattr(sim, "CELLS", 1)  # one replicate a block, one scenario a pack
         assert run_grid(grid) == results == [run_scenario(s) for s in grid]
