@@ -10,7 +10,6 @@ import configparser
 import json
 import sys
 
-from ._heap import keep_freed_heap
 from .data import derive_pattern_index
 from .effects import METHODS, check_methods
 from .errors import RankEffectError, ScenarioError
@@ -147,7 +146,6 @@ def cmd_simulate(args) -> int:
     else:
         reps = args.reps
         scenarios = _scenarios_from_config(args.config, reps)
-    keep_freed_heap()
     results = run_grid(scenarios, master_seed=args.seed)
     config = {
         "command": "simulate",

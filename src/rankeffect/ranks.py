@@ -92,12 +92,13 @@ def build_rank_table(
     keys = keys.reshape(-1, width)
     # cell[q, k]: position in pooled row q of its k-th smallest cell ...
     cell = np.argsort(keys, axis=1)
-    ordered = np.take_along_axis(keys, cell, axis=1)
-    del keys  # per-cell temporaries go as soon as they are used
-    new_run = np.empty(ordered.shape, dtype=bool)
-    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=new_run[:, 1:])
+    # the sorted values only mark the runs, which do not depend on how the
+    # argsort ordered ties: != ties -0.0 with 0.0, and the padding is +inf
+    keys.sort(axis=1)
+    new_run = np.empty(keys.shape, dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=new_run[:, 1:])
     new_run[:, :1] = True
-    del ordered
+    del keys  # per-cell temporaries go as soon as they are used
     # runs of equal values, numbered in flat order; a run never crosses a row
     starts = np.flatnonzero(new_run)
     # int32 halves the per-cell index arrays wherever the positions fit
@@ -127,7 +128,8 @@ def build_rank_table(
     before = np.cumsum(inside, axis=1, dtype=run.dtype)
     before -= inside
     first = run[:, 0]
-    before -= np.repeat(before[:, first], np.diff(first, append=len(starts)), axis=1)
+    per_row = np.diff(first, append=len(starts))  # runs in each row
+    before -= np.repeat(before[:, first], per_row, axis=1)
     # a group-2 cell counts the group-1 cells before its run and half of those
     # inside it, and a group-1 cell the same of group 2, so a run's two counts
     # sum to its offset in the row plus half its length
@@ -137,10 +139,10 @@ def build_rank_table(
     np.subtract(starts[1:], starts[:-1], out=counts[1, :-1])
     counts[1, -1] = target.size - starts[-1]
     counts[1] *= 0.5
-    starts %= width
+    starts -= np.repeat(np.arange(0, target.size, width), per_row)  # offsets in their rows
     counts[1] += starts
     counts[1] -= counts[0]
-    del starts
+    del starts, per_row
     if split:
         # the same counts within the complete cells, whose cells before and
         # inside a run give its offset and length there: own[1]; off them, own[0]
@@ -156,13 +158,13 @@ def build_rank_table(
     run += in_group1 * run.dtype.type(counts.shape[1])
     del in_group1
     b = np.zeros(sample.values.shape)  # not empty: a stale NaN survives the product
-    np.put(b, target, counts.ravel()[run])
+    b.reshape(-1)[target] = counts.ravel()[run]  # the targets are distinct
     tables = [b]
     if split:
         # own's first half is laid out as counts, its second half for complete cells
         run += flags[1].reshape(run.shape) * run.dtype.type(counts.size)
         tables.append(np.zeros(sample.values.shape))
-        np.put(tables[1], target, own.ravel()[run])
+        tables[1].reshape(-1)[target] = own.ravel()[run]
         del own
     del counts, flags, run, first, target, replicates
     # unobserved cells, padding counts too, become +0.0: every count is >= +0.0

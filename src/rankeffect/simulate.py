@@ -20,7 +20,7 @@ in turn draws the block.  The replicates of the scenarios that share their
 mask, ``methods`` and ``alpha`` are laid end to end, in grid order, and cut
 into ``ceil(total / size)`` blocks with ``size = max(1, CELLS // (2d * n))``,
 so a block's arrays stay small whatever the sample size (``table3`` at 1000
-replicates runs in 204 blocks).  Block lengths differ by at most one, so no
+replicates runs in 80 blocks).  Block lengths differ by at most one, so no
 short block is left over, and a cut may fall inside a scenario; each block
 goes through :func:`~rankeffect.inference.analyze` once.  Each part of a
 block is drawn once; a replicate whose draw overflowed in an observed cell
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._heap import keep_freed_heap
 from ._seeding import pcg64_states, seed_words
 from .data import MaskedSample, build_masked_sample
 from .effects import METHODS, check_methods
@@ -57,11 +58,13 @@ PATTERNS = {"simple": 3, "design1": 1, "design2": 2, "design3": 1}
 DIMS = (2, 3, 5)
 #: Cells (replicates x 2d x n) of a block of replicates analyzed at once.
 #: Every block pays a fixed cost (the pattern index and many small numpy
-#: calls), so a block holds many replicates even at ``design3``'s n of about
-#: 1,410 (17 of them); drawing and analyzing one peaks near 35 bytes a cell,
-#: about 3.4 MB.  Past about 100k cells a block's cost per replicate rises
-#: again, so larger blocks run no faster and hold more memory.
-CELLS = 98_304
+#: calls, about 1 ms), so a block holds many replicates even at ``design3``'s
+#: n of about 1,410 (46 of them).  Drawing and analyzing one peaks below 44
+#: bytes a cell, about 11 MB (33 to 42 on the largest block of each built-in
+#: grid, traced).  Blocks this large pay only with freed memory kept on the
+#: heap, as :func:`run_grid` keeps it (``rankeffect._heap``); where glibc
+#: trims the heap after each block, ``table3`` ran slower than at 98,304.
+CELLS = 262_144
 
 
 def build_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> np.ndarray:
@@ -300,8 +303,10 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
 
     ``run_grid([scenario])[0]``, in this process: a stream of its own, cut
     into ``ceil(replications / size)`` blocks whose lengths differ by at most
-    one, and tallied as :func:`run_grid` tallies each scenario.
+    one, and tallied as :func:`run_grid` tallies each scenario, under the
+    same heap policy.
     """
+    keep_freed_heap()
     return _collect([scenario], map(_run_pack, _packs([scenario])))[0]
 
 
@@ -442,9 +447,10 @@ def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult
     rejected or flagged.  ``RANK_EFFECT_THREADS`` (default 1) caps
     process-level parallelism over the blocks, never above the CPUs this
     process may use; results come in input order and are identical either
-    way.  Only ``rankeffect simulate`` sets its heap policy
-    (``rankeffect._heap``): a library caller's process and its workers keep
-    their own allocator settings.
+    way.  The run sets the heap policy of ``rankeffect._heap`` (glibc only,
+    and not over the user's own malloc settings) in this process and in each
+    worker, however it is started, so the memory a block frees stays for the
+    next; it stays set after the run returns.
     """
     scenarios = list(scenarios)
     if master_seed is not None:
@@ -452,11 +458,13 @@ def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult
         seeds = seed_words(master_seed, range(len(scenarios)))[0].tolist()
         scenarios = [_reseeded(s, seed) for s, seed in zip(scenarios, seeds)]
     packs = _packs(scenarios)
+    keep_freed_heap()
     workers = _worker_count(len(packs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # each worker takes the heap policy, however the platform starts it
+        with ProcessPoolExecutor(max_workers=workers, initializer=keep_freed_heap) as pool:
             return _collect(scenarios, pool.map(_run_pack, packs))
     return _collect(scenarios, map(_run_pack, packs))
 

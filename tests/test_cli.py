@@ -529,7 +529,8 @@ class TestSimulateCommand:
 
 @pytest.mark.parametrize("reference_path, grid", [
     *[pytest.param(MC_REFERENCE, grid, id=grid) for grid in ("table3", "design1", "design3")],
-    # every grid at 31 reps; each design3 scenario runs two blocks, of 16 and 15
+    # every grid at 31 reps; design3's 12 scenarios a mask run in 9 blocks of
+    # 41 and 42, cut inside scenarios
     *[
         pytest.param(MC_TALLIES_31, grid, id=f"reps31-{grid}")
         for grid in ("table3", "table6", "design1", "design2", "design3")

@@ -117,9 +117,9 @@ def test_a_fresh_process_reuses_its_freed_arrays(monkeypatch):
 
 @pytest.mark.skipif(glibc_version() is None, reason="the heap policy is glibc's")
 def test_a_simulate_call_faults_its_blocks_in_once(monkeypatch, tmp_path):
-    # each design3 scenario, n = 1,410, runs its 17 replicates as one block;
-    # with the top of the heap trimmed after each block, the next one faulted
-    # its pages in again, about 20k minor faults a call
+    # design3 at n = 1,410 runs the 204 replicates of each mask in 5 blocks
+    # of 40 and 41; with the top of the heap trimmed after each block, the
+    # next one faulted its pages in again, about 20k minor faults a call
     resource = pytest.importorskip("resource")
     monkeypatch.setenv("RANK_EFFECT_THREADS", "1")
     clear_user_settings(monkeypatch)
@@ -128,3 +128,37 @@ def test_a_simulate_call_faults_its_blocks_in_once(monkeypatch, tmp_path):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     assert main(argv) == 0
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
+def test_library_runs_and_their_workers_keep_the_heap(monkeypatch, libc_calls):
+    # run_scenario and run_grid set the policy themselves, and a pool hands it
+    # to each worker as it starts, which a spawned worker would not inherit
+    import concurrent.futures
+    from dataclasses import replace
+
+    from rankeffect import simulate
+
+    initializers = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, initializer=None, **kwargs):
+            initializers.append(initializer)
+            super().__init__(*args, initializer=initializer, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    policy = [("CDLL", None), ("mallopt", -3, 32 << 20), ("mallopt", -1, 64 << 20)]
+    s = simulate.Scenario(
+        distribution="normal", d=2, rho=(0.1, 0.1, 0.1), sigma_sq=(1.0, 1.0),
+        delta=(0.0, 0.0), sizes=(30, 10, 10), replications=5, seed=1,
+    )
+    monkeypatch.setenv("RANK_EFFECT_THREADS", "1")
+    simulate.run_scenario(s)
+    assert libc_calls == policy
+    libc_calls.clear()
+    monkeypatch.setenv("RANK_EFFECT_THREADS", "2")
+    grid = [s, replace(s, alpha=0.1)]  # two blocks, one a worker
+    assert simulate.run_grid(grid) == [simulate.run_scenario(x) for x in grid]
+    assert libc_calls[:3] == policy
+    workers = simulate._worker_count(2)
+    assert initializers == ([_heap.keep_freed_heap] if workers > 1 else [])

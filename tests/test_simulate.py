@@ -563,6 +563,29 @@ class TestBlocks:
         monkeypatch.setattr(sim, "CELLS", 1)
         assert run_scenario(s) == balanced
 
+    @pytest.mark.parametrize("grid", ["table3", "table6", "design1", "design2", "design3"])
+    def test_a_block_stays_within_its_memory_budget(self, grid):
+        # the CELLS comment's budget, 44 bytes a cell, over the largest block
+        # of the grid at the paper's 1000 replicates, once the caches that
+        # its first call fills are full
+        import tracemalloc
+
+        import rankeffect.simulate as sim
+
+        def cells(pack):
+            return sum(len(block) for *_, block in pack) * pack[0][1]._observed.size
+
+        pack = max(sim._packs(builtin_grid(grid, 1000)), key=cells)
+        assert cells(pack) > sim.CELLS * 0.95
+        sim._run_pack(pack)
+        tracemalloc.start()
+        try:
+            sim._run_pack(pack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 44 * sim.CELLS
+
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     @pytest.mark.parametrize("kw", [
         dict(pattern="design1", sizes=(75,)),
@@ -727,6 +750,24 @@ class TestPacks:
         results = run_grid([overflowing, replace(overflowing, seed=2, replications=2)])
         assert [r.failures for r in results] == [3, 2]
         assert calls == []
+
+    def test_overflow_failures_come_back_from_workers(self, monkeypatch):
+        # the CI scenario file at --seed 3: its small-variance section, at
+        # alpha 0.1, runs in a block of its own, so two workers take one
+        # block each and the overflowing one is tallied in another process
+        import rankeffect.simulate as sim
+
+        grid = [
+            scenario(distribution="lognormal", sigma_sq=(40000.0, 40000.0), replications=200),
+            scenario(replications=200),
+            scenario(sigma_sq=(0.05, 0.05), delta=(1.0, 1.0), replications=200, alpha=0.1),
+        ]
+        assert len(sim._packs(grid)) == 2
+        monkeypatch.setenv("RANK_EFFECT_THREADS", "1")
+        alone = run_grid(grid, master_seed=3)
+        assert [r.failures for r in alone] == [15, 0, 0]
+        monkeypatch.setenv("RANK_EFFECT_THREADS", "2")
+        assert run_grid(grid, master_seed=3) == alone
 
     def test_an_overflow_in_an_unobserved_cell_fails_nothing(self, monkeypatch):
         # inf planted in a masked cell of every replicate is masked away
