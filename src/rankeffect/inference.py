@@ -338,7 +338,7 @@ def analyze(
     nine-term form.  Methods whose restriction is inestimable yield
     placeholder reports instead of aborting the run.
 
-    The sample is sorted once for every method: one
+    The sample is counted once for every method: one
     :func:`~rankeffect.ranks.build_rank_table` call with ``split=True`` gives
     the counts of ``"all"`` and each cell's counts within its own case class,
     complete or one-sided, which, cut to a restricted method's columns, are

@@ -8,31 +8,37 @@ effect averages.  ``b`` is also the pooled minus the within-group midrank.  Tie
 detection uses exact floating-point equality (``-0.0`` ties with ``0.0``);
 noisy continuous data will in general contain no ties.
 
-All counts come from one sort of pooled rows that hold only observed cells:
-component ``l``'s row is its observed group-1 cells, then its observed
-group-2 cells, in column order.  Every row is cut at the largest observed
-count over the components, ``L = max_l(m1_l + m2_l)``, and a shorter row is
-padded with ``+inf``; observed values are finite, so the padding sorts last
-and never ties with a cell that is counted.  Split each sorted row into runs
-of equal values, count the group-1 cells inside every run and before it, and
-give each cell of a run the opposite group's cells before the run plus half
-of those inside it.  Every count is a half-integer computed exactly.  An
-unobserved cell is in no pair and counts +0.0, so a sum over a table's row
-is a sum over its observed cells.
+Two routes give the counts, bit for bit the same, since each is an exact
+half-integer.  When every observed value is an integer and the histograms
+need at most four bins per observed cell, they are counted: one histogram
+per replicate, table row and case class over the observed range, cumulated,
+gives each value the row's cells below it plus half those at it, and a cell
+reads it in the opposite group's row.  Other data is sorted, in pooled rows
+that hold only observed cells: component ``l``'s row is its observed group-1
+cells, then its observed group-2 cells, in column order.  Every row is cut
+at the largest observed count over the components,
+``L = max_l(m1_l + m2_l)``, and a shorter row is padded with ``+inf``;
+observed values are finite, so the padding sorts last and never ties with a
+cell that is counted.  Split each sorted row into runs of equal values,
+count the group-1 cells inside every run and before it, and give each cell
+of a run the opposite group's cells before the run plus half of those inside
+it.  An unobserved cell is in no pair and counts +0.0, so a sum over a
+table's row is a sum over its observed cells.
 
-The same sort also counts within each cell's case class on its component,
-complete (observed in both groups) or one-sided: the complete cells of a
-run's row before and inside it give the complete cells' counts as the whole
-row's give the full ones, and a one-sided cell gets its full count minus its
-count against the complete cells.  Each class's counts are those of the
-sample restricted to that class, bit for bit, so the comparison methods need
-no sort of their own.
+Either route also counts within each cell's case class on its component,
+complete (observed in both groups) or one-sided: the sort from the complete
+cells of a run's row before and inside it, a one-sided cell getting its full
+count minus its count against the complete cells.  Each class's counts are
+those of the sample restricted to that class, bit for bit, so the comparison
+methods need no count of their own.
 
 Counting needs the sample alone and never fails.
 Placements also take a :class:`~rankeffect.data.PatternIndex`, which exists
 only when both groups have data on every component, so the group counts
 they divide by are positive.
 """
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -45,26 +51,26 @@ def build_rank_table(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Placement count ``b`` of every observed cell within its component.
 
-    Component ``l`` of a replicate is one pooled row of its observed cells,
-    group 1 then group 2 in column order, cut at ``L``, the most cells any
-    component has observed; a row with fewer is padded with ``+inf``, which
-    sorts after every finite value and ties with none.  The map from pooled
-    positions to table cells depends only on the mask, so every replicate of
-    a block shares it, and one ``argsort`` of all pooled rows gives every
-    count.  Returns a read-only array shaped like the sample, a block's
-    leading replicate axis included, +0.0 where a cell is unobserved: such a
-    cell is in no cross-group pair.  A group with no observation on a
-    component leaves both groups' rows of it zero; such a sample has no
-    pattern index, since :func:`~rankeffect.data.derive_pattern_index`
-    rejects it.
+    Integer data whose histograms fit (see the module) is counted, other
+    data sorted.  For the sort, component ``l`` of a replicate is one
+    pooled row of its observed cells, group 1 then group 2 in column order,
+    cut at ``L``, the most cells any component has observed; a row with
+    fewer is padded with ``+inf``, which sorts after every finite value and
+    ties with none.  The map from pooled positions to table cells depends
+    only on the mask, so every replicate of a block shares it, and one
+    ``argsort`` of all pooled rows gives every count.  Returns a read-only
+    array shaped like the sample, a block's leading replicate axis included,
+    +0.0 where a cell is unobserved: such a cell is in no cross-group pair.
+    A group with no observation on a component leaves both groups' rows of
+    it zero; such a sample has no pattern index, since
+    :func:`~rankeffect.data.derive_pattern_index` rejects it.
 
     With ``split=True`` the call returns ``(b, own)``, where ``own`` is ``b``
     but for counting only the opposite group's cells in the cell's own case
-    class, complete or one-sided, from the same sort; the classes come from
+    class, complete or one-sided, by the same route; the classes come from
     the sample's mask, ``observed[:d] & observed[d:]``.  Each class's counts
-    are, bit for bit, those of the sample cut down to that class's cells: a
-    one-sided cell gets its full count minus its count against the complete
-    cells, and every term is an exact half-integer.
+    are, bit for bit, those of the sample cut down to that class's cells,
+    and every term is an exact half-integer.
 
     Raises
     ------
@@ -73,11 +79,70 @@ def build_rank_table(
     """
     if not isinstance(split, bool):
         raise TypeError(f"split must be True or False, got {type(split).__name__}")
+    counted = _counted(sample, split)
+    tables = []
+    for target, counts in _sorted(sample, split) if counted is None else counted:
+        table = np.zeros(sample.values.shape)  # not empty: cells no count reaches stay +0.0
+        table.reshape(-1)[target] = counts  # the targets are distinct
+        del counts
+        if counted is None:  # the sort's padding counts land on unobserved cells: +0.0 them
+            table *= sample.observed
+        table.setflags(write=False)
+        tables.append(table)
+    return tuple(tables) if split else tables[0]
+
+
+def _counted(sample: MaskedSample, split: bool) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Each table's flat cell indices and counts from histograms, or None for the sort's data."""
+    d, n = sample.d, sample.n
+    row = sample.values.reshape(-1, n)[0]  # most non-integer data shows in its first row
+    if np.count_nonzero(np.rint(row) == row) < np.count_nonzero(sample.observed[0]):
+        return None
+    cells = np.flatnonzero(sample.observed)
+    values = np.take(sample.values.reshape(-1, 2 * d * n), cells, axis=1)
+    if not (np.rint(values) == values).all():
+        return None
+    classes = 2 if split else 1
+    low = float(values.min())
+    width = float(values.max()) - low + 1.0  # float: a huge range is inf, not an overflow
+    if 2 * d * classes * width > 4 * cells.size:
+        return None
+    width = int(width)
+    span = 2 * d * classes * width  # one replicate's bins
+    # a cell's bin: (replicate, table row, class, value - low); -0.0 and 0.0 share one
+    bins = (values - low).astype(np.intp)
+    del values
+    rows = np.repeat(np.arange(2 * d), sample.observed.sum(axis=1))  # each cell's table row
+    lane = rows * classes
+    if split:
+        lane += np.tile(sample.observed[:d] & sample.observed[d:], (2, 1)).ravel()[cells]
+    bins += lane * width + span * np.arange(len(bins))[:, None]
+    hist = np.bincount(bins.ravel(), minlength=span * len(bins)).reshape(-1, width)
+    # a lane's cells below each value plus half those at it: (2 cumsum - hist) / 2
+    below = np.cumsum(hist, axis=1)
+    below *= 2
+    below -= hist
+    del hist
+    below = below * 0.5  # exact; in ints first, as a float cumsum copies hist
+    # the opposite group's lane: d rows on from group 1, d rows back from group 2
+    bins += np.where(rows < d, d, -d) * classes * width
+    target = cells + 2 * d * n * np.arange(len(bins))[:, None]
+    counts = np.take(below, bins)
+    if not split:
+        return [(target, counts)]
+    below = below.reshape(-1, 2, width)
+    below[:, 0] += below[:, 1]  # both classes' sum, read at the same bins
+    below[:, 1] = below[:, 0]
+    return [(target, np.take(below, bins)), (target, counts)]
+
+
+def _sorted(sample: MaskedSample, split: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each table's flat cell indices and counts from one sort, one table at a time."""
     d, n = sample.d, sample.n
     # source[l, k]: the (2d, n) table cell, as a flat index, at position k of
     # component l's pooled row: observed cells first, then unobserved ones,
-    # which stand in for the padding so that its counts land on cells zeroed
-    # below; a row of L cells always has enough of them
+    # which stand in for the padding so that its counts land on cells the
+    # caller zeroes; a row of L cells always has enough of them
     pooled = sample.observed.reshape(2, d, n).swapaxes(0, 1).reshape(d, 2 * n)
     length = pooled.sum(axis=1)
     width = int(length.max())
@@ -157,21 +222,11 @@ def build_rank_table(
     # runs index the group-2 cells' counts, runs + len(counts[0]) the group-1 ones
     run += in_group1 * run.dtype.type(counts.shape[1])
     del in_group1
-    b = np.zeros(sample.values.shape)  # not empty: a stale NaN survives the product
-    b.reshape(-1)[target] = counts.ravel()[run]  # the targets are distinct
-    tables = [b]
+    yield target, counts.ravel()[run]
     if split:
         # own's first half is laid out as counts, its second half for complete cells
         run += flags[1].reshape(run.shape) * run.dtype.type(counts.size)
-        tables.append(np.zeros(sample.values.shape))
-        tables[1].reshape(-1)[target] = own.ravel()[run]
-        del own
-    del counts, flags, run, first, target, replicates
-    # unobserved cells, padding counts too, become +0.0: every count is >= +0.0
-    for table in tables:
-        table *= sample.observed
-        table.setflags(write=False)
-    return (b, tables[1]) if split else b
+        yield target, own.ravel()[run]
 
 
 def placements(b: np.ndarray, idx: PatternIndex) -> np.ndarray:

@@ -76,7 +76,9 @@ def build_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> np.ndarray:
     Raises
     ------
     NotPositiveDefinite
-        The parameter combination does not yield a valid covariance.
+        The parameter combination does not yield a valid covariance, or
+        yields one that is not finite: a variance is not positive, or the
+        variances' product overflows.
     """
     return _factor_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq)[0]
 
@@ -87,17 +89,24 @@ def _factor_sigma(d, rho1, rho2, rho12, sigma1_sq, sigma2_sq) -> tuple[np.ndarra
     ones = np.ones((d, d))
     s1 = float(sigma1_sq)
     s2 = float(sigma2_sq)
-    sigma = np.block([
-        [s1 * eye + rho1 * s1 * (ones - eye), rho12 * np.sqrt(s1 * s2) * ones],
-        [rho12 * np.sqrt(s1 * s2) * ones, s2 * eye + rho2 * s2 * (ones - eye)],
-    ])
-    try:
-        return sigma, np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
+    # a negative or overflowing product of the variances gives NaN or inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        sigma = np.block([
+            [s1 * eye + rho1 * s1 * (ones - eye), rho12 * np.sqrt(s1 * s2) * ones],
+            [rho12 * np.sqrt(s1 * s2) * ones, s2 * eye + rho2 * s2 * (ones - eye)],
+        ])
+    chol = None
+    if np.isfinite(sigma).all():
+        try:
+            chol = np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            pass
+    if chol is None:
         raise NotPositiveDefinite(
             f"correlations ({rho1}, {rho2}, {rho12}) with variances "
-            f"({sigma1_sq}, {sigma2_sq}) do not give a positive definite matrix"
-        ) from None
+            f"({sigma1_sq}, {sigma2_sq}) do not give a finite positive definite matrix"
+        )
+    return sigma, chol
 
 
 def _check_count(value, name: str, least: int) -> None:
@@ -167,6 +176,8 @@ class Scenario:
                 raise ScenarioError(f"{name} needs {length} value(s), got {value}")
             if not np.isfinite(value).all():
                 raise ScenarioError(f"{name} values must be finite, got {value}")
+        if min(self.sigma_sq) <= 0.0:
+            raise ScenarioError(f"sigma_sq values must be positive, got {self.sigma_sq}")
         if not 0.0 < self.alpha < 1.0:
             raise ScenarioError(f"alpha must lie in (0, 1), got {self.alpha}")
         try:

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,8 +14,9 @@ from rankeffect import (
     placements,
     restrict_method,
 )
+from rankeffect import ranks, simulate
 from rankeffect.errors import EverythingFiltered, InestimableComponent
-from rankeffect.simulate import builtin_grid, draw_sample
+from rankeffect.simulate import builtin_grid, draw_sample, run_grid
 
 from conftest import random_general_sample, simple_mask
 from oracles import placement_counts_bruteforce, placement_counts_rankdata
@@ -29,27 +32,34 @@ _CELL_VALUES = st.one_of(
 
 
 @st.composite
-def masked_samples(draw):
+def masks(draw):
     """Per-cell masks, small enough that single-observation and empty groups are common."""
     d = draw(st.integers(1, 3))
     n = draw(st.integers(2, 8))
-    values = np.array(draw(st.lists(_CELL_VALUES, min_size=2 * d * n, max_size=2 * d * n)))
     observed = np.array(draw(st.lists(st.booleans(), min_size=2 * d * n, max_size=2 * d * n)))
     observed = observed.reshape(2 * d, n)
     empty = ~observed.any(axis=0)
     observed[np.flatnonzero(empty) % (2 * d), empty] = True  # every subject has a cell
-    return build_masked_sample(values.reshape(2 * d, n), observed)
+    return observed
 
 
 @st.composite
-def masked_blocks(draw):
+def masked_samples(draw, cell_values=_CELL_VALUES):
+    """A ``masks`` mask with values drawn from ``cell_values``."""
+    observed = draw(masks())
+    values = np.array(draw(st.lists(cell_values, min_size=observed.size, max_size=observed.size)))
+    return build_masked_sample(values.reshape(observed.shape), observed)
+
+
+@st.composite
+def masked_blocks(draw, cell_values=_CELL_VALUES):
     """A ``masked_samples`` sample, or a block of one to four replicates on its mask."""
-    sample = draw(masked_samples())
+    sample = draw(masked_samples(cell_values))
     reps = draw(st.integers(0, 4))
     if not reps:
         return sample
     size = (reps - 1) * sample.values.size
-    values = np.array(draw(st.lists(_CELL_VALUES, min_size=size, max_size=size)))
+    values = np.array(draw(st.lists(cell_values, min_size=size, max_size=size)))
     block = np.concatenate([sample.values[None], values.reshape(reps - 1, *sample.values.shape)])
     return build_masked_sample(block, sample.observed)
 
@@ -62,11 +72,26 @@ def assert_zero_form(b, expected, observed):
     assert b.tobytes() == np.where(observed, expected, 0.0).tobytes()
 
 
+def both_routes(sample, split=False):
+    """``build_rank_table(sample, split)``, equal bit for bit to the sort's on integer data.
+
+    Shifting small integers by +0.25 is exact and keeps their order and
+    ties, and makes them non-integers, so the shifted sample is sorted
+    whichever route ``sample`` takes.
+    """
+    tables = build_rank_table(sample, split)
+    seen = sample.values[..., sample.observed]
+    if (np.rint(seen) == seen).all() and (np.abs(seen) < 2.0**50).all():
+        shifted = build_rank_table(MaskedSample(sample.values + 0.25, sample.observed), split)
+        assert np.array(tables).tobytes() == np.array(shifted).tobytes()
+    return tables
+
+
 class TestRankTable:
     def test_distinct_complete_case(self):
         obs = np.ones((2, 2), bool)
         s = build_masked_sample([[1.0, 3.0], [2.0, 4.0]], obs)
-        b = build_rank_table(s)
+        b = both_routes(s)
         assert list(b[0]) == [0.0, 1.0]
         assert list(b[1]) == [1.0, 2.0]
 
@@ -75,7 +100,7 @@ class TestRankTable:
         obs = simple_mask(1, 2, 1, 1)
         vals = np.full(obs.shape, 3.0)
         s = build_masked_sample(vals, obs)
-        b = build_rank_table(s)
+        b = both_routes(s)
         assert np.array_equal(b[obs], np.full(6, 1.5))
 
     def test_component_with_no_data(self):
@@ -84,7 +109,7 @@ class TestRankTable:
         obs[0] = True
         obs[2] = True  # var 1 observed in both groups, var 2 nowhere
         s = build_masked_sample(np.zeros((4, 3)), obs)
-        b = build_rank_table(s)
+        b = both_routes(s)
         assert not b[[1, 3]].view(np.uint64).any() and (b[[0, 2]] == 1.5).all()
         with pytest.raises(InestimableComponent) as exc:
             derive_pattern_index(s)
@@ -93,7 +118,7 @@ class TestRankTable:
     def test_matches_bruteforce_on_random_masks(self, rng):
         for _ in range(30):
             sample, idx = random_general_sample(rng)
-            b = build_rank_table(sample)
+            b = both_routes(sample)
             assert_zero_form(b, placement_counts_bruteforce(sample), sample.observed)
 
     @given(masked_samples())
@@ -107,14 +132,14 @@ class TestRankTable:
     @settings(max_examples=300, deadline=None)
     def test_equals_scipy_rankdata_per_component(self, sample):
         # exact: counts are half-integers; unobserved cells count +0.0
-        b = build_rank_table(sample)
+        b = both_routes(sample)
         assert_zero_form(b, placement_counts_rankdata(sample), sample.observed)
 
     def test_rank_sum_identities_on_random_masks(self, rng):
         # every cross-group pair adds 1 to one side or 1/2 to both
         for _ in range(30):
             sample, idx = random_general_sample(rng)
-            b = build_rank_table(sample)
+            b = both_routes(sample)
             d = sample.d
             for l in range(d):
                 b1 = b[l][sample.observed[l]]
@@ -126,12 +151,12 @@ class TestRankTable:
     def test_monotone_invariance(self, rng):
         for _ in range(10):
             sample, idx = random_general_sample(rng, ties=True)
-            b = build_rank_table(sample)
+            b = both_routes(sample)
             transformed = np.exp(0.3 * sample.values) + sample.values**3
             s2 = build_masked_sample(
                 np.where(sample.observed, transformed, 0.0), sample.observed
             )
-            assert b.tobytes() == build_rank_table(s2).tobytes()
+            assert b.tobytes() == both_routes(s2).tobytes()
 
     def test_permutation_equivariance(self, rng):
         for _ in range(10):
@@ -140,8 +165,8 @@ class TestRankTable:
             shuffled = build_masked_sample(
                 np.nan_to_num(sample.values[:, order]), sample.observed[:, order]
             )
-            b = build_rank_table(sample)
-            assert build_rank_table(shuffled).tobytes() == b[:, order].tobytes()
+            b = both_routes(sample)
+            assert both_routes(shuffled).tobytes() == b[:, order].tobytes()
 
 
 def _sample(values, observed):
@@ -166,8 +191,8 @@ class TestSplit:
     @settings(max_examples=300, deadline=None)
     def test_each_side_equals_its_restricted_sample(self, sample):
         # bit for bit: values and the signs of zeros
-        b, own = build_rank_table(sample, split=True)
-        assert b.tobytes() == build_rank_table(sample).tobytes()
+        b, own = both_routes(sample, split=True)
+        assert b.tobytes() == both_routes(sample).tobytes()
         assert own.shape == b.shape and not own.flags.writeable
         assert not own[..., ~sample.observed].view(np.uint64).any()
         complete = sample.observed[: sample.d] & sample.observed[sample.d:]
@@ -179,7 +204,7 @@ class TestSplit:
             side = np.concatenate([complete, complete]) == (method == "complete")
             keep = (sample.observed & side).any(axis=0)
             table = own[..., keep] * sub.observed
-            assert table.tobytes() == build_rank_table(sub).tobytes()
+            assert table.tobytes() == both_routes(sub).tobytes()
 
     @pytest.mark.parametrize("side", [False, True])
     def test_a_split_with_one_side_empty_keeps_the_full_counts(self, rng, side):
@@ -187,7 +212,7 @@ class TestSplit:
         group1 = rng.random((3, 20)) < 0.5
         observed = np.concatenate([group1 | side, ~group1 | side])
         sample = build_masked_sample(rng.integers(0, 6, (2, 6, 20)).astype(float), observed)
-        b, own = build_rank_table(sample, split=True)
+        b, own = both_routes(sample, split=True)
         assert own.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("leading", [(), (3,)], ids=["single", "block-of-3"])
@@ -201,7 +226,7 @@ class TestSplit:
         observed[2, ::3] = observed[d + 2, 5] = True
         values = rng.integers(-2, 3, leading + observed.shape) * -1.0  # ties, and -0.0
         sample = build_masked_sample(values, observed)
-        for table in build_rank_table(sample, split=True):
+        for table in both_routes(sample, split=True):
             assert not table[..., ~observed].view(np.uint64).any()
 
     def test_a_mask_as_split_is_a_type_error(self, rng):
@@ -217,7 +242,7 @@ class TestSplit:
 def assert_equals_rankdata_per_replicate(values, observed):
     """A block's counts equal each replicate's ``rankdata`` counts, bit for bit."""
     block = build_masked_sample(values, observed)
-    b = build_rank_table(block)
+    b = both_routes(block)
     assert b.shape == block.values.shape and not b.flags.writeable
     for r, values_r in enumerate(block.values):
         alone = placement_counts_rankdata(build_masked_sample(values_r, observed))
@@ -269,13 +294,130 @@ class TestObservedCellsOnly:
         assert np.isnan(sample.values[:, ~observed]).all()
         assert np.array_equal(sample.values[:, observed], values[:, observed])
         other = build_masked_sample(np.where(observed, values, -7.0), observed)
-        assert build_rank_table(other).tobytes() == build_rank_table(sample).tobytes()
+        assert both_routes(other).tobytes() == both_routes(sample).tobytes()
 
     @pytest.mark.parametrize("grid, dims", [("table3", (5,)), ("design1", None),
                                             ("design3", None)])
     def test_first_scenario_of_a_grid(self, grid, dims):
         block = draw_sample(builtin_grid(grid, dims=dims)[0], range(3))
         assert_equals_rankdata_per_replicate(block.values, block.observed)
+
+
+@contextlib.contextmanager
+def routes():
+    """Record, for each ``build_rank_table`` call, whether it counted (True) or sorted."""
+    taken = []
+    counted = ranks._counted
+
+    def spy(sample, split):
+        result = counted(sample, split)
+        taken.append(result is not None)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranks, "_counted", spy)
+        yield taken
+
+
+def fits_histograms(sample, split):
+    """The counting route's condition: at most four bins per observed cell."""
+    seen = sample.values[..., sample.observed]
+    width = seen.max() - seen.min() + 1.0
+    return 2 * sample.d * (2 if split else 1) * width <= 4 * sample.observed.sum()
+
+
+class TestRoutes:
+    """Integer data is counted from histograms, other data sorted, with the same bits."""
+
+    @given(
+        st.one_of(
+            masked_blocks(st.one_of(st.integers(-3, 3).map(float), st.just(-0.0))),
+            masked_blocks(st.sampled_from([0.0, 1e6])),  # a range too wide to count
+        ),
+        st.booleans(),
+    )
+    # -0.0 ties with 0.0 across the groups and the case classes
+    @example(_sample([[-0.0, -0.0, 0.0], [0.0, 0.0, -0.0]],
+                     [[True, True, False], [True, False, True]]), True)
+    # component 1 has no complete cell, component 0 no one-sided one
+    @example(_sample([[1.0, 0.0, 0.0, 2.0], [1.0, 0.0, 1.0, 0.0],
+                      [2.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 3.0]],
+                     [[1, 1, 0, 1], [1, 0, 1, 0], [1, 1, 0, 1], [0, 1, 0, 1]]), True)
+    # one replicate whose two values are a million apart
+    @example(_sample([[0.0, 1e6], [1e6, 0.0]], np.ones((2, 2), bool)), False)
+    @settings(max_examples=300, deadline=None)
+    def test_counting_equals_sorting(self, sample, split):
+        with routes() as taken:
+            tables = both_routes(sample, split)
+        # the sample takes the route its data picks; the shifted copy is sorted
+        assert taken == [fits_histograms(sample, split), False]
+        b = tables[0] if split else tables
+        if split:
+            assert b.tobytes() == both_routes(sample).tobytes()
+        for r, values_r in enumerate(sample.values.reshape(-1, *sample.observed.shape)):
+            alone = placement_counts_rankdata(build_masked_sample(values_r, sample.observed))
+            assert_zero_form(b.reshape(-1, *b.shape[-2:])[r], alone, sample.observed)
+
+    def test_a_wide_range_is_sorted_and_a_narrow_one_counted(self):
+        # 8 observed cells: 2 * d * width bins fit when width <= 16, split or not
+        observed = np.ones((2, 4), bool)
+        for top, split, counted in [(15.0, False, True), (16.0, False, False),
+                                    (7.0, True, True), (8.0, True, False), (7.5, False, False)]:
+            values = np.array([[0.0, 1.0, 2.0, top], [1.0, 0.0, 3.0, 2.0]])
+            with routes() as taken:
+                build_rank_table(build_masked_sample(values, observed), split)
+            assert taken == [counted]
+
+
+class TestRouteChoice:
+    """Which blocks of the built-in grids, at 50 replicates, are counted."""
+
+    @staticmethod
+    def block_routes(monkeypatch, grid):
+        """``(distributions, counted)`` per block of ``grid`` run at 50 replicates, seed 1.
+
+        ``analyze`` is cut down to its rank-table call, so that the blocks are
+        ``run_grid``'s own, in one process.
+        """
+        blocks = []
+        run_pack = simulate._run_pack
+
+        def recorded(pack):
+            blocks.append({scenario.distribution for _, scenario, _ in pack})
+            return run_pack(pack)
+
+        def rank_tables_only(sample, alpha, methods):
+            build_rank_table(sample, split=any(method != "all" for method in methods))
+            return []
+
+        monkeypatch.setenv("RANK_EFFECT_THREADS", "1")
+        monkeypatch.setattr(simulate, "_run_pack", recorded)
+        monkeypatch.setattr(simulate, "analyze", rank_tables_only)
+        with routes() as taken:
+            run_grid(builtin_grid(grid, reps=50), master_seed=1)
+        assert len(taken) == len(blocks)
+        return list(zip(blocks, taken))
+
+    @pytest.mark.parametrize("grid, count", [("table3", 12), ("table6", 4)])
+    def test_every_block_of_the_normal_grids_is_counted(self, monkeypatch, grid, count):
+        assert self.block_routes(monkeypatch, grid) == [({"normal"}, True)] * count
+
+    def test_a_design3_block_with_cauchy_or_lognormal_draws_is_sorted(self, monkeypatch):
+        blocks = self.block_routes(monkeypatch, "design3")
+        assert [counted for _, counted in blocks] == [
+            distributions == {"normal"} for distributions, _ in blocks
+        ]
+        assert sum(counted for _, counted in blocks) == 6 and len(blocks) == 42
+
+    def test_two_decimal_data_is_sorted(self, rng):
+        # the analyze_wide benchmark's kind of data: normal values to two decimals
+        observed = rng.random((6, 400)) < 0.7
+        observed[0] = True
+        sample = build_masked_sample(np.round(rng.standard_normal((6, 400)), 2), observed)
+        with routes() as taken:
+            build_rank_table(sample)
+            build_rank_table(sample, split=True)
+        assert taken == [False, False]
 
 
 class TestPlacements:

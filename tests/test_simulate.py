@@ -99,6 +99,21 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             scenario(d=3, delta=(0.0,) * 3, pattern="design1", sizes=(75,)).validate()
 
+    @pytest.mark.parametrize("sigma_sq", [(-1.0, 1.0), (1.0, 0.0)])
+    def test_a_variance_that_is_not_positive_is_a_scenario_error(self, sigma_sq):
+        # a negative one reached np.sqrt and warned before failing to factor
+        with pytest.raises(ScenarioError, match="sigma_sq values must be positive"):
+            scenario(sigma_sq=sigma_sq)
+
+    @pytest.mark.parametrize("rho12", [0.1, 0.0])
+    def test_a_covariance_that_overflows_is_rejected(self, rho12):
+        # the variances' product overflowed to inf and the scenario built with
+        # a factor of inf and NaN entries, which failed every draw
+        with pytest.raises(NotPositiveDefinite, match="finite positive definite"):
+            scenario(rho=(0.1, 0.1, rho12), sigma_sq=(1e300, 1e300))
+        with pytest.raises(NotPositiveDefinite):
+            build_sigma(2, 0.1, 0.1, rho12, -1.0, 1.0)
+
     def test_design1_divisibility(self):
         with pytest.raises(ScenarioError):
             scenario(pattern="design1", sizes=(100,)).validate()
