@@ -18,6 +18,11 @@ Off the null point, as under complete separation, the test is undefined: NaN
 statistic, df and p-value, no rejection, and an ``"inestimable: ..."`` flag
 alone.
 
+The Wald form of a replicate whose elimination certifies its covariance
+full rank (see :func:`_eliminate`) is computed from IEEE basic operations
+alone; any other replicate, singular, indefinite or nearly so, takes the
+eigenpairs of ``eigh`` and the Moore-Penrose pseudo-inverse.
+
 Both p-values come from the chi-square upper tail :func:`chisq_upper_tail`,
 the regularized upper incomplete gamma function Q(a, x), computed in numpy
 in two regimes split at ``x = a + 1`` as in Press et al., *Numerical
@@ -25,6 +30,9 @@ Recipes* (3rd ed., 2007), section 6.2: below the split the power series of
 the lower function P = 1 - Q, above it Gauss-Laguerre quadrature of the
 integral Gamma(a, x), which Numerical Recipes evaluates by a continued
 fraction.  DiDonato & Morris (1986, ACM TOMS 12:377) analyse both regimes.
+An integer df up to 64, as every Wald df is, takes closed forms instead
+(:func:`_closed_form`), built from +, -, *, /, ``sqrt``, ``rint`` and
+``ldexp``, so its p-value does not depend on numpy's SIMD dispatch or libm.
 Each element's value depends on its own ``(x, a)`` alone, so a block of
 replicates gets exactly the p-values its replicates get one at a time.
 """
@@ -77,6 +85,66 @@ _MAX_DF = 2000.0
 _EPS = np.finfo(float).eps
 
 
+# integer k up to this cap take the closed forms of _closed_form
+_CLOSED_MAX_DF = 64.0
+# Q(a, x) < 2^-1075 for every a <= 32 beyond it, so a larger x changes no closed form
+_CLOSED_MAX_X = 2048.0
+
+
+def _hex(words: str) -> np.ndarray:
+    return np.array([float.fromhex(word) for word in words.split()])
+
+
+# generated by tests/make_tail_constants.py, which says what each one is
+_EXP2 = _hex("""
+0x1.0000000000000p+0 0x0.0p+0 0x1.02c9a3e778061p+0 -0x1.19083535b085dp-56
+0x1.059b0d3158574p+0 0x1.d73e2a475b465p-55 0x1.0874518759bc8p+0 0x1.186be4bb284ffp-57
+0x1.0b5586cf9890fp+0 0x1.8a62e4adc610bp-54 0x1.0e3ec32d3d1a2p+0 0x1.03a1727c57b53p-59
+0x1.11301d0125b51p+0 -0x1.6c51039449b3ap-54 0x1.1429aaea92de0p+0 -0x1.32fbf9af1369ep-54
+0x1.172b83c7d517bp+0 -0x1.19041b9d78a76p-55 0x1.1a35beb6fcb75p+0 0x1.e5b4c7b4968e4p-55
+0x1.1d4873168b9aap+0 0x1.e016e00a2643cp-54 0x1.2063b88628cd6p+0 0x1.dc775814a8495p-55
+0x1.2387a6e756238p+0 0x1.9b07eb6c70573p-54 0x1.26b4565e27cddp+0 0x1.2bd339940e9d9p-55
+0x1.29e9df51fdee1p+0 0x1.612e8afad1255p-55 0x1.2d285a6e4030bp+0 0x1.0024754db41d5p-54
+0x1.306fe0a31b715p+0 0x1.6f46ad23182e4p-55 0x1.33c08b26416ffp+0 0x1.32721843659a6p-54
+0x1.371a7373aa9cbp+0 -0x1.63aeabf42eae2p-54 0x1.3a7db34e59ff7p+0 -0x1.5e436d661f5e3p-56
+0x1.3dea64c123422p+0 0x1.ada0911f09ebcp-55 0x1.4160a21f72e2ap+0 -0x1.ef3691c309278p-58
+0x1.44e086061892dp+0 0x1.89b7a04ef80d0p-59 0x1.486a2b5c13cd0p+0 0x1.3c1a3b69062f0p-56
+0x1.4bfdad5362a27p+0 0x1.d4397afec42e2p-56 0x1.4f9b2769d2ca7p+0 -0x1.4b309d25957e3p-54
+0x1.5342b569d4f82p+0 -0x1.07abe1db13cadp-55 0x1.56f4736b527dap+0 0x1.9bb2c011d93adp-54
+0x1.5ab07dd485429p+0 0x1.6324c054647adp-54 0x1.5e76f15ad2148p+0 0x1.ba6f93080e65ep-54
+0x1.6247eb03a5585p+0 -0x1.383c17e40b497p-54 0x1.6623882552225p+0 -0x1.bb60987591c34p-54
+0x1.6a09e667f3bcdp+0 -0x1.bdd3413b26456p-54 0x1.6dfb23c651a2fp+0 -0x1.bbe3a683c88abp-57
+0x1.71f75e8ec5f74p+0 -0x1.16e4786887a99p-55 0x1.75feb564267c9p+0 -0x1.0245957316dd3p-54
+0x1.7a11473eb0187p+0 -0x1.41577ee04992fp-55 0x1.7e2f336cf4e62p+0 0x1.05d02ba15797ep-56
+0x1.82589994cce13p+0 -0x1.d4c1dd41532d8p-54 0x1.868d99b4492edp+0 -0x1.fc6f89bd4f6bap-54
+0x1.8ace5422aa0dbp+0 0x1.6e9f156864b27p-54 0x1.8f1ae99157736p+0 0x1.5cc13a2e3976cp-55
+0x1.93737b0cdc5e5p+0 -0x1.75fc781b57ebcp-57 0x1.97d829fde4e50p+0 -0x1.d185b7c1b85d1p-54
+0x1.9c49182a3f090p+0 0x1.c7c46b071f2bep-56 0x1.a0c667b5de565p+0 -0x1.359495d1cd533p-54
+0x1.a5503b23e255dp+0 -0x1.d2f6edb8d41e1p-54 0x1.a9e6b5579fdbfp+0 0x1.0fac90ef7fd31p-54
+0x1.ae89f995ad3adp+0 0x1.7a1cd345dcc81p-54 0x1.b33a2b84f15fbp+0 -0x1.2805e3084d708p-57
+0x1.b7f76f2fb5e47p+0 -0x1.5584f7e54ac3bp-56 0x1.bcc1e904bc1d2p+0 0x1.23dd07a2d9e84p-55
+0x1.c199bdd85529cp+0 0x1.11065895048ddp-55 0x1.c67f12e57d14bp+0 0x1.2884dff483cadp-54
+0x1.cb720dcef9069p+0 0x1.503cbd1e949dbp-56 0x1.d072d4a07897cp+0 -0x1.cbc3743797a9cp-54
+0x1.d5818dcfba487p+0 0x1.2ed02d75b3707p-55 0x1.da9e603db3285p+0 0x1.c2300696db532p-54
+0x1.dfc97337b9b5fp+0 -0x1.1a5cd4f184b5cp-54 0x1.e502ee78b3ff6p+0 0x1.39e8980a9cc8fp-55
+0x1.ea4afa2a490dap+0 -0x1.e9c23179c2893p-54 0x1.efa1bee615a27p+0 0x1.dc7f486a4b6b0p-54
+0x1.f50765b6e4540p+0 0x1.9d3e12dd8a18bp-54 0x1.fa7c1819e90d8p+0 0x1.74853f3a5931ep-55
+""")
+_LN2_64 = _hex("""
+0x1.62e42ff000000p-7 -0x1.718432a1b0e26p-41
+""")
+_INV_LN2_64 = float.fromhex("0x1.71547652b82fep+6")
+_ERFCX = _hex("""
+0x1.5a0a61d4d5ff4p-27 -0x1.b9fc63c893c9cp-24 0x1.6f9c5d1992d3fp-22 -0x1.2928c5706cf97p-22
+-0x1.7121ee545a958p-21 0x1.02ff5a8abed98p-21 0x1.cddb0bbca7664p-19 -0x1.99da02ea98102p-21
+-0x1.50eb277fb05c5p-16 0x1.4c51e13ccc66ep-18 0x1.06582cf07b553p-13 -0x1.b912372d671e9p-14
+-0x1.98db438a1aac8p-11 0x1.ef1bdc4d6d309p-10 0x1.4b884e134eddfp-9 -0x1.8574c40ab0f17p-6
+0x1.17ca2877fcab9p-4 -0x1.e88b803a4b53ep-4 0x1.098366a5b4573p-3 -0x1.85a15c58aa515p-5
+-0x1.15c084bb9e8f1p-3 0x1.40c522d7e4987p+0
+""")
+_TWO_OVER_SQRT_PI = float.fromhex("0x1.20dd750429b6dp+0")
+
+
 def _lgamma(a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, a.tolist()), float, a.size)
 
@@ -86,6 +154,13 @@ def _lower_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     P = x^a e^-x / Gamma(a+1) * (1 + sum_j x^j / ((a+1)...(a+j))).
     """
+    log_x = np.log(x, out=np.full(x.shape, -np.inf), where=x > 0.0)
+    # P rounds above 1 by an ulp when a is tiny (k below about 1e-15)
+    return np.maximum(1.0 - np.exp(a * log_x - x - _lgamma(a + 1.0)) * _series(a, x), 0.0)
+
+
+def _series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The power series' sum 1 + sum_j x^j / ((a+1)...(a+j)), to a relative eps."""
     total = np.ones(x.shape)
     last = np.ones(x.shape)
     more = slice(None)  # every element takes terms 1..32
@@ -100,9 +175,7 @@ def _lower_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         if not more.size:
             break
         offset += 32.0
-    log_x = np.log(x, out=np.full(x.shape, -np.inf), where=x > 0.0)
-    # P rounds above 1 by an ulp when a is tiny (k below about 1e-15)
-    return np.maximum(1.0 - np.exp(a * log_x - x - _lgamma(a + 1.0)) * total, 0.0)
+    return total
 
 
 def _laguerre_quadrature(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -121,6 +194,62 @@ def _laguerre_quadrature(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.exp((a - 1.0) * np.log(x) - x - _lgamma(a)) * f.sum(axis=1)
 
 
+def _exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^x as ``m * 2**n``, m in [0.99, 2), within 0.51 ulp for x in [-745, 709].
+
+    Tang's method (1989): x = (64n + j) ln2/64 + r, reduced exactly (Cody and
+    Waite), with |r| <= ln2/128, and e^x = 2^n 2^(j/64) e^r, the middle factor
+    a double-double from a table and e^r - 1 a degree-6 Taylor polynomial.
+    """
+    big = np.rint(x * _INV_LN2_64)
+    r = (x - big * _LN2_64[0]) - big * _LN2_64[1]
+    r = r + r * r * (0.5 + r * (1 / 6 + r * (1 / 24 + r * (1 / 120 + r / 720))))
+    big = big.astype(np.int64)
+    j = 2 * (big & 63)
+    hi = _EXP2[j]
+    return hi + (_EXP2[j + 1] + hi * r), big >> 6
+
+
+def _erfcx(z: np.ndarray) -> np.ndarray:
+    """e^(z^2) erfc(z) for z >= 1.2, within 2 ulp: a polynomial in (z - 3)/(z + 3) over 1 + 2z."""
+    w = (z - 3.0) / (z + 3.0)
+    fit = np.full(z.shape, _ERFCX[0])
+    for c in _ERFCX[1:]:
+        fit *= w
+        fit += c
+    return fit / (1.0 + 2.0 * z)
+
+
+def _closed_form(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q(a, x) for a = k/2 with k an integer in 1..64, built from IEEE basic operations.
+
+    With c = floor(a), h = a - c and t_j = x^(j+h) / Gamma(j+h+1), Q is
+    e^-x (t_0 + ... + t_(c-1)) for even k, and erfc(sqrt x) plus that for odd
+    k (Abramowitz & Stegun 26.4.4, 26.4.5).  That holds for x >= a + 1; below,
+    Q = 1 - P with P = e^-x t_c times :func:`_series`, exact near Q = 1.  e^-x
+    is :func:`_exp`'s, whose power of two scales the result last, so nothing
+    underflows before Q does.
+    """
+    x = np.minimum(x, _CLOSED_MAX_X)
+    mantissa, exponent = _exp(-x)
+    count = np.floor(a)
+    half = a - count
+    root = np.sqrt(x)
+    term = np.where(half > 0.0, root * _TWO_OVER_SQRT_PI, 1.0)
+    total = np.zeros(x.shape)
+    for j in range(int(count.max())):
+        more = j < count
+        total += term * more
+        term *= np.where(more, x / (j + 1.0 + half), 1.0)  # stops at t_c
+    lower = x < a + 1.0
+    total[lower] = -term[lower] * _series(a[lower], x[lower])
+    odd = ~lower & (half > 0.0)
+    total[odd] += _erfcx(root[odd])
+    q = np.ldexp(mantissa * total, exponent)
+    q[lower] += 1.0
+    return q
+
+
 def chisq_upper_tail(x: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
     """Upper tail probability of a chi-square variable with ``k`` df at ``x``.
 
@@ -134,7 +263,10 @@ def chisq_upper_tail(x: float | np.ndarray, k: float | np.ndarray) -> float | np
     Gauss-Laguerre quadrature of the upper integral otherwise (Press et al.,
     *Numerical Recipes*, section 6.2; DiDonato & Morris 1986).  Against
     scipy's ``gammaincc`` it agrees to about 1e-14 absolute for k <= 10 and
-    to about 4e-12 relative for k up to 2000.
+    to about 4e-12 relative for k up to 2000.  An integer k up to 64 takes
+    the closed forms of :func:`_closed_form` instead, within 1e-15 absolute
+    and 1e-14 relative of mpmath, non-increasing in x, and the same bits
+    under every SIMD dispatch and libm.
 
     Raises
     ------
@@ -152,9 +284,11 @@ def chisq_upper_tail(x: float | np.ndarray, k: float | np.ndarray) -> float | np
     if x.shape != k.shape:
         x, k = np.broadcast_arrays(x, k)
     a, half_x = k.ravel() / 2.0, x.ravel() / 2.0
+    closed = (np.rint(a + a) == a + a) & (a <= _CLOSED_MAX_DF / 2.0)
     lower = half_x < a + 1.0
     q = np.empty(a.shape)
-    for regime, part in ((_lower_series, lower), (_laguerre_quadrature, ~lower)):
+    for regime, part in ((_closed_form, closed), (_lower_series, lower & ~closed),
+                         (_laguerre_quadrature, ~lower & ~closed)):
         if part.any():  # a regime with no elements would still make a dozen numpy calls
             q[part] = regime(a[part], half_x[part])
     return float(q[0]) if x.ndim == 0 else q.reshape(x.shape)
@@ -232,13 +366,45 @@ def _stack(cov):
     return covs, shape[:-1], dev, trace, n, zero, off, flags
 
 
+def _eliminate(v: np.ndarray, dev: np.ndarray, trace: np.ndarray):
+    """Per row: ``dev' v^-1 dev`` by elimination, and whether it certifies full rank.
+
+    Gaussian elimination without pivoting, elementwise over the rows in d
+    steps, factors v = L D L' (L unit lower triangular, read from v's lower
+    triangle) and gives the form as the sum over k of y_k^2 / D_k, y = L^-1 dev.
+    Positive pivots make v positive definite, so its largest eigenvalue is at
+    most the trace and its smallest at least det / trace^(d-1), det being the
+    pivots' product; a row is certified when that bound is over four times
+    the rank cutoff, which rounding, some eps * trace, cannot close.
+    """
+    d = dev.shape[1]
+    v, dev = v.copy(), dev.copy()
+    form = np.zeros(len(dev))
+    bound = np.ones(len(dev))
+    positive = trace > 0.0
+    with np.errstate(all="ignore"):  # an uncertified row's numbers are discarded
+        for k in range(d):
+            pivot = v[:, k, k]
+            positive &= pivot > 0.0
+            bound *= pivot / trace
+            ratio = v[:, k + 1:, k] / pivot[:, None]
+            v[:, k + 1:, k + 1:] -= ratio[:, :, None] * v[:, None, k + 1:, k]
+            form += dev[:, k] * dev[:, k] / pivot
+            dev[:, k + 1:] -= ratio * dev[:, k, None]
+    return form, positive & (bound > 4.0 * _PINV_RANK_REL / d)
+
+
 def wald_test(cov, *, alpha: float = ALPHA) -> TestReport | list[TestReport]:
     """Quadratic form of ``cov.p_hat - 1/2`` against the inverse covariance, times ``cov.n``.
 
-    The form sums over the eigenpairs of ``cov.v_hat`` with eigenvalues above
-    ``1e-10 * trace/d`` in magnitude: the Moore-Penrose pseudo-inverse of a
-    singular estimate, whose degrees of freedom shrink to the effective rank
-    and whose fallback is flagged.  A block gives one test per replicate.
+    A replicate whose elimination certifies ``cov.v_hat`` positive definite
+    with every eigenvalue over four times the cutoff below takes the
+    elimination's form, within about 2 d eps kappa relative of the eigenpair
+    form (kappa its condition number).  Any other replicate sums over the
+    eigenpairs of ``cov.v_hat`` with eigenvalues above ``1e-10 * trace/d`` in
+    magnitude: the Moore-Penrose pseudo-inverse of a singular estimate, whose
+    degrees of freedom shrink to the effective rank and whose fallback is
+    flagged.  A block gives one test per replicate.
     A replicate whose estimate vanishes off the null point has no statistic:
     its results are NaN and it is flagged inestimable.  A sequence of
     estimates gives a list of their reports, each what its estimate gives alone.
@@ -256,14 +422,19 @@ def wald_test(cov, *, alpha: float = ALPHA) -> TestReport | list[TestReport]:
     covs, batch, dev, trace, n, zero, off, flags = _stack(cov)
     d = dev.shape[1]
     v = np.concatenate([c.v_hat for c in covs], axis=None).reshape(-1, d, d)
-    eigvals, eigvecs = np.linalg.eigh(v)
-    kept = np.abs(eigvals) > _PINV_RANK_REL * trace[:, None] / d
-    rank = kept.sum(axis=1)
-    # products summed over the components in order and terms by a row sum: no
-    # BLAS call, so the bits depend on neither the BLAS kernel nor the block
-    proj = np.sum(eigvecs * dev[:, :, None], axis=1)
-    terms = np.divide(proj * proj, eigvals, out=np.zeros(eigvals.shape), where=kept)
-    stat = n * np.sum(terms, axis=1)
+    form, certified = _eliminate(v, dev, trace)
+    rank = np.full(form.shape, d)
+    rest = np.flatnonzero(~certified & ~zero)  # a zero covariance's test needs no form
+    if rest.size:  # singular, indefinite or nearly so: the eigenpairs decide
+        eigvals, eigvecs = np.linalg.eigh(v[rest])
+        kept = np.abs(eigvals) > _PINV_RANK_REL * trace[rest, None] / d
+        rank[rest] = kept.sum(axis=1)
+        # products summed over the components in order and terms by a row sum:
+        # no BLAS call, so the bits depend on neither the BLAS kernel nor the block
+        proj = np.sum(eigvecs * dev[rest, :, None], axis=1)
+        terms = np.divide(proj * proj, eigvals, out=np.zeros(eigvals.shape), where=kept)
+        form[rest] = np.sum(terms, axis=1)
+    stat = n * form
     for i in np.flatnonzero((rank < d) & ~zero):
         flags[i] += (f"singular covariance: pseudo-inverse with rank {rank[i]}",)
     stat[zero] = 0.0

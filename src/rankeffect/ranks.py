@@ -10,7 +10,7 @@ noisy continuous data will in general contain no ties.
 
 Two routes give the counts, bit for bit the same, since each is an exact
 half-integer.  When every observed value is an integer and the histograms
-need at most four bins per observed cell, they are counted: one histogram
+need at most two bins per observed cell, they are counted: one histogram
 per replicate, table row and case class over the observed range, cumulated,
 gives each value the row's cells below it plus half those at it, and a cell
 reads it in the opposite group's row.  Other data is sorted, in pooled rows
@@ -95,17 +95,21 @@ def build_rank_table(
 def _counted(sample: MaskedSample, split: bool) -> list[tuple[np.ndarray, np.ndarray]] | None:
     """Each table's flat cell indices and counts from histograms, or None for the sort's data."""
     d, n = sample.d, sample.n
-    row = sample.values.reshape(-1, n)[0]  # most non-integer data shows in its first row
-    if np.count_nonzero(np.rint(row) == row) < np.count_nonzero(sample.observed[0]):
-        return None
+    flat = sample.values.reshape(-1, 2 * d * n)
     cells = np.flatnonzero(sample.observed)
-    values = np.take(sample.values.reshape(-1, 2 * d * n), cells, axis=1)
+    # most non-integer data shows in its first row, and a pack's non-integer
+    # parts in their replicates' first observed cells
+    row, firsts = flat[0, :n], flat[:, cells[:1]]
+    if (np.count_nonzero(np.rint(row) == row) < np.count_nonzero(sample.observed[0])
+            or not (np.rint(firsts) == firsts).all()):
+        return None
+    values = np.take(flat, cells, axis=1)
     if not (np.rint(values) == values).all():
         return None
     classes = 2 if split else 1
     low = float(values.min())
     width = float(values.max()) - low + 1.0  # float: a huge range is inf, not an overflow
-    if 2 * d * classes * width > 4 * cells.size:
+    if 2 * d * classes * width > 2 * cells.size:
         return None
     width = int(width)
     span = 2 * d * classes * width  # one replicate's bins

@@ -79,3 +79,29 @@ def random_general_sample(rng, d=None, n=None, ties=True, p_obs=0.7):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def assert_wald_as_eigenpairs(report, cov):
+    """A one-replicate Wald report against the eigenpair oracle, ``oracles.wald_eigh``.
+
+    df and flags always agree.  An estimate that the elimination may certify
+    full rank, positive definite with every eigenvalue kept, agrees within
+    16 d eps kappa relative, kappa its condition number: both forms are
+    backward stable.  Any other estimate takes the eigenpairs and gives the
+    oracle's bits.
+    """
+    from oracles import wald_eigh
+
+    d = cov.p_hat.size
+    statistic, df, flags = wald_eigh(cov.p_hat - 0.5, cov.v_hat, cov.n)
+    if not np.isnan(statistic):
+        flags = cov.degenerate + flags
+    assert report.flags == flags
+    assert np.array_equal(report.df, df, equal_nan=True)
+    eigvals = np.linalg.eigh(cov.v_hat)[0]
+    if df == d and eigvals[0] > 0.0:
+        kappa = eigvals[-1] / eigvals[0]
+        bound = 16 * d * np.finfo(float).eps * kappa
+        assert abs(report.statistic - statistic) <= bound * statistic
+    else:
+        assert np.array_equal(report.statistic, statistic, equal_nan=True)

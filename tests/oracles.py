@@ -212,25 +212,41 @@ def covariance_from_marginals(sample, idx, marginal_cdfs) -> np.ndarray:
     return v
 
 
-def wald_statistic_pinv(dev, v_hat, n: int) -> float:
-    """One replicate's Wald statistic through the eigenpairs its pseudo-inverse keeps.
+def wald_eigh(dev, v_hat, n: int) -> tuple[float, float, tuple[str, ...]]:
+    """One replicate's Wald statistic, df and flags through the eigenpairs of ``v_hat``.
 
-    The statistic ``n * sum_k (u_k . dev)^2 / lambda_k`` over the kept
-    eigenpairs.  Each projection ``u_k . dev`` is summed by a Python loop in
-    component order, with no BLAS call, and ``np.sum`` adds the terms, zero
-    for a dropped eigenpair; the package must give the same float for every
-    replicate of a block.
+    The form ``wald_test`` took before it eliminated: ``n * sum_k (u_k .
+    dev)^2 / lambda_k`` over the eigenpairs with |lambda_k| above ``1e-10 *
+    trace / d``, the Moore-Penrose pseudo-inverse, with their count as df.
+    Each projection ``u_k . dev`` is summed by a Python loop in component
+    order, with no BLAS call, and ``np.sum`` adds the terms, zero for a
+    dropped eigenpair.  At a trace <= 0 the statistic and df are 0 at the
+    null point and NaN off it.  The flags are those the test adds, without
+    the estimate's own.
     """
     d = dev.size
+    trace = np.trace(v_hat)
+    if trace <= 0.0:
+        if np.any(np.abs(dev) > 1e-12):
+            return np.nan, np.nan, (
+                "inestimable: covariance estimate is zero while the effect deviates from one half",
+            )
+        return 0.0, 0.0, ("zero-covariance-null",)
     eigvals, eigvecs = np.linalg.eigh((v_hat + v_hat.T) / 2.0)
-    kept = np.abs(eigvals) > 1e-10 * np.trace(v_hat) / d
+    kept = np.abs(eigvals) > 1e-10 * trace / d
     terms = np.zeros(d)
     for k in np.flatnonzero(kept):
         proj = 0.0
         for i in range(d):
             proj += float(eigvecs[i, k]) * float(dev[i])
         terms[k] = proj * proj / eigvals[k]
-    return float(n * np.sum(terms))
+    statistic, rank = float(n * np.sum(terms)), int(kept.sum())
+    flags = ()
+    if rank < d:
+        flags += (f"singular covariance: pseudo-inverse with rank {rank}",)
+    if statistic < 0.0:
+        flags += ("negative quadratic form clamped to zero for the p-value",)
+    return statistic, float(rank), flags
 
 
 def chisq_upper_tail_highprec(x: float, k: float, dps: int = 50) -> float:

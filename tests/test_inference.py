@@ -1,10 +1,12 @@
 import itertools
 from dataclasses import fields
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rankeffect import (
     METHODS,
@@ -26,8 +28,9 @@ from rankeffect import (
 from rankeffect import inference
 from rankeffect.errors import DimensionMismatch, DomainError, EverythingFiltered, NoEstimablePart
 
-from conftest import DATA_DIR, random_general_sample, simple_mask
+from conftest import DATA_DIR, assert_wald_as_eigenpairs, random_general_sample, simple_mask
 from oracles import chisq_upper_tail_highprec
+import make_tail_constants
 
 
 def make_effects(p):
@@ -124,6 +127,85 @@ class TestChisqUpperTail:
             assert np.all((p >= 0.0) & (p <= 1.0))
 
 
+class TestClosedForms:
+    """Integer df up to 64 take closed forms built from IEEE basic operations."""
+
+    CAP = 64
+
+    @staticmethod
+    def ulps(got, exact):
+        """Largest error in units in the last place of each exact value's double."""
+        return max(
+            float(abs(mp.mpf(g) - e) / mp.mpf(float(np.spacing(float(e)))))
+            for g, e in zip(got, exact)
+        )
+
+    def test_the_constants_are_the_generators(self):
+        for name, want in make_tail_constants.constants().items():
+            got = getattr(inference, name)
+            got = [float(v).hex() for v in np.ravel(got)]
+            assert got == [float(v).hex() for v in np.ravel(want)], name
+
+    def test_exp_within_055_ulp(self):
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.uniform(-708.0, 709.0, 3000), rng.uniform(-0.1, 0.1, 500),
+                            [0.0, -1e-300, 1e-20, -708.0, 709.0]])
+        mantissa, exponent = inference._exp(x)
+        with mp.workdps(40):
+            assert self.ulps(np.ldexp(mantissa, exponent), [mp.exp(v) for v in x]) <= 0.55
+
+    def test_scaled_erfc_within_2_ulp(self):
+        rng = np.random.default_rng(6)
+        z = np.concatenate([rng.uniform(1.2, 8.0, 2000), np.geomspace(8.0, 1e8, 500), [1.2]])
+        with mp.workdps(40):
+            exact = [mp.erfc(v) * mp.exp(mp.mpf(v) ** 2) for v in z]
+            assert self.ulps(inference._erfcx(z), exact) <= 2.0
+
+    def test_one_df_is_erfc_within_4_ulp(self):
+        # above x = 3 the tail of one df is erfc(sqrt(x/2)), e^-x/2 times _erfcx
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.uniform(3.0, 60.0, 1500), rng.uniform(60.0, 1400.0, 500)])
+        with mp.workdps(40):
+            exact = [mp.erfc(mp.sqrt(mp.mpf(v) / 2)) for v in x]
+            assert self.ulps(chisq_upper_tail(x, 1.0), exact) <= 4.0
+
+    @pytest.mark.parametrize("k", range(1, CAP + 1))
+    def test_against_mpmath(self, k):
+        # x / 2 = k / 2 + 1 is where the series hands over to the closed sums
+        switch = k + 2.0
+        x = np.array([0.0, 1e-300, 1e-8, 0.1, k / 2.0, np.nextafter(switch, 0.0), switch,
+                      np.nextafter(switch, 9e9), 2.0 * k + 10.0, 10.0 * k + 100.0, 1000.0,
+                      1400.0, 1600.0, 1800.0, 1e4, 1e300])
+        q = chisq_upper_tail(x, float(k))
+        with mp.workdps(40):
+            exact = [mp.gammainc(mp.mpf(k) / 2, mp.mpf(v) / 2, regularized=True) for v in x]
+        for got, want in zip(q, exact):
+            assert abs(got - want) <= 1e-15
+            if want > 1e-300:  # subnormals keep fewer digits
+                assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("k", range(1, CAP + 1))
+    def test_monotone_in_x(self, k):
+        # no step up anywhere, the regime switch at x = k + 2 included
+        x = np.sort(np.concatenate([
+            np.geomspace(1e-300, 3000.0, 3000),
+            np.linspace(0.0, 4.0 * k + 100.0, 3000),
+            (k + 2.0) * (1.0 + 1e-9 * np.arange(-20, 21)),
+        ]))
+        assert np.all(np.diff(chisq_upper_tail(x, float(k))) <= 0.0)
+
+    def test_the_cap(self):
+        # k = 64 is closed; 65 and fractional k keep the series and the quadrature
+        x = np.array([10.0, 66.0, 200.0])
+        a, half_x = x * 0.0 + 32.0, x / 2.0
+        assert np.array_equal(chisq_upper_tail(x, 64.0), inference._closed_form(a, half_x))
+        for k in (65.0, 3.5):
+            lower = half_x < k / 2.0 + 1.0
+            want = np.where(lower, inference._lower_series(k / 2.0 + 0 * x, half_x),
+                            inference._laguerre_quadrature(k / 2.0 + 0 * x, half_x))
+            assert np.array_equal(chisq_upper_tail(x, k), want)
+
+
 def assert_undefined(rep):
     """Off the null point a zero covariance leaves the test undefined, not an error."""
     assert np.isnan([rep.statistic, rep.df, rep.p_value]).all()
@@ -167,6 +249,13 @@ class TestWald:
         assert "negative quadratic form clamped to zero for the p-value" in rep.flags
         assert rep.df == 2 and rep.p_value == 1.0 and not rep.reject
 
+    def test_a_negative_trace_with_a_zero_eigenvalue_warns_nothing(self):
+        # a trace <= 0 is the zero rule's; its eigenpairs, all kept under a
+        # negative cutoff, once gave 0/0 and a RuntimeWarning
+        rep = wald_test(make_cov([0.5, 0.5], [[-1.0, 0.0], [0.0, 0.0]], n=2))
+        assert (rep.statistic, rep.df, rep.p_value) == (0.0, 0.0, 1.0)
+        assert rep.flags == ("zero-covariance-null",)
+
     def test_n_comes_from_the_covariance_and_alpha_is_keyword_only(self):
         # a third positional argument was the subject count; it must not
         # silently become alpha
@@ -194,6 +283,79 @@ class TestWald:
             rep2 = wald_test(make_cov(0.5 + t @ dev, t @ v @ t.T, n=40))
             assert rep2.statistic == pytest.approx(base.statistic, rel=1e-9)
             assert rep2.p_value == pytest.approx(base.p_value, rel=1e-9)
+
+
+@st.composite
+def wald_blocks(draw):
+    """A block of estimates mixing definite, singular, indefinite and zero covariances.
+
+    A definite one is ``a a' + c I``, ill-conditioned at c = 1e-12; a
+    singular one ``a a'`` of a rank below d; an indefinite one (d > 1) has a
+    diagonal entry pulled below minus the trace and another pushed up, so its
+    trace stays positive; a zero one sits at the null point or off it, as
+    does an indefinite one at d = 1.
+    """
+    d = draw(st.integers(1, 5))
+    reps = draw(st.integers(1, 6))
+    floats = st.floats(-3.0, 3.0, allow_subnormal=False)
+    p_hat, v_hat = [], []
+    for _ in range(reps):
+        kind = draw(st.sampled_from(["definite", "singular", "indefinite", "null", "zero"]))
+        a = draw(hnp.arrays(float, (d, d), elements=floats))
+        dev = draw(hnp.arrays(float, d, elements=st.floats(-0.5, 0.5)))
+        if kind == "definite":
+            v = a @ a.T + draw(st.sampled_from([1e-12, 1e-6, 1e-3, 1.0])) * np.eye(d)
+        elif kind == "singular":
+            rank = draw(st.integers(0, d - 1))
+            v = a[:, :rank] @ a[:, :rank].T
+        elif kind == "indefinite" and d > 1:
+            v = a @ a.T
+            i, j = draw(st.permutations(range(d)))[:2]
+            pull = np.trace(v) + 1.0
+            v[i, i] -= pull
+            v[j, j] += 2.0 * pull  # the trace stays positive
+        else:
+            v = np.zeros((d, d))
+            dev = dev * (kind != "null")
+        p_hat.append(0.5 + dev)
+        v_hat.append(v)
+    n = draw(st.integers(2, 500))
+    return make_cov(p_hat, v_hat, n, estimator="general")
+
+
+class TestWaldRoutes:
+    """Certified replicates are eliminated; the rest take the eigenpairs, bit for bit."""
+
+    @given(wald_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_a_block_agrees_with_its_eigenpair_oracle(self, cov):
+        block = wald_test(cov)
+        for r, (p_hat, v_hat) in enumerate(zip(cov.p_hat, cov.v_hat)):
+            single = make_cov(p_hat, v_hat, cov.n, estimator="general")
+            alone = wald_test(single)
+            for field in ("statistic", "df", "p_value", "reject"):
+                got, want = getattr(block, field)[r], getattr(alone, field)
+                assert np.array_equal(got, want, equal_nan=True)
+            assert block.flags[r] == alone.flags
+            assert_wald_as_eigenpairs(alone, single)
+
+    def test_eigh_runs_only_on_uncertified_replicates(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(v):
+            calls.append(len(v))
+            return eigh(v)
+
+        monkeypatch.setattr(inference.np.linalg, "eigh", spy)
+        definite = [[2.0, 0.5], [0.5, 1.0]]
+        wald_test(make_cov([[0.6, 0.4], [0.7, 0.5]], [definite, definite], n=30))
+        assert calls == []
+        singular, indefinite = [[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, -1.0]]
+        cov = make_cov([[0.6, 0.4]] * 4, [definite, singular, definite, indefinite], n=30)
+        reports = wald_test(cov)
+        assert calls == [2]
+        assert list(reports.df) == [2.0, 1.0, 2.0, 2.0]
 
 
 class TestAnova:

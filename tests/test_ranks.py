@@ -320,10 +320,10 @@ def routes():
 
 
 def fits_histograms(sample, split):
-    """The counting route's condition: at most four bins per observed cell."""
+    """The counting route's condition: at most two bins per observed cell."""
     seen = sample.values[..., sample.observed]
     width = seen.max() - seen.min() + 1.0
-    return 2 * sample.d * (2 if split else 1) * width <= 4 * sample.observed.sum()
+    return 2 * sample.d * (2 if split else 1) * width <= 2 * sample.observed.sum()
 
 
 class TestRoutes:
@@ -359,14 +359,28 @@ class TestRoutes:
             assert_zero_form(b.reshape(-1, *b.shape[-2:])[r], alone, sample.observed)
 
     def test_a_wide_range_is_sorted_and_a_narrow_one_counted(self):
-        # 8 observed cells: 2 * d * width bins fit when width <= 16, split or not
+        # 8 observed cells, d = 1: 2 * width bins, 4 * width with a split, fit in 16
         observed = np.ones((2, 4), bool)
-        for top, split, counted in [(15.0, False, True), (16.0, False, False),
-                                    (7.0, True, True), (8.0, True, False), (7.5, False, False)]:
-            values = np.array([[0.0, 1.0, 2.0, top], [1.0, 0.0, 3.0, 2.0]])
+        for top, split, counted in [(7.0, False, True), (8.0, False, False),
+                                    (3.0, True, True), (4.0, True, False), (2.5, False, False)]:
+            values = np.array([[0.0, 1.0, 1.0, top], [1.0, 0.0, 0.0, 1.0]])
             with routes() as taken:
                 build_rank_table(build_masked_sample(values, observed), split)
             assert taken == [counted]
+
+
+    def test_a_pack_with_a_non_integer_part_is_sorted_before_the_gather(self, monkeypatch):
+        # the first replicate is integral; the second's first observed cell is not
+        observed = np.ones((2, 4), bool)
+        values = np.array([[[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 3.0, 2.0]],
+                           [[0.5, 1.0, 2.0, 3.0], [1.0, 0.0, 3.0, 2.0]]])
+        sample = build_masked_sample(values, observed)
+
+        def no_gather(*args, **kwargs):
+            raise AssertionError("the integrality check gathered every observed value")
+
+        monkeypatch.setattr(ranks.np, "take", no_gather)
+        assert ranks._counted(sample, False) is None
 
 
 class TestRouteChoice:
