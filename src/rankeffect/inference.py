@@ -18,10 +18,9 @@ Off the null point, as under complete separation, the test is undefined: NaN
 statistic, df and p-value, no rejection, and an ``"inestimable: ..."`` flag
 alone.
 
-The Wald form of a replicate whose elimination certifies its covariance
-full rank (see :func:`_eliminate`) is computed from IEEE basic operations
-alone; any other replicate, singular, indefinite or nearly so, takes the
-eigenpairs of ``eigh`` and the Moore-Penrose pseudo-inverse.
+A replicate whose elimination certifies its covariance full rank
+(:func:`_eliminate`) takes its Wald form from IEEE basic operations; any
+other takes the eigenpairs of ``eigh`` and the Moore-Penrose pseudo-inverse.
 
 Both p-values come from the chi-square upper tail :func:`chisq_upper_tail`,
 the regularized upper incomplete gamma function Q(a, x), computed in numpy
@@ -95,44 +94,23 @@ def _hex(words: str) -> np.ndarray:
     return np.array([float.fromhex(word) for word in words.split()])
 
 
+def _exp2_table() -> np.ndarray:
+    """2^(j/64), j = 0..63, as double-doubles (hi, lo), from integers with 120 fraction bits."""
+    one = 2**120
+    step = 2 * one**64
+    for _ in range(6):
+        step = math.isqrt(step)  # isqrt(isqrt(m)) is the floor of m^(1/4): no error builds up
+    table, value = [], one
+    for _ in range(64):
+        hi = value / one  # integer division rounds correctly
+        table += [hi, (value - int(hi * one)) / one]
+        value = value * step // one
+    return np.array(table)
+
+
+_EXP2 = _exp2_table()
 # generated by tests/make_tail_constants.py, which says what each one is
-_EXP2 = _hex("""
-0x1.0000000000000p+0 0x0.0p+0 0x1.02c9a3e778061p+0 -0x1.19083535b085dp-56
-0x1.059b0d3158574p+0 0x1.d73e2a475b465p-55 0x1.0874518759bc8p+0 0x1.186be4bb284ffp-57
-0x1.0b5586cf9890fp+0 0x1.8a62e4adc610bp-54 0x1.0e3ec32d3d1a2p+0 0x1.03a1727c57b53p-59
-0x1.11301d0125b51p+0 -0x1.6c51039449b3ap-54 0x1.1429aaea92de0p+0 -0x1.32fbf9af1369ep-54
-0x1.172b83c7d517bp+0 -0x1.19041b9d78a76p-55 0x1.1a35beb6fcb75p+0 0x1.e5b4c7b4968e4p-55
-0x1.1d4873168b9aap+0 0x1.e016e00a2643cp-54 0x1.2063b88628cd6p+0 0x1.dc775814a8495p-55
-0x1.2387a6e756238p+0 0x1.9b07eb6c70573p-54 0x1.26b4565e27cddp+0 0x1.2bd339940e9d9p-55
-0x1.29e9df51fdee1p+0 0x1.612e8afad1255p-55 0x1.2d285a6e4030bp+0 0x1.0024754db41d5p-54
-0x1.306fe0a31b715p+0 0x1.6f46ad23182e4p-55 0x1.33c08b26416ffp+0 0x1.32721843659a6p-54
-0x1.371a7373aa9cbp+0 -0x1.63aeabf42eae2p-54 0x1.3a7db34e59ff7p+0 -0x1.5e436d661f5e3p-56
-0x1.3dea64c123422p+0 0x1.ada0911f09ebcp-55 0x1.4160a21f72e2ap+0 -0x1.ef3691c309278p-58
-0x1.44e086061892dp+0 0x1.89b7a04ef80d0p-59 0x1.486a2b5c13cd0p+0 0x1.3c1a3b69062f0p-56
-0x1.4bfdad5362a27p+0 0x1.d4397afec42e2p-56 0x1.4f9b2769d2ca7p+0 -0x1.4b309d25957e3p-54
-0x1.5342b569d4f82p+0 -0x1.07abe1db13cadp-55 0x1.56f4736b527dap+0 0x1.9bb2c011d93adp-54
-0x1.5ab07dd485429p+0 0x1.6324c054647adp-54 0x1.5e76f15ad2148p+0 0x1.ba6f93080e65ep-54
-0x1.6247eb03a5585p+0 -0x1.383c17e40b497p-54 0x1.6623882552225p+0 -0x1.bb60987591c34p-54
-0x1.6a09e667f3bcdp+0 -0x1.bdd3413b26456p-54 0x1.6dfb23c651a2fp+0 -0x1.bbe3a683c88abp-57
-0x1.71f75e8ec5f74p+0 -0x1.16e4786887a99p-55 0x1.75feb564267c9p+0 -0x1.0245957316dd3p-54
-0x1.7a11473eb0187p+0 -0x1.41577ee04992fp-55 0x1.7e2f336cf4e62p+0 0x1.05d02ba15797ep-56
-0x1.82589994cce13p+0 -0x1.d4c1dd41532d8p-54 0x1.868d99b4492edp+0 -0x1.fc6f89bd4f6bap-54
-0x1.8ace5422aa0dbp+0 0x1.6e9f156864b27p-54 0x1.8f1ae99157736p+0 0x1.5cc13a2e3976cp-55
-0x1.93737b0cdc5e5p+0 -0x1.75fc781b57ebcp-57 0x1.97d829fde4e50p+0 -0x1.d185b7c1b85d1p-54
-0x1.9c49182a3f090p+0 0x1.c7c46b071f2bep-56 0x1.a0c667b5de565p+0 -0x1.359495d1cd533p-54
-0x1.a5503b23e255dp+0 -0x1.d2f6edb8d41e1p-54 0x1.a9e6b5579fdbfp+0 0x1.0fac90ef7fd31p-54
-0x1.ae89f995ad3adp+0 0x1.7a1cd345dcc81p-54 0x1.b33a2b84f15fbp+0 -0x1.2805e3084d708p-57
-0x1.b7f76f2fb5e47p+0 -0x1.5584f7e54ac3bp-56 0x1.bcc1e904bc1d2p+0 0x1.23dd07a2d9e84p-55
-0x1.c199bdd85529cp+0 0x1.11065895048ddp-55 0x1.c67f12e57d14bp+0 0x1.2884dff483cadp-54
-0x1.cb720dcef9069p+0 0x1.503cbd1e949dbp-56 0x1.d072d4a07897cp+0 -0x1.cbc3743797a9cp-54
-0x1.d5818dcfba487p+0 0x1.2ed02d75b3707p-55 0x1.da9e603db3285p+0 0x1.c2300696db532p-54
-0x1.dfc97337b9b5fp+0 -0x1.1a5cd4f184b5cp-54 0x1.e502ee78b3ff6p+0 0x1.39e8980a9cc8fp-55
-0x1.ea4afa2a490dap+0 -0x1.e9c23179c2893p-54 0x1.efa1bee615a27p+0 0x1.dc7f486a4b6b0p-54
-0x1.f50765b6e4540p+0 0x1.9d3e12dd8a18bp-54 0x1.fa7c1819e90d8p+0 0x1.74853f3a5931ep-55
-""")
-_LN2_64 = _hex("""
-0x1.62e42ff000000p-7 -0x1.718432a1b0e26p-41
-""")
+_LN2_64 = _hex("0x1.62e42ff000000p-7 -0x1.718432a1b0e26p-41")
 _INV_LN2_64 = float.fromhex("0x1.71547652b82fep+6")
 _ERFCX = _hex("""
 0x1.5a0a61d4d5ff4p-27 -0x1.b9fc63c893c9cp-24 0x1.6f9c5d1992d3fp-22 -0x1.2928c5706cf97p-22
@@ -212,12 +190,7 @@ def _exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _erfcx(z: np.ndarray) -> np.ndarray:
     """e^(z^2) erfc(z) for z >= 1.2, within 2 ulp: a polynomial in (z - 3)/(z + 3) over 1 + 2z."""
-    w = (z - 3.0) / (z + 3.0)
-    fit = np.full(z.shape, _ERFCX[0])
-    for c in _ERFCX[1:]:
-        fit *= w
-        fit += c
-    return fit / (1.0 + 2.0 * z)
+    return np.polyval(_ERFCX, (z - 3.0) / (z + 3.0)) / (1.0 + 2.0 * z)  # Horner's rule
 
 
 def _closed_form(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -397,14 +370,13 @@ def _eliminate(v: np.ndarray, dev: np.ndarray, trace: np.ndarray):
 def wald_test(cov, *, alpha: float = ALPHA) -> TestReport | list[TestReport]:
     """Quadratic form of ``cov.p_hat - 1/2`` against the inverse covariance, times ``cov.n``.
 
-    A replicate whose elimination certifies ``cov.v_hat`` positive definite
-    with every eigenvalue over four times the cutoff below takes the
+    A replicate that :func:`_eliminate` certifies full rank takes the
     elimination's form, within about 2 d eps kappa relative of the eigenpair
-    form (kappa its condition number).  Any other replicate sums over the
-    eigenpairs of ``cov.v_hat`` with eigenvalues above ``1e-10 * trace/d`` in
-    magnitude: the Moore-Penrose pseudo-inverse of a singular estimate, whose
-    degrees of freedom shrink to the effective rank and whose fallback is
-    flagged.  A block gives one test per replicate.
+    form (kappa the condition number).  Any other sums over the eigenpairs of
+    ``cov.v_hat`` with eigenvalues above ``1e-10 * trace/d`` in magnitude: the
+    Moore-Penrose pseudo-inverse of a singular estimate, whose degrees of
+    freedom shrink to the effective rank and whose fallback is flagged.  A
+    block gives one test per replicate.
     A replicate whose estimate vanishes off the null point has no statistic:
     its results are NaN and it is flagged inestimable.  A sequence of
     estimates gives a list of their reports, each what its estimate gives alone.
@@ -425,16 +397,17 @@ def wald_test(cov, *, alpha: float = ALPHA) -> TestReport | list[TestReport]:
     form, certified = _eliminate(v, dev, trace)
     rank = np.full(form.shape, d)
     rest = np.flatnonzero(~certified & ~zero)  # a zero covariance's test needs no form
-    if rest.size:  # singular, indefinite or nearly so: the eigenpairs decide
-        eigvals, eigvecs = np.linalg.eigh(v[rest])
-        kept = np.abs(eigvals) > _PINV_RANK_REL * trace[rest, None] / d
-        rank[rest] = kept.sum(axis=1)
-        # products summed over the components in order and terms by a row sum:
-        # no BLAS call, so the bits depend on neither the BLAS kernel nor the block
-        proj = np.sum(eigvecs * dev[rest, :, None], axis=1)
-        terms = np.divide(proj * proj, eigvals, out=np.zeros(eigvals.shape), where=kept)
-        form[rest] = np.sum(terms, axis=1)
-    stat = n * form
+    with np.errstate(over="ignore"):  # a form past the double range is inf: p-value 0
+        if rest.size:  # singular, indefinite or nearly so: the eigenpairs decide
+            eigvals, eigvecs = np.linalg.eigh(v[rest])
+            kept = np.abs(eigvals) > _PINV_RANK_REL * trace[rest, None] / d
+            rank[rest] = kept.sum(axis=1)
+            # products summed over the components in order and terms by a row sum:
+            # no BLAS call, so the bits depend on neither the BLAS kernel nor the block
+            proj = np.sum(eigvecs * dev[rest, :, None], axis=1)
+            terms = np.divide(proj * proj, eigvals, out=np.zeros(eigvals.shape), where=kept)
+            form[rest] = np.sum(terms, axis=1)
+        stat = n * form
     for i in np.flatnonzero((rank < d) & ~zero):
         flags[i] += (f"singular covariance: pseudo-inverse with rank {rank[i]}",)
     stat[zero] = 0.0
@@ -443,7 +416,7 @@ def wald_test(cov, *, alpha: float = ALPHA) -> TestReport | list[TestReport]:
     for i in np.flatnonzero(stat < 0.0):
         flags[i] += ("negative quadratic form clamped to zero for the p-value",)
     p = np.ones(stat.shape)
-    p[~zero] = chisq_upper_tail(np.maximum(stat[~zero], 0.0), df[~zero])
+    p[~zero] = chisq_upper_tail(np.clip(stat[~zero], 0.0, np.finfo(float).max), df[~zero])
     reports = _reports(stat, df, p, alpha, "wald", flags, batch, off)
     return reports[0] if isinstance(cov, CovarianceEstimate) else reports
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankeffect import build_masked_sample, derive_pattern_index
+from rankeffect import build_masked_sample, derive_pattern_index, inference
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -84,24 +84,25 @@ def rng():
 def assert_wald_as_eigenpairs(report, cov):
     """A one-replicate Wald report against the eigenpair oracle, ``oracles.wald_eigh``.
 
-    df and flags always agree.  An estimate that the elimination may certify
-    full rank, positive definite with every eigenvalue kept, agrees within
+    df and flags always agree.  An estimate that ``inference._eliminate``
+    certifies full rank takes the elimination's form and agrees within
     16 d eps kappa relative, kappa its condition number: both forms are
-    backward stable.  Any other estimate takes the eigenpairs and gives the
-    oracle's bits.
+    backward stable, and the certificate bounds kappa.  Any other estimate
+    takes the eigenpairs and gives the oracle's bits.
     """
     from oracles import wald_eigh
 
     d = cov.p_hat.size
-    statistic, df, flags = wald_eigh(cov.p_hat - 0.5, cov.v_hat, cov.n)
+    dev = cov.p_hat - 0.5
+    statistic, df, flags = wald_eigh(dev, cov.v_hat, cov.n)
     if not np.isnan(statistic):
         flags = cov.degenerate + flags
     assert report.flags == flags
     assert np.array_equal(report.df, df, equal_nan=True)
-    eigvals = np.linalg.eigh(cov.v_hat)[0]
-    if df == d and eigvals[0] > 0.0:
-        kappa = eigvals[-1] / eigvals[0]
-        bound = 16 * d * np.finfo(float).eps * kappa
+    certified = inference._eliminate(cov.v_hat[None], dev[None], np.atleast_1d(cov.trace))[1][0]
+    if certified:
+        eigvals = np.linalg.eigh(cov.v_hat)[0]
+        bound = 16 * d * np.finfo(float).eps * eigvals[-1] / eigvals[0]
         assert abs(report.statistic - statistic) <= bound * statistic
     else:
         assert np.array_equal(report.statistic, statistic, equal_nan=True)

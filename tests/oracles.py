@@ -235,12 +235,13 @@ def wald_eigh(dev, v_hat, n: int) -> tuple[float, float, tuple[str, ...]]:
     eigvals, eigvecs = np.linalg.eigh((v_hat + v_hat.T) / 2.0)
     kept = np.abs(eigvals) > 1e-10 * trace / d
     terms = np.zeros(d)
-    for k in np.flatnonzero(kept):
-        proj = 0.0
-        for i in range(d):
-            proj += float(eigvecs[i, k]) * float(dev[i])
-        terms[k] = proj * proj / eigvals[k]
-    statistic, rank = float(n * np.sum(terms)), int(kept.sum())
+    with np.errstate(over="ignore"):  # a subnormal eigenvalue's term may be inf
+        for k in np.flatnonzero(kept):
+            proj = 0.0
+            for i in range(d):
+                proj += float(eigvecs[i, k]) * float(dev[i])
+            terms[k] = proj * proj / eigvals[k]
+        statistic, rank = float(n * np.sum(terms)), int(kept.sum())
     flags = ()
     if rank < d:
         flags += (f"singular covariance: pseudo-inverse with rank {rank}",)

@@ -46,12 +46,13 @@ SETTINGS = {
 }
 
 # writes the report of each input file and prints the X86_V4 dispatch flag,
-# a digest of v_hat for two Monte Carlo blocks: a design3 block of 23
-# (general estimator, n = 1420) and a table3 block of 200 at d = 5 (simple),
-# the latter also restricted to its complete and to its one-sided cases,
-# whose kernels stack one and two index sets, and a digest of the tail grid
+# whether glibc counts FMA as active (None where it cannot say), a digest of
+# v_hat for two Monte Carlo blocks: a design3 block of 23 (general estimator,
+# n = 1420) and a table3 block of 200 at d = 5 (simple), the latter also
+# restricted to its complete and to its one-sided cases, whose kernels stack
+# one and two index sets, and a digest of the tail grid
 PROBE = """
-import hashlib, json, sys
+import ctypes, hashlib, json, sys
 import numpy as np
 try:
     from numpy._core._multiarray_umath import __cpu_features__
@@ -78,7 +79,15 @@ for grid, reps, dims, estimator, methods in [
 x = np.append(0.0, np.ldexp(1.0 + np.arange(32) / 32, np.arange(-20, 11)[:, None]))
 k = np.array([*range(1, 11), 64], dtype=float)[:, None]
 tail = chisq_upper_tail(x + 0.0 * k, k + 0.0 * x).tobytes()
-print(json.dumps({"x86_v4": __cpu_features__.get("X86_V4"), "v_hat": digests,
+# glibc 2.33 and later: the active ECX bits of CPUID leaf 1, FMA bit 12
+try:
+    leaf = ctypes.CDLL(None).__x86_get_cpuid_feature_leaf
+except AttributeError:
+    fma = None
+else:
+    leaf.restype = ctypes.POINTER(ctypes.c_uint32 * 8)
+    fma = bool(leaf(0).contents[6] >> 12 & 1)
+print(json.dumps({"x86_v4": __cpu_features__.get("X86_V4"), "fma": fma, "v_hat": digests,
                   "tail": hashlib.sha256(tail).hexdigest()}))
 """
 
@@ -108,13 +117,15 @@ def test_reports_keep_their_bits(setting, tmp_path, default_probe):
     env, core, feature = SETTINGS[setting]
     if not __cpu_features__.get(feature):
         pytest.skip(f"this CPU has no {feature}")
-    if "NPY_DISABLE_CPU_FEATURES" in env and "X86_V4" not in __cpu_features__:
-        pytest.skip("this numpy has no X86_V4 dispatch target")
+    if "NPY_DISABLE_CPU_FEATURES" in env and not __cpu_features__.get("X86_V4"):
+        pytest.skip("numpy dispatches to no X86_V4 loops here: nothing to switch off")
     probe, reports, log = run_probe(tmp_path, env)
     if core is not None and f"Core: {core}" not in log:
         pytest.skip(f"OpenBLAS did not take the {core} kernels")
     if "NPY_DISABLE_CPU_FEATURES" in env:
-        assert default_probe["x86_v4"] is True and probe["x86_v4"] is False
+        assert probe["x86_v4"] is False
+    if "GLIBC_TUNABLES" in env and probe["fma"] is not False:
+        pytest.skip("glibc did not switch FMA off, or cannot say whether it did")
     assert probe["v_hat"] == default_probe["v_hat"]
     assert probe["tail"] == default_probe["tail"]
     for golden in INPUTS:

@@ -256,6 +256,16 @@ class TestWald:
         assert (rep.statistic, rep.df, rep.p_value) == (0.0, 0.0, 1.0)
         assert rep.flags == ("zero-covariance-null",)
 
+    @pytest.mark.parametrize("v_hat", [
+        np.full((2, 2), 2.5e-323),  # singular: a kept subnormal eigenvalue
+        np.eye(2) * 1e-320,  # certified, a subnormal pivot
+        np.eye(2) * 1e-306,  # certified, a finite form that n carries past the range
+    ])
+    def test_a_form_past_the_double_range_is_inf_and_rejects(self, v_hat):
+        # it once raised an overflow RuntimeWarning, then DomainError on x = inf
+        rep = wald_test(make_cov([1.0, 0.5], v_hat, n=2000))
+        assert (rep.statistic, rep.p_value, rep.reject) == (np.inf, 0.0, True)
+
     def test_n_comes_from_the_covariance_and_alpha_is_keyword_only(self):
         # a third positional argument was the subject count; it must not
         # silently become alpha
