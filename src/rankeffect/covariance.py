@@ -74,6 +74,13 @@ class CovarianceEstimate:
         trace_sq = np.sum(v * v, axis=(-2, -1))  # symmetric v
         nu_hat = np.full(np.shape(trace_sq), np.nan)
         np.divide(trace * trace, trace_sq, out=nu_hat, where=trace_sq > 0)
+        low = np.flatnonzero(trace_sq < 2.0**-1000)  # where the squares may underflow,
+        if low.size:  # from v scaled by 2^k to a largest entry in [1/2, 1), which keeps v's bits
+            w = v.reshape(-1, *v.shape[-2:])[low]
+            w = np.ldexp(w, -np.frexp(np.abs(w).max(axis=(1, 2)))[1][:, None, None])
+            w_sq = np.sum(w * w, axis=(1, 2))
+            nu_hat.reshape(-1)[low] = np.divide(np.trace(w, axis1=1, axis2=2) ** 2, w_sq,
+                                                out=np.full(low.size, np.nan), where=w_sq > 0)
         object.__setattr__(self, "p_hat", _freeze(p_hat))
         object.__setattr__(self, "v_hat", _freeze(v))
         for name, value in (("trace", trace), ("trace_sq", trace_sq), ("nu_hat", nu_hat)):

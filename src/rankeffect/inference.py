@@ -431,11 +431,14 @@ def anova_test(cov, *, alpha: float = ALPHA) -> TestReport | list[TestReport]:
     """
     _check_alpha(alpha)
     covs, batch, dev, trace, n, zero, off, flags = _stack(cov)
-    scale = np.divide(n, trace, out=np.zeros(trace.shape), where=~zero)
-    stat = scale * np.sum(dev * dev, axis=1)
+    mantissa, exponent = np.frexp(trace)  # n / trace's bits as n / mantissa times 2^-exponent,
+    scale = np.divide(n, mantissa, out=np.zeros(trace.shape), where=~zero)  # finite at any trace
     df = np.where(zero, 0.0, np.concatenate([c.nu_hat for c in covs], axis=None))
+    with np.errstate(over="ignore"):  # a statistic past the double range is inf: p-value 0
+        stat = np.ldexp(scale * np.sum(dev * dev, axis=1), -exponent)
+        x = np.minimum(df * stat, np.finfo(float).max)[~zero]
     p = np.ones(stat.shape)
-    p[~zero] = chisq_upper_tail(df[~zero] * stat[~zero], df[~zero])
+    p[~zero] = chisq_upper_tail(x, df[~zero])
     reports = _reports(stat, df, p, alpha, "anova", flags, batch, off)
     return reports[0] if isinstance(cov, CovarianceEstimate) else reports
 

@@ -22,8 +22,9 @@ observed values are finite, so the padding sorts last and never ties with a
 cell that is counted.  Split each sorted row into runs of equal values,
 count the group-1 cells inside every run and before it, and give each cell
 of a run the opposite group's cells before the run plus half of those inside
-it.  An unobserved cell is in no pair and counts +0.0, so a sum over a
-table's row is a sum over its observed cells.
+it; where no row ties, each cell is a run of its own, and one running count
+along each row gives every count.  An unobserved cell is in no pair and
+counts +0.0, so a sum over a table's row is a sum over its observed cells.
 
 Either route also counts within each cell's case class on its component,
 complete (observed in both groups) or one-sided: the sort from the complete
@@ -168,13 +169,10 @@ def _sorted(sample: MaskedSample, split: bool) -> Iterator[tuple[np.ndarray, np.
     np.not_equal(keys[:, 1:], keys[:, :-1], out=new_run[:, 1:])
     new_run[:, :1] = True
     del keys  # per-cell temporaries go as soon as they are used
-    # runs of equal values, numbered in flat order; a run never crosses a row
-    starts = np.flatnonzero(new_run)
+    # nothing ties when every observed position starts a run
+    untied = (new_run.reshape(-1, d, width)[:, :, 1:] | padding[:, 1:]).all()
     # int32 halves the per-cell index arrays wherever the positions fit
-    run = np.cumsum(new_run, dtype=np.int32 if new_run.size < 2**31 else np.intp)
-    run -= 1
-    run = run.reshape(new_run.shape)
-    del new_run
+    index = np.int32 if new_run.size < 2**31 else np.intp
     # per sorted cell: in group 1; with a split also complete, and complete
     # in group 1
     flags = np.empty((3 if split else 1, cell.size), dtype=bool)
@@ -192,6 +190,15 @@ def _sorted(sample: MaskedSample, split: bool) -> Iterator[tuple[np.ndarray, np.
         np.logical_and(flags[0], flags[1], out=flags[2])
     replicates = target.reshape(-1, d * width)
     replicates += 2 * d * n * np.arange(len(replicates))[:, None]
+    if untied:
+        yield from _untied(target, flags, index)
+        return
+    # runs of equal values, numbered in flat order; a run never crosses a row
+    starts = np.flatnonzero(new_run)
+    run = np.cumsum(new_run, dtype=index)
+    run -= 1
+    run = run.reshape(new_run.shape)
+    del new_run
     # flagged cells inside each run, and before it in its row
     inside = np.add.reduceat(flags, starts, axis=1, dtype=run.dtype)
     before = np.cumsum(inside, axis=1, dtype=run.dtype)
@@ -231,6 +238,25 @@ def _sorted(sample: MaskedSample, split: bool) -> Iterator[tuple[np.ndarray, np.
         # own's first half is laid out as counts, its second half for complete cells
         run += flags[1].reshape(run.shape) * run.dtype.type(counts.size)
         yield target, own.ravel()[run]
+
+
+def _untied(
+    target: np.ndarray, flags: np.ndarray, index: type
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_sorted`'s tables when no row ties: every cell a run of its own.
+
+    A group-2 cell counts the group-1 cells before it, a group-1 cell the rest.
+    """
+    in_group1 = flags[0].reshape(target.shape)
+    before = np.cumsum(flags.reshape(len(flags), *target.shape), axis=2, dtype=index)
+    before -= flags.reshape(before.shape)
+    counts = before[0] + in_group1 * (np.arange(target.shape[1], dtype=index) - 2 * before[0])
+    yield target, counts
+    if len(flags) > 1:
+        against = before[2] + in_group1 * (before[1] - 2 * before[2])  # the complete cells
+        counts -= against  # one-sided: the full count less the count against them
+        counts += flags[1].reshape(counts.shape) * (against - counts)  # complete: that count
+        yield target, counts
 
 
 def placements(b: np.ndarray, idx: PatternIndex) -> np.ndarray:

@@ -17,15 +17,16 @@ independent of execution order: replicate ``i`` draws from its own stream,
 ``PCG64(SeedSequence(seed, spawn_key=(i,)))``, whose states are computed a
 block at a time (``rankeffect._seeding``), and one generator set to each state
 in turn draws the block.  The replicates of the scenarios that share their
-mask, ``methods`` and ``alpha`` are laid end to end, in grid order, and cut
-into ``ceil(total / size)`` blocks with ``size = max(1, CELLS // (2d * n))``,
-so a block's arrays stay small whatever the sample size (``table3`` at 1000
-replicates runs in 80 blocks).  Block lengths differ by at most one, so no
-short block is left over, and a cut may fall inside a scenario; each block
-goes through :func:`~rankeffect.inference.analyze` once.  Each part of a
-block is drawn once; a replicate whose draw overflowed in an observed cell
-fails, and the rest of the block is analyzed.  Tallies, failures and every
-output are the same as one replicate at a time would give.
+mask, ``methods``, ``alpha`` and distribution are laid end to end, in grid
+order, and cut into ``ceil(total / size)`` blocks with
+``size = max(1, CELLS // (2d * n))``, so a block's arrays stay small whatever
+the sample size (``table3`` at 1000 replicates runs in 80 blocks).  Block
+lengths differ by at most one, so no short block is left over, and a cut may
+fall inside a scenario; each block goes through
+:func:`~rankeffect.inference.analyze` once.  Each part of a block is drawn
+once; a replicate whose draw overflowed in an observed cell fails, and the
+rest of the block is analyzed.  Tallies, failures and every output are the
+same as one replicate at a time would give.
 """
 
 import copy
@@ -329,14 +330,16 @@ def _keys(scenario: Scenario) -> list[str]:
 def _packs(scenarios: list[Scenario]) -> list[list[tuple[int, Scenario, range]]]:
     """The blocks of a grid, each a list of ``(position, scenario, replicates)`` parts.
 
-    The replicates of the scenarios that share a mask, ``methods`` and
-    ``alpha`` form one stream, in grid order, cut into ``ceil(total / size)``
-    blocks whose lengths differ by at most one, the first ones the longer; a
-    cut may fall inside a scenario.
+    The replicates of the scenarios that share a mask, ``methods``, ``alpha``
+    and distribution form one stream, in grid order, cut into
+    ``ceil(total / size)`` blocks whose lengths differ by at most one, the
+    first ones the longer; a cut may fall inside a scenario.  So a block is
+    all integers (normal), and counted, or almost never ties, and sorted.
     """
     streams = {}
     for position, s in enumerate(scenarios):
-        key = (s._observed.shape, s._observed.tobytes(), tuple(s.methods), s.alpha)
+        key = (s._observed.shape, s._observed.tobytes(), tuple(s.methods), s.alpha,
+               s.distribution)
         streams.setdefault(key, []).append((position, s))
     packs = []
     for stream in streams.values():
@@ -356,13 +359,14 @@ def _run_pack(pack: list[tuple[int, Scenario, range]]) -> list[tuple[int, int, n
     """Each part's ``(position, failures, counts)`` from one :func:`analyze` call.
 
     ``counts`` holds a row ``(rejected, evaluated, skipped, flagged)`` per
-    key of :func:`_keys`.  Each part is drawn once, and a replicate whose
-    draw overflowed in an observed cell fails; an overflow in an unobserved
-    cell is masked away.  The other replicates of the pack are analyzed in
-    one call, row by row, and each part is tallied from its own rows of the
-    reports, so a part whose every draw overflowed fails whole.
+    key of :func:`_keys`.  The parts share mask, ``methods``, ``alpha`` and
+    distribution.  Each part is drawn once, and a replicate whose draw
+    overflowed in an observed cell fails; an overflow in an unobserved cell is
+    masked away.  The other replicates of the pack are analyzed in one call,
+    row by row, and each part is tallied from its own rows of the reports, so
+    a part whose every draw overflowed fails whole.
     """
-    _, first, _ = pack[0]  # the parts share the mask, methods and alpha
+    _, first, _ = pack[0]
     keys = _keys(first)
     observed = first._observed
     parts = [_draw(scenario, block) for _, scenario, block in pack]
@@ -439,8 +443,8 @@ def run_grid(scenarios, master_seed: int | None = None) -> list[SimulationResult
     ``SeedSequence(master_seed, spawn_key=(i,)).generate_state(1)[0]``, so a
     grid is reproducible regardless of how its scenarios were configured; the
     re-seeded copies keep the scenarios' validated covariance factor and mask.
-    The replicates of the scenarios that share their mask, ``methods`` and
-    ``alpha`` run as one stream, in grid order, cut into
+    The replicates of the scenarios that share their mask, ``methods``,
+    ``alpha`` and distribution run as one stream, in grid order, cut into
     ``ceil(total / size)`` blocks of at most
     ``size = max(1, CELLS // (2d * n))`` replicates whose lengths differ by
     at most one; a cut may fall inside a scenario.  A block is one draw per

@@ -386,6 +386,29 @@ class TestAnova:
         assert rep.p_value == 1.0 and "zero-covariance-null" in rep.flags
         assert_undefined(anova_test(make_cov([0.7, 0.5], np.zeros((2, 2)), n=20)))
 
+    def test_a_subnormal_estimate_is_inf_and_rejects(self):
+        # n / trace once overflowed with a RuntimeWarning, and nu_hat was NaN,
+        # as trace^2 and trace(V^2) both underflowed: then DomainError
+        cov = make_cov([1.0, 0.5], np.full((2, 2), 2.5e-323), n=2)
+        assert cov.nu_hat == 1.0
+        rep = anova_test(cov)
+        assert (rep.statistic, rep.df, rep.p_value, rep.reject) == (np.inf, 1.0, 0.0, True)
+        # in a block, beside a normal-scale and a zero estimate
+        block = make_cov(np.full((3, 2), [1.0, 0.5]), [np.eye(2), cov.v_hat, np.zeros((2, 2))], n=2)
+        assert np.array_equal(block.nu_hat, [2.0, 1.0, np.nan], equal_nan=True)
+        assert np.array_equal(anova_test(block).statistic, [0.25, np.inf, np.nan], equal_nan=True)
+
+    def test_a_power_of_two_scales_the_statistic_and_keeps_the_df(self, rng):
+        # at 2^-1000 the squares underflow, but the entries keep every bit
+        a = rng.standard_normal((3, 3))
+        v = a @ a.T
+        dev = rng.uniform(-0.3, 0.3, size=3)
+        base = anova_test(make_cov(0.5 + dev, v, n=40))
+        cov = make_cov(0.5 + dev, np.ldexp(v, -1000), n=40)
+        rep = anova_test(cov)
+        assert cov.nu_hat == base.df and rep.df == base.df
+        assert rep.statistic == np.ldexp(base.statistic, 1000)
+
     def test_f_statistic_value(self):
         # F = n/tr(V) * ||dev||^2 = 50/2 * 0.02 = 0.5
         rep = anova_test(make_cov([0.6, 0.4], np.eye(2), n=50))

@@ -116,7 +116,8 @@ def test_traced_layers_stay_on_the_monte_carlo_path():
 
 def test_traced_grid_packs_scenarios_that_share_a_mask(monkeypatch):
     # run_grid analyzes the replicates of scenarios that share a mask,
-    # methods and alpha in one block, while each scenario draws its own
+    # methods, alpha and distribution in one block, while each scenario
+    # draws its own
     import rankeffect.cli  # noqa: F401  (the tracer patches loaded modules)
 
     draws, draw = [], rankeffect.simulate._draw

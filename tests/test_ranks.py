@@ -319,6 +319,26 @@ def routes():
         yield taken
 
 
+@contextlib.contextmanager
+def sort_routes():
+    """Record, for each sorting ``build_rank_table`` call, whether nothing tied (True)."""
+    taken = []
+    sort, untied = ranks._sorted, ranks._untied
+
+    def sort_spy(sample, split):
+        taken.append(False)
+        return sort(sample, split)
+
+    def untied_spy(*args):
+        taken[-1] = True
+        return untied(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranks, "_sorted", sort_spy)
+        patch.setattr(ranks, "_untied", untied_spy)
+        yield taken
+
+
 def fits_histograms(sample, split):
     """The counting route's condition: at most two bins per observed cell."""
     seen = sample.values[..., sample.observed]
@@ -383,6 +403,65 @@ class TestRoutes:
         assert ranks._counted(sample, False) is None
 
 
+@st.composite
+def untied_blocks(draw):
+    """A ``masks`` mask with one to four replicates of distinct non-integer values.
+
+    The values are a permutation of ``k + 1/4`` around zero, so no two cells
+    of a block tie and the block is sorted, never counted.
+    """
+    observed = draw(masks())
+    size = draw(st.integers(1, 4)) * observed.size
+    order = np.array(draw(st.permutations(range(size))), dtype=float)
+    return build_masked_sample((order - size // 2 + 0.25).reshape(-1, *observed.shape), observed)
+
+
+class TestUntiedRows:
+    """Rows with no tie take the untied route, with the run route's bits."""
+
+    @given(untied_blocks(), st.booleans(), st.sampled_from(["value", "signed zero"]), st.data())
+    # components observed 7 and 2 times: the second pooled row is padded
+    @example(_sample([[[0.25, 3.25, -1.75, 2.25, 1.25], [4.25, 0.0, 0.0, 0.0, 0.0],
+                       [5.25, -0.75, 6.25, 7.25, 8.25], [9.25, 0.0, 0.0, 0.0, 0.0]]],
+                     [[1, 1, 1, 1, 1], [1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [0, 1, 0, 0, 0]]),
+             True, "signed zero", None)
+    @settings(max_examples=200, deadline=None)
+    def test_untied_counts_equal_the_run_routes(self, sample, split, tie, data):
+        with sort_routes() as taken:
+            tables = build_rank_table(sample, split)
+        assert taken == [True]
+        observed, d = sample.observed, sample.d
+        values = sample.values.reshape(-1, *observed.shape)
+        b = (tables[0] if split else tables).reshape(values.shape)
+        for r, values_r in enumerate(values):
+            alone = placement_counts_rankdata(build_masked_sample(values_r, observed))
+            assert_zero_form(b[r], alone, observed)
+        # one tie in one row of one more replicate sends the block down the run route
+        pairs = [(l, cells) for l in range(d)
+                 if len(cells := np.flatnonzero(observed[[l, d + l]].ravel())) > 1]
+        if not pairs:
+            return
+        if data is None:  # the example: the padded row's two cells
+            (l, cells), (x, y) = pairs[-1], pairs[-1][1][:2]
+        else:
+            l, cells = data.draw(st.sampled_from(pairs))
+            x, y = data.draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
+        tied = values[-1].copy()
+        rows = tied[[l, d + l]].ravel()
+        rows[x], rows[y] = (rows[y], rows[y]) if tie == "value" else (-0.0, 0.0)
+        tied[[l, d + l]] = rows.reshape(2, -1)
+        block = build_masked_sample(np.concatenate([values, tied[None]]), observed)
+        with sort_routes() as taken:
+            runs = build_rank_table(block, split)
+        assert taken == [False]
+        for untied_table, run_table in zip(tables, runs) if split else [(tables, runs)]:
+            cut = run_table.reshape(-1, *observed.shape)[: len(values)]
+            assert cut.tobytes() == untied_table.reshape(cut.shape).tobytes()
+        last = (runs[0] if split else runs).reshape(-1, *observed.shape)[-1]
+        assert_zero_form(last, placement_counts_rankdata(build_masked_sample(tied, observed)),
+                         observed)
+
+
 class TestRouteChoice:
     """Which blocks of the built-in grids, at 50 replicates, are counted."""
 
@@ -417,11 +496,13 @@ class TestRouteChoice:
         assert self.block_routes(monkeypatch, grid) == [({"normal"}, True)] * count
 
     def test_a_design3_block_with_cauchy_or_lognormal_draws_is_sorted(self, monkeypatch):
+        # a block holds one distribution's draws, and only normal ones are counted
         blocks = self.block_routes(monkeypatch, "design3")
+        assert all(len(distributions) == 1 for distributions, _ in blocks)
         assert [counted for _, counted in blocks] == [
             distributions == {"normal"} for distributions, _ in blocks
         ]
-        assert sum(counted for _, counted in blocks) == 6 and len(blocks) == 42
+        assert sum(counted for _, counted in blocks) == 15 and len(blocks) == 45
 
     def test_two_decimal_data_is_sorted(self, rng):
         # the analyze_wide benchmark's kind of data: normal values to two decimals

@@ -642,9 +642,10 @@ def recording_analyze(monkeypatch, calls):
 
 
 class TestPacks:
-    # two masks of one shape, interleaved, and same-mask scenarios that
-    # differ in alpha or in methods, whose tallies would differ in a shared
-    # pack; 2d * n = 200 cells a replicate
+    # two masks of one shape, interleaved, same-mask scenarios that differ in
+    # alpha or in methods, whose tallies would differ in a shared pack, and a
+    # Cauchy scenario, which packs apart from its mask's normal one; 2d * n =
+    # 200 cells a replicate
     GRID = [
         dict(replications=20, seed=1),
         dict(replications=15, seed=2, sizes=(10, 30, 10), distribution="cauchy"),
@@ -671,15 +672,16 @@ class TestPacks:
         monkeypatch.setenv("RANK_EFFECT_THREADS", threads)
         assert run_grid(grid) == solo
 
-    def test_scenarios_pack_by_mask_methods_and_alpha(self, monkeypatch):
+    def test_scenarios_pack_by_mask_methods_alpha_and_distribution(self, monkeypatch):
         calls = []
         recording_analyze(monkeypatch, calls)
         run_grid([scenario(**kw) for kw in self.GRID])
-        # one pack per (mask, methods, alpha), opened in grid order
+        # one pack per (mask, methods, alpha, distribution), opened in grid order
         assert calls == [
             (60, 0.05, ("all",)),  # scenarios 0, 2 and 7
-            (30, 0.05, ("all",)),  # the other mask's 1 and 4
+            (15, 0.05, ("all",)),  # the other mask's Cauchy 1
             (40, 0.5, ("all",)),  # 3 and 6
+            (15, 0.05, ("all",)),  # the other mask's normal 4
             (20, 0.05, METHODS),  # 5
         ]
 
@@ -689,13 +691,13 @@ class TestPacks:
         import rankeffect.simulate as sim
 
         def key(s):
-            return s._observed.shape, s._observed.tobytes(), s.methods, s.alpha
+            return s._observed.shape, s._observed.tobytes(), s.methods, s.alpha, s.distribution
 
         grid = builtin_grid(name, reps)
         streams = {}
         for pack in sim._packs(grid):
             (k, *others) = {key(s) for _, s, _ in pack}
-            assert not others  # a block's parts share mask, methods and alpha
+            assert not others  # a block's parts share mask, methods, alpha and distribution
             assert all(s is grid[position] for position, s, _ in pack)
             streams.setdefault(k, []).append(pack)
         assert len(streams) == len({key(s) for s in grid})
@@ -734,15 +736,16 @@ class TestPacks:
         assert run_grid(grid) == results == [run_scenario(s) for s in grid]
 
     def test_an_overflow_in_a_pack_fails_only_its_own_replicates(self, monkeypatch):
-        # the lognormal and normal sections of the CI scenario file, run at
-        # --seed 3: one pack, in which 15 lognormal draws overflow
+        # the lognormal section of the CI scenario file, run at --seed 3, in
+        # which 15 draws overflow, and a unit-variance lognormal scenario: one
+        # pack, as they share mask, methods, alpha and distribution
         lognormal = scenario(distribution="lognormal", sigma_sq=(40000.0, 40000.0),
                              replications=200, seed=0)
-        normal = scenario(replications=200, seed=0)
+        calm = scenario(distribution="lognormal", replications=200, seed=0)
         calls = []
         recording_analyze(monkeypatch, calls)
         draws = recording_draw(monkeypatch)
-        results = run_grid([lognormal, normal], master_seed=3)
+        results = run_grid([lognormal, calm], master_seed=3)
         assert [r.failures for r in results] == [15, 0]
         assert [n for n, _, _ in calls] == [385]
         # each part was drawn once, the overflowing one too
@@ -753,7 +756,7 @@ class TestPacks:
         # a part whose every draw overflows fails whole, and the pack's other
         # parts are tallied from their own rows
         overflowing = scenario(distribution="lognormal", sigma_sq=(1e6, 1e6), replications=3)
-        grid = [normal, overflowing, replace(normal, seed=4)]
+        grid = [calm, overflowing, replace(calm, seed=4)]
         draws.clear()
         results = run_grid(grid)
         assert [r.failures for r in results] == [0, 3, 0]
@@ -767,9 +770,10 @@ class TestPacks:
         assert calls == []
 
     def test_overflow_failures_come_back_from_workers(self, monkeypatch):
-        # the CI scenario file at --seed 3: its small-variance section, at
-        # alpha 0.1, runs in a block of its own, so two workers take one
-        # block each and the overflowing one is tallied in another process
+        # the CI scenario file at --seed 3: its lognormal, normal and
+        # small-variance sections, the last at alpha 0.1, run as three blocks
+        # of 200, which two workers share, so the overflowing one is tallied
+        # in another process
         import rankeffect.simulate as sim
 
         grid = [
@@ -777,7 +781,7 @@ class TestPacks:
             scenario(replications=200),
             scenario(sigma_sq=(0.05, 0.05), delta=(1.0, 1.0), replications=200, alpha=0.1),
         ]
-        assert len(sim._packs(grid)) == 2
+        assert len(sim._packs(grid)) == 3
         monkeypatch.setenv("RANK_EFFECT_THREADS", "1")
         alone = run_grid(grid, master_seed=3)
         assert [r.failures for r in alone] == [15, 0, 0]
