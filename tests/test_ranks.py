@@ -496,13 +496,16 @@ class TestRouteChoice:
         assert self.block_routes(monkeypatch, grid) == [({"normal"}, True)] * count
 
     def test_a_design3_block_with_cauchy_or_lognormal_draws_is_sorted(self, monkeypatch):
-        # a block holds one distribution's draws, and only normal ones are counted
-        blocks = self.block_routes(monkeypatch, "design3")
+        # a block holds one distribution's draws, and only normal ones are
+        # counted; no lognormal or Cauchy block ties
+        with sort_routes() as untied:
+            blocks = self.block_routes(monkeypatch, "design3")
         assert all(len(distributions) == 1 for distributions, _ in blocks)
         assert [counted for _, counted in blocks] == [
             distributions == {"normal"} for distributions, _ in blocks
         ]
         assert sum(counted for _, counted in blocks) == 15 and len(blocks) == 45
+        assert untied == [True] * 30
 
     def test_two_decimal_data_is_sorted(self, rng):
         # the analyze_wide benchmark's kind of data: normal values to two decimals
