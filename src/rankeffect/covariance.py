@@ -71,11 +71,15 @@ class CovarianceEstimate:
             raise DimensionMismatch(f"v_hat {v.shape}, p_hat {p_hat.shape}, n = {self.n}")
         v = 0.5 * (v + v.swapaxes(-1, -2))
         trace = np.trace(v, axis1=-2, axis2=-1)
-        trace_sq = np.sum(v * v, axis=(-2, -1))  # symmetric v
-        nu_hat = np.full(np.shape(trace_sq), np.nan)
-        np.divide(trace * trace, trace_sq, out=nu_hat, where=trace_sq > 0)
-        low = np.flatnonzero(trace_sq < 2.0**-1000)  # where the squares may underflow,
-        if low.size:  # from v scaled by 2^k to a largest entry in [1/2, 1), which keeps v's bits
+        # where the squares may underflow or overflow, nu_hat comes from v scaled
+        # by 2^k to a largest entry in [1/2, 1), which keeps v's bits
+        with np.errstate(over="ignore"):  # a huge v's squares are inf
+            trace_sq = np.sum(v * v, axis=(-2, -1))  # symmetric v
+            scaled = (trace_sq < 2.0**-1000) | (trace_sq >= 2.0**1000)
+            nu_hat = np.divide(trace * trace, trace_sq, out=np.full(np.shape(trace_sq), np.nan),
+                               where=~scaled)
+        low = np.flatnonzero(scaled)
+        if low.size:
             w = v.reshape(-1, *v.shape[-2:])[low]
             w = np.ldexp(w, -np.frexp(np.abs(w).max(axis=(1, 2)))[1][:, None, None])
             w_sq = np.sum(w * w, axis=(1, 2))

@@ -399,15 +399,28 @@ class TestAnova:
         assert np.array_equal(anova_test(block).statistic, [0.25, np.inf, np.nan], equal_nan=True)
 
     def test_a_power_of_two_scales_the_statistic_and_keeps_the_df(self, rng):
-        # at 2^-1000 the squares underflow, but the entries keep every bit
+        # at 2^-1000 the squares underflow and at 2^1000 they overflow, but
+        # the entries keep every bit
         a = rng.standard_normal((3, 3))
         v = a @ a.T
         dev = rng.uniform(-0.3, 0.3, size=3)
         base = anova_test(make_cov(0.5 + dev, v, n=40))
-        cov = make_cov(0.5 + dev, np.ldexp(v, -1000), n=40)
-        rep = anova_test(cov)
-        assert cov.nu_hat == base.df and rep.df == base.df
-        assert rep.statistic == np.ldexp(base.statistic, 1000)
+        for power in (-1000, 1000):
+            cov = make_cov(0.5 + dev, np.ldexp(v, power), n=40)
+            rep = anova_test(cov)
+            assert cov.nu_hat == base.df and rep.df == base.df
+            assert rep.statistic == np.ldexp(base.statistic, -power)
+
+    @given(wald_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_a_block_agrees_with_each_replicate_alone(self, cov):
+        block = anova_test(cov)
+        for r, (p_hat, v_hat) in enumerate(zip(cov.p_hat, cov.v_hat)):
+            alone = anova_test(make_cov(p_hat, v_hat, cov.n, estimator="general"))
+            for field in ("statistic", "df", "p_value", "reject"):
+                got, want = getattr(block, field)[r], getattr(alone, field)
+                assert np.array_equal(got, want, equal_nan=True)
+            assert block.flags[r] == alone.flags
 
     def test_f_statistic_value(self):
         # F = n/tr(V) * ||dev||^2 = 50/2 * 0.02 = 0.5

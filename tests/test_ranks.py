@@ -16,9 +16,10 @@ from rankeffect import (
 )
 from rankeffect import ranks, simulate
 from rankeffect.errors import EverythingFiltered, InestimableComponent
+from rankeffect.reports import parse_dataset
 from rankeffect.simulate import builtin_grid, draw_sample, run_grid
 
-from conftest import random_general_sample, simple_mask
+from conftest import DATA_DIR, random_general_sample, simple_mask
 from oracles import placement_counts_bruteforce, placement_counts_rankdata
 
 
@@ -417,7 +418,7 @@ def untied_blocks(draw):
 
 
 class TestUntiedRows:
-    """Rows with no tie take the untied route, with the run route's bits."""
+    """Rows with no tie take the untied route, with the bits of the tied sort's tally."""
 
     @given(untied_blocks(), st.booleans(), st.sampled_from(["value", "signed zero"]), st.data())
     # components observed 7 and 2 times: the second pooled row is padded
@@ -426,7 +427,7 @@ class TestUntiedRows:
                      [[1, 1, 1, 1, 1], [1, 0, 0, 0, 0], [0, 1, 1, 0, 0], [0, 1, 0, 0, 0]]),
              True, "signed zero", None)
     @settings(max_examples=200, deadline=None)
-    def test_untied_counts_equal_the_run_routes(self, sample, split, tie, data):
+    def test_untied_counts_equal_the_tied_sorts(self, sample, split, tie, data):
         with sort_routes() as taken:
             tables = build_rank_table(sample, split)
         assert taken == [True]
@@ -436,7 +437,7 @@ class TestUntiedRows:
         for r, values_r in enumerate(values):
             alone = placement_counts_rankdata(build_masked_sample(values_r, observed))
             assert_zero_form(b[r], alone, observed)
-        # one tie in one row of one more replicate sends the block down the run route
+        # one tie in one row of one more replicate sends the block down the tied sort
         pairs = [(l, cells) for l in range(d)
                  if len(cells := np.flatnonzero(observed[[l, d + l]].ravel())) > 1]
         if not pairs:
@@ -452,12 +453,12 @@ class TestUntiedRows:
         tied[[l, d + l]] = rows.reshape(2, -1)
         block = build_masked_sample(np.concatenate([values, tied[None]]), observed)
         with sort_routes() as taken:
-            runs = build_rank_table(block, split)
+            tallied = build_rank_table(block, split)
         assert taken == [False]
-        for untied_table, run_table in zip(tables, runs) if split else [(tables, runs)]:
-            cut = run_table.reshape(-1, *observed.shape)[: len(values)]
+        for untied_table, tied_table in zip(tables, tallied) if split else [(tables, tallied)]:
+            cut = tied_table.reshape(-1, *observed.shape)[: len(values)]
             assert cut.tobytes() == untied_table.reshape(cut.shape).tobytes()
-        last = (runs[0] if split else runs).reshape(-1, *observed.shape)[-1]
+        last = (tallied[0] if split else tallied).reshape(-1, *observed.shape)[-1]
         assert_zero_form(last, placement_counts_rankdata(build_masked_sample(tied, observed)),
                          observed)
 
@@ -508,14 +509,24 @@ class TestRouteChoice:
         assert untied == [True] * 30
 
     def test_two_decimal_data_is_sorted(self, rng):
-        # the analyze_wide benchmark's kind of data: normal values to two decimals
+        # the analyze_wide benchmark's kind of data: normal values to two
+        # decimals, which tie, so neither counted nor untied
         observed = rng.random((6, 400)) < 0.7
         observed[0] = True
         sample = build_masked_sample(np.round(rng.standard_normal((6, 400)), 2), observed)
-        with routes() as taken:
+        with routes() as taken, sort_routes() as untied:
             build_rank_table(sample)
             build_rank_table(sample, split=True)
-        assert taken == [False, False]
+        assert taken == [False, False] and untied == [False, False]
+
+    @pytest.mark.parametrize("name", ["paired_qol_42subjects.csv", "scattered_d4_n600.csv"])
+    def test_the_golden_reports_samples_take_the_tied_sort(self, name):
+        # so the byte-compared golden reports guard the tied sort's counts
+        sample = parse_dataset(DATA_DIR / name)
+        with routes() as taken, sort_routes() as untied:
+            build_rank_table(sample)
+            build_rank_table(sample, split=True)
+        assert taken == [False, False] and untied == [False, False]
 
 
 class TestPlacements:
